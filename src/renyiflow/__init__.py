@@ -12,7 +12,7 @@ from .barenblatt import (
     self_similar_density,
 )
 from .grid import RadialGrid, DensityState, build_grid, project_initial
-from .solver import SolverConfig, Trajectory, stable_dt, step, evolve
+from .solver import SolverConfig, Trajectory, stable_dt, evolve
 from .functionals import FunctionalRecord, diagnostics
 from .matching import DelayReport, best_match_scale, delay, build_delay_report
 from .gn import GnParams, gn_exponent, gn_quotient, gn_optimal_constant
@@ -42,7 +42,6 @@ __all__ = [
     "SolverConfig",
     "Trajectory",
     "stable_dt",
-    "step",
     "evolve",
     "FunctionalRecord",
     "diagnostics",

@@ -1,0 +1,38 @@
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, strategies as st
+
+from renyiflow._pow import PAIR_EXPONENTS, pow_pair
+
+# exponents without a shared root: pow_pair falls back to two np.power calls
+FALLBACK_EXPONENTS = (0.6, 1.7)
+
+
+def _exact(p: float) -> tuple[np.longdouble, np.longdouble]:
+    """p and |p - 1| in extended precision: the rational a tabulated entry
+    stands for, or the float itself for a fallback exponent."""
+    q = Fraction(p).limit_denominator(6) if p in PAIR_EXPONENTS else Fraction(p)
+    e = abs(q - 1)
+    return (np.longdouble(q.numerator) / q.denominator,
+            np.longdouble(e.numerator) / e.denominator)
+
+
+@given(
+    p=st.sampled_from(PAIR_EXPONENTS + FALLBACK_EXPONENTS),
+    floor=st.one_of(st.just(0.0), st.floats(1e-12, 1.0)),
+    above=st.lists(st.one_of(st.just(0.0), st.floats(1e-100, 1e100)),
+                   min_size=1, max_size=40),
+    below=st.lists(st.floats(1e-6, 1.0, exclude_max=True), max_size=10),
+)
+def test_pow_pair_matches_both_powers(p, floor, above, below):
+    # one shared root must give u**p and max(u, floor)**|p-1| to ~4 ulp,
+    # for exact zeros and for values under the floor too
+    u = np.array(above + [floor * b for b in below])
+    w, f = np.empty_like(u), np.empty_like(u)
+    pow_pair(p, floor)(u, w, f)
+    exponent, stability = _exact(p)
+    exact_u = u.astype(np.longdouble)
+    np.testing.assert_allclose(w, exact_u**exponent, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(
+        f, np.maximum(exact_u, np.longdouble(floor)) ** stability, rtol=1e-15, atol=0.0)

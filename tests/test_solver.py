@@ -122,3 +122,28 @@ def test_fast_diffusion_smoke():
         assert rec.q_ratio >= 1.0 - 1e-12
         assert math.isfinite(rec.entropy) and math.isfinite(rec.fisher)
     assert np.all(traj.final_state.u > 0.0)  # fast diffusion keeps positivity
+
+
+@pytest.mark.parametrize("d,p", [(1, 2.0), (3, 2.0 / 3.0)])
+def test_nan_state_fails_loudly(d, p):
+    # project_initial rejects NaN, so the state is built directly; the
+    # guards must not let a NaN through as a truncated trajectory
+    params = rf.ModelParams(d, p)
+    grid = rf.build_grid(d, 6.0, 64)
+    u = np.exp(-grid.centers**2)
+    u[10] = math.nan
+    state = rf.DensityState(grid=grid, u=u, t=0.0)
+    with pytest.raises((InstabilityError, StiffnessError)):
+        rf.evolve(state, 0.1, params, rf.SolverConfig(record_every=0.05))
+
+
+def test_donor_cell_limiter_fires_and_conserves():
+    # the diffusivity floor relaxes the step bound in the fast-diffusion
+    # tail, so plain updates would overdraw cells there
+    params = rf.ModelParams(3, 2.0 / 3.0)
+    grid = rf.build_grid(3, 200.0, 160, stretch=1.03)
+    state = rf.project_initial(lambda r: np.exp(-r * r), grid)
+    traj = rf.evolve(state, 0.01, params, rf.SolverConfig(record_every=0.005))
+    assert traj.limited_steps > 0
+    assert np.all(traj.final_state.u >= 0.0)
+    assert traj.final_state.mass() == pytest.approx(state.mass(), abs=1e-13)
