@@ -19,12 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .params import ModelParams, ExponentSet, derive_exponents
-
-
-def _sphere_area(d: int) -> float:
-    # surface measure of the unit sphere in R^d: 2 pi^{d/2} / Gamma(d/2)
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+from .grid import sphere_area
+from .params import ModelParams, ExponentSet, derive_exponents, unmet
 
 
 def normalization_constant(params: ModelParams) -> float:
@@ -127,7 +123,7 @@ def _quad_moment(params: ModelParams, c_star: float, weight: str) -> float:
     weight: 'mass' -> B, 'theta' -> (r^2/d) B, 'entropy' -> B^p.
     """
     d, p = params.d, params.p
-    area = _sphere_area(d)
+    area = sphere_area(d)
 
     def integrand(r: float) -> float:
         b = float(profile_density(r, params, c_star=c_star))
@@ -175,15 +171,12 @@ def build_reference(params: ModelParams, verify: bool = True) -> BarenblattRefer
     else:
         h_star = j_star = theta_star = math.nan
     c_gn = None
-    p = params.p
-    # the 1e-12 slack admits the endpoint p = 1 - 1/d despite 1-ulp float
-    # mismatch (float(2/3) < 1 - float(1/3))
-    if p > 0.5 and (p > 1.0 or p >= 1.0 - 1.0 / params.d - 1e-12):
+    if unmet(params, "gn_conversion", "remainder_window") is None:
         from .gn import gn_exponent, sharp_constant_from_j
 
         assert ex.gn_q is not None
         gn_theta = gn_exponent(params.d, ex.gn_q)
-        c_gn = sharp_constant_from_j(j_star, gn_theta, p)
+        c_gn = sharp_constant_from_j(j_star, gn_theta, params.p)
     return BarenblattReference(
         params=params,
         exponents=ex,

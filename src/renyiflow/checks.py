@@ -2,9 +2,11 @@
 
 Each check bundles the inequalities and identities one verdict stands for,
 returning measured slacks next to the tolerances they are judged against.
-Check names form the config vocabulary (CHECK_NAMES); compatibility with a
-(d, p) regime is decided by `incompatibility`, which both the config parser
-(reject at parse time) and the runner (mark inapplicable) share.
+Check names form the config vocabulary (CHECK_NAMES). CHECK_HYPOTHESES
+lists, per check, the hypotheses of the params.HYPOTHESES table that every
+function its verdict calls requires; `incompatibility` reads that map, and
+both the config parser (reject at parse time) and the runner (mark
+inapplicable) share it.
 
 Tolerance policy: sign and monotonicity clauses use one-sided margins of
 1e-3 of the quantity's own scale (floored at 1e-8), derivative identities
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -23,10 +26,11 @@ import numpy as np
 from .barenblatt import BarenblattReference
 from .gn import deficit_identity_check, extremality_test, gn_constant_report
 from .matching import build_delay_report
-from .params import ModelParams, derive_exponents
+from .params import ModelParams, unmet
 
 __all__ = [
     "CHECK_NAMES",
+    "CHECK_HYPOTHESES",
     "CheckResult",
     "incompatibility",
     "compatible_checks",
@@ -44,9 +48,20 @@ CHECK_NAMES = (
     "deficit",
 )
 
-# Slack below which the p >= 1 - 1/d style window edges are still admitted;
-# float(2/3) sits one ulp below 1 - float(1/3).
-_EDGE_TOL = 1e-12
+# Hypotheses of every function each verdict calls, most specific first so
+# that a request like gn at p = 0.4 names the p > 1/2 conversion rather than
+# a downstream window. theorem2 needs only mu > 0, which every admissible
+# (d, p) has; theorem3 reads only the drift of tau, so it runs wherever the
+# best match exists, also below 1 - 1/d.
+CHECK_HYPOTHESES: dict[str, tuple[str, ...]] = {
+    "theorem1": ("remainder_window",),
+    "theorem2": (),
+    "theorem3": ("finite_moments",),
+    "theorem3bis": ("remainder_window", "finite_moments"),
+    "prop_t4": ("envelope_window", "finite_moments"),
+    "gn": ("gn_conversion", "remainder_window", "finite_moments"),
+    "deficit": ("fast_diffusion", "remainder_window", "finite_moments"),
+}
 
 # Derivative identities (theorem1) judge centered differences against these
 # relative tolerances; the entropy production carries the largest
@@ -90,56 +105,11 @@ class CheckResult:
 
 
 def incompatibility(name: str, params: ModelParams) -> str | None:
-    """The violated hypothesis keeping `name` from running at (d, p), or None.
-
-    The first unmet requirement is reported, most specific first, so a
-    request like gn at p = 0.4 names the p > 1/2 conversion window rather
-    than a downstream moment condition.
-    """
+    """The violated hypothesis keeping `name` from running at (d, p), or None."""
     if name not in CHECK_NAMES:
         raise ValueError(f"unknown check {name!r}; valid names: {', '.join(CHECK_NAMES)}")
-    d, p = params.d, params.p
-    ex = derive_exponents(params)
-    if name == "theorem1":
-        if not ex.theorem1_valid:
-            return (f"theorem1 needs p >= 1 - 1/d = {1.0 - 1.0 / d:.6g} for the "
-                    f"remainder sign (got p = {p:.6g}, d = {d})")
-        return None
-    if name == "theorem2":
-        if not ex.theorem2_valid:
-            return (f"theorem2 needs p > 1 - 2/d = {1.0 - 2.0 / d:.6g} for power-entropy "
-                    f"concavity (got p = {p:.6g}, d = {d})")
-        return None
-    if name in ("theorem3", "theorem3bis"):
-        if not ex.moments_finite:
-            return (f"{name} needs a finite profile second moment, p > d/(d+2) = "
-                    f"{d / (d + 2.0):.6g} (got p = {p:.6g}, d = {d})")
-        return None
-    if name == "prop_t4":
-        if not (p < 1.0 and p >= 1.0 - 1.0 / d - _EDGE_TOL):
-            return (f"prop_t4 needs the fast-diffusion window 1 - 1/d <= p < 1 "
-                    f"(got p = {p:.6g}, d = {d})")
-        if not ex.moments_finite:
-            return (f"prop_t4 needs a finite profile second moment, p > d/(d+2) = "
-                    f"{d / (d + 2.0):.6g} (got p = {p:.6g}, d = {d})")
-        return None
-    if name == "gn":
-        if not p > 0.5:
-            return f"gn needs p > 1/2 so the conversion exponent 1/(2p-1) exists (got p = {p:.6g})"
-        if not ex.moments_finite:
-            return (f"gn needs finite reference functionals, p > d/(d+2) = "
-                    f"{d / (d + 2.0):.6g} (got p = {p:.6g}, d = {d})")
-        return None
-    # deficit
-    if not p < 1.0:
-        return f"deficit needs fast diffusion p < 1 (got p = {p:.6g})"
-    if not ex.theorem1_valid:
-        return (f"deficit needs the remainder-positivity window p >= 1 - 1/d = "
-                f"{1.0 - 1.0 / d:.6g} (got p = {p:.6g}, d = {d})")
-    if not ex.moments_finite:
-        return (f"deficit needs a finite reference scale, p > d/(d+2) = "
-                f"{d / (d + 2.0):.6g} (got p = {p:.6g}, d = {d})")
-    return None
+    reason = unmet(params, *CHECK_HYPOTHESES[name])
+    return None if reason is None else f"{name} needs {reason}"
 
 
 def compatible_checks(params: ModelParams) -> tuple[str, ...]:
@@ -264,7 +234,8 @@ def _check_theorem2(trajectory, params, reference, tol_scale, **_) -> CheckResul
     })
 
 
-def _delay_check(name, trajectory, params, reference, tol_scale, expected_tau):
+def _delay_check(trajectory, params, reference, tol_scale, *, name,
+                 expected_tau=None, **_) -> CheckResult:
     report = build_delay_report(
         trajectory, params, reference, tol_scale=tol_scale, expected_tau=expected_tau)
     clauses: dict[str, dict] = {}
@@ -339,12 +310,9 @@ def _check_deficit(trajectory, params, reference, tol_scale, **_) -> CheckResult
 _RUNNERS: dict[str, Callable[..., CheckResult]] = {
     "theorem1": _check_theorem1,
     "theorem2": _check_theorem2,
-    "theorem3": lambda tr, pa, re, ts, expected_tau=None, **_: _delay_check(
-        "theorem3", tr, pa, re, ts, expected_tau),
-    "theorem3bis": lambda tr, pa, re, ts, expected_tau=None, **_: _delay_check(
-        "theorem3bis", tr, pa, re, ts, expected_tau),
-    "prop_t4": lambda tr, pa, re, ts, expected_tau=None, **_: _delay_check(
-        "prop_t4", tr, pa, re, ts, expected_tau),
+    "theorem3": partial(_delay_check, name="theorem3"),
+    "theorem3bis": partial(_delay_check, name="theorem3bis"),
+    "prop_t4": partial(_delay_check, name="prop_t4"),
     "gn": _check_gn,
     "deficit": _check_deficit,
 }

@@ -45,6 +45,7 @@ import dataclasses
 import json
 import math
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -434,18 +435,35 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
 
 
 def _run_path(path: str, out_root: str | None, tol_scale: float,
-              echo=print) -> tuple[str, dict | None, str | None]:
-    """Isolated single-config execution used by run and sweep."""
+              echo=print, check: str | None = None) -> tuple[str, dict | None, str | None]:
+    """Isolated single-config execution used by run, verify and sweep.
+
+    check, when given, replaces the config's checks by that one name. The
+    error string starts with "config error" (exit 2), "solver abort" or
+    "unexpected error" (both exit 3); an unexpected error also prints its
+    traceback on stderr, so it can never pass for a failed check.
+    """
+    label = Path(path).stem
     try:
         config = load_config(path)
+        if check is not None:
+            if check not in CHECK_NAMES:
+                raise ConfigError(f"unknown check {check!r}; valid: {', '.join(CHECK_NAMES)}")
+            reason = incompatibility(check, config.params)
+            if reason is not None:
+                raise ConfigError(f"check incompatible with this config: {reason}")
+            config = dataclasses.replace(config, checks=(check,))
         out = Path(out_root) if out_root else (
             Path(config.output_dir) if config.output_dir else Path("out") / config.label)
         report = run_experiment(config, out, tol_scale=tol_scale, echo=echo)
-        return config.label, report, None
+        return label, report, None
     except ConfigError as e:
-        return Path(path).stem, None, f"config error: {e}"
+        return label, None, f"config error: {e}"
     except (StiffnessError, InstabilityError) as e:
-        return Path(path).stem, None, f"solver abort: {e}"
+        return label, None, f"solver abort: {e}"
+    except Exception as e:
+        traceback.print_exc()
+        return label, None, f"unexpected error: {type(e).__name__}: {e}"
 
 
 def _sweep_worker(args: tuple[str, str | None, float]) -> tuple[str, dict | None, str | None]:
@@ -491,36 +509,19 @@ def _matrix_table(rows: list[tuple[str, dict | None, str | None]]) -> str:
     return "\n".join(out)
 
 
-def cmd_run(args) -> int:
-    label, report, error = _run_path(args.config, args.out, args.tol_scale)
+def _exit_code(label: str, report: dict | None, error: str | None) -> int:
     if error is not None:
         print(f"{label}: {error}", file=sys.stderr)
         return 2 if error.startswith("config error") else 3
     return 0 if report["all_passed"] else 1
 
 
+def cmd_run(args) -> int:
+    return _exit_code(*_run_path(args.config, args.out, args.tol_scale))
+
+
 def cmd_verify(args) -> int:
-    try:
-        config = load_config(args.config)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    if args.check not in CHECK_NAMES:
-        print(f"unknown check {args.check!r}; valid: {', '.join(CHECK_NAMES)}", file=sys.stderr)
-        return 2
-    reason = incompatibility(args.check, config.params)
-    if reason is not None:
-        print(f"check incompatible with this config: {reason}", file=sys.stderr)
-        return 2
-    config = dataclasses.replace(config, checks=(args.check,))
-    out = Path(args.out) if args.out else (
-        Path(config.output_dir) if config.output_dir else Path("out") / config.label)
-    try:
-        report = run_experiment(config, out, tol_scale=args.tol_scale)
-    except (StiffnessError, InstabilityError) as e:
-        print(f"solver abort: {e}", file=sys.stderr)
-        return 3
-    return 0 if report["all_passed"] else 1
+    return _exit_code(*_run_path(args.config, args.out, args.tol_scale, check=args.check))
 
 
 def cmd_reference(args) -> int:
@@ -541,15 +542,12 @@ def cmd_sweep(args) -> int:
         print(f"sweep error: {e}", file=sys.stderr)
         return 2
     out_root = Path(args.out) if args.out else Path("out")
-    rows: list[tuple[str, dict | None, str | None]] = []
+    jobs = [(p, str(out_root), args.tol_scale) for p in paths]
     if args.parallel > 1 and len(paths) > 1:
         with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            rows = list(pool.map(
-                _sweep_worker,
-                [(p, str(out_root), args.tol_scale) for p in paths]))
+            rows = list(pool.map(_sweep_worker, jobs))
     else:
-        for p in paths:
-            rows.append(_run_path(p, str(out_root / Path(p).stem), args.tol_scale, echo=None))
+        rows = [_sweep_worker(job) for job in jobs]
 
     merged = {
         "runs": [r[1] if r[1] is not None else {"label": r[0], "error": r[2]}

@@ -18,7 +18,7 @@ import numpy as np
 from ._pow import pow_fn
 from .barenblatt import BarenblattReference
 from .grid import DensityState, sphere_area
-from .params import ModelParams
+from .params import ModelParams, unmet
 
 # Cells below this fraction of max(u) are excluded from second-derivative
 # stencils; their v = p/(p-1) u**(p-1) values are dominated by floor noise.
@@ -83,17 +83,12 @@ def generalized_entropy(state: DensityState, p: float) -> float:
     return state.grid.integrate(pow_fn(p)(state.u))
 
 
-def _face_geometry(grid):
+def face_geometry(grid):
     drc = np.diff(grid.centers)
     mid = 0.5 * (grid.centers[:-1] + grid.centers[1:])
     # face quadrature weight: surface area at the gap midpoint times gap width
     w = sphere_area(grid.d) * mid ** (grid.d - 1) * drc
     return drc, mid, w
-
-
-def fisher_information(state: DensityState, params: ModelParams) -> float:
-    value, _ = fisher_information_flagged(state, params)
-    return value
 
 
 def _live_faces(u: np.ndarray, drc: np.ndarray) -> np.ndarray:
@@ -135,9 +130,9 @@ def fisher_information_flagged(state: DensityState, params: ModelParams) -> tupl
     p = params.p
     g = state.grid
     u = state.u
-    drc, _, w_face = _face_geometry(g)
+    drc, _, w_face = face_geometry(g)
     live = _live_faces(u, drc)
-    if p > 0.5:
+    if unmet(params, "gn_conversion") is None:
         wt = pow_fn(p - 0.5)(u)
         slope = np.where(live, (wt[1:] - wt[:-1]) / drc, 0.0)
         coef = (2.0 * p / (2.0 * p - 1.0)) ** 2
@@ -172,7 +167,7 @@ def cauchy_schwarz_ratio(state: DensityState, params: ModelParams) -> tuple[floa
     p = params.p
     g = state.grid
     u = state.u
-    drc, mid, w_face = _face_geometry(g)
+    drc, mid, w_face = face_geometry(g)
     w = pow_fn(p)(u)
     with np.errstate(divide="ignore", invalid="ignore"):
         v = (p / (p - 1.0)) * pow_fn(p - 1.0)(u)
@@ -195,11 +190,6 @@ def cauchy_schwarz_ratio(state: DensityState, params: ModelParams) -> tuple[floa
     if s == 0.0:
         return math.inf, ("q_degenerate",)
     return a * b / (s * s), ()
-
-
-def entropy_remainder(state: DensityState, params: ModelParams) -> float:
-    value, _ = entropy_remainder_flagged(state, params)
-    return value
 
 
 def entropy_remainder_flagged(state: DensityState, params: ModelParams) -> tuple[float, tuple[str, ...]]:

@@ -26,12 +26,12 @@ from scipy.integrate import cumulative_trapezoid
 
 from ._pow import pow_fn
 from .barenblatt import BarenblattReference
-from .grid import RadialGrid, build_grid, sphere_area
-from .params import ModelParams, RegimeError
+from .functionals import face_geometry
+from .grid import RadialGrid, build_grid
+from .params import EDGE_TOL, ModelParams, RegimeError, require
 
 log = logging.getLogger(__name__)
 
-_EDGE_TOL = 1e-12
 # Resolved second-difference windows whose right side is below this
 # fraction of the largest resolved one are too small to certify to 5%.
 FPP_SIGNIFICANCE_REL = 1e-3
@@ -74,7 +74,7 @@ def gn_exponent(d: int, q: float) -> float:
     if q is None or not math.isfinite(q):
         raise ValueError(f"need a finite Lebesgue index, got {q}")
     if q > 1.0:
-        if d >= 3 and q > d / (d - 2) + _EDGE_TOL:
+        if d >= 3 and q > d / (d - 2) + EDGE_TOL:
             raise RegimeError(
                 f"index q = {q} above the endpoint d/(d-2) = {d / (d - 2)} for d = {d}"
             )
@@ -86,9 +86,8 @@ def gn_exponent(d: int, q: float) -> float:
 
 def gn_params_for(params: ModelParams, reference: BarenblattReference | None = None) -> GnParams:
     """Interpolation family attached to the diffusion exponent p via q = 1/(2p-1)."""
+    require(params, "interpolation conversion", "gn_conversion")
     p = params.p
-    if p <= 0.5:
-        raise RegimeError(f"interpolation conversion needs p > 1/2, got p = {p}")
     q = 1.0 / (2.0 * p - 1.0)
     theta = gn_exponent(params.d, q)
     branch = "GN1" if q > 1.0 else "GN2"
@@ -105,9 +104,7 @@ def _norms(tf: TestFunction, q: float) -> tuple[float, float, float]:
     """(|grad w|_2, |w|_{2q}, |w|_{q+1}) under grid quadrature."""
     g = tf.grid
     w = tf.w
-    drc = np.diff(g.centers)
-    mid = 0.5 * (g.centers[:-1] + g.centers[1:])
-    w_face = sphere_area(g.d) * mid ** (g.d - 1) * drc
+    drc, _, w_face = face_geometry(g)
     slope = (w[1:] - w[:-1]) / drc
     grad2 = float(np.dot(slope * slope, w_face))
     n2q = g.integrate(w ** (2.0 * q)) ** (1.0 / (2.0 * q))
@@ -285,19 +282,10 @@ def deficit_identity_check(trajectory, params: ModelParams,
     difference cannot certify rates three decades below the trajectory's
     own concavity scale).
     """
+    require(params, "deficit integral",
+            "fast_diffusion", "remainder_window", "finite_moments")
     p = params.p
     ex = reference.exponents
-    if not p < 1.0:
-        raise RegimeError(f"deficit integral needs fast diffusion p < 1, got p = {p}")
-    if not ex.theorem1_valid:
-        raise RegimeError(
-            f"deficit integral needs the remainder-positivity window p >= 1 - 1/d, "
-            f"got p = {p}, d = {params.d}"
-        )
-    if not ex.moments_finite or not math.isfinite(reference.j_star):
-        raise RegimeError(
-            f"deficit comparison needs finite profile moments (p > d/(d+2)), got p = {p}"
-        )
     recs = list(getattr(trajectory, "records", trajectory))
     if len(recs) < 3:
         raise ValueError("need at least three records")

@@ -4,9 +4,10 @@ The match time s(t) = (Theta(t)/Theta_star)**(mu/2) is the time at which the
 self-similar solution has the same second moment as the state; the delay
 tau(t) = s(t) - t measures how far the state runs ahead of (p < 1) or behind
 (p > 1) the self-similar clock. tau is monotone along the flow, its total
-drop admits a quadratic lower bound in the initial data, and in the
-fast-diffusion window 1 - 1/d <= p < 1 a moment-ratio envelope gives a
-computable upper bound on tau(t).
+drop admits a quadratic lower bound in the initial data where the remainder
+has its sign (p >= 1 - 1/d), and in the fast-diffusion window
+1 - 1/d <= p < 1 a moment-ratio envelope gives a computable upper bound on
+tau(t). The windows are the params.HYPOTHESES entries.
 """
 from __future__ import annotations
 
@@ -19,40 +20,21 @@ from scipy.integrate import cumulative_trapezoid
 from .barenblatt import BarenblattReference
 from .functionals import FunctionalRecord, relative_entropy, second_moment
 from .grid import DensityState
-from .params import ModelParams, RegimeError
+from .params import ModelParams, require, unmet
 
 # Relative H-gap and Cauchy-Schwarz slack below which the quadratic drop
 # bound is treated as degenerate (initial data already at the profile up to
 # discretization noise); the bound there is below quadrature error.
 DEGENERATE_REL = 1e-3
-# 1-ulp slack so the window endpoint p = 1 - 1/d is admitted (float(2/3)
-# sits one ulp below 1 - float(1/3)).
-_EDGE_TOL = 1e-12
 
 
 class MatchingError(RuntimeError):
     """Raised when a matching search or bound evaluation degenerates."""
 
 
-def _require_moments(reference: BarenblattReference) -> None:
-    if not reference.exponents.moments_finite or not math.isfinite(reference.theta_star):
-        raise RegimeError(
-            "matching needs a finite second moment of the stationary profile: "
-            f"requires p > d/(d+2), got p = {reference.params.p}, d = {reference.params.d}"
-        )
-
-
-def _require_envelope_window(params: ModelParams) -> None:
-    if not (params.p < 1.0 and params.p >= 1.0 - 1.0 / params.d - _EDGE_TOL):
-        raise RegimeError(
-            "delay envelope needs the fast-diffusion window 1 - 1/d <= p < 1, "
-            f"got p = {params.p}, d = {params.d}"
-        )
-
-
 def best_match_scale(theta: float, reference: BarenblattReference) -> float:
     """Closed-form match time s = (theta / theta_star)**(mu/2)."""
-    _require_moments(reference)
+    require(reference.params, "best matching", "finite_moments")
     if not theta > 0.0:
         raise ValueError(f"second moment must be positive, got {theta}")
     return (theta / reference.theta_star) ** (0.5 * reference.exponents.mu)
@@ -120,13 +102,8 @@ def delay_lower_bound(record0: FunctionalRecord, reference: BarenblattReference,
     discretization noise (relative H-gap or Cauchy-Schwarz slack below
     DEGENERATE_REL) return (0.0, 0.0) rather than a 0/0 artifact.
     """
-    d = params.d
-    p = params.p
-    if d > 1 and p < 1.0 - 1.0 / d - _EDGE_TOL:
-        raise RegimeError(
-            f"delay drop bound needs p >= 1 - 1/d, got p = {p}, d = {d}"
-        )
-    _require_moments(reference)
+    require(params, "delay drop bound", "remainder_window", "finite_moments")
+    d, p = params.d, params.p
     ex = reference.exponents
     h_star = reference.h_star
     gap = h_star - record0.h_renyi
@@ -183,8 +160,7 @@ def delay_upper_bound(trajectory, params: ModelParams,
     telescopes to tau(t) = tau0 exactly. Raises MatchingError if the inner
     denominator becomes nonpositive (recording cadence too coarse).
     """
-    _require_envelope_window(params)
-    _require_moments(reference)
+    require(params, "delay envelope", "envelope_window", "finite_moments")
     ex = reference.exponents
     recs = _records_of(trajectory)
     t = np.array([r.t for r in recs]) - recs[0].t
@@ -207,20 +183,21 @@ def delay_upper_bound(trajectory, params: ModelParams,
 @dataclass(frozen=True)
 class DelayReport:
     """Delay diagnostics of one trajectory: monotonicity, the quadratic
-    lower bound on the total drop, and (fast-diffusion window only) the
-    ratio envelope and integral upper bound. Slacks are signed margins,
-    positive = satisfied with room."""
+    lower bound on the total drop (remainder-sign window only), and
+    (fast-diffusion window only) the ratio envelope and integral upper
+    bound. Fields of a bound whose window fails are None. Slacks are
+    signed margins, positive = satisfied with room."""
 
     times: np.ndarray
     tau_series: np.ndarray
     monotone_ok: bool
     monotone_worst: float     # worst wrong-direction step
     monotone_tol: float
-    drop_bound: float
-    drop_t_star: float
+    drop_bound: float | None
+    drop_t_star: float | None
     drop_measured: float      # |tau(0) - tau(T)|
-    drop_ok: bool
-    drop_slack: float
+    drop_ok: bool | None
+    drop_slack: float | None
     flat_ok: bool | None      # only when expected_tau is given
     flat_worst: float | None
     envelope_series: np.ndarray | None
@@ -242,7 +219,7 @@ def build_delay_report(trajectory, params: ModelParams,
     tol_scale, one-sided (an inequality only fails beyond discretization
     noise).
     """
-    _require_moments(reference)
+    require(params, "delay report", "finite_moments")
     recs = _records_of(trajectory)
     p = params.p
     t = np.array([r.t for r in recs])
@@ -260,15 +237,18 @@ def build_delay_report(trajectory, params: ModelParams,
         flat_worst = float(np.abs(tau - expected_tau).max())
         flat_ok = flat_worst <= 1e-3 * tol_scale
 
-    h0, h1 = recs[0].h_renyi, recs[1].h_renyi
-    h_prime = (h1 - h0) / (recs[1].t - recs[0].t)
-    bound, t_star = delay_lower_bound(recs[0], reference, params, h_prime=h_prime)
     measured = abs(tau[0] - tau[-1])
-    drop_slack = measured - bound
+    bound = t_star = drop_ok = drop_slack = None
+    if unmet(params, "remainder_window") is None:
+        h0, h1 = recs[0].h_renyi, recs[1].h_renyi
+        h_prime = (h1 - h0) / (recs[1].t - recs[0].t)
+        bound, t_star = delay_lower_bound(recs[0], reference, params, h_prime=h_prime)
+        drop_ok = measured >= bound
+        drop_slack = measured - bound
 
     envelope = env_ok = env_worst = None
     upper = upper_ok = upper_worst = None
-    if p < 1.0 and p >= 1.0 - 1.0 / params.d - _EDGE_TOL:
+    if unmet(params, "envelope_window") is None:
         theta = np.array([r.theta for r in recs])
         q = np.array([r.q_ratio for r in recs])
         envelope = np.array([q_envelope(q[0], theta[0], th) for th in theta])
@@ -282,7 +262,7 @@ def build_delay_report(trajectory, params: ModelParams,
         times=t, tau_series=tau,
         monotone_ok=monotone_ok, monotone_worst=worst, monotone_tol=tol_tau,
         drop_bound=bound, drop_t_star=t_star, drop_measured=measured,
-        drop_ok=measured >= bound, drop_slack=drop_slack,
+        drop_ok=drop_ok, drop_slack=drop_slack,
         flat_ok=flat_ok, flat_worst=flat_worst,
         envelope_series=envelope, envelope_ok=env_ok, envelope_worst=env_worst,
         upper_series=upper, upper_ok=upper_ok, upper_worst=upper_worst,

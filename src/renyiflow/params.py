@@ -1,4 +1,5 @@
-"""Model parameters and derived exponents for radial nonlinear diffusion.
+"""Model parameters, derived exponents and the regime-hypothesis table for
+radial nonlinear diffusion.
 
 The evolution is du/dt = Laplacian(u**p) for a nonnegative density u on R^d,
 restricted here to radially symmetric data. Admissible exponents split into
@@ -6,11 +7,17 @@ the degenerate regime p > 1 (compactly supported profiles, free boundary)
 and the singular regime 1 - 2/d < p < 1 (strictly positive profiles with
 power-law tails). p = 1 is plain heat flow and is excluded; at or below
 1 - 2/d mass escapes in finite time and the scaling structure breaks down.
+
+Inside the admissible range each result holds on its own window of p.
+HYPOTHESES names those windows once, each as a predicate on (d, p) with the
+condition it states; every regime gate in the package reads it through
+`unmet` (which window fails, if any) or `require` (raise RegimeError).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 
 class ParameterDomainError(ValueError):
@@ -79,24 +86,59 @@ def derive_exponents(params: ModelParams) -> ExponentSet:
     eta = d * (1.0 - p)
     sigma = 2.0 / (d * (1.0 - p)) - 1.0
     kappa = abs(2.0 * mu * p / (p - 1.0)) ** (1.0 / mu)
-    gn_q = 1.0 / (2.0 * p - 1.0) if p > 0.5 else None
-    # Concavity of the entropy power needs the full trace-free remainder
-    # decomposition, valid down to p = 1 - 1/d in dimension > 1. The slack
-    # absorbs the 1-ulp mismatch between float(2/3) and 1 - float(1/3) so the
-    # endpoint itself is admitted.
-    theorem1_valid = p >= 1.0 - 1.0 / d - 1e-12 if d > 1 else True
-    # The Renyi-slope comparison only needs mu > 0, guaranteed by admissibility.
-    theorem2_valid = p > 1.0 - 2.0 / d
-    # Second moment and entropy of the stationary profile are finite above
-    # d/(d+2); always true in the degenerate regime.
-    moments_finite = p > d / (d + 2.0)
+    gn_q = 1.0 / (2.0 * p - 1.0) if unmet(params, "gn_conversion") is None else None
     return ExponentSet(
         mu=mu,
         eta=eta,
         sigma=sigma,
         kappa=kappa,
         gn_q=gn_q,
-        theorem1_valid=theorem1_valid,
-        theorem2_valid=theorem2_valid,
-        moments_finite=moments_finite,
+        theorem1_valid=unmet(params, "remainder_window") is None,
+        # The Renyi-slope comparison only needs mu > 0, guaranteed by
+        # admissibility.
+        theorem2_valid=p > 1.0 - 2.0 / d,
+        moments_finite=unmet(params, "finite_moments") is None,
     )
+
+
+# Slack below which the p >= 1 - 1/d window edge is still admitted:
+# float(2/3) sits one ulp below 1 - float(1/3).
+EDGE_TOL = 1e-12
+
+# name -> (predicate on (d, p), the condition it states; {edge} is 1 - 1/d
+# and {moment} is d/(d+2) at the given d)
+HYPOTHESES: dict[str, tuple[Callable[[int, float], bool], str]] = {
+    "fast_diffusion": (lambda d, p: p < 1.0, "fast diffusion p < 1"),
+    # Sign of the trace-free remainder: concavity of the entropy power and
+    # the delay drop bound. Holds for every p > 1, and for every p at d = 1.
+    "remainder_window": (lambda d, p: p >= 1.0 - 1.0 / d - EDGE_TOL,
+                         "the remainder-sign window p >= 1 - 1/d = {edge:.6g}"),
+    # Moment-ratio envelope and the integral upper bound on the delay.
+    "envelope_window": (lambda d, p: 1.0 - 1.0 / d - EDGE_TOL <= p < 1.0,
+                        "the fast-diffusion window 1 - 1/d <= p < 1"),
+    # Second moment and entropy of the stationary profile; always finite
+    # for p > 1.
+    "finite_moments": (lambda d, p: p > d / (d + 2.0),
+                       "a finite profile second moment, p > d/(d+2) = {moment:.6g}"),
+    "gn_conversion": (lambda d, p: p > 0.5,
+                      "p > 1/2 so the conversion exponent q = 1/(2p-1) exists"),
+}
+
+
+def unmet(params: ModelParams, *names: str) -> str | None:
+    """The first of the named hypotheses that fails at (d, p), spelled out,
+    or None when all of them hold."""
+    d, p = params.d, params.p
+    for name in names:
+        holds, condition = HYPOTHESES[name]
+        if not holds(d, p):
+            stated = condition.format(edge=1.0 - 1.0 / d, moment=d / (d + 2.0))
+            return f"{stated} (got p = {p:.6g}, d = {d})"
+    return None
+
+
+def require(params: ModelParams, what: str, *names: str) -> None:
+    """Raise RegimeError naming the first unmet hypothesis of `what`."""
+    reason = unmet(params, *names)
+    if reason is not None:
+        raise RegimeError(f"{what} needs {reason}")

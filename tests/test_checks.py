@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import renyiflow as rf
@@ -20,6 +21,10 @@ def test_check_vocabulary():
     # interpolation conversion needs p > 1/2
     (1, 0.4, ("theorem1", "theorem2", "theorem3", "theorem3bis",
               "prop_t4", "deficit")),
+    # d/(d+2) < p < 1 - 1/d: the best match exists but the remainder has no
+    # sign, so only the H-comparison and the drift of tau remain
+    (3, 0.63, ("theorem2", "theorem3")),
+    (5, 0.75, ("theorem2", "theorem3")),
 ])
 def test_compatible_subsets(d, p, expected):
     assert compatible_checks(rf.ModelParams(d, p)) == expected
@@ -32,6 +37,22 @@ def test_incompatibility_names_the_hypothesis():
     assert "fast diffusion" in incompatibility("deficit", rf.ModelParams(1, 2.0))
     assert "1 - 1/d <= p < 1" in incompatibility("prop_t4", rf.ModelParams(1, 2.0))
     assert incompatibility("theorem2", rf.ModelParams(3, 0.55)) is None
+    assert "1 - 1/d" in incompatibility("gn", rf.ModelParams(3, 0.63))
+    assert "1 - 1/d" in incompatibility("theorem3bis", rf.ModelParams(3, 0.63))
+
+
+@pytest.mark.parametrize("d,p", [(3, 0.63), (4, 0.72), (5, 0.75)])
+def test_admitted_checks_run_below_remainder_window(d, p):
+    # every check admitted between d/(d+2) and 1 - 1/d must evaluate there
+    # instead of tripping a regime gate further down
+    params = rf.ModelParams(d, p)
+    grid = rf.build_grid(d, 1000.0, 120, stretch=1.06)
+    state = rf.project_initial(lambda r: np.exp(-r * r), grid)
+    traj = rf.evolve(state, 0.2, params, rf.SolverConfig(record_every=0.05))
+    ref = rf.build_reference(params)
+    for name in compatible_checks(params):
+        res = run_check(name, traj, params, ref)
+        assert res.applicable, name
 
 
 def test_unknown_check_name():

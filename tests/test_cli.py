@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import renyiflow as rf
+from renyiflow import cli
 from renyiflow.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -297,3 +298,51 @@ def test_sweep_list_file(tmp_path):
     listing.write_text(f"# comment\n{path}\n\n")
     assert main(["sweep", str(listing), "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "one" / "trajectory.csv").exists()
+
+
+def test_run_all_checks_below_remainder_window(tmp_path):
+    # d/(d+2) < p < 1 - 1/d: "all" must expand to checks that can run there
+    doc = tiny_config(
+        d=3, p=0.63, grid={"r_max": 1000.0, "n": 120, "stretch": 1.06},
+        t_end=1.0, record_every=0.05, checks="all")
+    path = write_config(tmp_path / "band.json", doc)
+    assert main(["run", path, "--out", str(tmp_path / "band")]) == 0
+    report = json.loads((tmp_path / "band" / "report.json").read_text())
+    assert [c["name"] for c in report["checks"]] == ["theorem2", "theorem3"]
+
+
+def _checks_failing_at(p_bad):
+    real = cli.run_checks
+
+    def fake(names, trajectory, params, *args, **kwargs):
+        if params.p == p_bad:
+            raise RuntimeError("injected fault")
+        return real(names, trajectory, params, *args, **kwargs)
+
+    return fake
+
+
+def test_main_unexpected_error_exit(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_checks", _checks_failing_at(2.0))
+    path = write_config(tmp_path / "ok.json", tiny_config())
+    assert main(["run", path, "--out", str(tmp_path / "ok")]) == 3
+    assert main(["verify", path, "--check", "theorem2",
+                 "--out", str(tmp_path / "v")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: injected fault" in err
+    assert "unexpected error" in err
+
+
+def test_sweep_records_unexpected_error_and_continues(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_checks", _checks_failing_at(3.0))
+    cfg_dir = tmp_path / "configs"
+    cfg_dir.mkdir()
+    write_config(cfg_dir / "a_bad.json", tiny_config(p=3))
+    write_config(cfg_dir / "b_good.json", tiny_config())
+    assert main(["sweep", str(cfg_dir), "--out", str(tmp_path / "out")]) == 1
+    merged = json.loads((tmp_path / "out" / "sweep_report.json").read_text())
+    bad, good = merged["runs"]
+    assert bad["label"] == "a_bad" and "injected fault" in bad["error"]
+    assert good["label"] == "b_good" and good["all_passed"] is True
+    assert (tmp_path / "out" / "b_good" / "trajectory.csv").exists()
+    assert "ERROR: unexpected error" in capsys.readouterr().out
