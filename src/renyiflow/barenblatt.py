@@ -62,9 +62,13 @@ def self_similar_density(
     the flow with unit mass for every t; its second-moment functional grows
     exactly like t^(2/mu).
     """
+    return _self_similar(r, t, params, derive_exponents(params), c_star)
+
+
+def _self_similar(r: np.ndarray | float, t: float, params: ModelParams, ex: ExponentSet,
+                  c_star: float | None) -> np.ndarray:
     if t <= 0.0:
         raise ValueError(f"self-similar density requires t > 0, got {t}")
-    ex = derive_exponents(params)
     scale = ex.kappa * t ** (1.0 / ex.mu)
     r = np.asarray(r, dtype=float)
     return scale ** (-params.d) * profile_density(r / scale, params, c_star=c_star)
@@ -100,7 +104,7 @@ class BarenblattReference:
         return profile_density(r, self.params, c_star=self.c_star)
 
     def self_similar(self, r: np.ndarray | float, t: float) -> np.ndarray:
-        return self_similar_density(r, t, self.params, c_star=self.c_star)
+        return _self_similar(r, t, self.params, self.exponents, self.c_star)
 
 
 def reference_functionals(params: ModelParams, c_star: float | None = None) -> dict[str, float]:

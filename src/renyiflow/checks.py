@@ -50,12 +50,13 @@ CHECK_NAMES = (
 
 # Hypotheses of every function each verdict calls, most specific first so
 # that a request like gn at p = 0.4 names the p > 1/2 conversion rather than
-# a downstream window. theorem2 needs only mu > 0, which every admissible
-# (d, p) has; theorem3 reads only the drift of tau, so it runs wherever the
-# best match exists, also below 1 - 1/d.
+# a downstream window. theorem2 judges H against the profile's h_star, which
+# is finite only with the profile's second moment; theorem3 reads only the
+# drift of tau, so it runs wherever the best match exists, also below
+# 1 - 1/d.
 CHECK_HYPOTHESES: dict[str, tuple[str, ...]] = {
     "theorem1": ("remainder_window",),
-    "theorem2": (),
+    "theorem2": ("finite_moments",),
     "theorem3": ("finite_moments",),
     "theorem3bis": ("remainder_window", "finite_moments"),
     "prop_t4": ("envelope_window", "finite_moments"),
@@ -235,9 +236,8 @@ def _check_theorem2(trajectory, params, reference, tol_scale, **_) -> CheckResul
 
 
 def _delay_check(trajectory, params, reference, tol_scale, *, name,
-                 expected_tau=None, **_) -> CheckResult:
-    report = build_delay_report(
-        trajectory, params, reference, tol_scale=tol_scale, expected_tau=expected_tau)
+                 delay_report, **_) -> CheckResult:
+    report = delay_report()
     clauses: dict[str, dict] = {}
     if name == "theorem3":
         clauses["tau_monotone"] = _clause(report.monotone_worst, report.monotone_tol)
@@ -323,13 +323,9 @@ def run_check(name: str, trajectory, params: ModelParams,
               expected_tau: float | None = None,
               gn_seed: int = 20260814, gn_perturbations: int = 20) -> CheckResult:
     """Evaluate one named check; inapplicable regimes yield a skipped result."""
-    reason = incompatibility(name, params)
-    if reason is not None:
-        return CheckResult(name=name, applicable=False, passed=None,
-                           slack=None, tolerance=None, details={"reason": reason})
-    return _RUNNERS[name](trajectory, params, reference, tol_scale,
-                          expected_tau=expected_tau, gn_seed=gn_seed,
-                          gn_perturbations=gn_perturbations)
+    return run_checks((name,), trajectory, params, reference, tol_scale=tol_scale,
+                      expected_tau=expected_tau, gn_seed=gn_seed,
+                      gn_perturbations=gn_perturbations)[0]
 
 
 def run_checks(names, trajectory, params: ModelParams,
@@ -337,9 +333,26 @@ def run_checks(names, trajectory, params: ModelParams,
                expected_tau: float | None = None,
                gn_seed: int = 20260814,
                gn_perturbations: int = 20) -> list[CheckResult]:
-    return [
-        run_check(n, trajectory, params, reference, tol_scale=tol_scale,
-                  expected_tau=expected_tau, gn_seed=gn_seed,
-                  gn_perturbations=gn_perturbations)
-        for n in names
-    ]
+    """Evaluate named checks in order. theorem3, theorem3bis and prop_t4 read
+    one DelayReport, built on first use and shared."""
+    report = None
+
+    def delay_report():
+        nonlocal report
+        if report is None:
+            report = build_delay_report(trajectory, params, reference,
+                                        tol_scale=tol_scale, expected_tau=expected_tau)
+        return report
+
+    results = []
+    for name in names:
+        reason = incompatibility(name, params)
+        if reason is not None:
+            results.append(CheckResult(name=name, applicable=False, passed=None,
+                                       slack=None, tolerance=None,
+                                       details={"reason": reason}))
+            continue
+        results.append(_RUNNERS[name](trajectory, params, reference, tol_scale,
+                                      gn_seed=gn_seed, gn_perturbations=gn_perturbations,
+                                      delay_report=delay_report))
+    return results

@@ -23,8 +23,9 @@ exp(-(r/width)^2); indicator(radius, smoothing) is a mollified step;
 table(r, u) interpolates samples linearly. Every datum is renormalized to
 unit mass. "record_times" (strictly increasing offsets) may replace
 "record_every" when a transient needs a nonuniform cadence. "checks" is
-"all" (every check the regime admits) or a list drawn from CHECK_NAMES;
-a listed check whose hypothesis fails at (d, p) is rejected at parse time.
+"all" (every check the regime admits, possibly none) or a list drawn from
+CHECK_NAMES; a listed check whose hypothesis fails at (d, p) is rejected at
+parse time.
 
 Outputs per run, in the output directory: trajectory.csv with columns
 t, dt, mass, theta, E, I, F, G, H, J, q, s, tau, rel_entropy, R (one row
@@ -388,8 +389,12 @@ def _summary_lines(label: str, trajectory, results: list[CheckResult]) -> list[s
             f"binding {binding[0]}: measured {binding[1]['measured']:.6g} "
             f"vs tolerance {binding[1]['tolerance']:.6g}")
     failed = [r.name for r in results if r.applicable and not r.passed]
-    lines.append("all requested checks passed" if not failed
-                 else f"FAILED: {', '.join(failed)}")
+    if failed:
+        lines.append(f"FAILED: {', '.join(failed)}")
+    elif any(r.applicable for r in results):
+        lines.append("all requested checks passed")
+    else:
+        lines.append("no checks ran")
     return lines
 
 
@@ -401,7 +406,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
     out.mkdir(parents=True, exist_ok=True)
     state = build_initial_state(config)
     reference = build_reference(config.params)
-    trajectory = evolve(state, config.t_end, config.params, config.solver)
+    trajectory = evolve(state, config.t_end, config.params, config.solver,
+                        reference=reference)
     results = run_checks(
         config.checks, trajectory, config.params, reference,
         tol_scale=tol_scale, expected_tau=config.expected_tau,

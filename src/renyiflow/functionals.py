@@ -7,17 +7,26 @@ by a discretization that mirrors the continuum Cauchy-Schwarz argument
 term-for-term over a single set of face weights, so q_ratio >= 1 holds for
 every nonnegative state by construction (up to round-off), not just in the
 continuum limit.
+
+Each functional's formula lives in one private kernel that takes the
+per-record arrays it reads (u**p, the potential v, the live-face mask, ...)
+as arguments. The public functions build those arrays for one functional;
+diagnostics builds each of them once per record and feeds every kernel, and
+the grid-only arrays come cached from RadialGrid. The kernels assume their
+caller has silenced divide and invalid warnings: vacuum cells make v
+infinite, and the masks then discard those faces.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ._pow import pow_fn
 from .barenblatt import BarenblattReference
-from .grid import DensityState, sphere_area
+from .grid import DensityState, RadialGrid
 from .params import ModelParams, unmet
 
 # Cells below this fraction of max(u) are excluded from second-derivative
@@ -72,10 +81,31 @@ class FunctionalRecord:
     flags: tuple[str, ...] = ()
 
 
+# Divide/invalid warnings the kernels' masked-out cells raise; one block per
+# entry point, since entering np.errstate costs about 3 us.
+_quiet = partial(np.errstate, divide="ignore", invalid="ignore")
+
+
+def _potential(g: RadialGrid, u: np.ndarray,
+               p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """v = p/(p-1) u**(p-1) (infinite on vacuum cells when p < 1), its
+    differences across the n-1 interior faces, and its face slopes."""
+    v = (p / (p - 1.0)) * pow_fn(p - 1.0)(u)
+    dv = v[1:] - v[:-1]
+    return v, dv, dv / g.center_gaps
+
+
+def _u_max(u: np.ndarray) -> float:
+    return float(u.max()) if u.size else 0.0
+
+
+def _second_moment(g: RadialGrid, c2u: np.ndarray) -> float:
+    return float(np.dot(c2u, g.volumes)) / g.d
+
+
 def second_moment(state: DensityState) -> float:
     """(1/d) * integral of |x|^2 u, using cell-center radii."""
-    g = state.grid
-    return float(np.dot(g.centers * g.centers * state.u, g.volumes)) / g.d
+    return _second_moment(state.grid, state.grid.centers_sq * state.u)
 
 
 def generalized_entropy(state: DensityState, p: float) -> float:
@@ -83,15 +113,7 @@ def generalized_entropy(state: DensityState, p: float) -> float:
     return state.grid.integrate(pow_fn(p)(state.u))
 
 
-def face_geometry(grid):
-    drc = np.diff(grid.centers)
-    mid = 0.5 * (grid.centers[:-1] + grid.centers[1:])
-    # face quadrature weight: surface area at the gap midpoint times gap width
-    w = sphere_area(grid.d) * mid ** (grid.d - 1) * drc
-    return drc, mid, w
-
-
-def _live_faces(u: np.ndarray, drc: np.ndarray) -> np.ndarray:
+def _live_faces(u: np.ndarray, u_max: float, drc: np.ndarray) -> np.ndarray:
     """Faces admitted to gradient quadratures.
 
     A face is live when both cells sit above DUST_REL * max(u), or below
@@ -102,20 +124,40 @@ def _live_faces(u: np.ndarray, drc: np.ndarray) -> np.ndarray:
     alternates between flat and cliff faces, so neighbor consistency
     separates signal from noise independently of level.
     """
-    dust = DUST_REL * float(u.max()) if u.size else 0.0
+    dust = DUST_REL * u_max
     level = (u[:-1] >= dust) & (u[1:] >= dust)
     if u.size < 3:
         return level
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slopes = np.diff(np.log(u)) / drc
+    slopes = np.diff(np.log(u)) / drc
     jump = np.abs(np.diff(slopes))
     dev = np.empty_like(slopes)
     dev[0] = jump[0]
     dev[-1] = jump[-1]
-    dev[1:-1] = np.minimum(jump[:-1], jump[1:])
-    with np.errstate(invalid="ignore"):
-        smooth = np.isfinite(slopes) & (dev <= SMOOTH_SLOPE_REL * np.abs(slopes))
+    np.minimum(jump[:-1], jump[1:], out=dev[1:-1])
+    smooth = np.isfinite(slopes) & (dev <= SMOOTH_SLOPE_REL * np.abs(slopes))
     return level | smooth
+
+
+def _fisher(g: RadialGrid, u: np.ndarray, u_max: float, live: np.ndarray,
+            params: ModelParams) -> tuple[float, tuple[str, ...]]:
+    p = params.p
+    drc = g.center_gaps
+    if unmet(params, "gn_conversion") is None:
+        wt = pow_fn(p - 0.5)(u)
+        slope = np.where(live, (wt[1:] - wt[:-1]) / drc, 0.0)
+        coef = (2.0 * p / (2.0 * p - 1.0)) ** 2
+        return coef * float(np.dot(slope * slope, g.gap_weights)), ()
+    floor = 1e-10 * u_max
+    uf = 0.5 * (u[:-1] + u[1:])
+    floored = live & (uf < floor)
+    uf_safe = np.maximum(uf, floor)
+    slope = np.where(live, (u[1:] - u[:-1]) / drc, 0.0)
+    contrib = (p * p) * uf_safe ** (2.0 * p - 3.0) * slope * slope * g.gap_weights
+    total = float(contrib.sum())
+    flags: tuple[str, ...] = ()
+    if total > 0.0 and float(contrib[floored].sum()) > FISHER_FLOOR_SHARE * total:
+        flags = ("fisher_floor",)
+    return total, flags
 
 
 def fisher_information_flagged(state: DensityState, params: ModelParams) -> tuple[float, tuple[str, ...]]:
@@ -127,27 +169,28 @@ def fisher_information_flagged(state: DensityState, params: ModelParams) -> tupl
     |grad u|^2 needs a floor on u; the result is flagged when floored cells
     carry more than 1% of the sum.
     """
-    p = params.p
-    g = state.grid
-    u = state.u
-    drc, _, w_face = face_geometry(g)
-    live = _live_faces(u, drc)
-    if unmet(params, "gn_conversion") is None:
-        wt = pow_fn(p - 0.5)(u)
-        slope = np.where(live, (wt[1:] - wt[:-1]) / drc, 0.0)
-        coef = (2.0 * p / (2.0 * p - 1.0)) ** 2
-        return coef * float(np.dot(slope * slope, w_face)), ()
-    floor = 1e-10 * float(u.max()) if u.size else 0.0
-    uf = 0.5 * (u[:-1] + u[1:])
-    floored = live & (uf < floor)
-    uf_safe = np.maximum(uf, floor)
-    slope = np.where(live, (u[1:] - u[:-1]) / drc, 0.0)
-    contrib = (p * p) * uf_safe ** (2.0 * p - 3.0) * slope * slope * w_face
-    total = float(contrib.sum())
-    flags: tuple[str, ...] = ()
-    if total > 0.0 and float(contrib[floored].sum()) > FISHER_FLOOR_SHARE * total:
-        flags = ("fisher_floor",)
-    return total, flags
+    g, u = state.grid, state.u
+    u_max = _u_max(u)
+    with _quiet():
+        return _fisher(g, u, u_max, _live_faces(u, u_max, g.center_gaps), params)
+
+
+def _q_ratio(g: RadialGrid, u: np.ndarray, w: np.ndarray, dv: np.ndarray,
+             v_slope: np.ndarray, live: np.ndarray) -> tuple[float, tuple[str, ...]]:
+    dw = w[1:] - w[:-1]
+    sloped = live & np.isfinite(dv) & (dv != 0.0)
+    flat = live & ~sloped
+    uf = np.divide(dw, dv, out=np.zeros_like(dv), where=sloped)
+    np.copyto(uf, u[:-1], where=flat)
+    gf = np.where(sloped, v_slope, 0.0)
+
+    wu = g.gap_weights * uf
+    a = float(np.dot(wu, g.gap_mids_sq))
+    b = float(np.dot(wu, gf * gf))
+    s = float(np.dot(wu, g.gap_mids * gf))
+    if s == 0.0:
+        return math.inf, ("q_degenerate",)
+    return a * b / (s * s), ()
 
 
 def cauchy_schwarz_ratio(state: DensityState, params: ModelParams) -> tuple[float, tuple[str, ...]]:
@@ -162,105 +205,63 @@ def cauchy_schwarz_ratio(state: DensityState, params: ModelParams) -> tuple[floa
 
     are the quadratures of d*Theta, I, and integral(u x.grad v) = -d*E with a
     common positive weight, so S^2 <= A B is the Cauchy-Schwarz inequality of
-    finite sums and q = A B / S^2 >= 1 identically.
+    finite sums and q = A B / S^2 >= 1 identically. Faces where v is
+    infinite or flat (pairs of vacuum cells) are masked.
     """
     p = params.p
-    g = state.grid
-    u = state.u
-    drc, mid, w_face = face_geometry(g)
-    w = pow_fn(p)(u)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = (p / (p - 1.0)) * pow_fn(p - 1.0)(u)
-        dv = v[1:] - v[:-1]  # nan on pairs of vacuum cells, masked below
-    dw = w[1:] - w[:-1]
-    pos = _live_faces(u, drc)
-    sloped = pos & np.isfinite(dv) & (dv != 0.0)
-    flat = pos & ~sloped
-
-    uf = np.zeros_like(dv)
-    uf[sloped] = dw[sloped] / dv[sloped]
-    uf[flat] = u[:-1][flat]
-    gf = np.zeros_like(dv)
-    gf[sloped] = dv[sloped] / drc[sloped]
-
-    wu = w_face * uf
-    a = float(np.dot(wu, mid * mid))
-    b = float(np.dot(wu, gf * gf))
-    s = float(np.dot(wu, mid * gf))
-    if s == 0.0:
-        return math.inf, ("q_degenerate",)
-    return a * b / (s * s), ()
+    g, u = state.grid, state.u
+    with _quiet():
+        _, dv, v_slope = _potential(g, u, p)
+        live = _live_faces(u, _u_max(u), g.center_gaps)
+        return _q_ratio(g, u, pow_fn(p)(u), dv, v_slope, live)
 
 
-def entropy_remainder_flagged(state: DensityState, params: ModelParams) -> tuple[float, tuple[str, ...]]:
-    """E * [(sigma-1) int u^p (lap v - m)^2 + 2/(1-p) int u^p |D^2v - (lap v/d) Id|^2].
-
-    v = p/(p-1) u**(p-1); m is the u^p-weighted mean of lap v over the
-    stencil mask, which makes the first term a true variance (it vanishes
-    identically on the self-similar profile, whose v is quadratic in r).
-    Radial form of the traceless Hessian norm: (1 - 1/d)(v'' - v'/r)^2; the
-    anisotropy term is identically zero for d = 1.
-
-    Nonnegative in the fast-diffusion range (sigma >= 1), nonpositive for
-    p > 1. Cells below REMAINDER_MASK_REL * max(u) are excluded; for p > 1
-    the result is flagged when stencils within three cells of the support
-    edge carry more than 10% of the quadrature.
-    """
+def _remainder(g: RadialGrid, u: np.ndarray, u_max: float, w: np.ndarray,
+               v: np.ndarray, v_slope: np.ndarray, entropy: float,
+               params: ModelParams) -> tuple[float, tuple[str, ...]]:
     p = params.p
     d = params.d
-    g = state.grid
-    u = state.u
     n = u.size
     if n < 3:
         raise ValueError("remainder needs at least 3 cells")
     sigma = 2.0 / (d * (1.0 - p)) - 1.0
 
-    mask = u >= REMAINDER_MASK_REL * float(u.max())
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = (p / (p - 1.0)) * pow_fn(p - 1.0)(u)
-
+    mask = u >= REMAINDER_MASK_REL * u_max
     c = g.centers
-    drc = np.diff(c)
-    h_m = np.empty(n)
-    h_m[1:] = drc
-    h_m[0] = 2.0 * c[0]  # reflected ghost cell across r = 0
-    h_p = np.empty(n)
-    h_p[:-1] = drc
-    h_p[-1] = np.nan
-    v_m = np.empty(n)
-    v_m[1:] = v[:-1]
-    v_m[0] = v[0]  # even reflection: v(-r) = v(r)
-    v_p = np.empty(n)
-    v_p[:-1] = v[1:]
-    v_p[-1] = np.nan
+    h_m, h_p, h_sum = g.stencil_gaps
+    # one-sided slopes of v on either side of each cell; the inner one of
+    # cell 0 uses the even reflection v(-r) = v(r), the outer one of the
+    # last cell has no neighbor
+    slope_m = np.empty(n)
+    slope_m[1:] = v_slope
+    slope_m[0] = (v[0] - v[0]) / h_m[0]
+    slope_p = np.empty(n)
+    slope_p[:-1] = v_slope
+    slope_p[-1] = np.nan
 
     valid = np.zeros(n, dtype=bool)
     valid[1:-1] = mask[:-2] & mask[1:-1] & mask[2:]
     valid[0] = mask[0] & mask[1]
 
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        slope_m = (v - v_m) / h_m
-        slope_p = (v_p - v) / h_p
-        v1 = (h_m * slope_p + h_p * slope_m) / (h_m + h_p)
-        v2 = 2.0 * (slope_p - slope_m) / (h_m + h_p)
+    with np.errstate(over="ignore"):
+        v1 = (h_m * slope_p + h_p * slope_m) / h_sum
+        v2 = 2.0 * (slope_p - slope_m) / h_sum
         lap = v2 + (d - 1) * v1 / c
 
-    wgt = np.where(valid, pow_fn(p)(u) * g.volumes, 0.0)
+    wgt = np.where(valid, w * g.volumes, 0.0)
     lap_v = np.where(valid, lap, 0.0)
-    e_total = generalized_entropy(state, p)
     e_masked = float(wgt.sum())
     if e_masked <= 0.0:
         return 0.0, ("remainder_empty",)
     m_hat = float(np.dot(wgt, lap_v)) / e_masked
     var_term = float(np.dot(wgt, (lap_v - m_hat) ** 2))
     if d > 1:
-        with np.errstate(invalid="ignore"):
-            aniso_sq = np.where(valid, (v2 - v1 / c) ** 2, 0.0)
+        aniso_sq = np.where(valid, (v2 - v1 / c) ** 2, 0.0)
         aniso_term = (1.0 - 1.0 / d) * float(np.dot(wgt, aniso_sq))
     else:
         aniso_sq = None
         aniso_term = 0.0
-    value = e_total * ((sigma - 1.0) * var_term + (2.0 / (1.0 - p)) * aniso_term)
+    value = entropy * ((sigma - 1.0) * var_term + (2.0 / (1.0 - p)) * aniso_term)
 
     flags: tuple[str, ...] = ()
     if p > 1.0:
@@ -282,6 +283,41 @@ def entropy_remainder_flagged(state: DensityState, params: ModelParams) -> tuple
     return value, flags
 
 
+def entropy_remainder_flagged(state: DensityState, params: ModelParams) -> tuple[float, tuple[str, ...]]:
+    """E * [(sigma-1) int u^p (lap v - m)^2 + 2/(1-p) int u^p |D^2v - (lap v/d) Id|^2].
+
+    v = p/(p-1) u**(p-1); m is the u^p-weighted mean of lap v over the
+    stencil mask, which makes the first term a true variance (it vanishes
+    identically on the self-similar profile, whose v is quadratic in r).
+    Radial form of the traceless Hessian norm: (1 - 1/d)(v'' - v'/r)^2; the
+    anisotropy term is identically zero for d = 1.
+
+    Nonnegative in the fast-diffusion range (sigma >= 1), nonpositive for
+    p > 1. Cells below REMAINDER_MASK_REL * max(u) are excluded; for p > 1
+    the result is flagged when stencils within three cells of the support
+    edge carry more than 10% of the quadrature.
+    """
+    g, u, p = state.grid, state.u, params.p
+    w = pow_fn(p)(u)
+    with _quiet():
+        v, _, v_slope = _potential(g, u, p)
+        return _remainder(g, u, _u_max(u), w, v, v_slope, g.integrate(w), params)
+
+
+def _relative_entropy(g: RadialGrid, u: np.ndarray, up: np.ndarray, s: float,
+                      p: float, reference: BarenblattReference) -> float:
+    if not s > 0.0:
+        raise ValueError(f"match time must be positive, got {s}")
+    cap_u = reference.self_similar(g.centers, s)
+    cap_up = pow_fn(p)(cap_u)
+    if p > 1.0:
+        integrand = (up - cap_up - p * pow_fn(p - 1.0)(cap_u) * (u - cap_u)) / (p - 1.0)
+    else:
+        # U > 0 everywhere in the fast-diffusion range, so U**(p-1) is finite
+        integrand = (up - cap_up - p * cap_up / cap_u * (u - cap_u)) / (p - 1.0)
+    return g.integrate(integrand)
+
+
 def relative_entropy(state: DensityState, s: float, params: ModelParams,
                      reference: BarenblattReference) -> float:
     """Bregman divergence of the entropy between u and the self-similar
@@ -290,47 +326,48 @@ def relative_entropy(state: DensityState, s: float, params: ModelParams,
     The integrand is pointwise nonnegative for every p in the admissible
     range, so the value is a genuine divergence (zero iff u = U a.e.).
     """
-    if not s > 0.0:
-        raise ValueError(f"match time must be positive, got {s}")
-    p = params.p
-    g = state.grid
-    u = state.u
-    cap_u = reference.self_similar(g.centers, s)
-    up = pow_fn(p)(u)
-    cap_up = pow_fn(p)(cap_u)
-    cap_upm1 = pow_fn(p - 1.0)(cap_u) if p > 1.0 else None
-    if p > 1.0:
-        integrand = (up - cap_up - p * cap_upm1 * (u - cap_u)) / (p - 1.0)
-    else:
-        # U > 0 everywhere in the fast-diffusion range, so U**(p-1) is finite
-        integrand = (up - cap_up - p * cap_up / cap_u * (u - cap_u)) / (p - 1.0)
-    return g.integrate(integrand)
+    u, p = state.u, params.p
+    return _relative_entropy(state.grid, u, pow_fn(p)(u), s, p, reference)
+
+
+def _tail_fraction(g: RadialGrid, moment: np.ndarray, total: float) -> float:
+    if total <= 0.0:
+        return 0.0
+    return float(moment[g.centers > 0.5 * g.r_max].sum()) / total
 
 
 def tail_moment_fraction(state: DensityState) -> float:
     """Share of the second moment carried beyond r_max / 2."""
     g = state.grid
-    w = g.centers * g.centers * state.u * g.volumes
-    total = float(w.sum())
-    if total <= 0.0:
-        return 0.0
-    return float(w[g.centers > 0.5 * g.r_max].sum()) / total
+    moment = g.centers_sq * state.u * g.volumes
+    return _tail_fraction(g, moment, float(moment.sum()))
 
 
 def diagnostics(state: DensityState, params: ModelParams,
                 reference: BarenblattReference, dt: float = float("nan")) -> FunctionalRecord:
-    """Evaluate every tracked functional of the state in one pass."""
+    """Evaluate every tracked functional of the state in one pass: the arrays
+    several functionals read are built once and shared by their kernels."""
     if params != reference.params:
         raise ValueError("reference was built for different parameters")
     ex = reference.exponents
     p = params.p
+    g, u = state.grid, state.u
+
+    u_max = _u_max(u)
+    w = pow_fn(p)(u)
+    c2u = g.centers_sq * u
+    moment = c2u * g.volumes
+    moment_total = float(moment.sum())
 
     mass = state.mass()
-    theta = second_moment(state)
-    entropy = generalized_entropy(state, p)
-    fisher, flags_f = fisher_information_flagged(state, params)
-    q_ratio, flags_q = cauchy_schwarz_ratio(state, params)
-    remainder, flags_r = entropy_remainder_flagged(state, params)
+    theta = _second_moment(g, c2u)
+    entropy = g.integrate(w)
+    with _quiet():
+        v, dv, v_slope = _potential(g, u, p)
+        live = _live_faces(u, u_max, g.center_gaps)
+        fisher, flags_f = _fisher(g, u, u_max, live, params)
+        q_ratio, flags_q = _q_ratio(g, u, w, dv, v_slope, live)
+        remainder, flags_r = _remainder(g, u, u_max, w, v, v_slope, entropy, params)
 
     f_power = entropy**ex.sigma
     g_power = theta ** (0.5 * ex.mu)
@@ -341,16 +378,13 @@ def diagnostics(state: DensityState, params: ModelParams,
     if ex.moments_finite and math.isfinite(reference.theta_star):
         s_match = (theta / reference.theta_star) ** (0.5 * ex.mu)
         tau = s_match - state.t
-        rel_ent = relative_entropy(state, s_match, params, reference)
+        rel_ent = _relative_entropy(g, u, w, s_match, p, reference)
     else:
         s_match = tau = rel_ent = float("nan")
         flags.append("moments_infinite")
 
-    tail = tail_moment_fraction(state)
-    g = state.grid
-    w = g.centers * g.centers * state.u * g.volumes
-    total = float(w.sum())
-    if total > 0.0 and float(w[g.centers > 0.9 * g.r_max].sum()) > 0.10 * total:
+    tail = _tail_fraction(g, moment, moment_total)
+    if moment_total > 0.0 and float(moment[g.centers > 0.9 * g.r_max].sum()) > 0.10 * moment_total:
         flags.append("low_confidence_moments")
 
     return FunctionalRecord(

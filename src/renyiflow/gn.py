@@ -26,7 +26,6 @@ from scipy.integrate import cumulative_trapezoid
 
 from ._pow import pow_fn
 from .barenblatt import BarenblattReference
-from .functionals import face_geometry
 from .grid import RadialGrid, build_grid
 from .params import EDGE_TOL, ModelParams, RegimeError, require
 
@@ -104,9 +103,8 @@ def _norms(tf: TestFunction, q: float) -> tuple[float, float, float]:
     """(|grad w|_2, |w|_{2q}, |w|_{q+1}) under grid quadrature."""
     g = tf.grid
     w = tf.w
-    drc, _, w_face = face_geometry(g)
-    slope = (w[1:] - w[:-1]) / drc
-    grad2 = float(np.dot(slope * slope, w_face))
+    slope = (w[1:] - w[:-1]) / g.center_gaps
+    grad2 = float(np.dot(slope * slope, g.gap_weights))
     n2q = g.integrate(w ** (2.0 * q)) ** (1.0 / (2.0 * q))
     nq1 = g.integrate(w ** (q + 1.0)) ** (1.0 / (q + 1.0))
     return math.sqrt(grad2), n2q, nq1

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -19,8 +20,21 @@ def sphere_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
+    """Cell geometry of one radial grid.
+
+    The cached properties are derived arrays that every diagnostic record
+    reads; each is computed once per grid, on first use, and is read-only
+    because every caller shares it. They assume the grid's own arrays are
+    never modified after construction.
+    """
+
     d: int
     edges: np.ndarray     # (n+1,) increasing, edges[0] = 0
     centers: np.ndarray   # (n,) cell midpoints
@@ -35,6 +49,48 @@ class RadialGrid:
     @property
     def r_max(self) -> float:
         return float(self.edges[-1])
+
+    @cached_property
+    def centers_sq(self) -> np.ndarray:
+        """(n,) squared cell-center radii."""
+        return _read_only(self.centers * self.centers)
+
+    @cached_property
+    def center_gaps(self) -> np.ndarray:
+        """(n-1,) distances between neighboring cell centers: the face
+        spacing of every gradient stencil."""
+        return _read_only(np.diff(self.centers))
+
+    @cached_property
+    def gap_mids(self) -> np.ndarray:
+        """(n-1,) midpoints between neighboring cell centers."""
+        return _read_only(0.5 * (self.centers[:-1] + self.centers[1:]))
+
+    @cached_property
+    def gap_mids_sq(self) -> np.ndarray:
+        return _read_only(self.gap_mids * self.gap_mids)
+
+    @cached_property
+    def gap_weights(self) -> np.ndarray:
+        """(n-1,) quadrature weights of gradient integrals: the surface area
+        at the gap midpoint times the gap width."""
+        return _read_only(
+            sphere_area(self.d) * self.gap_mids ** (self.d - 1) * self.center_gaps)
+
+    @cached_property
+    def stencil_gaps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(h_minus, h_plus, h_minus + h_plus), each (n,): the center
+        spacings on either side of every cell for three-point stencils. The
+        first cell's inner neighbor is its reflection across r = 0, at
+        distance 2 r_0; the last cell has no outer neighbor (nan)."""
+        n = self.n
+        h_m = np.empty(n)
+        h_m[1:] = self.center_gaps
+        h_m[0] = 2.0 * self.centers[0]
+        h_p = np.empty(n)
+        h_p[:-1] = self.center_gaps
+        h_p[-1] = np.nan
+        return _read_only(h_m), _read_only(h_p), _read_only(h_m + h_p)
 
     def integrate(self, f: np.ndarray) -> float:
         f = np.asarray(f, dtype=float)

@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from ._pow import pow_pair
-from .params import ModelParams, ExponentSet, derive_exponents
+from .params import ModelParams, ExponentSet
 from .barenblatt import BarenblattReference, build_reference
 from .grid import DensityState, RadialGrid
 from .functionals import FunctionalRecord, diagnostics
@@ -189,8 +189,8 @@ def evolve(
     if reference is None:
         reference = build_reference(params)
     grid = state.grid
-    exponents = derive_exponents(params)
-    traj = Trajectory(params=params, exponents=exponents, reference=reference, config=config)
+    traj = Trajectory(params=params, exponents=reference.exponents,
+                      reference=reference, config=config)
     start_wall = time.perf_counter()
 
     u = state.u.copy()
@@ -200,7 +200,7 @@ def evolve(
     u_cap = 10.0 * u0_max
     pair = pow_pair(params.p, resolve_u_floor(config, params, u0_max))
     geometry = _stability_geometry(grid, params.p)
-    coef = grid.areas[1:-1] / np.diff(grid.centers)
+    coef = grid.areas[1:-1] / grid.center_gaps
     fast = params.p < 1.0
     dt_min = config.dt_min
     # step temporaries; flux[0] and flux[-1] are the zero boundary faces

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import renyiflow as rf
-from renyiflow.checks import CHECK_NAMES, compatible_checks, incompatibility, run_check
+from renyiflow import checks
+from renyiflow.checks import (
+    CHECK_NAMES, compatible_checks, incompatibility, run_check, run_checks)
 
 
 def test_check_vocabulary():
@@ -15,8 +17,9 @@ def test_check_vocabulary():
     (1, 2.0, ("theorem1", "theorem2", "theorem3", "theorem3bis", "gn")),
     # the full fast-diffusion window admits all seven
     (3, 2.0 / 3.0, CHECK_NAMES),
-    # below 1 - 1/d and below the moment threshold: only the H-comparison
-    (3, 0.55, ("theorem2",)),
+    # below 1 - 1/d and below the moment threshold: h_star is not finite,
+    # so not even the H-comparison applies
+    (3, 0.55, ()),
     # d=1 low exponent: remainder sign holds for every p, but the
     # interpolation conversion needs p > 1/2
     (1, 0.4, ("theorem1", "theorem2", "theorem3", "theorem3bis",
@@ -36,7 +39,7 @@ def test_incompatibility_names_the_hypothesis():
     assert "d/(d+2)" in incompatibility("theorem3", rf.ModelParams(3, 0.55))
     assert "fast diffusion" in incompatibility("deficit", rf.ModelParams(1, 2.0))
     assert "1 - 1/d <= p < 1" in incompatibility("prop_t4", rf.ModelParams(1, 2.0))
-    assert incompatibility("theorem2", rf.ModelParams(3, 0.55)) is None
+    assert "d/(d+2)" in incompatibility("theorem2", rf.ModelParams(3, 0.55))
     assert "1 - 1/d" in incompatibility("gn", rf.ModelParams(3, 0.63))
     assert "1 - 1/d" in incompatibility("theorem3bis", rf.ModelParams(3, 0.63))
 
@@ -120,3 +123,21 @@ def test_gn_check_reports_seed(run_pm1_barenblatt, params_pm1, ref_pm1):
     assert res.details["n_perturbations"] == 20
     assert set(res.details["clauses"]) == {
         "constant_dual_path", "perturbation_gap", "gap_growth_rate"}
+
+
+def test_delay_report_built_once_per_run_checks(
+        monkeypatch, run_fd3_mixture, params_fd3, ref_fd3):
+    # theorem3, theorem3bis and prop_t4 all read one DelayReport
+    calls = []
+    real = checks.build_delay_report
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "build_delay_report", counted)
+    names = compatible_checks(params_fd3)
+    assert {"theorem3", "theorem3bis", "prop_t4"} <= set(names)
+    results = run_checks(names, run_fd3_mixture, params_fd3, ref_fd3)
+    assert [r.name for r in results] == list(names)
+    assert len(calls) == 1

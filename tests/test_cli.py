@@ -311,6 +311,21 @@ def test_run_all_checks_below_remainder_window(tmp_path):
     assert [c["name"] for c in report["checks"]] == ["theorem2", "theorem3"]
 
 
+def test_run_all_checks_below_moment_threshold(tmp_path):
+    # p <= d/(d+2): "all" admits no check, the run still succeeds and the
+    # summary does not claim a pass
+    doc = tiny_config(
+        d=3, p=0.55, grid={"r_max": 1000.0, "n": 120, "stretch": 1.06},
+        t_end=0.2, record_every=0.05, checks="all")
+    path = write_config(tmp_path / "low.json", doc)
+    assert main(["run", path, "--out", str(tmp_path / "low")]) == 0
+    report = json.loads((tmp_path / "low" / "report.json").read_text())
+    assert report["checks"] == [] and report["all_passed"] is True
+    summary = (tmp_path / "low" / "summary.txt").read_text()
+    assert "all requested checks passed" not in summary
+    assert summary.splitlines()[-1] == "no checks ran"
+
+
 def _checks_failing_at(p_bad):
     real = cli.run_checks
 

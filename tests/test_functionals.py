@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import renyiflow as rf
 from renyiflow.functionals import (
+    DUST_REL,
     cauchy_schwarz_ratio,
     diagnostics,
     entropy_remainder_flagged,
@@ -177,3 +178,91 @@ def test_diagnostics_parameter_mismatch():
     params, ref, state = projected_profile(1, 2.0, 5.0, 800)
     with pytest.raises(ValueError):
         diagnostics(state, rf.ModelParams(1, 1.5), ref)
+
+
+def _gaussian(r):
+    return np.exp(-r * r)
+
+
+def _indicator(r):
+    from scipy.special import erfc
+
+    return 0.5 * erfc((r - 1.0) / 0.25)
+
+
+# (d, p, grid, datum, t_end): short runs whose final state still carries
+# front dust (cells between 0 and DUST_REL * max(u))
+ONE_PASS_REGIMES = [
+    (3, 2.0 / 3.0, (1000.0, 120, 1.06), _gaussian, 0.05),
+    # p <= 1/2: the floored Fisher branch
+    (1, 0.4, (40.0, 160, 1.0), _gaussian, 1e-5),
+    # p > 1 with the remainder_boundary flag raised at t = 0.8
+    (1, 2.0, (6.0, 100, 1.0), _indicator, 0.8),
+    # p <= d/(d+2): moments_infinite, no match time
+    (3, 0.55, (1000.0, 120, 1.06), _gaussian, 5e-4),
+]
+
+
+@pytest.mark.parametrize("d,p,grid_args,datum,t_end", ONE_PASS_REGIMES)
+def test_diagnostics_equal_standalone_functionals(d, p, grid_args, datum, t_end):
+    # diagnostics shares its per-record arrays between the functionals; every
+    # field must still equal the standalone function bit for bit
+    params = rf.ModelParams(d, p)
+    ref = rf.build_reference(params)
+    r_max, n, stretch = grid_args
+    grid = rf.build_grid(d, r_max, n, stretch=stretch)
+    profile = rf.project_initial(lambda r: ref.self_similar(r, 1.0), grid, t=1.0)
+    traj = rf.evolve(rf.project_initial(datum, grid), t_end, params,
+                     rf.SolverConfig(record_every=t_end), reference=ref)
+    evolved = traj.final_state
+    u = evolved.u
+    assert np.any((u > 0.0) & (u < DUST_REL * u.max()))
+    if p == 2.0:
+        assert "remainder_boundary" in traj.records[-1].flags
+
+    ex = ref.exponents
+    for state in (profile, evolved):
+        rec = diagnostics(state, params, ref, dt=0.5)
+        fisher, flags_f = fisher_information_flagged(state, params)
+        q_ratio, flags_q = cauchy_schwarz_ratio(state, params)
+        remainder, flags_r = entropy_remainder_flagged(state, params)
+        theta = second_moment(state)
+        entropy = generalized_entropy(state, p)
+        assert rec.t == state.t and rec.dt == 0.5
+        assert rec.mass == state.mass()
+        assert rec.theta == theta
+        assert rec.entropy == entropy
+        assert rec.fisher == fisher
+        assert rec.q_ratio == q_ratio
+        assert rec.remainder == remainder
+        assert rec.tail_frac == tail_moment_fraction(state)
+        assert rec.f_power == entropy**ex.sigma
+        assert rec.g_power == theta ** (0.5 * ex.mu)
+        assert rec.h_renyi == theta ** (-0.5 * ex.eta) * entropy
+        assert rec.j_scale == entropy ** (ex.sigma - 1.0) * fisher
+        flags = set(flags_f + flags_q + flags_r)
+        if ex.moments_finite:
+            assert rec.s_match == rf.best_match_scale(theta, ref)
+            assert rec.tau == rec.s_match - state.t
+            assert rec.rel_entropy == relative_entropy(state, rec.s_match, params, ref)
+        else:
+            assert math.isnan(rec.s_match) and math.isnan(rec.tau)
+            assert math.isnan(rec.rel_entropy)
+            flags.add("moments_infinite")
+        moment = grid.centers * grid.centers * state.u * grid.volumes
+        if moment[grid.centers > 0.9 * grid.r_max].sum() > 0.10 * moment.sum():
+            flags.add("low_confidence_moments")
+        assert rec.flags == tuple(sorted(flags))
+
+
+def test_cached_grid_arrays_are_read_only():
+    grid = rf.build_grid(3, 60.0, 64, stretch=1.01)
+    arrays = [grid.centers_sq, grid.center_gaps, grid.gap_mids,
+              grid.gap_mids_sq, grid.gap_weights, *grid.stencil_gaps]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    # computed once: a second access returns the same object
+    assert grid.gap_weights is grid.gap_weights
+    np.testing.assert_array_equal(grid.center_gaps, np.diff(grid.centers))
