@@ -32,6 +32,7 @@ traj = rf.evolve(state, 1.5, params, rf.SolverConfig(cfl=0.85, record_every=0.01
                  reference=ref)
 
 rep = deficit_identity_check(traj, params, ref)
+budget_bound = rf.run_check("deficit", traj, params, ref).details["clauses"]["budget_bound"]
 t = traj.times()
 j = traj.series("j_scale")
 p_series = rep["p_series"]
@@ -49,7 +50,7 @@ drained = j[0] - j[-1]
 print(f"\nP nondecreasing            : min step {np.min(np.diff(p_series)):+.3e}")
 print(f"P(T) vs measured J drop    : {p_series[-1]:.6f} vs {drained:.6f} "
       f"(rel diff {abs(p_series[-1] / drained - 1):.2e})")
-print(f"P(T) within budget         : {rep['bound_worst']:+.3e} <= "
-      f"{rep['bound_tol']:.3e}")
+print(f"P(T) within budget         : {budget_bound['measured']:+.3e} <= "
+      f"{budget_bound['tolerance']:.3e}")
 print(f"-F'' identity, resolved    : worst rel dev {rep['fpp_worst']:.2e} "
       f"over {rep['fpp_count']} windows")

@@ -8,10 +8,11 @@ function its verdict calls requires; `incompatibility` reads that map, and
 both the config parser (reject at parse time) and the runner (mark
 inapplicable) share it.
 
-Tolerance policy: sign and monotonicity clauses use one-sided margins of
-1e-3 of the quantity's own scale (floored at 1e-8), derivative identities
-use the relative tolerances stated per clause; `tol_scale` multiplies every
-default tolerance.
+This module is the only verdict layer: matching and gn return measurements,
+and every tolerance (the named constants below) and pass/fail decision
+lives here. Sign and monotonicity clauses use one-sided margins of 1e-3 of
+the quantity's own scale (floored at 1e-8), derivative identities use the
+relative tolerances stated per clause; `tol_scale` multiplies every tolerance.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .barenblatt import BarenblattReference
-from .gn import deficit_identity_check, extremality_test, gn_constant_report
+from .gn import DEFAULT_SEED, deficit_identity_check, extremality_test, gn_constant_report
 from .matching import build_delay_report
 from .params import ModelParams, unmet
 
@@ -74,16 +75,23 @@ MOMENT_RATE_TOL = 1e-2
 # One-sided floor for q >= 1 at recorded times.
 Q_LOWER_TOL = 1e-6
 
+# deficit: overshoot of the budget J(0) - j_star as a fraction of j_star,
+# and the relative tolerance of the -F'' identity on resolved windows.
+BUDGET_TOL_REL = 1e-3
+CONCAVITY_RATE_TOL = 5e-2
+
 # One-sided scale fractions for concavity / monotonicity clauses.
 SIGN_TOL_REL = 1e-3
 SIGN_TOL_FLOOR = 1e-8
 
-# gn clause gates: dual-path constant agreement, perturbation gap floor,
-# and the admissible band for the small-amplitude gap growth rate.
+# gn clause gates: dual-path constant agreement, perturbation gap floor
+# (relative to the extremal's quotient), the admissible band for the
+# small-amplitude gap growth rate, and the number of seeded perturbations.
 GN_CONSTANT_TOL = 1e-3
 GN_GAP_TOL_REL = 1e-6
 GN_SLOPE_TARGET = 2.0
 GN_SLOPE_BAND = 0.3
+GN_PERTURBATIONS = 20
 
 
 @dataclass(frozen=True)
@@ -238,41 +246,37 @@ def _check_theorem2(trajectory, params, reference, tol_scale, **_) -> CheckResul
 def _delay_check(trajectory, params, reference, tol_scale, *, name,
                  delay_report, **_) -> CheckResult:
     report = delay_report()
+    tau0 = float(report.tau_series[0])
+    tau_tol = SIGN_TOL_REL * abs(tau0) * tol_scale
     clauses: dict[str, dict] = {}
     if name == "theorem3":
-        clauses["tau_monotone"] = _clause(report.monotone_worst, report.monotone_tol)
-        if report.flat_ok is not None:
-            tau0 = float(report.tau_series[0])
-            clauses["tau_flat"] = _clause(
-                report.flat_worst, SIGN_TOL_REL * abs(tau0) * tol_scale)
+        clauses["tau_monotone"] = _clause(report.monotone_worst, tau_tol)
+        if report.flat_worst is not None:
+            clauses["tau_flat"] = _clause(report.flat_worst, tau_tol)
     elif name == "theorem3bis":
         # drop_slack = measured - bound; nonnegative passes, no extra tolerance
         # beyond the one-sided noise floor.
-        tol = _sign_tol(abs(float(report.tau_series[0])), tol_scale)
-        clauses["drop_lower_bound"] = _clause(-report.drop_slack, tol)
+        clauses["drop_lower_bound"] = _clause(
+            -report.drop_slack, _sign_tol(abs(tau0), tol_scale))
     else:  # prop_t4
-        tau0 = float(report.tau_series[0])
         clauses["ratio_envelope"] = _clause(report.envelope_worst, SIGN_TOL_REL * tol_scale)
-        clauses["delay_upper_bound"] = _clause(
-            report.upper_worst, SIGN_TOL_REL * abs(tau0) * tol_scale)
-    extra = {
-        "tau0": float(report.tau_series[0]),
+        clauses["delay_upper_bound"] = _clause(report.upper_worst, tau_tol)
+    return _finish(name, clauses, {
+        "tau0": tau0,
         "drop_bound": report.drop_bound,
         "drop_measured": report.drop_measured,
-    }
-    return _finish(name, clauses, extra)
+    })
 
 
-def _check_gn(trajectory, params, reference, tol_scale,
-              gn_seed=20260814, gn_perturbations=20, **_) -> CheckResult:
+def _check_gn(trajectory, params, reference, tol_scale, *, gn_seed, **_) -> CheckResult:
     const = gn_constant_report(params, reference)
-    ext = extremality_test(
-        params, reference, n_perturbations=gn_perturbations,
-        seed=gn_seed, tol_rel=GN_GAP_TOL_REL * tol_scale)
+    ext = extremality_test(params, reference, n_perturbations=GN_PERTURBATIONS,
+                           seed=gn_seed)
     clauses: dict[str, dict] = {}
     clauses["constant_dual_path"] = _clause(
         const["rel_discrepancy"], GN_CONSTANT_TOL * tol_scale)
-    clauses["perturbation_gap"] = _clause(-ext["min_gap"], ext["tol"])
+    clauses["perturbation_gap"] = _clause(
+        -ext["min_gap"], GN_GAP_TOL_REL * tol_scale * ext["q0"])
     slope_err = (abs(ext["slope"] - GN_SLOPE_TARGET)
                  if math.isfinite(ext["slope"]) else float("inf"))
     clauses["gap_growth_rate"] = _clause(slope_err, GN_SLOPE_BAND * tol_scale)
@@ -289,14 +293,15 @@ def _check_gn(trajectory, params, reference, tol_scale,
 
 
 def _check_deficit(trajectory, params, reference, tol_scale, **_) -> CheckResult:
-    rep = deficit_identity_check(trajectory, params, reference, tol_scale=tol_scale)
+    rep = deficit_identity_check(trajectory, params, reference)
     p_series = rep["p_series"]
     clauses: dict[str, dict] = {}
     p_tol = _sign_tol(float(np.max(np.abs(p_series))), tol_scale)
     clauses["partial_nondecreasing"] = _clause(rep["monotone_worst"], p_tol)
-    clauses["budget_bound"] = _clause(rep["bound_worst"], rep["bound_tol"])
+    clauses["budget_bound"] = _clause(
+        rep["bound_worst"], BUDGET_TOL_REL * reference.j_star * tol_scale)
     clauses["concavity_rate_identity"] = _clause(
-        rep["fpp_worst"], 0.05 * tol_scale)
+        rep["fpp_worst"], CONCAVITY_RATE_TOL * tol_scale)
     return _finish("deficit", clauses, {
         "partial_final": float(p_series[-1]),
         "raw_final": float(rep["p_raw_series"][-1]),
@@ -321,18 +326,16 @@ _RUNNERS: dict[str, Callable[..., CheckResult]] = {
 def run_check(name: str, trajectory, params: ModelParams,
               reference: BarenblattReference, tol_scale: float = 1.0,
               expected_tau: float | None = None,
-              gn_seed: int = 20260814, gn_perturbations: int = 20) -> CheckResult:
+              gn_seed: int = DEFAULT_SEED) -> CheckResult:
     """Evaluate one named check; inapplicable regimes yield a skipped result."""
     return run_checks((name,), trajectory, params, reference, tol_scale=tol_scale,
-                      expected_tau=expected_tau, gn_seed=gn_seed,
-                      gn_perturbations=gn_perturbations)[0]
+                      expected_tau=expected_tau, gn_seed=gn_seed)[0]
 
 
 def run_checks(names, trajectory, params: ModelParams,
                reference: BarenblattReference, tol_scale: float = 1.0,
                expected_tau: float | None = None,
-               gn_seed: int = 20260814,
-               gn_perturbations: int = 20) -> list[CheckResult]:
+               gn_seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Evaluate named checks in order. theorem3, theorem3bis and prop_t4 read
     one DelayReport, built on first use and shared."""
     report = None
@@ -341,7 +344,7 @@ def run_checks(names, trajectory, params: ModelParams,
         nonlocal report
         if report is None:
             report = build_delay_report(trajectory, params, reference,
-                                        tol_scale=tol_scale, expected_tau=expected_tau)
+                                        expected_tau=expected_tau)
         return report
 
     results = []
@@ -353,6 +356,5 @@ def run_checks(names, trajectory, params: ModelParams,
                                        details={"reason": reason}))
             continue
         results.append(_RUNNERS[name](trajectory, params, reference, tol_scale,
-                                      gn_seed=gn_seed, gn_perturbations=gn_perturbations,
-                                      delay_report=delay_report))
+                                      gn_seed=gn_seed, delay_report=delay_report))
     return results

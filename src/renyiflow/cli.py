@@ -55,6 +55,7 @@ from scipy.special import erfc
 
 from .barenblatt import BarenblattReference, build_reference, self_similar_density
 from .checks import CHECK_NAMES, CheckResult, compatible_checks, incompatibility, run_checks
+from .gn import DEFAULT_SEED
 from .grid import DensityState, build_grid, project_initial
 from .params import ModelParams, ParameterDomainError, RegimeError
 from .solver import InstabilityError, SolverConfig, StiffnessError, evolve
@@ -87,8 +88,6 @@ _SOLVER_KEYS = ("cfl", "dt_max", "dt_min", "u_floor")
 
 _TOP_KEYS = ("d", "p", "initial_datum", "grid", "solver", "t_end",
              "record_every", "record_times", "checks", "seed", "output_dir")
-
-DEFAULT_SEED = 20260814
 
 
 class ConfigError(ValueError):

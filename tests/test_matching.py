@@ -58,38 +58,36 @@ def test_envelope_algebra():
 def test_envelope_window_gate(run_pm1_gaussian, params_pm1, ref_pm1):
     # p = 2 > 1 is outside the fast-diffusion window: no envelope fields
     report = rf.build_delay_report(run_pm1_gaussian, params_pm1, ref_pm1)
-    assert report.envelope_series is None and report.upper_series is None
+    assert report.envelope_worst is None and report.upper_worst is None
     with pytest.raises(RegimeError):
         delay_upper_bound(run_pm1_gaussian, params_pm1, ref_pm1)
 
 
 def test_delay_report_porous_medium(run_pm1_gaussian, params_pm1, ref_pm1):
     report = rf.build_delay_report(run_pm1_gaussian, params_pm1, ref_pm1)
+    tau_tol = 1e-3 * abs(report.tau_series[0])
     # p > 1: tau nondecreasing toward the self-similar clock
-    assert report.monotone_ok
-    assert report.drop_ok
-    assert report.flat_ok is None
-    assert report.tau_series[-1] >= report.tau_series[0] - report.monotone_tol
+    assert report.monotone_worst <= tau_tol
+    assert report.drop_slack >= 0.0
+    assert report.flat_worst is None
+    assert report.tau_series[-1] >= report.tau_series[0] - tau_tol
 
 
 def test_delay_report_fast_diffusion(run_fd3_gaussian, params_fd3, ref_fd3):
     report = rf.build_delay_report(run_fd3_gaussian, params_fd3, ref_fd3)
-    assert report.monotone_ok          # tau nonincreasing for p < 1
+    tau_tol = 1e-3 * abs(report.tau_series[0])
+    assert report.monotone_worst <= tau_tol   # tau nonincreasing for p < 1
     assert report.drop_bound > 0.0     # strict lower bound on the total drop
-    assert report.drop_ok and report.drop_slack >= 0.0
-    assert report.envelope_ok and report.upper_ok
+    assert report.drop_slack >= 0.0
     # the envelope dominates the measured ratio and the integral bound
     # dominates the measured delay, pointwise
-    q = run_fd3_gaussian.series("q_ratio")
-    assert np.all(q <= report.envelope_series + 1e-3)
-    assert np.all(report.tau_series <= report.upper_series
-                  + 1e-3 * abs(report.tau_series[0]))
+    assert report.envelope_worst <= 1e-3
+    assert report.upper_worst <= tau_tol
 
 
 def test_delay_flat_on_self_similar_run(run_pm1_barenblatt, params_pm1, ref_pm1):
     report = rf.build_delay_report(run_pm1_barenblatt, params_pm1, ref_pm1,
                                    expected_tau=1.0)
-    assert report.flat_ok
     assert report.flat_worst <= 1e-3
     # data already on the profile: degenerate quadratic bound collapses to 0
     assert report.drop_bound == 0.0

@@ -55,7 +55,7 @@ def test_frozen_exponents_fd():
 @pytest.mark.parametrize("d,p,t1,t2,mom", [
     (1, 0.4, True, True, True),     # d=1 admits every p > 0
     (3, 0.65, False, True, True),   # below 1 - 1/d but above 3/5
-    (3, 0.55, False, True, False),  # moments diverge below d/(d+2)
+    (3, 0.55, False, False, False),  # moments diverge below d/(d+2)
     (2, 0.51, True, True, True),
     (3, 2.0, True, True, True),
 ])
