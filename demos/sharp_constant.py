@@ -40,7 +40,7 @@ for d, p in [(1, 2.0), (3, 2.0 / 3.0)]:
 
 # the quotient is dilation invariant: same Gaussian at two widths
 params = rf.ModelParams(1, 2.0)
-gn = gn_params_for(params, rf.build_reference(params))
+gn = gn_params_for(params)
 vals = []
 for lam in (1.0, 3.0):
     grid = rf.build_grid(1, 30.0 * lam, 2000)

@@ -12,10 +12,10 @@ from .barenblatt import (
     self_similar_density,
 )
 from .grid import RadialGrid, DensityState, build_grid, project_initial
-from .solver import SolverConfig, Trajectory, stable_dt, evolve
+from .solver import SolverConfig, Trajectory, evolve
 from .functionals import FunctionalRecord, diagnostics
-from .matching import DelayReport, best_match_scale, delay, build_delay_report
-from .gn import GnParams, gn_exponent, gn_quotient, gn_optimal_constant
+from .matching import DelayReport, best_match_scale, build_delay_report
+from .gn import GnParams, gn_exponent, gn_quotient
 from .checks import (
     CHECK_NAMES,
     CheckResult,
@@ -41,18 +41,15 @@ __all__ = [
     "project_initial",
     "SolverConfig",
     "Trajectory",
-    "stable_dt",
     "evolve",
     "FunctionalRecord",
     "diagnostics",
     "DelayReport",
     "best_match_scale",
-    "delay",
     "build_delay_report",
     "GnParams",
     "gn_exponent",
     "gn_quotient",
-    "gn_optimal_constant",
     "CHECK_NAMES",
     "CheckResult",
     "compatible_checks",

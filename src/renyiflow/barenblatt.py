@@ -151,22 +151,21 @@ def _quad_moment(params: ModelParams, c_star: float, weight: str) -> float:
     return inner + outer
 
 
-def build_reference(params: ModelParams, verify: bool = True) -> BarenblattReference:
+def build_reference(params: ModelParams) -> BarenblattReference:
     """Construct the reference, cross-checking closed forms by quadrature."""
     ex = derive_exponents(params)
     c_star = normalization_constant(params)
     vals = reference_functionals(params, c_star=c_star)
-    if verify:
-        mass_q = _quad_moment(params, c_star, "mass")
-        if abs(mass_q - 1.0) > 1e-8:
-            raise RuntimeError(f"profile mass {mass_q} deviates from 1 beyond tolerance")
-        if ex.moments_finite:
-            for key in ("theta", "entropy"):
-                q = _quad_moment(params, c_star, key)
-                if abs(q - vals[key]) > 1e-8 * abs(vals[key]):
-                    raise RuntimeError(
-                        f"closed-form {key} {vals[key]} disagrees with quadrature {q}"
-                    )
+    mass_q = _quad_moment(params, c_star, "mass")
+    if abs(mass_q - 1.0) > 1e-8:
+        raise RuntimeError(f"profile mass {mass_q} deviates from 1 beyond tolerance")
+    if ex.moments_finite:
+        for key in ("theta", "entropy"):
+            q = _quad_moment(params, c_star, key)
+            if abs(q - vals[key]) > 1e-8 * abs(vals[key]):
+                raise RuntimeError(
+                    f"closed-form {key} {vals[key]} disagrees with quadrature {q}"
+                )
     theta, entropy, fisher = vals["theta"], vals["entropy"], vals["fisher"]
     if math.isfinite(theta):
         h_star = theta ** (-ex.eta / 2.0) * entropy

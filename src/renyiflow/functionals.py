@@ -8,13 +8,15 @@ term-for-term over a single set of face weights, so q_ratio >= 1 holds for
 every nonnegative state by construction (up to round-off), not just in the
 continuum limit.
 
-Each functional's formula lives in one private kernel that takes the
-per-record arrays it reads (u**p, the potential v, the live-face mask, ...)
-as arguments. The public functions build those arrays for one functional;
-diagnostics builds each of them once per record and feeds every kernel, and
-the grid-only arrays come cached from RadialGrid. The kernels assume their
-caller has silenced divide and invalid warnings: vacuum cells make v
-infinite, and the masks then discard those faces.
+diagnostics is the one public path to the per-record functionals. Each
+functional's formula lives in one private kernel that takes the per-record
+arrays it reads (u**p, the potential v, the live-face mask, ...) as
+arguments; diagnostics builds each of those arrays once per record and
+feeds every kernel, and the grid-only arrays come cached from RadialGrid.
+relative_entropy stays public because the numeric best-match search
+evaluates it at arbitrary match times. The kernels assume their caller has
+silenced divide and invalid warnings: vacuum cells make v infinite, and the
+masks then discard those faces.
 """
 from __future__ import annotations
 
@@ -100,17 +102,8 @@ def _u_max(u: np.ndarray) -> float:
 
 
 def _second_moment(g: RadialGrid, c2u: np.ndarray) -> float:
+    """Theta = (1/d) integral of |x|^2 u from c2u = centers**2 * u."""
     return float(np.dot(c2u, g.volumes)) / g.d
-
-
-def second_moment(state: DensityState) -> float:
-    """(1/d) * integral of |x|^2 u, using cell-center radii."""
-    return _second_moment(state.grid, state.grid.centers_sq * state.u)
-
-
-def generalized_entropy(state: DensityState, p: float) -> float:
-    """Integral of u**p."""
-    return state.grid.integrate(pow_fn(p)(state.u))
 
 
 def _live_faces(u: np.ndarray, u_max: float, drc: np.ndarray) -> np.ndarray:
@@ -140,6 +133,14 @@ def _live_faces(u: np.ndarray, u_max: float, drc: np.ndarray) -> np.ndarray:
 
 def _fisher(g: RadialGrid, u: np.ndarray, u_max: float, live: np.ndarray,
             params: ModelParams) -> tuple[float, tuple[str, ...]]:
+    """I = integral u |grad v|^2, v = p/(p-1) u**(p-1).
+
+    For p > 1/2 this is written as (2p/(2p-1))^2 integral |grad u**(p-1/2)|^2,
+    which stays finite cell-by-cell even where u underflows to zero. For
+    p <= 1/2 that substitution is unavailable and the integrand u**(2p-3)
+    |grad u|^2 needs a floor on u; the result is flagged when floored cells
+    carry more than FISHER_FLOOR_SHARE of the sum.
+    """
     p = params.p
     drc = g.center_gaps
     if unmet(params, "gn_conversion") is None:
@@ -160,29 +161,33 @@ def _fisher(g: RadialGrid, u: np.ndarray, u_max: float, live: np.ndarray,
     return total, flags
 
 
-def fisher_information_flagged(state: DensityState, params: ModelParams) -> tuple[float, tuple[str, ...]]:
-    """integral u |grad v|^2, v = p/(p-1) u**(p-1).
-
-    For p > 1/2 this is written as (2p/(2p-1))^2 integral |grad u**(p-1/2)|^2,
-    which stays finite cell-by-cell even where u underflows to zero. For
-    p <= 1/2 that substitution is unavailable and the integrand u**(2p-3)
-    |grad u|^2 needs a floor on u; the result is flagged when floored cells
-    carry more than 1% of the sum.
-    """
-    g, u = state.grid, state.u
-    u_max = _u_max(u)
-    with _quiet():
-        return _fisher(g, u, u_max, _live_faces(u, u_max, g.center_gaps), params)
-
-
 def _q_ratio(g: RadialGrid, u: np.ndarray, w: np.ndarray, dv: np.ndarray,
              v_slope: np.ndarray, live: np.ndarray) -> tuple[float, tuple[str, ...]]:
+    """q = Theta * I / (d * E^2) discretized so that q >= 1 is exact.
+
+    Over live interior faces, using the mean-value face density
+    u_f = (u_+^p - u_-^p) / (v_+ - v_-) (the exact chain-rule factor
+    turning grad v into grad u**p) and the face slope g_f = (v_+ - v_-)/dr,
+    the three sums
+
+        A = sum W u_f r_f^2,  B = sum W u_f g_f^2,  S = sum W u_f r_f g_f
+
+    are the quadratures of d*Theta, I, and integral(u x.grad v) = -d*E with
+    a common positive weight, so S^2 <= A B is the Cauchy-Schwarz inequality
+    of finite sums and q = A B / S^2 >= 1 identically. Faces where v is
+    infinite or flat (pairs of vacuum cells) are masked. g_f is divided by
+    2**(e//2), e the binary exponent of max|g_f|, before squaring: q is
+    homogeneous of degree zero in g_f and a power of two scales exactly, so
+    q keeps its value while steep tail faces (|g_f| ~ 2e192 in a d = 1,
+    p = 0.4 Gaussian) do not overflow B.
+    """
     dw = w[1:] - w[:-1]
     sloped = live & np.isfinite(dv) & (dv != 0.0)
     flat = live & ~sloped
     uf = np.divide(dw, dv, out=np.zeros_like(dv), where=sloped)
     np.copyto(uf, u[:-1], where=flat)
     gf = np.where(sloped, v_slope, 0.0)
+    gf *= 2.0 ** -(math.frexp(float(np.abs(gf).max()))[1] // 2)
 
     wu = g.gap_weights * uf
     a = float(np.dot(wu, g.gap_mids_sq))
@@ -193,32 +198,22 @@ def _q_ratio(g: RadialGrid, u: np.ndarray, w: np.ndarray, dv: np.ndarray,
     return a * b / (s * s), ()
 
 
-def cauchy_schwarz_ratio(state: DensityState, params: ModelParams) -> tuple[float, tuple[str, ...]]:
-    """q = Theta * I / (d * E^2) discretized so that q >= 1 is exact.
-
-    Over interior faces with positive density on both sides, using the
-    mean-value face density u_f = (u_+^p - u_-^p) / (v_+ - v_-) (the exact
-    chain-rule factor turning grad v into grad u**p) and the face slope
-    g_f = (v_+ - v_-)/dr, the three sums
-
-        A = sum W u_f r_f^2,  B = sum W u_f g_f^2,  S = sum W u_f r_f g_f
-
-    are the quadratures of d*Theta, I, and integral(u x.grad v) = -d*E with a
-    common positive weight, so S^2 <= A B is the Cauchy-Schwarz inequality of
-    finite sums and q = A B / S^2 >= 1 identically. Faces where v is
-    infinite or flat (pairs of vacuum cells) are masked.
-    """
-    p = params.p
-    g, u = state.grid, state.u
-    with _quiet():
-        _, dv, v_slope = _potential(g, u, p)
-        live = _live_faces(u, _u_max(u), g.center_gaps)
-        return _q_ratio(g, u, pow_fn(p)(u), dv, v_slope, live)
-
-
 def _remainder(g: RadialGrid, u: np.ndarray, u_max: float, w: np.ndarray,
                v: np.ndarray, v_slope: np.ndarray, entropy: float,
                params: ModelParams) -> tuple[float, tuple[str, ...]]:
+    """R = E [(sigma-1) int u^p (lap v - m)^2 + 2/(1-p) int u^p |D^2v - (lap v/d) Id|^2].
+
+    v = p/(p-1) u**(p-1); m is the u^p-weighted mean of lap v over the
+    stencil mask, which makes the first term a true variance (it vanishes
+    identically on the self-similar profile, whose v is quadratic in r).
+    Radial form of the traceless Hessian norm: (1 - 1/d)(v'' - v'/r)^2; the
+    anisotropy term is identically zero for d = 1.
+
+    Nonnegative in the fast-diffusion range (sigma >= 1), nonpositive for
+    p > 1. Cells below REMAINDER_MASK_REL * max(u) are excluded; for p > 1
+    the result is flagged when stencils within three cells of the support
+    edge carry more than REMAINDER_BOUNDARY_SHARE of the quadrature.
+    """
     p = params.p
     d = params.d
     n = u.size
@@ -243,10 +238,12 @@ def _remainder(g: RadialGrid, u: np.ndarray, u_max: float, w: np.ndarray,
     valid[1:-1] = mask[:-2] & mask[1:-1] & mask[2:]
     valid[0] = mask[0] & mask[1]
 
+    # masked-out cells may overflow; np.where(valid, ...) discards them
     with np.errstate(over="ignore"):
         v1 = (h_m * slope_p + h_p * slope_m) / h_sum
         v2 = 2.0 * (slope_p - slope_m) / h_sum
         lap = v2 + (d - 1) * v1 / c
+        aniso_sq = np.where(valid, (v2 - v1 / c) ** 2, 0.0) if d > 1 else None
 
     wgt = np.where(valid, w * g.volumes, 0.0)
     lap_v = np.where(valid, lap, 0.0)
@@ -255,12 +252,9 @@ def _remainder(g: RadialGrid, u: np.ndarray, u_max: float, w: np.ndarray,
         return 0.0, ("remainder_empty",)
     m_hat = float(np.dot(wgt, lap_v)) / e_masked
     var_term = float(np.dot(wgt, (lap_v - m_hat) ** 2))
-    if d > 1:
-        aniso_sq = np.where(valid, (v2 - v1 / c) ** 2, 0.0)
+    aniso_term = 0.0
+    if aniso_sq is not None:
         aniso_term = (1.0 - 1.0 / d) * float(np.dot(wgt, aniso_sq))
-    else:
-        aniso_sq = None
-        aniso_term = 0.0
     value = entropy * ((sigma - 1.0) * var_term + (2.0 / (1.0 - p)) * aniso_term)
 
     flags: tuple[str, ...] = ()
@@ -281,27 +275,6 @@ def _remainder(g: RadialGrid, u: np.ndarray, u_max: float, w: np.ndarray,
             if share > REMAINDER_BOUNDARY_SHARE:
                 flags = ("remainder_boundary",)
     return value, flags
-
-
-def entropy_remainder_flagged(state: DensityState, params: ModelParams) -> tuple[float, tuple[str, ...]]:
-    """E * [(sigma-1) int u^p (lap v - m)^2 + 2/(1-p) int u^p |D^2v - (lap v/d) Id|^2].
-
-    v = p/(p-1) u**(p-1); m is the u^p-weighted mean of lap v over the
-    stencil mask, which makes the first term a true variance (it vanishes
-    identically on the self-similar profile, whose v is quadratic in r).
-    Radial form of the traceless Hessian norm: (1 - 1/d)(v'' - v'/r)^2; the
-    anisotropy term is identically zero for d = 1.
-
-    Nonnegative in the fast-diffusion range (sigma >= 1), nonpositive for
-    p > 1. Cells below REMAINDER_MASK_REL * max(u) are excluded; for p > 1
-    the result is flagged when stencils within three cells of the support
-    edge carry more than 10% of the quadrature.
-    """
-    g, u, p = state.grid, state.u, params.p
-    w = pow_fn(p)(u)
-    with _quiet():
-        v, _, v_slope = _potential(g, u, p)
-        return _remainder(g, u, _u_max(u), w, v, v_slope, g.integrate(w), params)
 
 
 def _relative_entropy(g: RadialGrid, u: np.ndarray, up: np.ndarray, s: float,
@@ -331,16 +304,10 @@ def relative_entropy(state: DensityState, s: float, params: ModelParams,
 
 
 def _tail_fraction(g: RadialGrid, moment: np.ndarray, total: float) -> float:
+    """Share of the second moment carried beyond r_max / 2."""
     if total <= 0.0:
         return 0.0
     return float(moment[g.centers > 0.5 * g.r_max].sum()) / total
-
-
-def tail_moment_fraction(state: DensityState) -> float:
-    """Share of the second moment carried beyond r_max / 2."""
-    g = state.grid
-    moment = g.centers_sq * state.u * g.volumes
-    return _tail_fraction(g, moment, float(moment.sum()))
 
 
 def diagnostics(state: DensityState, params: ModelParams,

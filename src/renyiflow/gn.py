@@ -19,7 +19,6 @@ This module measures; checks turns its gaps and worst violations into verdicts.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -30,8 +29,6 @@ from ._pow import pow_fn
 from .barenblatt import BarenblattReference
 from .grid import RadialGrid, build_grid
 from .params import EDGE_TOL, ModelParams, RegimeError, require
-
-log = logging.getLogger(__name__)
 
 # Resolved second-difference windows whose right side is below this
 # fraction of the largest resolved one are too small to certify to 5%.
@@ -45,7 +42,6 @@ class GnParams:
     q: float
     theta: float
     branch: str  # "GN1" (q > 1) or "GN2" (0 < q < 1)
-    c_gn: float | None = None
 
 
 @dataclass(frozen=True)
@@ -85,15 +81,14 @@ def gn_exponent(d: int, q: float) -> float:
     raise RegimeError(f"index q = {q} is outside both branches (q = 1 is excluded)")
 
 
-def gn_params_for(params: ModelParams, reference: BarenblattReference | None = None) -> GnParams:
+def gn_params_for(params: ModelParams) -> GnParams:
     """Interpolation family attached to the diffusion exponent p via q = 1/(2p-1)."""
     require(params, "interpolation conversion", "gn_conversion")
     p = params.p
     q = 1.0 / (2.0 * p - 1.0)
     theta = gn_exponent(params.d, q)
     branch = "GN1" if q > 1.0 else "GN2"
-    c_gn = reference.c_gn if reference is not None else None
-    return GnParams(q=q, theta=theta, branch=branch, c_gn=c_gn)
+    return GnParams(q=q, theta=theta, branch=branch)
 
 
 def sharp_constant_from_j(j_star: float, theta: float, p: float) -> float:
@@ -145,19 +140,6 @@ def extremal_test_function(params: ModelParams, reference: BarenblattReference,
     return TestFunction(grid=grid, w=w)
 
 
-def gn_optimal_constant(params: ModelParams, reference: BarenblattReference) -> float:
-    """Sharp constant, computed from j_star and cross-checked against the
-    quotient of the sampled extremal; the relative discrepancy is logged."""
-    report = gn_constant_report(params, reference)
-    log.info(
-        "sharp constant d=%d p=%g: formula %.12g, extremal quotient %.12g, "
-        "relative discrepancy %.3g",
-        params.d, params.p, report["c_gn"], report["quotient"],
-        report["rel_discrepancy"],
-    )
-    return report["c_gn"]
-
-
 def gn_constant_report(params: ModelParams, reference: BarenblattReference) -> dict:
     """Both normalizations of the sharp constant plus the dual-path check.
 
@@ -165,7 +147,7 @@ def gn_constant_report(params: ModelParams, reference: BarenblattReference) -> d
     the quotient of the extremal actually attains; the bare j_star**(theta/2)
     reading is reported alongside for comparison.
     """
-    gn = gn_params_for(params, reference)
+    gn = gn_params_for(params)
     c_formula = sharp_constant_from_j(reference.j_star, gn.theta, params.p)
     tf = extremal_test_function(params, reference)
     c_quotient = gn_quotient(tf, gn, params.d)
@@ -218,7 +200,7 @@ def extremality_test(params: ModelParams, reference: BarenblattReference,
     """
     if n_perturbations < 4 or n_perturbations % 4 != 0:
         raise ValueError("n_perturbations must be a positive multiple of 4")
-    gn = gn_params_for(params, reference)
+    gn = gn_params_for(params)
     tf = extremal_test_function(params, reference)
     q0 = gn_quotient(tf, gn, params.d)
     scale = math.sqrt(reference.c_star)
@@ -288,7 +270,7 @@ def deficit_identity_check(trajectory, params: ModelParams,
             "fast_diffusion", "remainder_window", "finite_moments")
     p = params.p
     ex = reference.exponents
-    recs = list(getattr(trajectory, "records", trajectory))
+    recs = trajectory.records
     if len(recs) < 3:
         raise ValueError("need at least three records")
     t = np.array([r.t for r in recs])

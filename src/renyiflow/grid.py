@@ -140,18 +140,16 @@ class DensityState:
 def project_initial(
     f: Callable[[np.ndarray], np.ndarray],
     grid: RadialGrid,
-    renormalize: bool = True,
     t: float = 0.0,
 ) -> DensityState:
-    """Midpoint-sample a radial profile onto the grid as a DensityState."""
+    """Midpoint-sample a radial profile onto the grid as a unit-mass
+    DensityState at time t."""
     u = np.asarray(f(grid.centers), dtype=float)
     if u.shape != grid.centers.shape:
         raise ValueError("initial profile must return one value per cell center")
     if np.any(u < 0.0) or not np.all(np.isfinite(u)):
         raise ValueError("initial profile must be finite and nonnegative")
     mass = grid.integrate(u)
-    if renormalize:
-        if mass <= 0.0:
-            raise ValueError("initial profile has zero mass, cannot renormalize")
-        u = u / mass
-    return DensityState(grid=grid, u=u, t=t)
+    if mass <= 0.0:
+        raise ValueError("initial profile has zero mass, cannot renormalize")
+    return DensityState(grid=grid, u=u / mass, t=t)

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .barenblatt import BarenblattReference
-from .functionals import FunctionalRecord, relative_entropy, second_moment
+from .functionals import FunctionalRecord, _second_moment, relative_entropy
 from .grid import DensityState
 from .params import ModelParams, require, unmet
 
@@ -42,11 +42,6 @@ def best_match_scale(theta: float, reference: BarenblattReference) -> float:
     return (theta / reference.theta_star) ** (0.5 * reference.exponents.mu)
 
 
-def delay(theta: float, t: float, reference: BarenblattReference) -> float:
-    """tau = s(theta) - t."""
-    return best_match_scale(theta, reference) - t
-
-
 def best_match_scale_numeric(state: DensityState, params: ModelParams,
                              reference: BarenblattReference,
                              rel_tol: float = 1e-8) -> float:
@@ -57,7 +52,8 @@ def best_match_scale_numeric(state: DensityState, params: ModelParams,
     well posed. Raises MatchingError if the minimum sits on the bracket
     edge (the state is nowhere near any self-similar time).
     """
-    s0 = best_match_scale(second_moment(state), reference)
+    g = state.grid
+    s0 = best_match_scale(_second_moment(g, g.centers_sq * state.u), reference)
     lo, hi = 0.1 * s0, 10.0 * s0
 
     def phi(s: float) -> float:
@@ -144,19 +140,24 @@ def q_envelope(q0: float, theta0: float, theta_t: float) -> float:
 
 
 def _records_of(trajectory) -> list[FunctionalRecord]:
-    recs = list(getattr(trajectory, "records", trajectory))
+    recs = trajectory.records
     if len(recs) < 2:
         raise ValueError("need at least two records")
     return recs
 
 
-def _envelope_series(recs: list[FunctionalRecord]) -> np.ndarray:
-    q0, theta0 = recs[0].q_ratio, recs[0].theta
-    return np.array([q_envelope(q0, theta0, r.theta) for r in recs])
-
-
 def _upper_series(recs: list[FunctionalRecord], qbar: np.ndarray,
                   reference: BarenblattReference) -> np.ndarray:
+    """Integral upper bound on tau at each recorded time.
+
+        tau(t) <= tau0 * exp( int_0^t ds / (s + Theta0/(mu E0)
+                              - (eta/mu) int_0^s (q_bar - 1)) ) - t
+
+    evaluated with trapezoid rules on the recorded time stamps. For data
+    starting on the self-similar solution q_bar == 1 and the log integral
+    telescopes to tau(t) = tau0 exactly. Raises MatchingError if the inner
+    denominator becomes nonpositive (recording cadence too coarse).
+    """
     ex = reference.exponents
     t = np.array([r.t for r in recs]) - recs[0].t
     inner = cumulative_trapezoid(qbar - 1.0, t, initial=0.0)
@@ -170,31 +171,27 @@ def _upper_series(recs: list[FunctionalRecord], qbar: np.ndarray,
     return recs[0].tau * np.exp(outer) - t
 
 
-def delay_upper_bound(trajectory, params: ModelParams,
-                      reference: BarenblattReference) -> np.ndarray:
-    """Integral upper bound on tau at each recorded time.
-
-        tau(t) <= tau0 * exp( int_0^t ds / (s + Theta0/(mu E0)
-                              - (eta/mu) int_0^s (q_bar - 1)) ) - t
-
-    evaluated with trapezoid rules on the recorded time stamps. For data
-    starting on the self-similar solution q_bar == 1 and the log integral
-    telescopes to tau(t) = tau0 exactly. Raises MatchingError if the inner
-    denominator becomes nonpositive (recording cadence too coarse).
-    """
+def envelope_worst(trajectory, params: ModelParams,
+                   reference: BarenblattReference) -> tuple[float, float]:
+    """Largest violations (positive = violated) over the recorded times of
+    q <= q_bar, the envelope from the initial record, and of tau <= its
+    integral upper bound."""
     require(params, "delay envelope", "envelope_window", "finite_moments")
     recs = _records_of(trajectory)
-    return _upper_series(recs, _envelope_series(recs), reference)
+    qbar = np.array([q_envelope(recs[0].q_ratio, recs[0].theta, r.theta) for r in recs])
+    q = np.array([r.q_ratio for r in recs])
+    tau = np.array([r.tau for r in recs])
+    return (float((q - qbar).max()),
+            float((tau - _upper_series(recs, qbar, reference)).max()))
 
 
 @dataclass(frozen=True)
 class DelayReport:
     """Delay measurements of one trajectory. Each *_worst is the largest
     violation of its inequality (positive = violated): the wrong-way step
-    of tau, |tau - expected_tau| (None unless given), q - q_bar, and tau
-    minus its integral upper bound. The drop bound needs the remainder-sign
-    window, the last two the fast-diffusion window; outside its window a
-    field is None."""
+    of tau and |tau - expected_tau| (None unless given). The drop bound
+    needs the remainder-sign window; outside it the drop fields are None.
+    The envelope inequalities are measured by envelope_worst."""
 
     tau_series: np.ndarray
     monotone_worst: float
@@ -202,8 +199,6 @@ class DelayReport:
     drop_bound: float | None
     drop_measured: float      # |tau(0) - tau(T)|
     drop_slack: float | None  # drop_measured - drop_bound
-    envelope_worst: float | None
-    upper_worst: float | None
 
 
 def build_delay_report(trajectory, params: ModelParams,
@@ -232,15 +227,7 @@ def build_delay_report(trajectory, params: ModelParams,
         bound, _ = delay_lower_bound(recs[0], reference, params, h_prime=h_prime)
         drop_slack = measured - bound
 
-    env_worst = upper_worst = None
-    if unmet(params, "envelope_window") is None:
-        qbar = _envelope_series(recs)
-        q = np.array([r.q_ratio for r in recs])
-        env_worst = float((q - qbar).max())
-        upper_worst = float((tau - _upper_series(recs, qbar, reference)).max())
-
     return DelayReport(
         tau_series=tau, monotone_worst=monotone_worst, flat_worst=flat_worst,
         drop_bound=bound, drop_measured=measured, drop_slack=drop_slack,
-        envelope_worst=env_worst, upper_worst=upper_worst,
     )

@@ -110,19 +110,6 @@ def _bound_dt(factor, geometry, fast: bool, config: SolverConfig, out) -> float:
     return min(dt, config.dt_max)
 
 
-def stable_dt(state: DensityState, params: ModelParams, config: SolverConfig) -> float:
-    """cfl * min_i dr_i^2 / (2 d D_i) with D_i = p max(u_i, floor)^(p-1)."""
-    u = state.u
-    floor = resolve_u_floor(config, params, float(u.max()))
-    w, factor = np.empty_like(u), np.empty_like(u)
-    pow_pair(params.p, floor)(u, w, factor)
-    dt = _bound_dt(factor, _stability_geometry(state.grid, params.p),
-                   params.p < 1.0, config, w)
-    if not (dt > 0.0 and dt >= config.dt_min):
-        raise _stiffness(dt, config.dt_min, state.t)
-    return dt
-
-
 def _stiffness(dt: float, dt_min: float, t: float) -> StiffnessError:
     return StiffnessError(
         f"stable dt {dt} below dt_min {dt_min} at t={t}; the state may be "

@@ -48,7 +48,7 @@ def test_frozen_reference_values(d, p):
 @pytest.mark.parametrize("d,p", sorted(FROZEN))
 def test_profile_ratio_is_unity(d, p):
     # Theta * I = d * E^2 exactly on the stationary profile
-    ref = rf.build_reference(rf.ModelParams(d, p), verify=False)
+    ref = rf.build_reference(rf.ModelParams(d, p))
     q = ref.theta * ref.fisher / (d * ref.entropy**2)
     assert abs(q - 1.0) <= 1e-12
 
@@ -61,14 +61,14 @@ def test_c_star_open_form_d2():
 
 def test_profile_support():
     params = rf.ModelParams(1, 2.0)
-    ref = rf.build_reference(params, verify=False)
+    ref = rf.build_reference(params)
     edge = math.sqrt(ref.c_star)
     r = np.array([0.0, 0.5 * edge, edge + 1e-9, 2.0 * edge])
     b = ref.profile(r)
     assert b[0] > b[1] > 0.0
     assert b[2] == 0.0 and b[3] == 0.0
 
-    fast = rf.build_reference(rf.ModelParams(3, 2.0 / 3.0), verify=False)
+    fast = rf.build_reference(rf.ModelParams(3, 2.0 / 3.0))
     b = fast.profile(np.array([0.0, 10.0, 1e4]))
     assert np.all(b > 0.0)
     # tail decays like r**(2/(p-1)) = r**-6
@@ -77,7 +77,7 @@ def test_profile_support():
 
 def test_self_similar_mass_and_moment_scaling():
     params = rf.ModelParams(1, 2.0)
-    ref = rf.build_reference(params, verify=False)
+    ref = rf.build_reference(params)
     ex = ref.exponents
     for t in (0.5, 1.0, 2.0):
         edge = ex.kappa * t ** (1.0 / ex.mu) * math.sqrt(ref.c_star)

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 import renyiflow as rf
-from renyiflow import checks
+from renyiflow import checks, matching
 from renyiflow.checks import (
     CHECK_NAMES, compatible_checks, incompatibility, run_check, run_checks)
+from renyiflow.matching import MatchingError
 
 
 def test_check_vocabulary():
@@ -157,3 +160,31 @@ def test_delay_report_built_once_per_run_checks(
     results = run_checks(names, run_fd3_mixture, params_fd3, ref_fd3)
     assert [r.name for r in results] == list(names)
     assert len(calls) == 1
+
+
+def test_theorem3_does_not_evaluate_the_envelope(
+        monkeypatch, run_fd3_gaussian, params_fd3, ref_fd3):
+    # only prop_t4 reads the envelope, so a broken envelope cannot fail
+    # a theorem3 verdict
+    def broken(*args, **kwargs):
+        raise MatchingError("envelope evaluated")
+
+    monkeypatch.setattr(matching, "q_envelope", broken)
+    (res,) = run_checks(("theorem3",), run_fd3_gaussian, params_fd3, ref_fd3)
+    assert res.passed
+    with pytest.raises(MatchingError, match="envelope evaluated"):
+        run_checks(("prop_t4",), run_fd3_gaussian, params_fd3, ref_fd3)
+
+
+def test_prop_t4_fails_loudly_on_huge_initial_ratio():
+    # a d = 1, p = 0.4 Gaussian starts at q ~ 1.1e66, where the envelope
+    # denominator q0 theta(t) - (q0 - 1) theta0 has no significant digits
+    # left: the check raises instead of judging a NaN
+    params = rf.ModelParams(1, 0.4)
+    ref = rf.build_reference(params)
+    grid = rf.build_grid(1, 40.0, 160)
+    state = rf.project_initial(lambda r: np.exp(-r * r), grid)
+    traj = rf.evolve(state, 1e-3, params, rf.SolverConfig(), reference=ref)
+    assert math.isfinite(traj.records[0].q_ratio) and traj.records[0].q_ratio > 1e60
+    with pytest.raises(MatchingError, match="envelope denominator"):
+        run_check("prop_t4", traj, params, ref)

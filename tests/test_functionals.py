@@ -1,20 +1,18 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import renyiflow as rf
+from renyiflow._pow import pow_fn
 from renyiflow.functionals import (
     DUST_REL,
-    cauchy_schwarz_ratio,
+    _live_faces,
+    _potential,
     diagnostics,
-    entropy_remainder_flagged,
-    fisher_information_flagged,
-    generalized_entropy,
     relative_entropy,
-    second_moment,
-    tail_moment_fraction,
 )
 
 
@@ -61,21 +59,24 @@ def test_recomposition_identities():
 
 
 def test_gaussian_closed_forms():
+    params = rf.ModelParams(1, 2.0)
     grid = rf.build_grid(1, 6.0, 800)
     state = rf.project_initial(lambda r: np.exp(-r * r), grid)
-    assert second_moment(state) == pytest.approx(0.5, rel=1e-3)
+    rec = diagnostics(state, params, rf.build_reference(params))
+    assert rec.theta == pytest.approx(0.5, rel=1e-3)
     # u = exp(-r^2)/sqrt(pi): int u^2 = 1/sqrt(2 pi)
-    assert generalized_entropy(state, 2.0) == pytest.approx(
-        1.0 / math.sqrt(2.0 * math.pi), rel=1e-6)
+    assert rec.entropy == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-6)
 
+    params3 = rf.ModelParams(3, 2.0)
     grid3 = rf.build_grid(3, 40.0, 800)
     state3 = rf.project_initial(lambda r: np.exp(-r * r), grid3)
-    assert second_moment(state3) == pytest.approx(0.5, rel=1e-3)
+    rec3 = diagnostics(state3, params3, rf.build_reference(params3))
+    assert rec3.theta == pytest.approx(0.5, rel=1e-3)
 
 
 def test_relative_entropy_is_a_divergence():
     params, ref, state = projected_profile(1, 2.0, 5.0, 800)
-    s = rf.best_match_scale(second_moment(state), ref)
+    s = diagnostics(state, params, ref).s_match
     assert relative_entropy(state, s, params, ref) <= 1e-6 * ref.entropy
     assert relative_entropy(state, 2.0 * s, params, ref) > 1e-3
     with pytest.raises(ValueError):
@@ -104,7 +105,7 @@ def test_ratio_lower_bound_by_construction(d, amps, centers, p_off):
         return out
 
     state = rf.project_initial(profile, grid)
-    q, _ = cauchy_schwarz_ratio(state, params)
+    q = diagnostics(state, params, rf.build_reference(params)).q_ratio
     assert q >= 1.0 - 1e-12
 
 
@@ -113,18 +114,19 @@ def test_remainder_sign_on_generic_data():
     params = rf.ModelParams(3, 2.0 / 3.0)
     grid = rf.build_grid(3, 60.0, 400, stretch=1.01)
     state = rf.project_initial(lambda r: np.exp(-r * r), grid)
-    assert entropy_remainder_flagged(state, params)[0] > 0.0
+    assert diagnostics(state, params, rf.build_reference(params)).remainder > 0.0
 
     params_pm = rf.ModelParams(1, 2.0)
     grid1 = rf.build_grid(1, 6.0, 400)
     state1 = rf.project_initial(lambda r: np.exp(-r * r), grid1)
-    assert entropy_remainder_flagged(state1, params_pm)[0] < 0.0
+    assert diagnostics(state1, params_pm, rf.build_reference(params_pm)).remainder < 0.0
 
 
 def test_gradient_quadratures_ignore_front_dust():
     # per-step transport noise decades below the profile must not leak
     # O(1) slopes of u**(p-1/2) into the Fisher integral
     params = rf.ModelParams(1, 2.0)
+    ref = rf.build_reference(params)
     grid = rf.build_grid(1, 6.0, 400)
     base = np.maximum(0.8 - grid.centers**2, 0.0)
     clean = rf.DensityState(grid=grid, u=base, t=0.0)
@@ -132,22 +134,22 @@ def test_gradient_quadratures_ignore_front_dust():
     vacuum = np.where(base == 0.0)[0]
     noisy_u[vacuum[::2]] = 1e-22 * base.max()
     noisy = rf.DensityState(grid=grid, u=noisy_u, t=0.0)
-    assert (fisher_information_flagged(noisy, params)[0]
-            == fisher_information_flagged(clean, params)[0])
+    assert (diagnostics(noisy, params, ref).fisher
+            == diagnostics(clean, params, ref).fisher)
 
 
 def test_smooth_tail_stays_live():
     # the fast-diffusion power-law tail spans ~35 decades on the wide grid;
     # dropping faces by level alone would lose ~0.5% of the Fisher integral
     params = rf.ModelParams(3, 2.0 / 3.0)
-    ref = rf.build_reference(params, verify=False)
+    ref = rf.build_reference(params)
     grid = rf.build_grid(3, 896000.0, 1050, stretch=1.012)
     u = ref.profile(grid.centers)
     live = rf.DensityState(grid=grid, u=u / grid.integrate(u), t=0.0)
-    err_live = abs(fisher_information_flagged(live, params)[0] - ref.fisher) / ref.fisher
+    err_live = abs(diagnostics(live, params, ref).fisher - ref.fisher) / ref.fisher
     chopped_u = np.where(u >= 1e-15 * u.max(), u, 0.0)
     chopped = rf.DensityState(grid=grid, u=chopped_u / grid.integrate(chopped_u), t=0.0)
-    err_chop = abs(fisher_information_flagged(chopped, params)[0] - ref.fisher) / ref.fisher
+    err_chop = abs(diagnostics(chopped, params, ref).fisher - ref.fisher) / ref.fisher
     assert err_live < 1e-4
     assert err_chop > 10.0 * err_live
 
@@ -157,21 +159,24 @@ def test_fisher_low_exponent_branch():
     params = rf.ModelParams(3, 0.45)
     grid = rf.build_grid(3, 60.0, 900, stretch=1.01)
     state = rf.project_initial(lambda r: np.exp(-r * r), grid)
-    value, flags = fisher_information_flagged(state, params)
-    assert math.isfinite(value) and value > 0.0
-    assert set(flags) <= {"fisher_floor"}
+    rec = diagnostics(state, params, rf.build_reference(params))
+    assert math.isfinite(rec.fisher) and rec.fisher > 0.0
+    # p = 0.45 < d/(d+2) also leaves the moments infinite
+    assert set(rec.flags) <= {"fisher_floor", "moments_infinite"}
 
 
 def test_tail_fraction_and_confidence_flag():
     params = rf.ModelParams(1, 2.0)
     ref = rf.build_reference(params)
     grid = rf.build_grid(1, 6.0, 128)
-    shell = rf.project_initial(lambda r: np.exp(-(((r - 5.7) / 0.1) ** 2)), grid)
-    assert tail_moment_fraction(shell) > 0.99
-    assert "low_confidence_moments" in diagnostics(shell, params, ref).flags
-    core = rf.project_initial(lambda r: np.exp(-((r / 0.3) ** 2)), grid)
-    assert tail_moment_fraction(core) < 1e-6
-    assert "low_confidence_moments" not in diagnostics(core, params, ref).flags
+    shell = diagnostics(rf.project_initial(
+        lambda r: np.exp(-(((r - 5.7) / 0.1) ** 2)), grid), params, ref)
+    assert shell.tail_frac > 0.99
+    assert "low_confidence_moments" in shell.flags
+    core = diagnostics(rf.project_initial(
+        lambda r: np.exp(-((r / 0.3) ** 2)), grid), params, ref)
+    assert core.tail_frac < 1e-6
+    assert "low_confidence_moments" not in core.flags
 
 
 def test_diagnostics_parameter_mismatch():
@@ -190,11 +195,37 @@ def _indicator(r):
     return 0.5 * erfc((r - 1.0) / 0.25)
 
 
+# Flags the private kernels raise; diagnostics adds moments_infinite and
+# low_confidence_moments itself.
+KERNEL_FLAGS = {"fisher_floor", "q_degenerate", "remainder_empty", "remainder_boundary"}
+
+
+def _q_exact(state, p):
+    """q = A B / S^2 with the face sums taken in exact rational arithmetic
+    over the face densities and slopes the q kernel sums in floating point."""
+    g, u = state.grid, state.u
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, dv, v_slope = _potential(g, u, p)
+        live = _live_faces(u, float(u.max()), g.center_gaps)
+        w = pow_fn(p)(u)
+        sloped = live & np.isfinite(dv) & (dv != 0.0)
+        uf = np.where(sloped, (w[1:] - w[:-1]) / dv, np.where(live, u[:-1], 0.0))
+    gf = np.where(sloped, v_slope, 0.0)
+    a = b = s = Fraction(0)
+    for wu, r, r2, slope in zip(g.gap_weights * uf, g.gap_mids, g.gap_mids_sq, gf):
+        wu, slope = Fraction(float(wu)), Fraction(float(slope))
+        a += wu * Fraction(float(r2))
+        b += wu * slope * slope
+        s += wu * Fraction(float(r)) * slope
+    return float(a * b / (s * s))
+
+
 # (d, p, grid, datum, t_end): short runs whose final state still carries
 # front dust (cells between 0 and DUST_REL * max(u))
 ONE_PASS_REGIMES = [
     (3, 2.0 / 3.0, (1000.0, 120, 1.06), _gaussian, 0.05),
-    # p <= 1/2: the floored Fisher branch
+    # p <= 1/2: the floored Fisher branch; at t = 0 one live face has
+    # u ~ 1e-314 and |g_f| ~ 2e192, so g_f**2 alone would overflow B
     (1, 0.4, (40.0, 160, 1.0), _gaussian, 1e-5),
     # p > 1 with the remainder_boundary flag raised at t = 0.8
     (1, 2.0, (6.0, 100, 1.0), _indicator, 0.8),
@@ -205,14 +236,17 @@ ONE_PASS_REGIMES = [
 
 @pytest.mark.parametrize("d,p,grid_args,datum,t_end", ONE_PASS_REGIMES)
 def test_diagnostics_equal_standalone_functionals(d, p, grid_args, datum, t_end):
-    # diagnostics shares its per-record arrays between the functionals; every
-    # field must still equal the standalone function bit for bit
+    # diagnostics shares its per-record arrays between the functionals; its
+    # combinations must recompose bit for bit, q must match its exact face
+    # sums, and the match time and relative entropy must equal the
+    # standalone closed-form match and divergence
     params = rf.ModelParams(d, p)
     ref = rf.build_reference(params)
     r_max, n, stretch = grid_args
     grid = rf.build_grid(d, r_max, n, stretch=stretch)
     profile = rf.project_initial(lambda r: ref.self_similar(r, 1.0), grid, t=1.0)
-    traj = rf.evolve(rf.project_initial(datum, grid), t_end, params,
+    initial = rf.project_initial(datum, grid)
+    traj = rf.evolve(initial, t_end, params,
                      rf.SolverConfig(record_every=t_end), reference=ref)
     evolved = traj.final_state
     u = evolved.u
@@ -221,28 +255,19 @@ def test_diagnostics_equal_standalone_functionals(d, p, grid_args, datum, t_end)
         assert "remainder_boundary" in traj.records[-1].flags
 
     ex = ref.exponents
-    for state in (profile, evolved):
+    for state in (profile, initial, evolved):
         rec = diagnostics(state, params, ref, dt=0.5)
-        fisher, flags_f = fisher_information_flagged(state, params)
-        q_ratio, flags_q = cauchy_schwarz_ratio(state, params)
-        remainder, flags_r = entropy_remainder_flagged(state, params)
-        theta = second_moment(state)
-        entropy = generalized_entropy(state, p)
         assert rec.t == state.t and rec.dt == 0.5
         assert rec.mass == state.mass()
-        assert rec.theta == theta
-        assert rec.entropy == entropy
-        assert rec.fisher == fisher
-        assert rec.q_ratio == q_ratio
-        assert rec.remainder == remainder
-        assert rec.tail_frac == tail_moment_fraction(state)
-        assert rec.f_power == entropy**ex.sigma
-        assert rec.g_power == theta ** (0.5 * ex.mu)
-        assert rec.h_renyi == theta ** (-0.5 * ex.eta) * entropy
-        assert rec.j_scale == entropy ** (ex.sigma - 1.0) * fisher
-        flags = set(flags_f + flags_q + flags_r)
+        assert math.isfinite(rec.q_ratio)
+        assert rec.q_ratio == pytest.approx(_q_exact(state, p), rel=1e-12)
+        assert rec.f_power == rec.entropy**ex.sigma
+        assert rec.g_power == rec.theta ** (0.5 * ex.mu)
+        assert rec.h_renyi == rec.theta ** (-0.5 * ex.eta) * rec.entropy
+        assert rec.j_scale == rec.entropy ** (ex.sigma - 1.0) * rec.fisher
+        flags = set()
         if ex.moments_finite:
-            assert rec.s_match == rf.best_match_scale(theta, ref)
+            assert rec.s_match == rf.best_match_scale(rec.theta, ref)
             assert rec.tau == rec.s_match - state.t
             assert rec.rel_entropy == relative_entropy(state, rec.s_match, params, ref)
         else:
@@ -252,7 +277,8 @@ def test_diagnostics_equal_standalone_functionals(d, p, grid_args, datum, t_end)
         moment = grid.centers * grid.centers * state.u * grid.volumes
         if moment[grid.centers > 0.9 * grid.r_max].sum() > 0.10 * moment.sum():
             flags.add("low_confidence_moments")
-        assert rec.flags == tuple(sorted(flags))
+        assert rec.flags == tuple(sorted(set(rec.flags)))
+        assert set(rec.flags) - KERNEL_FLAGS == flags
 
 
 def test_cached_grid_arrays_are_read_only():

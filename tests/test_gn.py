@@ -72,11 +72,11 @@ def test_exponent_rejections():
         rf.gn_exponent(2, math.nan)
 
 
-def test_family_from_diffusion_exponent(params_pm1, params_fd3, ref_pm1, ref_fd3):
-    gn_pm = gn_params_for(params_pm1, ref_pm1)
+def test_family_from_diffusion_exponent(params_pm1, params_fd3):
+    gn_pm = gn_params_for(params_pm1)
     assert gn_pm.q == pytest.approx(1.0 / 3.0, rel=1e-14)
     assert gn_pm.branch == "GN2"
-    gn_fd = gn_params_for(params_fd3, ref_fd3)
+    gn_fd = gn_params_for(params_fd3)
     assert gn_fd.q == pytest.approx(3.0, rel=1e-12)   # the endpoint index
     assert gn_fd.branch == "GN1"
     with pytest.raises(RegimeError):

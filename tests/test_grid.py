@@ -72,10 +72,10 @@ def test_project_initial_normalizes(d, n, stretch, width):
 
 
 def test_project_initial_raw_and_time():
+    # raw samples of mass 0.25 * 2 * 4 = 2 are divided by that mass
     grid = rf.build_grid(1, 4.0, 64)
-    state = rf.project_initial(lambda r: np.full_like(r, 0.25),
-                               grid, renormalize=False, t=2.5)
-    assert state.mass() == pytest.approx(0.25 * 2.0 * 4.0, rel=1e-12)
+    state = rf.project_initial(lambda r: np.full_like(r, 0.25), grid, t=2.5)
+    assert state.u == pytest.approx(np.full(grid.n, 0.125), rel=1e-12)
     assert state.t == 2.5
 
 

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 import renyiflow as rf
-from renyiflow.functionals import second_moment
 from renyiflow.matching import (
     MatchingError,
     best_match_scale_numeric,
     delay_lower_bound,
-    delay_upper_bound,
+    envelope_worst,
     q_envelope,
 )
 from renyiflow.params import RegimeError
@@ -20,7 +19,8 @@ def test_match_scale_closed_form(ref_pm1):
     assert rf.best_match_scale(ref_pm1.theta_star, ref_pm1) == pytest.approx(1.0, rel=1e-14)
     theta2 = ref_pm1.theta_star * 2.0 ** (2.0 / ex.mu)
     assert rf.best_match_scale(theta2, ref_pm1) == pytest.approx(2.0, rel=1e-12)
-    assert rf.delay(theta2, 0.5, ref_pm1) == pytest.approx(1.5, rel=1e-12)
+    # the delay tau = s - t at t = 0.5
+    assert rf.best_match_scale(theta2, ref_pm1) - 0.5 == pytest.approx(1.5, rel=1e-12)
 
 
 def test_match_scale_rejections(ref_pm1):
@@ -35,7 +35,7 @@ def test_numeric_match_agrees_with_moment_match(params_pm1, ref_pm1):
     grid = rf.build_grid(1, 5.0, 800)
     state = rf.project_initial(
         lambda r: rf.self_similar_density(r, 1.0, params_pm1), grid)
-    s_closed = rf.best_match_scale(second_moment(state), ref_pm1)
+    s_closed = rf.diagnostics(state, params_pm1, ref_pm1).s_match
     s_num = best_match_scale_numeric(state, params_pm1, ref_pm1)
     assert s_num == pytest.approx(s_closed, rel=1e-4)
 
@@ -56,11 +56,9 @@ def test_envelope_algebra():
 
 
 def test_envelope_window_gate(run_pm1_gaussian, params_pm1, ref_pm1):
-    # p = 2 > 1 is outside the fast-diffusion window: no envelope fields
-    report = rf.build_delay_report(run_pm1_gaussian, params_pm1, ref_pm1)
-    assert report.envelope_worst is None and report.upper_worst is None
+    # p = 2 > 1 is outside the fast-diffusion window: no envelope
     with pytest.raises(RegimeError):
-        delay_upper_bound(run_pm1_gaussian, params_pm1, ref_pm1)
+        envelope_worst(run_pm1_gaussian, params_pm1, ref_pm1)
 
 
 def test_delay_report_porous_medium(run_pm1_gaussian, params_pm1, ref_pm1):
@@ -81,8 +79,9 @@ def test_delay_report_fast_diffusion(run_fd3_gaussian, params_fd3, ref_fd3):
     assert report.drop_slack >= 0.0
     # the envelope dominates the measured ratio and the integral bound
     # dominates the measured delay, pointwise
-    assert report.envelope_worst <= 1e-3
-    assert report.upper_worst <= tau_tol
+    env_worst, upper_worst = envelope_worst(run_fd3_gaussian, params_fd3, ref_fd3)
+    assert env_worst <= 1e-3
+    assert upper_worst <= tau_tol
 
 
 def test_delay_flat_on_self_similar_run(run_pm1_barenblatt, params_pm1, ref_pm1):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import renyiflow as rf
 from renyiflow.solver import InstabilityError, StiffnessError
@@ -33,27 +34,28 @@ def test_solver_config_rejections(kwargs):
 
 
 def test_stable_dt_constant_state():
-    # D = p u^(p-1) is uniform, so dt = cfl dr^2 / (2 d D) exactly
+    # D = p u^(p-1) is uniform, so dt = cfl dr^2 / (2 d D) exactly; the
+    # initial record carries the first step bound
     grid = rf.build_grid(2, 1.0, 50)
-    state = rf.project_initial(lambda r: np.ones_like(r), grid, renormalize=False)
+    state = rf.DensityState(grid=grid, u=np.ones(grid.n), t=0.0)
     params = rf.ModelParams(2, 2.0)
-    dt = rf.stable_dt(state, params, rf.SolverConfig(cfl=0.5))
+    dt = rf.evolve(state, 1e-6, params, rf.SolverConfig(cfl=0.5)).records[0].dt
     dr = grid.widths[0]
     assert dt == pytest.approx(0.5 * dr * dr / (2.0 * 2 * 2.0), rel=1e-12)
 
 
 def test_stable_dt_honors_dt_max():
     grid = rf.build_grid(1, 1.0, 50)
-    state = rf.project_initial(lambda r: np.ones_like(r), grid, renormalize=False)
+    state = rf.DensityState(grid=grid, u=np.ones(grid.n), t=0.0)
     params = rf.ModelParams(1, 2.0)
-    dt = rf.stable_dt(state, params, rf.SolverConfig(dt_max=1e-9))
-    assert dt == 1e-9
+    traj = rf.evolve(state, 1e-9, params, rf.SolverConfig(dt_max=1e-9))
+    assert traj.records[0].dt == 1e-9
 
 
 def test_stiffness_error_below_dt_min(pm_setup):
-    params, _, _, state = pm_setup
+    params, ref, _, state = pm_setup
     with pytest.raises(StiffnessError):
-        rf.stable_dt(state, params, rf.SolverConfig(dt_min=1e3))
+        rf.evolve(state, 0.1, params, rf.SolverConfig(dt_min=1e3), reference=ref)
 
 
 def test_mass_conservation_and_positivity(pm_setup):
@@ -147,3 +149,39 @@ def test_donor_cell_limiter_fires_and_conserves():
     assert traj.limited_steps > 0
     assert np.all(traj.final_state.u >= 0.0)
     assert traj.final_state.mass() == pytest.approx(state.mass(), abs=1e-13)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=3),
+    p_frac=st.floats(min_value=0.0, max_value=1.0),
+    bumps=st.lists(st.tuples(st.floats(min_value=0.1, max_value=2.0),
+                             st.floats(min_value=0.0, max_value=3.0),
+                             st.floats(min_value=0.3, max_value=1.5)),
+                   min_size=1, max_size=3),
+)
+def test_evolution_properties_on_random_mixtures(d, p_frac, bumps):
+    # any admissible (d, p) and positive Gaussian mixture: mass conserved,
+    # u >= 0 and q finite and >= 1 at every record, reruns identical
+    lo = max(0.05, 1.0 - 2.0 / d + 0.05)
+    p = lo + p_frac * (2.5 - lo)
+    assume(abs(p - 1.0) > 0.05)
+    params = rf.ModelParams(d, p)
+    grid = rf.build_grid(d, 6.0, 64)
+
+    def mixture(r):
+        return sum(a * np.exp(-(((r - c) / w) ** 2)) for a, c, w in bumps)
+
+    state = rf.project_initial(mixture, grid)
+    config = rf.SolverConfig(record_every=0.005)
+    snapshots = []
+    runs = [rf.evolve(state, 0.02, params, config,
+                      observer=lambda rec, snap: snapshots.append(snap.u))
+            for _ in range(2)]
+    for rec in runs[0].records:
+        assert rec.mass == pytest.approx(1.0, abs=1e-13)
+        assert math.isfinite(rec.q_ratio) and rec.q_ratio >= 1.0 - 1e-12
+    assert all(np.all(u >= 0.0) for u in snapshots)
+    a, b = runs
+    assert [repr(r) for r in a.records] == [repr(r) for r in b.records]
+    assert np.array_equal(a.final_state.u, b.final_state.u)
