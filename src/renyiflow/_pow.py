@@ -1,176 +1,100 @@
-"""Fast elementwise powers for the rational exponents the flows use.
+"""Fast elementwise powers u**p by one rational-root rule.
 
 np.power with a fractional exponent is ~10x slower than a sqrt/cbrt chain
-and sits on the solver's hot path, so the common p values get special cases.
-
-pow_fn(p) maps u to u**p. pow_pair(p, floor) serves the step kernel: it
-fills w = u**p and the stability factor f = max(u, floor)**|p-1| from one
-shared root of u. Taking the root is the expensive part, and since every
-root is monotone the floor can be applied to it rather than to u.
+and sits on the solver's hot path. So p = k/n, where n has a root chain, is
+taken as r**(|k| % n) * u**(|k| // n), r = u**(1/n), multiplied left to
+right and inverted if k < 0, while its worst-case relative error stays within
+1e-15 (ROOT_EXPONENTS); any other p uses np.power. pow_pair takes
+max(u, floor)**|p-1| from the same root, flooring after the power: roots and
+rounded products are monotone, so the bits are the same. Calls are compiled
+once into steps (ufunc, slot, slot, out slot), costing little beyond ufuncs.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
+# n: (root chain, worst relative error in units of 2**-53). sqrt rounds
+# correctly, np.cbrt gets one ulp (1.02 measured), a root divides prior error.
+_ROOTS = {1: ((), 0.0), 2: ((np.sqrt,), 1.0), 3: ((np.cbrt,), 2.0),
+          4: ((np.sqrt, np.sqrt), 1.5), 6: ((np.sqrt, np.cbrt), 1.0 / 3.0 + 2.0)}
+# slots: u, w (pow_fn's result), f, a root with no other home, p, |p-1|, g
+_U, _W, _F, _R, _P, _E, _G = range(7)
 
+
+def _rule(p: float) -> tuple[int, int] | None:
+    """(k, n) with p = k/n if the root rule serves p, else None."""
+    q = Fraction(p).limit_denominator(6)
+    k, n = q.numerator, q.denominator
+    if k == 0 or n not in _ROOTS or abs(p - q) >= 1e-14:
+        return None
+    j, m = divmod(abs(k), n)
+    return (k, n) if m * _ROOTS[n][1] + j + m - 1 + (k < 0) <= 1e-15 * 2.0**53 else None
+
+
+# the error grows with |k|/n, so no |k| beyond 11 n qualifies
+ROOT_EXPONENTS = tuple(sorted(k / n for n in _ROOTS for k in range(-11 * n, 11 * n + 1)
+                              if _rule(k / n) == (k, n)))
+
+
+def _root(k: int, n: int, out: int) -> tuple[list, int]:
+    """Steps building u**(1/n) in slot out (_R if |k| % n > 2), and its slot (u if n = 1)."""
+    r = _U if n == 1 else out if abs(k) % n <= 2 else _R
+    return [(root, r if i else _U, None, r) for i, root in enumerate(_ROOTS[n][0])], r
+
+
+def _product(k: int, n: int, r: int, out: int) -> tuple[list, int]:
+    """Steps building u**(k/n) in slot out from u**(1/n) in slot r, and the
+    slot then holding u**(k/n): a lone factor is not copied."""
+    j, m = divmod(abs(k), n)
+    x, *rest = (r,) * m + (_U,) * j
+    steps = []
+    for y in rest:
+        steps.append((np.multiply, x, y, out))
+        x = out
+    if k < 0:
+        steps.append((np.reciprocal, x, None, out))
+        x = out
+    return steps, x
+
+
+def _single(p: float, exponent: int, out: int) -> list:
+    """Steps writing u**p into slot out; slot exponent holds p for np.power."""
+    rule = _rule(p)
+    if rule is None:
+        return [(np.power, _U, exponent, out)]
+    steps, r = _root(*rule, out)
+    more, x = _product(*rule, r, out)
+    return steps + more + [(np.positive, x, None, out)] * (x != out)
+
+
+def _run(steps: list, s: list) -> np.ndarray:
+    for op, a, b, out in steps:
+        s[out] = op(s[a], out=s[out]) if b is None else op(s[a], s[b], out=s[out])
+    return s[_W]
+
+
+@cache  # the diagnostics ask for the same few exponents at every record
 def pow_fn(p: float) -> Callable[[np.ndarray], np.ndarray]:
-    if p == 1.0:
-        return lambda u: u
-    if p == 2.0:
-        return lambda u: u * u
-    if p == 3.0:
-        return lambda u: u * u * u
-    if p == 1.5:
-        return lambda u: u * np.sqrt(u)
-    if p == 0.5:
-        return np.sqrt
-    if p == 0.25:
-        return lambda u: np.sqrt(np.sqrt(u))
-    if p == 0.75:
-        return lambda u: np.sqrt(u) * np.sqrt(np.sqrt(u))
-    if abs(p - 2.0 / 3.0) < 1e-14:
-        return lambda u: np.cbrt(u * u)
-    if abs(p - 1.0 / 3.0) < 1e-14:
-        return np.cbrt
-    if abs(p - 1.0 / 6.0) < 1e-14:
-        return lambda u: np.cbrt(np.sqrt(u))
-    if p == -0.25:
-        return lambda u: 1.0 / np.sqrt(np.sqrt(u))
-    if abs(p + 1.0 / 3.0) < 1e-14:
-        return lambda u: 1.0 / np.cbrt(u)
-    if p == -0.5:
-        return lambda u: 1.0 / np.sqrt(u)
-    if p == -1.0:
-        return lambda u: 1.0 / u
-    return lambda u: u**p
+    """u -> u**p for an array u (not a scalar), as a new array."""
+    steps = _single(p, _P, _W)
+    return lambda u: _run(steps, [u, None, None, None, p])
 
 
-PowPair = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
-
-
-def _pair_two(floor: float) -> PowPair:
-    def pair(u, w, f):
-        np.multiply(u, u, out=w)
-        np.maximum(u, floor, out=f)
-    return pair
-
-
-def _pair_three(floor: float) -> PowPair:
-    def pair(u, w, f):
-        np.multiply(u, u, out=w)
-        w *= u
-        np.maximum(u, floor, out=f)
-        f *= f
-    return pair
-
-
-def _pair_three_halves(floor: float) -> PowPair:
-    sf = np.sqrt(floor)
-
-    def pair(u, w, f):
-        np.sqrt(u, out=f)
-        np.multiply(u, f, out=w)
-        np.maximum(f, sf, out=f)
-    return pair
-
-
-def _pair_half(floor: float) -> PowPair:
-    sf = np.sqrt(floor)
-
-    def pair(u, w, f):
-        np.sqrt(u, out=w)
-        np.maximum(w, sf, out=f)
-    return pair
-
-
-def _pair_quarter(floor: float) -> PowPair:
-    # f = u**(3/4) = sqrt(u) * u**(1/4)
-    tf = floor**0.75
-
-    def pair(u, w, f):
-        np.sqrt(u, out=f)
-        np.sqrt(f, out=w)
-        f *= w
-        np.maximum(f, tf, out=f)
-    return pair
-
-
-def _pair_three_quarters(floor: float) -> PowPair:
-    qf = np.sqrt(np.sqrt(floor))
-
-    def pair(u, w, f):
-        np.sqrt(u, out=w)
-        np.sqrt(w, out=f)
-        w *= f
-        np.maximum(f, qf, out=f)
-    return pair
-
-
-def _pair_two_thirds(floor: float) -> PowPair:
-    cf = np.cbrt(floor)
-
-    def pair(u, w, f):
-        np.cbrt(u, out=f)
-        np.multiply(f, f, out=w)
-        np.maximum(f, cf, out=f)
-    return pair
-
-
-def _pair_third(floor: float) -> PowPair:
-    cf = np.cbrt(floor)
-
-    def pair(u, w, f):
-        np.cbrt(u, out=w)
-        np.maximum(w, cf, out=f)
-        f *= f
-    return pair
-
-
-def _pair_sixth(floor: float) -> PowPair:
-    # f = u**(5/6) = sqrt(u) * (u**(1/6))**2
-    sf = np.sqrt(floor)
-    tf = sf * np.cbrt(sf) ** 2
-
-    def pair(u, w, f):
-        np.sqrt(u, out=f)
-        np.cbrt(f, out=w)
-        f *= w
-        f *= w
-        np.maximum(f, tf, out=f)
-    return pair
-
-
-_PAIRS = (
-    (2.0, _pair_two),
-    (3.0, _pair_three),
-    (1.5, _pair_three_halves),
-    (0.5, _pair_half),
-    (0.25, _pair_quarter),
-    (0.75, _pair_three_quarters),
-    (2.0 / 3.0, _pair_two_thirds),
-    (1.0 / 3.0, _pair_third),
-    (1.0 / 6.0, _pair_sixth),
-)
-# The exponents pow_pair has a shared root for: every one pow_fn tabulates
-# that can be a flow exponent. Its negative ones occur only as p - 1 in the
-# functionals, and p = 1 (heat flow) is excluded by ModelParams.
-PAIR_EXPONENTS = tuple(q for q, _ in _PAIRS)
-
-
-def pow_pair(p: float, floor: float) -> PowPair:
-    """pair(u, w, f) writes u**p into w and max(u, floor)**|p-1| into f.
-
-    u must be nonnegative; w and f are preallocated arrays shaped like u.
-    """
-    for q, make in _PAIRS:
-        if abs(p - q) < 1e-14:
-            return make(floor)
+def pow_pair(p: float, floor: float) -> Callable[..., np.ndarray]:
+    """pair(u, w, f) writes u**p into w and max(u, floor)**|p-1| into f; u
+    must be nonnegative, w and f preallocated arrays shaped like u."""
     e = abs(p - 1.0)
-
-    def pair(u, w, f):
-        np.power(u, p, out=w)
-        np.maximum(u, floor, out=f)
-        np.power(f, e, out=f)
-    return pair
+    g = float(pow_fn(e)(np.array([floor]))[0])
+    rule, rule_e = _rule(p), _rule(e)
+    if rule is None or rule_e is None:
+        steps = _single(p, _P, _W) + _single(e, _E, _F) + [(np.maximum, _F, _G, _F)]
+    else:
+        # one root, built where pow_fn builds it, so f goes first
+        steps, r = _root(*rule, _W)
+        f_steps, floored = _product(rule_e[0], rule[1], r, _F)
+        steps += f_steps + [(np.maximum, floored, _G, _F)] + _product(*rule, r, _W)[0]
+    return lambda u, w, f: _run(steps, [u, w, f, None, p, e, g])

@@ -239,12 +239,10 @@ def parse_config(document: dict | str, label: str = "config") -> ExperimentConfi
         stretch = _as_number(raw_grid[2], "grid[2]") if len(raw_grid) == 3 else 1.0
     else:
         raise _fail("grid", "expected {r_max, n, stretch} or [r_max, n, stretch]")
-    if r_max <= 0.0:
-        raise _fail("grid.r_max", f"must be positive, got {r_max}")
-    if n < 8:
-        raise _fail("grid.n", f"needs at least 8 cells, got {n}")
-    if stretch < 1.0:
-        raise _fail("grid.stretch", f"must be >= 1, got {stretch}")
+    try:
+        build_grid(d, r_max, n, stretch=stretch)
+    except ValueError as e:
+        raise _fail("grid", str(e)) from e
 
     t_end = _as_number(document["t_end"], "t_end")
     if t_end <= 0.0:
@@ -407,12 +405,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
     reference = build_reference(config.params)
     trajectory = evolve(state, config.t_end, config.params, config.solver,
                         reference=reference)
+    # written before the checks, so a check that raises keeps the trajectory
+    write_trajectory_csv(out / "trajectory.csv", trajectory)
     results = run_checks(
         config.checks, trajectory, config.params, reference,
         tol_scale=tol_scale, expected_tau=config.expected_tau,
         gn_seed=config.seed)
-
-    write_trajectory_csv(out / "trajectory.csv", trajectory)
     all_passed = all(r.passed for r in results if r.applicable)
     report = {
         "label": config.label,

@@ -14,9 +14,10 @@ so the kernel makes as few calls as it can:
 - the stability geometry dr_i^2/(2 d p) and the face coefficients
   A_j/(r_j - r_{j-1}) are computed once per run;
 - every temporary is preallocated and written with out=;
-- one fractional root of u per step gives both w = u**p and the stability
-  factor max(u, floor)**|p-1| (see _pow.pow_pair; for p = 2/3, c = cbrt(u),
-  w = c*c and the factor is max(c, cbrt(floor)));
+- one fractional root of u per step gives both w = u**p, computed as the
+  diagnostics compute it, and the stability factor max(u, floor)**|p-1|
+  (see _pow.pow_pair; for p = 2/3, c = cbrt(u), w = c*c and the factor is
+  max(c, cbrt(floor)));
 - the step bound cfl min_i dr_i^2/(2 d D_i), D_i = p max(u_i, floor)^(p-1),
   is read as cfl min(geometry * factor) for p < 1 and as
   cfl / max(factor / geometry) for p > 1, so neither regime divides by zero;
@@ -36,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from ._pow import pow_pair
-from .params import ModelParams, ExponentSet
+from .params import ModelParams
 from .barenblatt import BarenblattReference, build_reference
 from .grid import DensityState, RadialGrid
 from .functionals import FunctionalRecord, diagnostics
@@ -145,10 +146,6 @@ def _limit(m, flux, gain, m_new) -> float:
 
 @dataclass
 class Trajectory:
-    params: ModelParams
-    exponents: ExponentSet
-    reference: BarenblattReference
-    config: SolverConfig
     records: list[FunctionalRecord] = field(default_factory=list)
     final_state: DensityState | None = None
     n_steps: int = 0
@@ -178,8 +175,7 @@ def evolve(
     if reference is None:
         reference = build_reference(params)
     grid = state.grid
-    traj = Trajectory(params=params, exponents=reference.exponents,
-                      reference=reference, config=config)
+    traj = Trajectory()
     start_wall = time.perf_counter()
 
     u = state.u.copy()

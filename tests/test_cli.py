@@ -104,6 +104,9 @@ def test_barenblatt_datum_pins_expected_tau():
     (dict(cadence=0.1), "unknown config keys"),
     (dict(seed=1.5), "expected an integer"),
     (dict(output_dir=7), "expected a string"),
+    (dict(grid={"r_max": 6.0, "n": 12}), "at least 16 cells"),
+    (dict(grid={"r_max": -1.0, "n": 64}), "r_max must be positive"),
+    (dict(grid=[6.0, 64, 0.5]), "stretch must be >= 1"),
 ])
 def test_parse_rejections(mutation, fragment):
     with pytest.raises(ConfigError) as err:
@@ -230,6 +233,13 @@ def test_main_config_error_exit(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_main_grid_error_exit(tmp_path, capsys):
+    # a grid build_grid refuses is a config error, not a crash of the run
+    path = write_config(tmp_path / "coarse.json", tiny_config(grid={"r_max": 6.0, "n": 12}))
+    assert main(["run", path, "--out", str(tmp_path / "coarse")]) == 2
+    assert "at least 16 cells" in capsys.readouterr().err
+
+
 def test_main_solver_abort_exit(tmp_path, capsys):
     doc = tiny_config(solver={"cfl": 0.9, "dt_min": 1e3})
     path = write_config(tmp_path / "stiff.json", doc)
@@ -338,9 +348,13 @@ def _checks_failing_at(p_bad):
 
 
 def test_main_unexpected_error_exit(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "run_checks", _checks_failing_at(2.0))
     path = write_config(tmp_path / "ok.json", tiny_config())
+    assert main(["run", path, "--out", str(tmp_path / "clean")]) == 0
+    monkeypatch.setattr(cli, "run_checks", _checks_failing_at(2.0))
     assert main(["run", path, "--out", str(tmp_path / "ok")]) == 3
+    # the finished trajectory outlives the check that raised
+    csv = "trajectory.csv"
+    assert (tmp_path / "ok" / csv).read_bytes() == (tmp_path / "clean" / csv).read_bytes()
     assert main(["verify", path, "--check", "theorem2",
                  "--out", str(tmp_path / "v")]) == 3
     err = capsys.readouterr().err

@@ -3,36 +3,63 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, strategies as st
 
-from renyiflow._pow import PAIR_EXPONENTS, pow_pair
+from renyiflow._pow import ROOT_EXPONENTS, pow_fn, pow_pair
 
-# exponents without a shared root: pow_pair falls back to two np.power calls
+# the flow exponents the rule serves with u**p finite for u up to 1e100
+PAIR_EXPONENTS = tuple(q for q in ROOT_EXPONENTS if 0.0 < q <= 3.0)
+# exponents without a root chain: both powers fall back to np.power
 FALLBACK_EXPONENTS = (0.6, 1.7)
 
-
-def _exact(p: float) -> tuple[np.longdouble, np.longdouble]:
-    """p and |p - 1| in extended precision: the rational a tabulated entry
-    stands for, or the float itself for a fallback exponent."""
-    q = Fraction(p).limit_denominator(6) if p in PAIR_EXPONENTS else Fraction(p)
-    e = abs(q - 1)
-    return (np.longdouble(q.numerator) / q.denominator,
-            np.longdouble(e.numerator) / e.denominator)
-
-
-@given(
+pair_inputs = dict(
     p=st.sampled_from(PAIR_EXPONENTS + FALLBACK_EXPONENTS),
     floor=st.one_of(st.just(0.0), st.floats(1e-12, 1.0)),
     above=st.lists(st.one_of(st.just(0.0), st.floats(1e-100, 1e100)),
                    min_size=1, max_size=40),
     below=st.lists(st.floats(1e-6, 1.0, exclude_max=True), max_size=10),
 )
+
+
+def _exact(x: float) -> np.longdouble:
+    """x in extended precision: the rational k/n the root rule serves it as,
+    or the float itself when np.power computes the power."""
+    q = Fraction(x).limit_denominator(6)
+    if float(q) not in ROOT_EXPONENTS or abs(x - q) >= 1e-14:
+        q = Fraction(x)
+    return np.longdouble(q.numerator) / q.denominator
+
+
+@given(**pair_inputs)
 def test_pow_pair_matches_both_powers(p, floor, above, below):
     # one shared root must give u**p and max(u, floor)**|p-1| to ~4 ulp,
     # for exact zeros and for values under the floor too
     u = np.array(above + [floor * b for b in below])
     w, f = np.empty_like(u), np.empty_like(u)
     pow_pair(p, floor)(u, w, f)
-    exponent, stability = _exact(p)
+    exponent, stability = _exact(p), _exact(abs(p - 1.0))
     exact_u = u.astype(np.longdouble)
     np.testing.assert_allclose(w, exact_u**exponent, rtol=1e-15, atol=0.0)
     np.testing.assert_allclose(
         f, np.maximum(exact_u, np.longdouble(floor)) ** stability, rtol=1e-15, atol=0.0)
+
+
+@given(**pair_inputs)
+def test_pow_pair_writes_pow_fn_bits(p, floor, above, below):
+    # the solver's w and the diagnostics' u**p are one computation
+    u = np.array(above + [floor * b for b in below])
+    w, f = np.empty_like(u), np.empty_like(u)
+    pow_pair(p, floor)(u, w, f)
+    assert w.tobytes() == pow_fn(p)(u).tobytes()
+
+
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+def test_pow_fn_matches_extended_precision(t):
+    # every exponent the rule serves, on u from 1e-300 to 1e100 wherever
+    # u**p is a normal double (no partial product under- or overflows
+    # there), plus exact zeros when p > 0
+    for p in ROOT_EXPONENTS:
+        lo, hi = max(-300.0, -300.0 / abs(p)), min(100.0, 300.0 / abs(p))
+        u = 10.0 ** (lo + (hi - lo) * np.array(t))
+        if p > 0.0:
+            u = np.append(u, 0.0)
+        np.testing.assert_allclose(pow_fn(p)(u), u.astype(np.longdouble) ** _exact(p),
+                                   rtol=1e-15, atol=0.0, err_msg=f"p = {p}")
