@@ -1,100 +1,100 @@
-"""Fast elementwise powers u**p by one rational-root rule.
+"""Elementwise u**p by one rational-root rule, ~10x faster than np.power.
 
-np.power with a fractional exponent is ~10x slower than a sqrt/cbrt chain
-and sits on the solver's hot path. So p = k/n, where n has a root chain, is
-taken as r**(|k| % n) * u**(|k| // n), r = u**(1/n), multiplied left to
-right and inverted if k < 0, while its worst-case relative error stays within
-1e-15 (ROOT_EXPONENTS); any other p uses np.power. pow_pair takes
-max(u, floor)**|p-1| from the same root, flooring after the power: roots and
-rounded products are monotone, so the bits are the same. Calls are compiled
-once into steps (ufunc, slot, slot, out slot), costing little beyond ufuncs.
+p = k/n, where n has a root chain, is a product of u, r = u**(1/n) and
+h = sqrt(u), the first root of every even chain. With j, m = divmod(|k|, n) it
+is h * r**(m - n/2) * u**j if n is even and m >= n/2, else r**m * u**j,
+multiplied left to right and inverted if k < 0, while its worst-case relative
+error stays within 1e-15 (ROOT_EXPONENTS); any other p uses np.power. pow_pair,
+for the solver's step, adds max(u**|p-1|, floor**|p-1|) from the same roots:
+max(u, floor)**|p-1| bit for bit, since roots and rounded products are monotone.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from typing import Callable
 
 import numpy as np
 
-# n: (root chain, worst relative error in units of 2**-53). sqrt rounds
-# correctly, np.cbrt gets one ulp (1.02 measured), a root divides prior error.
-_ROOTS = {1: ((), 0.0), 2: ((np.sqrt,), 1.0), 3: ((np.cbrt,), 2.0),
-          4: ((np.sqrt, np.sqrt), 1.5), 6: ((np.sqrt, np.cbrt), 1.0 / 3.0 + 2.0)}
-# slots: u, w (pow_fn's result), f, a root with no other home, p, |p-1|, g
-_U, _W, _F, _R, _P, _E, _G = range(7)
+_U, _H, _R, _W, _F, _P, _E, _G = range(8)  # slots: u, roots, outputs, p, |p-1|, floor**|p-1|
+# n: (root chain, worst relative error of r in units of 2**-53): sqrt rounds
+# correctly, np.cbrt gets one ulp (1.02 measured), a root divides prior error
+_CHAINS = {
+    1: ((), 0.0),
+    2: (((np.sqrt, _H),), 1.0),
+    3: (((np.cbrt, _R),), 2.0),
+    4: (((np.sqrt, _H), (np.sqrt, _R)), 1.0 / 2.0 + 1.0),
+    6: (((np.sqrt, _H), (np.cbrt, _R)), 1.0 / 3.0 + 2.0),
+}
 
 
-def _rule(p: float) -> tuple[int, int] | None:
-    """(k, n) with p = k/n if the root rule serves p, else None."""
-    q = Fraction(p).limit_denominator(6)
-    k, n = q.numerator, q.denominator
-    if k == 0 or n not in _ROOTS or abs(p - q) >= 1e-14:
+def _rule(p: float) -> tuple[int, tuple[int, ...], bool] | None:
+    """(n, factors, invert): u**p is the factors' product, inverted if invert; or None."""
+    if not abs(p) <= 11.0:  # the error bound fails beyond 11, and for inf or nan
+        return None
+    # p = k/n in lowest terms: n is the smallest denominator making p*n whole
+    n = min((n for n in _CHAINS if abs(p * n - round(p * n)) < 1e-14 * n), default=0)
+    k = round(p * n)
+    if k == 0:
         return None
     j, m = divmod(abs(k), n)
-    return (k, n) if m * _ROOTS[n][1] + j + m - 1 + (k < 0) <= 1e-15 * 2.0**53 else None
+    half = n % 2 == 0 and 2 * m >= n
+    factors = (_H,) * half + (_R,) * (m - half * n // 2) + (_U,) * j
+    # h is off by 1 unit and r by _CHAINS[n][1]; each product and 1/x add 1
+    error = half + factors.count(_R) * _CHAINS[n][1] + len(factors) - 1 + (k < 0)
+    return (n, factors, k < 0) if error <= 1e-15 * 2.0**53 else None
 
 
-# the error grows with |k|/n, so no |k| beyond 11 n qualifies
-ROOT_EXPONENTS = tuple(sorted(k / n for n in _ROOTS for k in range(-11 * n, 11 * n + 1)
-                              if _rule(k / n) == (k, n)))
+ROOT_EXPONENTS = tuple(sorted({k / n for n in _CHAINS for k in range(-11 * n, 11 * n + 1)
+                               if _rule(k / n) is not None}))
 
 
-def _root(k: int, n: int, out: int) -> tuple[list, int]:
-    """Steps building u**(1/n) in slot out (_R if |k| % n > 2), and its slot (u if n = 1)."""
-    r = _U if n == 1 else out if abs(k) % n <= 2 else _R
-    return [(root, r if i else _U, None, r) for i, root in enumerate(_ROOTS[n][0])], r
+def _steps(p: float, pair: bool) -> tuple[list, int]:
+    """Steps (ufunc, slot, slot or None, out) for u**p and, if pair, f; and u**p's slot."""
+    rule, rule_e = _rule(p), _rule(abs(p - 1.0))
+    if rule is None or (pair and rule_e is None):
+        steps = [(np.power, _U, _E, _F), (np.maximum, _F, _G, _F)] if pair else []
+        return steps + [(np.power, _U, _P, _W)], _W
+    n, factors, invert = rule
+    # the last root goes straight into w if w reads it among its first two
+    # factors, before w is first written; other roots get new arrays
+    chain = _CHAINS[n][0]
+    home = {chain[-1][1]: _W} if chain and chain[-1][1] not in factors[2:] else {}
+    steps, source = [], _U
+    for root, slot in chain:
+        steps.append((root, source, None, home.get(slot, slot)))
+        source = home.get(slot, slot)
+    for names, out in ([(rule_e[1], _F)] if pair else []) + [(factors, _W)]:
+        result, *rest = (home.get(slot, slot) for slot in names)
+        for slot in rest:
+            steps.append((np.multiply, result, slot, out))
+            result = out
+        if out == _F:
+            steps.append((np.maximum, result, _G, _F))
+    if invert:
+        steps.append((np.reciprocal, result, None, _W))
+        result = _W
+    return steps, result
 
 
-def _product(k: int, n: int, r: int, out: int) -> tuple[list, int]:
-    """Steps building u**(k/n) in slot out from u**(1/n) in slot r, and the
-    slot then holding u**(k/n): a lone factor is not copied."""
-    j, m = divmod(abs(k), n)
-    x, *rest = (r,) * m + (_U,) * j
-    steps = []
-    for y in rest:
-        steps.append((np.multiply, x, y, out))
-        x = out
-    if k < 0:
-        steps.append((np.reciprocal, x, None, out))
-        x = out
-    return steps, x
-
-
-def _single(p: float, exponent: int, out: int) -> list:
-    """Steps writing u**p into slot out; slot exponent holds p for np.power."""
-    rule = _rule(p)
-    if rule is None:
-        return [(np.power, _U, exponent, out)]
-    steps, r = _root(*rule, out)
-    more, x = _product(*rule, r, out)
-    return steps + more + [(np.positive, x, None, out)] * (x != out)
-
-
-def _run(steps: list, s: list) -> np.ndarray:
-    for op, a, b, out in steps:
-        s[out] = op(s[a], out=s[out]) if b is None else op(s[a], s[b], out=s[out])
-    return s[_W]
+def _run(steps: list, s: list) -> list:
+    for ufunc, a, b, out in steps:
+        if b is None:
+            s[out] = ufunc(s[a], out=s[out])
+        else:
+            s[out] = ufunc(s[a], s[b], out=s[out])
+    return s
 
 
 @cache  # the diagnostics ask for the same few exponents at every record
 def pow_fn(p: float) -> Callable[[np.ndarray], np.ndarray]:
-    """u -> u**p for an array u (not a scalar), as a new array."""
-    steps = _single(p, _P, _W)
-    return lambda u: _run(steps, [u, None, None, None, p])
+    """u -> u**p for an array u (not a scalar); u itself when p = 1."""
+    steps, result = _steps(p, pair=False)
+    return lambda u: _run(steps, [u, None, None, None, None, p])[result]
 
 
-def pow_pair(p: float, floor: float) -> Callable[..., np.ndarray]:
-    """pair(u, w, f) writes u**p into w and max(u, floor)**|p-1| into f; u
-    must be nonnegative, w and f preallocated arrays shaped like u."""
+def pow_pair(p: float, floor: float) -> Callable[..., list]:
+    """pair(u, w, f) writes u**p into w and max(u, floor)**|p-1| into f (u >= 0, p > 0)."""
     e = abs(p - 1.0)
     g = float(pow_fn(e)(np.array([floor]))[0])
-    rule, rule_e = _rule(p), _rule(e)
-    if rule is None or rule_e is None:
-        steps = _single(p, _P, _W) + _single(e, _E, _F) + [(np.maximum, _F, _G, _F)]
-    else:
-        # one root, built where pow_fn builds it, so f goes first
-        steps, r = _root(*rule, _W)
-        f_steps, floored = _product(rule_e[0], rule[1], r, _F)
-        steps += f_steps + [(np.maximum, floored, _G, _F)] + _product(*rule, r, _W)[0]
-    return lambda u, w, f: _run(steps, [u, w, f, None, p, e, g])
+    steps, _ = _steps(p, pair=True)  # for p > 0, u**p always lands in w
+    return lambda u, w, f: _run(steps, [u, None, None, w, f, p, e, g])

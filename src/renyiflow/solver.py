@@ -14,8 +14,8 @@ so the kernel makes as few calls as it can:
 - the stability geometry dr_i^2/(2 d p) and the face coefficients
   A_j/(r_j - r_{j-1}) are computed once per run;
 - every temporary is preallocated and written with out=;
-- one fractional root of u per step gives both w = u**p, computed as the
-  diagnostics compute it, and the stability factor max(u, floor)**|p-1|
+- one chain of fractional roots of u per step gives both w = u**p, with
+  the diagnostics' operations, and the stability factor max(u, floor)**|p-1|
   (see _pow.pow_pair; for p = 2/3, c = cbrt(u), w = c*c and the factor is
   max(c, cbrt(floor)));
 - the step bound cfl min_i dr_i^2/(2 d D_i), D_i = p max(u_i, floor)^(p-1),
