@@ -9,15 +9,27 @@ constant c_star,
 with unit mass. The source-type solution of the original flow is a dilation
 of B in the mu-scaling, mu = 2 + d(p-1). All reference functionals admit
 closed forms in terms of c_star; build_reference evaluates them and verifies
-mass/second-moment/entropy against adaptive quadrature before returning.
+mass, second moment and entropy by quadrature before returning.
+
+The quadrature needs nothing beyond numpy. Each checked integral is
+area * int r^a (c_star -+ r^2)^(+-g) dr. The exact change of variable
+r = sqrt(c_star) sin(theta) (p > 1) or sqrt(c_star) tan(theta) (p < 1) turns
+it into a constant times the integral of sin^a cos^(e-1) over [0, pi/2], and
+so also folds the power-law tail of p < 1 onto a finite interval.
+Gauss-Legendre on [0, pi/4] and [pi/4, pi/2] then integrates smooth
+functions, apart from the endpoint factor cos^(e-1) at pi/2. When e < 3,
+y = cos(theta) and the exact integral of the singular term y^(e-1) take that
+factor out (Davis & Rabinowitz, Methods of Numerical Integration, 2nd ed.,
+1984, ch. 2-3). The nodes are built at the first build_reference, not at
+import.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy import integrate
 
 from .grid import sphere_area
 from .params import ModelParams, ExponentSet, derive_exponents, unmet
@@ -121,34 +133,70 @@ def reference_functionals(params: ModelParams, c_star: float | None = None) -> d
     return {"mass": 1.0, "theta": theta, "entropy": entropy, "fisher": fisher}
 
 
-def _quad_moment(params: ModelParams, c_star: float, weight: str) -> float:
-    """Adaptive-quadrature value of a radial profile integral.
+# Gauss-Legendre nodes per piece. Over d from 1 to 8 and p from just
+# above max(0, 1 - 2/d) to 100, the worst relative error against the closed
+# forms is 1.6e-12, except where rounding dominates: within 1e-3 of p = 1
+# (4e-12 at p = 0.9996), and at the threshold p = d/(d+2) of finite moments,
+# where the closed forms themselves cancel.
+_NODES = 200
 
-    weight: 'mass' -> B, 'theta' -> (r^2/d) B, 'entropy' -> B^p.
+
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the rule on [0, 1], built on first use."""
+    x, w = np.polynomial.legendre.leggauss(_NODES)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _gauss(f, lo: float, hi: float) -> float:
+    """Integral of the vectorized f over [lo, hi] by the rule."""
+    s, w = _gauss_legendre()
+    return (hi - lo) * float(w @ f(lo + (hi - lo) * s))
+
+
+def _quad_moment(params: ModelParams, c_star: float, weight: str) -> float:
+    """Gauss-Legendre value of a radial profile integral.
+
+    weight: 'mass' -> B, 'theta' -> (r^2/d) B, 'entropy' -> B^p. The integral
+    is area * int r^a (c -+ r^2)^(+-g) dr with a = d - 1 (d + 1 for theta)
+    and g = 1/|p-1| (p/|p-1| for entropy). An exact change of variable maps
+    it to area * c^k * int_0^(pi/2) sin^a(t) cos^(e-1)(t) dt:
+
+    - p > 1: r = sqrt(c) sin(t), c - r^2 = c cos^2(t), k = (a+1)/2 + g and
+      e = 2g + 2;
+    - p < 1: r = sqrt(c) tan(t), c + r^2 = c / cos^2(t), k = (a+1)/2 - g and
+      e = 2g - a - 1 > 0; the power-law tail r -> inf becomes t -> pi/2.
+
+    Nothing is cut off, so only the Gauss rule approximates, and it sees
+    smooth functions. On [0, pi/4] sin^a cos^(e-1) is analytic (a is whole);
+    a large e (p near 1) confines it to t of a few 1/sqrt(e), so that piece
+    splits at 10/sqrt(e). On [pi/4, pi/2] the one singular factor is
+    cos^(e-1) at pi/2. For e >= 3 it has two continuous derivatives. For
+    e < 3, y = cos(t) gives int_0^y0 h(y) y^(e-1) dy with
+    h = (1 - y^2)^((a-1)/2) and y0 = cos(pi/4); the singular part
+    h(0) y^(e-1) integrates exactly to y0^e / e, and the rule takes the rest,
+    (h(y) - 1) y^(e-1) = O(y^(e+1)). That holds for tiny e too, where the
+    tail carries almost all the mass.
     """
     d, p = params.d, params.p
-    area = sphere_area(d)
-
-    def integrand(r: float) -> float:
-        b = float(profile_density(r, params, c_star=c_star))
-        if weight == "theta":
-            b *= r * r / d
-        elif weight == "entropy":
-            b = b**p
-        return area * r ** (d - 1) * b
-
-    edge = math.sqrt(c_star)
+    a = d + 1 if weight == "theta" else d - 1
+    g = (p if weight == "entropy" else 1.0) / abs(p - 1.0)
     if p > 1.0:
-        val, _ = integrate.quad(integrand, 0.0, edge, limit=200)
-        return val
-    inner, _ = integrate.quad(integrand, 0.0, 10.0 * edge, limit=200)
-    # Substituting t = 1/r turns the power-law tail into an integrable
-    # endpoint singularity t**(eps-1); the adaptive rule resolves that even
-    # when eps is tiny and no direct cutoff could reach the tail mass.
-    outer, _ = integrate.quad(
-        lambda t: integrand(1.0 / t) / (t * t), 0.0, 1.0 / (10.0 * edge),
-        limit=200)
-    return inner + outer
+        scale, e = c_star ** ((a + 1) / 2.0 + g), 2.0 * g + 2.0
+    else:
+        scale, e = c_star ** ((a + 1) / 2.0 - g), 2.0 * g - a - 1.0
+    bump = lambda t: np.sin(t) ** a * np.cos(t) ** (e - 1.0)
+    quarter = 0.25 * math.pi
+    split = min(quarter, 10.0 / math.sqrt(e))
+    total = _gauss(bump, 0.0, split) + _gauss(bump, split, quarter)
+    if e < 3.0:
+        rest = lambda y: np.expm1((a - 1) / 2.0 * np.log1p(-y * y)) * y ** (e - 1.0)
+        y0 = math.sqrt(0.5)
+        total += y0**e / e + _gauss(rest, 0.0, y0)
+    else:
+        total += _gauss(bump, quarter, 2.0 * quarter)
+    val = sphere_area(d) * scale * total
+    return val / d if weight == "theta" else val
 
 
 def build_reference(params: ModelParams) -> BarenblattReference:

@@ -47,11 +47,9 @@ import json
 import math
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erfc
 
 from .barenblatt import BarenblattReference, build_reference, self_similar_density
 from .checks import CHECK_NAMES, CheckResult, compatible_checks, incompatibility, run_checks
@@ -115,24 +113,31 @@ def _fail(field: str, message: str) -> ConfigError:
 
 
 def _as_number(value, field: str) -> float:
-    """Accept JSON numbers and exact fraction strings like '2/3'."""
+    """Accept finite JSON numbers and exact fraction strings like '2/3'."""
     if isinstance(value, bool):
         raise _fail(field, f"expected a number, got {value!r}")
+    x = None
     if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
+        # an int beyond the double range counts as infinite
+        x = float(value) if abs(value) < 2**1024 else math.inf
+    elif isinstance(value, str):
         parts = value.split("/")
         try:
-            terms = [float(x) for x in parts] if len(parts) in (1, 2) else None
+            terms = [float(s) for s in parts] if len(parts) in (1, 2) else None
         except ValueError:
             terms = None
         if terms is not None:
             if len(terms) == 2:
                 if terms[1] == 0.0:
                     raise _fail(field, "fraction has zero denominator")
-                return terms[0] / terms[1]
-            return terms[0]
-    raise _fail(field, f"expected a number or 'a/b' fraction string, got {value!r}")
+                x = terms[0] / terms[1]
+            else:
+                x = terms[0]
+    if x is None:
+        raise _fail(field, f"expected a number or 'a/b' fraction string, got {value!r}")
+    if not math.isfinite(x):
+        raise _fail(field, f"must be finite, got {value!r}")
+    return x
 
 
 def _as_int(value, field: str) -> int:
@@ -320,7 +325,7 @@ def build_initial_state(config: ExperimentConfig) -> DensityState:
         f = lambda r: np.exp(-((r / w) ** 2))
     elif kind == "indicator":
         rad, sm = datum["radius"], datum["smoothing"]
-        f = lambda r: 0.5 * erfc((r - rad) / sm)
+        f = lambda r: 0.5 * np.array([math.erfc(z) for z in ((r - rad) / sm).tolist()])
     else:  # table
         rv = np.asarray(datum["r"])
         uv = np.asarray(datum["u"])
@@ -407,6 +412,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
                         reference=reference)
     # written before the checks, so a check that raises keeps the trajectory
     write_trajectory_csv(out / "trajectory.csv", trajectory)
+    if trajectory.records[-1].t != config.t_end:
+        raise RuntimeError(
+            f"trajectory ends at t={trajectory.records[-1].t!r}, not at "
+            f"t_end={config.t_end!r}; its trajectory.csv is kept, no check ran")
     results = run_checks(
         config.checks, trajectory, config.params, reference,
         tol_scale=tol_scale, expected_tau=config.expected_tau,
@@ -547,6 +556,8 @@ def cmd_sweep(args) -> int:
     out_root = Path(args.out) if args.out else Path("out")
     jobs = [(p, str(out_root), args.tol_scale) for p in paths]
     if args.parallel > 1 and len(paths) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.parallel) as pool:
             rows = list(pool.map(_sweep_worker, jobs))
     else:

@@ -23,11 +23,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from ._pow import pow_fn
 from .barenblatt import BarenblattReference
-from .grid import RadialGrid, build_grid
+from .grid import RadialGrid, build_grid, cumulative_trapezoid
 from .params import EDGE_TOL, ModelParams, RegimeError, require
 
 # Resolved second-difference windows whose right side is below this
@@ -281,8 +280,8 @@ def deficit_identity_check(trajectory, params: ModelParams,
     j_star = reference.j_star
 
     weighted = (1.0 - p) * e ** (ex.sigma - 2.0) * rem
-    p_series = cumulative_trapezoid(weighted, t, initial=0.0)
-    p_raw = cumulative_trapezoid((1.0 - p) * rem, t, initial=0.0)
+    p_series = cumulative_trapezoid(weighted, t)
+    p_raw = cumulative_trapezoid((1.0 - p) * rem, t)
 
     monotone_worst = float(-np.diff(p_series).min())
     budget = j[0] - j_star

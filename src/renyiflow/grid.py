@@ -20,6 +20,13 @@ def sphere_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
+def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of samples y over points x, starting at 0;
+    the operations of scipy.integrate.cumulative_trapezoid(y, x, initial=0),
+    so its bits too."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -104,7 +111,7 @@ def build_grid(d: int, r_max: float, n: int, stretch: float = 1.0) -> RadialGrid
 
     stretch is the ratio of consecutive cell widths; 1 gives a uniform grid.
     """
-    if r_max <= 0.0:
+    if not r_max > 0.0:  # a NaN fails it too
         raise ValueError(f"r_max must be positive, got {r_max}")
     if n < 16:
         raise ValueError(f"need at least 16 cells, got {n}")

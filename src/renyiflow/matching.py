@@ -17,11 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .barenblatt import BarenblattReference
 from .functionals import FunctionalRecord, _second_moment, relative_entropy
-from .grid import DensityState
+from .grid import DensityState, cumulative_trapezoid
 from .params import ModelParams, require, unmet
 
 # Relative H-gap and Cauchy-Schwarz slack below which the quadratic drop
@@ -160,14 +159,14 @@ def _upper_series(recs: list[FunctionalRecord], qbar: np.ndarray,
     """
     ex = reference.exponents
     t = np.array([r.t for r in recs]) - recs[0].t
-    inner = cumulative_trapezoid(qbar - 1.0, t, initial=0.0)
+    inner = cumulative_trapezoid(qbar - 1.0, t)
     denom = t + recs[0].theta / (ex.mu * recs[0].entropy) - (ex.eta / ex.mu) * inner
     if (denom <= 0.0).any():
         raise MatchingError(
             "inner denominator of the delay bound became nonpositive; "
             "record more often"
         )
-    outer = cumulative_trapezoid(1.0 / denom, t, initial=0.0)
+    outer = cumulative_trapezoid(1.0 / denom, t)
     return recs[0].tau * np.exp(outer) - t
 
 

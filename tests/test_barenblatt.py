@@ -3,7 +3,9 @@
 The frozen constants below were produced by this code path and then
 independently confirmed by adaptive quadrature of the defining integrals
 (see test_acceptance for the full five-pair quadrature sweep); they pin the
-closed forms against regressions at 1e-9 relative.
+closed forms against regressions at 1e-9 relative. build_reference's own
+cross-check (Gauss-Legendre after exact substitutions, numpy only) is held
+to the closed forms over a (d, p) sweep and to scipy's adaptive quadrature.
 """
 import math
 
@@ -12,7 +14,9 @@ import pytest
 from scipy import integrate
 
 import renyiflow as rf
-from renyiflow.barenblatt import normalization_constant, reference_functionals
+from renyiflow import barenblatt
+from renyiflow.barenblatt import _quad_moment, normalization_constant, reference_functionals
+from renyiflow.grid import sphere_area
 
 FROZEN = {
     (1, 2.0): dict(c_star=0.8254818122236569, theta=0.1650963624447314,
@@ -116,3 +120,93 @@ def test_near_critical_tail_still_verifies():
 def test_functionals_infinite_below_moment_threshold():
     vals = reference_functionals(rf.ModelParams(3, 0.55))
     assert vals["theta"] == math.inf and vals["entropy"] == math.inf
+
+
+def _sweep_ps(d):
+    """p from just above max(0, 1 - 2/d) through both regimes up to 100, and
+    just above d/(d+2), where the second moment becomes finite. Points right
+    at d/(d+2) are left out: there the closed forms for theta and entropy
+    divide by (d+2)p - d and lose every digit to cancellation."""
+    lo = max(0.0, 1.0 - 2.0 / d)
+    below = lo + (1.0 - lo) * np.array([0.01, 0.03, 0.07, 0.15, 0.25, 0.35, 0.45, 0.55,
+                                        0.65, 0.75, 0.85, 0.95, 0.99, 0.999])
+    return [float(p) for p in np.concatenate(
+        [below, [d / (d + 2.0) + 1e-4], np.geomspace(1.001, 100.0, 25)])]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8])
+def test_quadrature_matches_closed_forms(d):
+    # measured worst: 1.6e-12, and 4e-12 within 1e-3 of p = 1 (rounding)
+    worst = 0.0
+    for p in _sweep_ps(d):
+        params = rf.ModelParams(d, p)
+        c_star = normalization_constant(params)
+        vals = reference_functionals(params, c_star=c_star)
+        for key in ("mass", "theta", "entropy"):
+            if math.isfinite(vals[key]):
+                q = _quad_moment(params, c_star, key)
+                worst = max(worst, abs(q - vals[key]) / vals[key])
+    assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("d,p", [(3, 0.34), (8, 0.76), (3, 0.600001), (5, 0.7142867),
+                                 (3, 0.99999), (3, 1.000001), (8, 1.000001)])
+def test_cross_check_holds_near_thresholds(d, p):
+    # a vanishing e (p -> 1 - 2/d, p -> d/(d+2)) or a huge one (p -> 1)
+    # must not cost the cross-check its 1e-8 budget
+    rf.build_reference(rf.ModelParams(d, p))
+
+
+def _scipy_moment(d, p, c_star, weight):
+    """The same integral by adaptive quadrature of the profile formula, the
+    power-law tail under r = 1/t."""
+    params = rf.ModelParams(d, p)
+
+    def integrand(r):
+        b = float(rf.profile_density(r, params, c_star=c_star))
+        b = b**p if weight == "entropy" else b * r * r / d if weight == "theta" else b
+        return sphere_area(d) * r ** (d - 1) * b
+
+    opts = dict(limit=400, epsabs=0.0, epsrel=1e-13)
+    edge = math.sqrt(c_star)
+    if p > 1.0:
+        return integrate.quad(integrand, 0.0, edge, **opts)[0]
+    inner = integrate.quad(integrand, 0.0, 10.0 * edge, **opts)[0]
+    outer = integrate.quad(lambda t: integrand(1.0 / t) / (t * t), 0.0, 0.1 / edge, **opts)[0]
+    return inner + outer
+
+
+@pytest.mark.parametrize("d,p", [(1, 0.3), (1, 3.0), (2, 0.6), (2, 1.2), (3, 0.7),
+                                 (3, 2.0), (4, 0.8), (5, 0.9), (5, 10.0), (8, 0.85),
+                                 (8, 1.5)])
+def test_quadrature_matches_scipy_quad(d, p):
+    params = rf.ModelParams(d, p)
+    c_star = normalization_constant(params)
+    for key in ("mass", "theta", "entropy"):
+        if math.isfinite(reference_functionals(params, c_star=c_star)[key]):
+            want = _scipy_moment(d, p, c_star, key)
+            assert _quad_moment(params, c_star, key) == pytest.approx(want, rel=1e-10), key
+
+
+@pytest.mark.parametrize("d,p", [(1, 2.0), (3, 2.0 / 3.0)])
+@pytest.mark.parametrize("key", ["theta", "entropy"])
+def test_closed_form_off_by_1e_7_is_caught(monkeypatch, d, p, key):
+    exact = barenblatt.reference_functionals
+
+    def skewed(params, c_star=None):
+        vals = exact(params, c_star=c_star)
+        vals[key] *= 1.0 + 1e-7
+        return vals
+
+    monkeypatch.setattr(barenblatt, "reference_functionals", skewed)
+    with pytest.raises(RuntimeError, match=f"closed-form {key}"):
+        rf.build_reference(rf.ModelParams(d, p))
+
+
+@pytest.mark.parametrize("d,p", [(1, 2.0), (3, 2.0 / 3.0)])
+def test_normalization_off_by_1e_7_is_caught(monkeypatch, d, p):
+    exact = barenblatt.normalization_constant
+    monkeypatch.setattr(barenblatt, "normalization_constant",
+                        lambda params: exact(params) * (1.0 + 1e-7))
+    with pytest.raises(RuntimeError, match="profile mass"):
+        rf.build_reference(rf.ModelParams(d, p))

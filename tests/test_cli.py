@@ -107,6 +107,11 @@ def test_barenblatt_datum_pins_expected_tau():
     (dict(grid={"r_max": 6.0, "n": 12}), "at least 16 cells"),
     (dict(grid={"r_max": -1.0, "n": 64}), "r_max must be positive"),
     (dict(grid=[6.0, 64, 0.5]), "stretch must be >= 1"),
+    (dict(grid={"r_max": 6.0, "n": 1e999}), "must be finite"),
+    (dict(grid={"r_max": math.nan, "n": 64}), "must be finite"),
+    # parsed only: evolving it would schedule records without end
+    (dict(t_end=1e999), "must be finite"),
+    (dict(grid={"r_max": 10**400, "n": 64}), "must be finite"),
 ])
 def test_parse_rejections(mutation, fragment):
     with pytest.raises(ConfigError) as err:
@@ -375,3 +380,25 @@ def test_sweep_records_unexpected_error_and_continues(tmp_path, capsys, monkeypa
     assert good["label"] == "b_good" and good["all_passed"] is True
     assert (tmp_path / "out" / "b_good" / "trajectory.csv").exists()
     assert "ERROR: unexpected error" in capsys.readouterr().out
+
+
+def test_truncated_trajectory_stops_before_checks(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path / "ok.json", tiny_config())
+    assert main(["run", path, "--out", str(tmp_path / "clean")]) == 0
+    evolve = cli.evolve
+
+    def truncated(*args, **kwargs):
+        trajectory = evolve(*args, **kwargs)
+        trajectory.records.pop()
+        return trajectory
+
+    checked = []
+    monkeypatch.setattr(cli, "evolve", truncated)
+    monkeypatch.setattr(cli, "run_checks", lambda *a, **kw: checked.append(a))
+    assert main(["run", path, "--out", str(tmp_path / "cut")]) == 3
+    assert not checked
+    assert "not at t_end=0.05" in capsys.readouterr().err
+    # the trajectory is kept as recorded, and no report claims a verdict
+    clean = (tmp_path / "clean" / "trajectory.csv").read_text().splitlines()
+    assert (tmp_path / "cut" / "trajectory.csv").read_text().splitlines() == clean[:-1]
+    assert not (tmp_path / "cut" / "report.json").exists()

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import cumulative_trapezoid as scipy_cumulative_trapezoid
 
 import renyiflow as rf
-from renyiflow.grid import sphere_area
+from renyiflow.grid import cumulative_trapezoid, sphere_area
 
 
 def test_sphere_area_values():
@@ -44,6 +45,7 @@ def test_stretched_grid_geometry():
     dict(d=1, r_max=-1.0, n=64),
     dict(d=1, r_max=1.0, n=8),
     dict(d=1, r_max=1.0, n=64, stretch=0.9),
+    dict(d=1, r_max=math.nan, n=64),
 ])
 def test_build_grid_rejections(kwargs):
     with pytest.raises(ValueError):
@@ -89,3 +91,14 @@ def test_project_initial_rejections():
         rf.project_initial(lambda r: np.ones(3), grid)        # wrong shape
     with pytest.raises(ValueError):
         rf.project_initial(lambda r: np.full_like(r, np.nan), grid)
+
+
+@settings(max_examples=200)
+@given(y=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60),
+       steps=st.lists(st.floats(1e-6, 10.0), min_size=59, max_size=59),
+       t0=st.floats(-10.0, 10.0))
+def test_cumulative_trapezoid_is_scipys_bit_for_bit(y, steps, t0):
+    y = np.array(y)
+    t = t0 + np.cumsum([0.0] + steps[: y.size - 1])
+    got = cumulative_trapezoid(y, t)
+    assert got.tobytes() == scipy_cumulative_trapezoid(y, t, initial=0.0).tobytes()

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, strategies as st
 
-from renyiflow._pow import ROOT_EXPONENTS, pow_fn, pow_pair
+from renyiflow._pow import ROOT_EXPONENTS, _rule, pow_fn, pow_pair
 
 # the flow exponents the rule serves with u**p finite for u up to 1e100
 PAIR_EXPONENTS = tuple(q for q in ROOT_EXPONENTS if 0.0 < q <= 3.0)
@@ -63,3 +63,20 @@ def test_pow_fn_matches_extended_precision(t):
             u = np.append(u, 0.0)
         np.testing.assert_allclose(pow_fn(p)(u), u.astype(np.longdouble) ** _exact(p)[0],
                                    rtol=1e-15, atol=0.0, err_msg=f"p = {p}")
+
+
+def test_served_exponents_are_frozen():
+    # random inputs seldom reach the rule's worst-case error bound, so the
+    # tests above would pass with a looser budget; the served set pins it
+    # (a budget of 3e-15 would serve 176 exponents)
+    assert len(ROOT_EXPONENTS) == 102
+    assert (ROOT_EXPONENTS[0], ROOT_EXPONENTS[-1]) == (-9.0, 10.0)
+    by_denominator = {}
+    for p in ROOT_EXPONENTS:
+        n = Fraction(p).limit_denominator(6).denominator
+        by_denominator[n] = by_denominator.get(n, 0) + 1
+    assert by_denominator == {1: 19, 2: 17, 3: 24, 4: 26, 6: 16}
+    for p in (17 / 6, -17 / 6, -11 / 6):
+        assert p not in ROOT_EXPONENTS and _rule(p) is None
+        u = np.array([0.5, 2.0, 3.0])
+        assert pow_fn(p)(u).tobytes() == np.power(u, p).tobytes()
