@@ -334,10 +334,12 @@ def build_initial_state(config: ExperimentConfig) -> DensityState:
 
 
 def write_trajectory_csv(path: Path, trajectory) -> None:
-    lines = [",".join(CSV_COLUMNS)]
-    for rec in trajectory.records:
-        lines.append(",".join("%.17g" % getattr(rec, f) for f in _CSV_FIELDS))
-    path.write_text("\n".join(lines) + "\n")
+    """One row per record, written as it is formatted: the file is never
+    held in memory whole."""
+    with path.open("w") as f:
+        f.write(",".join(CSV_COLUMNS) + "\n")
+        for rec in trajectory.records:
+            f.write(",".join("%.17g" % getattr(rec, name) for name in _CSV_FIELDS) + "\n")
 
 
 def _check_payload(result: CheckResult) -> dict:
@@ -474,8 +476,13 @@ def _run_path(path: str, out_root: str | None, tol_scale: float,
     except (StiffnessError, InstabilityError) as e:
         return label, None, f"solver abort: {e}"
     except Exception as e:
-        traceback.print_exc()
-        return label, None, f"unexpected error: {type(e).__name__}: {e}"
+        return label, None, _unexpected_error(e)
+
+
+def _unexpected_error(e: Exception) -> str:
+    """Print the traceback on stderr; the message maps to exit 3."""
+    traceback.print_exc()
+    return f"unexpected error: {type(e).__name__}: {e}"
 
 
 def _sweep_worker(args: tuple[str, str | None, float]) -> tuple[str, dict | None, str | None]:
@@ -542,7 +549,10 @@ def cmd_reference(args) -> int:
     except (ParameterDomainError, RegimeError, ConfigError, ValueError) as e:
         print(f"invalid parameters: {e}", file=sys.stderr)
         return 2
-    reference = build_reference(params)
+    try:
+        reference = build_reference(params)
+    except Exception as e:
+        return _exit_code("reference", None, _unexpected_error(e))
     print(_dump_json(_reference_payload(reference)), end="")
     return 0
 

@@ -227,9 +227,11 @@ def extremality_test(params: ModelParams, reference: BarenblattReference,
         wp = TestFunction(tf.grid, np.maximum(tf.w + eps * shapes[0], 0.0))
         small_gaps.append(gn_quotient(wp, gn, params.d) - q0)
     if all(g > 0.0 for g in small_gaps):
+        # least-squares line through the centred points (no LAPACK)
         x = np.log(np.array(eps_small))
         y = np.log(np.array(small_gaps))
-        slope = float(np.polyfit(x, y, 1)[0])
+        x -= x.mean()
+        slope = float(x @ (y - y.mean()) / (x @ x))
 
     return {
         "q0": q0,

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from renyiflow.cli import (
     parse_config,
     run_experiment,
 )
+from renyiflow.functionals import FunctionalRecord
+from renyiflow.solver import Trajectory
 
 TINY = {
     "d": 1,
@@ -402,3 +406,50 @@ def test_truncated_trajectory_stops_before_checks(tmp_path, capsys, monkeypatch)
     clean = (tmp_path / "clean" / "trajectory.csv").read_text().splitlines()
     assert (tmp_path / "cut" / "trajectory.csv").read_text().splitlines() == clean[:-1]
     assert not (tmp_path / "cut" / "report.json").exists()
+
+
+@pytest.mark.parametrize("d,p", [("3", "0.600000001"), ("1", "1.0000001")])
+def test_main_reference_unexpected_error_exit(capsys, d, p):
+    # next to d/(d+2) and to 1 the closed forms lose their digits and the
+    # cross-check raises: a failed run (exit 3), never a failed check (exit 1)
+    assert main(["reference", "--d", d, "--p", p]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err
+    assert "reference: unexpected error: RuntimeError" in captured.err
+
+
+def _synthetic_trajectory(values):
+    """A trajectory whose records cycle through the given column values."""
+    fields = [f.name for f in dataclasses.fields(FunctionalRecord) if f.name != "flags"]
+    records = [FunctionalRecord(**{name: values[(k + i) % len(values)]
+                                   for i, name in enumerate(fields)})
+               for k in range(len(values))]
+    return Trajectory(records=records)
+
+
+def test_streamed_csv_matches_joined_rendering(tmp_path):
+    values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+              1e308, 1.7976931348623157e308, 0.1 + 0.2, 1.0 / 3.0, -math.pi,
+              np.float64(2.0) / 3.0, 123456789.01234567, 1e-17, 2.0, -7.5e-310]
+    trajectory = _synthetic_trajectory(values)
+    cli.write_trajectory_csv(tmp_path / "t.csv", trajectory)
+    lines = [",".join(CSV_COLUMNS)]
+    for rec in trajectory.records:
+        lines.append(",".join("%.17g" % getattr(rec, f) for f in cli._CSV_FIELDS))
+    assert (tmp_path / "t.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_streamed_csv_memory_stays_flat(tmp_path):
+    # 4,001 records, as the densest benchmark run keeps: the joined text is
+    # ~1.4 MB, while writing row by row holds one row and the file buffer
+    rng = np.random.default_rng(7)
+    trajectory = _synthetic_trajectory([float(x) for x in rng.standard_normal(4001)])
+    tracemalloc.start()
+    try:
+        cli.write_trajectory_csv(tmp_path / "t.csv", trajectory)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "t.csv").stat().st_size > 1_000_000
+    assert peak < 256 * 1024
