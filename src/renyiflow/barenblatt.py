@@ -32,23 +32,33 @@ from functools import cache
 import numpy as np
 
 from .grid import sphere_area
-from .params import ModelParams, ExponentSet, derive_exponents, unmet
+from .params import ModelParams, ExponentSet, ParameterDomainError, derive_exponents, unmet
 
 
 def normalization_constant(params: ModelParams) -> float:
     """Mass-normalizing constant c_star of the stationary profile.
 
-    Computed in log space via lgamma so large 1/(p-1) stays stable.
+    Computed in log space via lgamma so large 1/(p-1) stays stable. Raises
+    ParameterDomainError when c_star exceeds the double range, as it does
+    for p just above the mass-loss threshold max(0, 1 - 2/d) at d >= 2.
     """
     d, p = params.d, params.p
     half_log_pi = 0.5 * d * math.log(math.pi)
     if p > 1.0:
         beta = 1.0 / (p - 1.0)
         log_bracket = half_log_pi + math.lgamma(beta + 1.0) - math.lgamma(beta + 1.0 + d / 2.0)
-        return math.exp(-log_bracket / (beta + d / 2.0))
-    alpha = 1.0 / (1.0 - p)
-    log_bracket = half_log_pi + math.lgamma(alpha - d / 2.0) - math.lgamma(alpha)
-    return math.exp(log_bracket / (alpha - d / 2.0))
+        log_c = -log_bracket / (beta + d / 2.0)
+    else:
+        alpha = 1.0 / (1.0 - p)
+        log_bracket = half_log_pi + math.lgamma(alpha - d / 2.0) - math.lgamma(alpha)
+        log_c = log_bracket / (alpha - d / 2.0)
+    try:
+        return math.exp(log_c)
+    except OverflowError:
+        raise ParameterDomainError(
+            f"p = {p} is too close to the mass-loss threshold at d = {d}: the "
+            f"profile constant c_star = exp({log_c:.6g}) exceeds the double range"
+        ) from None
 
 
 def profile_density(r: np.ndarray | float, params: ModelParams, c_star: float | None = None) -> np.ndarray:

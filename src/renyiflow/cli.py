@@ -51,8 +51,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .barenblatt import BarenblattReference, build_reference, self_similar_density
+from .barenblatt import (BarenblattReference, build_reference, normalization_constant,
+                         self_similar_density)
 from .checks import CHECK_NAMES, CheckResult, compatible_checks, incompatibility, run_checks
+from .functionals import FunctionalRecord
 from .gn import DEFAULT_SEED
 from .grid import DensityState, build_grid, project_initial
 from .params import ModelParams, ParameterDomainError, RegimeError
@@ -225,6 +227,10 @@ def parse_config(document: dict | str, label: str = "config") -> ExperimentConfi
         params = ModelParams(d, p)
     except (ParameterDomainError, RegimeError, ValueError) as e:
         raise ConfigError(f"config field 'd'/'p': {e}") from e
+    try:
+        normalization_constant(params)
+    except ParameterDomainError as e:
+        raise _fail("p", str(e)) from e
 
     datum = _parse_datum(document["initial_datum"], p)
 
@@ -342,6 +348,30 @@ def write_trajectory_csv(path: Path, trajectory) -> None:
             f.write(",".join("%.17g" % getattr(rec, name) for name in _CSV_FIELDS) + "\n")
 
 
+# Record fields that may be non-finite, each with the flag that explains it:
+# no match time without a finite profile moment, and q = inf when no face
+# carries a slope.
+_FLAGGED_NON_FINITE = {
+    "s_match": "moments_infinite",
+    "tau": "moments_infinite",
+    "rel_entropy": "moments_infinite",
+    "q_ratio": "q_degenerate",
+}
+_RECORD_NUMBERS = tuple(f.name for f in dataclasses.fields(FunctionalRecord)
+                        if f.name != "flags")
+
+
+def _non_finite_field(trajectory) -> str | None:
+    """The first record field that is non-finite without a flag that
+    explains it, described with its time and value, or None."""
+    for rec in trajectory.records:
+        for name in _RECORD_NUMBERS:
+            value = getattr(rec, name)
+            if not math.isfinite(value) and _FLAGGED_NON_FINITE.get(name) not in rec.flags:
+                return f"{name}={value!r} at t={rec.t!r}"
+    return None
+
+
 def _check_payload(result: CheckResult) -> dict:
     body = {
         "name": result.name,
@@ -418,6 +448,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
         raise RuntimeError(
             f"trajectory ends at t={trajectory.records[-1].t!r}, not at "
             f"t_end={config.t_end!r}; its trajectory.csv is kept, no check ran")
+    bad = _non_finite_field(trajectory)
+    if bad is not None:
+        raise RuntimeError(
+            f"trajectory has a non-finite record field, {bad}; its "
+            "trajectory.csv is kept, no check ran")
     results = run_checks(
         config.checks, trajectory, config.params, reference,
         tol_scale=tol_scale, expected_tau=config.expected_tau,
@@ -435,6 +470,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
             "t_end": config.t_end,
             "clipped_mass": trajectory.clipped_mass,
             "limited_steps": trajectory.limited_steps,
+            "u_floor": trajectory.u_floor,
             "wall_time": trajectory.wall_time,
         },
         "checks": [_check_payload(r) for r in results],
@@ -546,6 +582,7 @@ def cmd_verify(args) -> int:
 def cmd_reference(args) -> int:
     try:
         params = ModelParams(args.d, _as_number(args.p, "--p"))
+        normalization_constant(params)
     except (ParameterDomainError, RegimeError, ConfigError, ValueError) as e:
         print(f"invalid parameters: {e}", file=sys.stderr)
         return 2

@@ -8,17 +8,27 @@ face rates so no cell can overdraw its mass within one step; this keeps the
 state nonnegative without clipping even in fast-diffusion tails where the
 local stability bound is intentionally relaxed by the diffusivity floor.
 
+The step bound is the scheme's own monotone bound. Linearised, the update is
+m_i' = m_i + dt sum_j c_j (w_nb - w_i) over the faces j of cell i, with
+c_j = A_j/(r_j - r_{j-1}), so the coefficient on m_i is
+1 - dt D_i reach_i / V_i, where D_i = p u_i**(p-1) and reach_i is the sum of
+cell i's face coefficients (the zero-flux faces at r = 0 and r_max add
+nothing). It stays nonnegative while dt <= V_i / (D_i reach_i). On uniform
+grids that is dr**2/(2 D_i) in the interior for every d (exactly so in
+d = 1 and 2), where the textbook bound dr**2/(2 d D_i) is d times smaller;
+at cell 0 of a d = 3 grid it is dr**2/(3 D_i).
+
 evolve() holds the only stepping code, one fused kernel. At these grid sizes
 (about 1000 cells) a step costs numpy call overhead rather than arithmetic,
 so the kernel makes as few calls as it can:
-- the stability geometry dr_i^2/(2 d p) and the face coefficients
-  A_j/(r_j - r_{j-1}) are computed once per run;
+- the face coefficients c_j and the stability geometry V_i/(p reach_i)
+  are computed once per run;
 - every temporary is preallocated and written with out=;
 - one chain of fractional roots of u per step gives both w = u**p, with
   the diagnostics' operations, and the stability factor max(u, floor)**|p-1|
   (see _pow.pow_pair; for p = 2/3, c = cbrt(u), w = c*c and the factor is
   max(c, cbrt(floor)));
-- the step bound cfl min_i dr_i^2/(2 d D_i), D_i = p max(u_i, floor)^(p-1),
+- the step bound cfl min_i V_i/(D_i reach_i), D_i = p max(u_i, floor)^(p-1),
   is read as cfl min(geometry * factor) for p < 1 and as
   cfl / max(factor / geometry) for p > 1, so neither regime divides by zero;
 - the limiter and clipping live in a cold helper, entered only when
@@ -56,8 +66,10 @@ class SolverConfig:
     cfl: float = 0.9
     dt_max: float = math.inf
     dt_min: float = 0.0
-    # None resolves to 0 for p > 1 and 1e-10 * max(u0) for p < 1; the floor
-    # enters only the diffusivity used in the step-size bound, never the state.
+    # None resolves to 0 for p > 1 and eps * max(u0) for p < 1 (eps the
+    # double epsilon); the floor enters only the diffusivity used in the
+    # step-size bound, never the state. A higher floor lets front dust (cells
+    # far below max u) take steps its own bound would refuse.
     u_floor: float | None = None
     record_every: float = 0.05
     # Explicit record offsets from the initial time (strictly increasing,
@@ -86,16 +98,21 @@ class SolverConfig:
 def resolve_u_floor(config: SolverConfig, params: ModelParams, u_max: float) -> float:
     if config.u_floor is not None:
         return config.u_floor
-    return 0.0 if params.p > 1.0 else 1e-10 * u_max
+    return 0.0 if params.p > 1.0 else float(np.finfo(float).eps) * u_max
 
 
-def _stability_geometry(grid: RadialGrid, p: float) -> np.ndarray:
-    return grid.widths * grid.widths / (2.0 * grid.d * p)
+def _stability_geometry(grid: RadialGrid, coef: np.ndarray, p: float) -> np.ndarray:
+    """V_i / (p reach_i), reach_i the sum of cell i's face coefficients coef
+    (the (n-1,) interior faces; the boundary faces carry no flux)."""
+    reach = np.zeros(grid.n)
+    reach[:-1] += coef
+    reach[1:] += coef
+    return grid.volumes / (p * reach)
 
 
 def _bound_dt(factor, geometry, fast: bool, config: SolverConfig, out) -> float:
-    """cfl * min_i dr_i^2 / (2 d D_i), capped at dt_max, from the stability
-    factor max(u, floor)**|p-1| and geometry dr^2/(2 d p); fast means p < 1.
+    """cfl * min_i V_i / (D_i reach_i), capped at dt_max, from the stability
+    factor max(u, floor)**|p-1| and geometry V/(p reach); fast means p < 1.
     out is scratch. A NaN in factor gives a NaN bound.
 
     Here and in evolve, a[a.argmin()] stands for a.min(): it is the same
@@ -151,6 +168,7 @@ class Trajectory:
     n_steps: int = 0
     clipped_mass: float = 0.0
     limited_steps: int = 0
+    u_floor: float = 0.0  # the resolved SolverConfig.u_floor
     wall_time: float = 0.0
 
     def times(self) -> np.ndarray:
@@ -183,9 +201,10 @@ def evolve(
     inv_vol = 1.0 / grid.volumes
     u0_max = float(u.max())
     u_cap = 10.0 * u0_max
-    pair = pow_pair(params.p, resolve_u_floor(config, params, u0_max))
-    geometry = _stability_geometry(grid, params.p)
+    traj.u_floor = resolve_u_floor(config, params, u0_max)
+    pair = pow_pair(params.p, traj.u_floor)
     coef = grid.areas[1:-1] / grid.center_gaps
+    geometry = _stability_geometry(grid, coef, params.p)
     fast = params.p < 1.0
     dt_min = config.dt_min
     # step temporaries; flux[0] and flux[-1] are the zero boundary faces

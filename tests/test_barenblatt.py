@@ -64,6 +64,15 @@ def test_c_star_open_form_d2():
     assert c == pytest.approx((math.pi / 3.0) ** (1.0 / 3.0), rel=1e-14)
 
 
+@pytest.mark.parametrize("d,p", [(3, 0.3334), (2, 1e-4), (4, 0.5004)])
+def test_c_star_beyond_double_range_is_a_domain_error(d, p):
+    # ModelParams admits these p, just above max(0, 1 - 2/d), but c_star
+    # exceeds the double range: a ParameterDomainError naming p, not an
+    # OverflowError from math.exp
+    with pytest.raises(rf.ParameterDomainError, match=f"p = {p} .* c_star"):
+        normalization_constant(rf.ModelParams(d, p))
+
+
 def test_profile_support():
     params = rf.ModelParams(1, 2.0)
     ref = rf.build_reference(params)

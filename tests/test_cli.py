@@ -408,6 +408,65 @@ def test_truncated_trajectory_stops_before_checks(tmp_path, capsys, monkeypatch)
     assert not (tmp_path / "cut" / "report.json").exists()
 
 
+@pytest.mark.parametrize("name,value", [
+    ("fisher", math.nan),
+    ("tail_frac", math.inf),  # not a CSV column, still a record field
+    ("tau", math.nan),        # NaN without the moments_infinite flag
+])
+def test_non_finite_record_stops_before_checks(tmp_path, capsys, monkeypatch, name, value):
+    path = write_config(tmp_path / "ok.json", tiny_config())
+    evolve = cli.evolve
+
+    def poisoned(*args, **kwargs):
+        trajectory = evolve(*args, **kwargs)
+        trajectory.records[2] = dataclasses.replace(trajectory.records[2], **{name: value})
+        return trajectory
+
+    checked = []
+    monkeypatch.setattr(cli, "evolve", poisoned)
+    monkeypatch.setattr(cli, "run_checks", lambda *a, **kw: checked.append(a))
+    assert main(["run", path, "--out", str(tmp_path / "bad")]) == 3
+    assert not checked
+    assert f"non-finite record field, {name}={value!r} at t=0.02" in capsys.readouterr().err
+    # the trajectory is kept as recorded, and no report claims a verdict
+    assert (tmp_path / "bad" / "trajectory.csv").exists()
+    assert not (tmp_path / "bad" / "report.json").exists()
+
+
+def test_profile_constant_overflow_is_config_error(tmp_path, capsys):
+    # ModelParams admits (3, 0.3334), but its c_star = exp(7.1e4) has no
+    # double: a config error that names p, at parse time and in `reference`
+    doc = tiny_config(d=3, p=0.3334, checks=[])
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert "config field 'p'" in str(err.value) and "c_star" in str(err.value)
+    path = write_config(tmp_path / "edge.json", doc)
+    assert main(["run", path, "--out", str(tmp_path / "edge")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "edge").exists()
+    assert main(["reference", "--d", "3", "--p", "0.3334"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid parameters: p = 0.3334" in captured.err
+
+
+def test_report_records_resolved_floor(tmp_path):
+    # the step floor in use: eps * max(u0) for p < 1 by default, 0 for
+    # p > 1, and a configured floor as given
+    doc = tiny_config(d=3, p="2/3", grid=[40.0, 64, 1.01], t_end=0.01, checks=[])
+    cfg = parse_config(doc)
+    report = run_experiment(cfg, tmp_path / "fast", echo=None)
+    u0_max = float(build_initial_state(cfg).u.max())
+    assert report["run"]["u_floor"] == np.finfo(float).eps * u0_max
+    doc["solver"] = {"cfl": 0.9, "u_floor": 1e-9}
+    report = run_experiment(parse_config(doc), tmp_path / "set", echo=None)
+    assert report["run"]["u_floor"] == 1e-9
+    report = run_experiment(parse_config(tiny_config()), tmp_path / "slow", echo=None)
+    assert report["run"]["u_floor"] == 0.0
+    on_disk = json.loads((tmp_path / "slow" / "report.json").read_text())
+    assert on_disk["run"]["u_floor"] == 0.0
+
+
 @pytest.mark.parametrize("d,p", [("3", "0.600000001"), ("1", "1.0000001")])
 def test_main_reference_unexpected_error_exit(capsys, d, p):
     # next to d/(d+2) and to 1 the closed forms lose their digits and the

@@ -34,14 +34,40 @@ def test_solver_config_rejections(kwargs):
 
 
 def test_stable_dt_constant_state():
-    # D = p u^(p-1) is uniform, so dt = cfl dr^2 / (2 d D) exactly; the
-    # initial record carries the first step bound
+    # D = p u^(p-1) is uniform, so dt = cfl min_i V_i / (D reach_i), reach_i
+    # the sum of cell i's face coefficients A_j / gap_j. On a uniform d = 2
+    # grid with edges k dr, cell i has V_i = pi ((i+1)^2 - i^2) dr^2 =
+    # pi (2i+1) dr^2 and faces 2 pi i dr and 2 pi (i+1) dr at gap dr, so
+    # reach_i = 2 pi (2i+1) and V_i / reach_i = dr^2 / 2 (cell 0 too, whose
+    # inner face is the zero-flux one at r = 0); the last cell has no outer
+    # face and a larger ratio. The initial record carries the first bound.
     grid = rf.build_grid(2, 1.0, 50)
     state = rf.DensityState(grid=grid, u=np.ones(grid.n), t=0.0)
     params = rf.ModelParams(2, 2.0)
     dt = rf.evolve(state, 1e-6, params, rf.SolverConfig(cfl=0.5)).records[0].dt
     dr = grid.widths[0]
-    assert dt == pytest.approx(0.5 * dr * dr / (2.0 * 2 * 2.0), rel=1e-12)
+    assert dt == pytest.approx(0.5 * (dr * dr / 2.0) / 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("stretch", [1.0, 1.05])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("p", [2.0 / 3.0, 2.0])
+def test_step_bound_is_monotone(d, p, stretch):
+    # at cfl = 1 the Euler update m_i' = m_i + dt sum_j c_j (w_nb - w_i),
+    # linearised, puts 1 - dt p u_i^(p-1) reach_i / V_i on m_i: nonnegative
+    # in every cell, and zero (to round-off) in the cell that sets dt
+    grid = rf.build_grid(d, 8.0, 64, stretch=stretch)
+    u = 0.5 + np.exp(-grid.centers**2)  # far above the p < 1 floor
+    state = rf.DensityState(grid=grid, u=u, t=0.0)
+    params = rf.ModelParams(d, p)
+    dt = rf.evolve(state, 1e-12, params, rf.SolverConfig(cfl=1.0)).records[0].dt
+    reach = np.zeros(grid.n)
+    for j in range(grid.n - 1):  # interior face between cells j and j + 1
+        c = grid.areas[j + 1] / (grid.centers[j + 1] - grid.centers[j])
+        reach[j] += c
+        reach[j + 1] += c
+    coeff = 1.0 - dt * p * u ** (p - 1.0) * reach / grid.volumes
+    assert abs(coeff.min()) <= 4.0 * np.finfo(float).eps
 
 
 def test_stable_dt_honors_dt_max():
