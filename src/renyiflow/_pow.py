@@ -86,10 +86,11 @@ def _run(steps: list, s: list) -> list:
 
 
 @cache  # the diagnostics ask for the same few exponents at every record
-def pow_fn(p: float) -> Callable[[np.ndarray], np.ndarray]:
-    """u -> u**p for an array u (not a scalar); u itself when p = 1."""
+def pow_fn(p: float) -> Callable[..., np.ndarray]:
+    """(u, out=None) -> u**p for an array u (not a scalar), written into out
+    when given (for p > 0); u itself when p = 1."""
     steps, result = _steps(p, pair=False)
-    return lambda u: _run(steps, [u, None, None, None, None, p])[result]
+    return lambda u, out=None: _run(steps, [u, None, None, out, None, p])[result]
 
 
 def pow_pair(p: float, floor: float) -> Callable[..., list]:

@@ -160,8 +160,8 @@ def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the rule on [0, 1], built on first use.
+def _gauss_legendre(n: int = _NODES) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point rule on [0, 1], built on first use.
 
     Newton's method on P_n from Tricomi's estimates cos(pi (k - 1/4) /
     (n + 1/2)) of the nonnegative roots, with weights
@@ -169,7 +169,6 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     match leggauss(n) to 1.1e-16 and the weights are closer to 40-digit
     values than leggauss's own (2.6e-13 against 2.2e-11 at the end nodes).
     """
-    n = _NODES
     x = np.cos(math.pi * (np.arange(1, (n + 1) // 2 + 1) - 0.25) / (n + 0.5))
     for _ in range(10):
         p, dp = _legendre(n, x)

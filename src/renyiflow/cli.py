@@ -30,8 +30,11 @@ parse time.
 Outputs per run, in the output directory: trajectory.csv with columns
 t, dt, mass, theta, E, I, F, G, H, J, q, s, tau, rel_entropy, R (one row
 per record, 17 significant digits, so identical configs give byte-identical
-files); report.json with every check clause's measured value, tolerance,
-and margin; summary.txt with one verdict line per check.
+files; dt is the length of the step or super-step that reached the record,
+and E the whole-space entropy where functionals.diagnostics fits its
+far-field tail); report.json with every check clause's measured value,
+tolerance, and margin, and the run's step counts per integrator;
+summary.txt with those counts and one verdict line per check.
 
 The gn check's perturbations come from the linear congruential generator
 x -> (1664525 x + 1013904223) mod 2**32 (seeded from "seed", default
@@ -411,6 +414,9 @@ def _summary_lines(label: str, trajectory, results: list[CheckResult]) -> list[s
     lines = [
         f"run {label}: {len(trajectory.records)} records, {trajectory.n_steps} steps, "
         f"t in [{rec0.t:g}, {rec1.t:g}], wall {trajectory.wall_time:.2f}s",
+        f"  {trajectory.euler_steps} Euler steps ({trajectory.limited_steps} limited), "
+        f"{trajectory.super_steps} super-steps ({trajectory.rejected_super_steps} "
+        "discarded and redone by Euler)",
     ]
     for r in results:
         if not r.applicable:
@@ -466,6 +472,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
         "reference": _reference_payload(reference),
         "run": {
             "n_steps": trajectory.n_steps,
+            "euler_steps": trajectory.euler_steps,
+            "super_steps": trajectory.super_steps,
+            "rejected_super_steps": trajectory.rejected_super_steps,
             "n_records": len(trajectory.records),
             "t_end": config.t_end,
             "clipped_mass": trajectory.clipped_mass,

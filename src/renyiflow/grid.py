@@ -27,6 +27,11 @@ def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
+# Radius, as a share of r_max, beyond which a fast-diffusion density is read
+# as its far field (functionals.diagnostics fits E's tail there).
+FAR_FIELD_RADIUS_REL = 0.1
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -99,6 +104,17 @@ class RadialGrid:
         h_p[-1] = np.nan
         return _read_only(h_m), _read_only(h_p), _read_only(h_m + h_p)
 
+    @cached_property
+    def far_field_window(self) -> tuple[int, int, np.ndarray]:
+        """(c, lo, log_r): edges[c] = r_c is the edge nearest
+        FAR_FIELD_RADIUS_REL * r_max, cells lo..c-1 are those with centers
+        in [r_c/10, r_c), and log_r their log center radii. The window is
+        never empty: with n >= 16 the first cell is narrower than r_max/16,
+        so c >= 1, and cell c-1 has its center above r_c/2."""
+        c = int(np.abs(self.edges - FAR_FIELD_RADIUS_REL * self.r_max).argmin())
+        lo = int(np.searchsorted(self.centers, 0.1 * self.edges[c]))
+        return c, lo, _read_only(np.log(self.centers[lo:c]))
+
     def integrate(self, f: np.ndarray) -> float:
         f = np.asarray(f, dtype=float)
         if f.shape != self.volumes.shape:
@@ -144,18 +160,38 @@ class DensityState:
         return self.grid.integrate(self.u)
 
 
+# Gauss-Legendre nodes per cell of project_initial: each cell average is
+# the shell integral of f r**(d-1), which the rule integrates exactly for
+# polynomials of degree 15.
+PROJECTION_NODES = 8
+
+
 def project_initial(
     f: Callable[[np.ndarray], np.ndarray],
     grid: RadialGrid,
     t: float = 0.0,
 ) -> DensityState:
-    """Midpoint-sample a radial profile onto the grid as a unit-mass
-    DensityState at time t."""
-    u = np.asarray(f(grid.centers), dtype=float)
-    if u.shape != grid.centers.shape:
-        raise ValueError("initial profile must return one value per cell center")
-    if np.any(u < 0.0) or not np.all(np.isfinite(u)):
+    """Project a radial profile onto the grid as cell averages, renormalized
+    to a unit-mass DensityState at time t.
+
+    The scheme evolves cell averages m_i / V_i, so the datum is one too:
+    u_i = (omega_d / V_i) int over the shell of f(r) r**(d-1) dr, by
+    PROJECTION_NODES-point Gauss-Legendre per shell. f is called once, on
+    the (n * PROJECTION_NODES,) array of nodes.
+    """
+    from .barenblatt import _gauss_legendre  # barenblatt imports this module
+
+    s, wts = _gauss_legendre(PROJECTION_NODES)
+    lo = grid.edges[:-1, None]
+    width = grid.widths[:, None]
+    r = (lo + width * s).ravel()
+    values = np.asarray(f(r), dtype=float)
+    if values.shape != r.shape:
+        raise ValueError("initial profile must return one value per radius")
+    if np.any(values < 0.0) or not np.all(np.isfinite(values)):
         raise ValueError("initial profile must be finite and nonnegative")
+    shell = (values * r ** (grid.d - 1)).reshape(grid.n, -1) @ wts
+    u = sphere_area(grid.d) * grid.widths * shell / grid.volumes
     mass = grid.integrate(u)
     if mass <= 0.0:
         raise ValueError("initial profile has zero mass, cannot renormalize")

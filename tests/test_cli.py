@@ -467,6 +467,21 @@ def test_report_records_resolved_floor(tmp_path):
     assert on_disk["run"]["u_floor"] == 0.0
 
 
+def test_report_counts_steps_by_integrator(tmp_path):
+    # the tiny Gaussian fills every cell, so RKL2 super-steps carry it;
+    # n_steps counts flux evaluations, s >= 4 per super-step
+    report = run_experiment(parse_config(tiny_config(t_end=0.5, record_every=0.25)),
+                            tmp_path, echo=None)
+    run = report["run"]
+    assert run["super_steps"] > 0 and run["rejected_super_steps"] == 0
+    assert run["n_steps"] >= run["euler_steps"] + 4 * run["super_steps"]
+    on_disk = json.loads((tmp_path / "report.json").read_text())["run"]
+    assert {k: on_disk[k] for k in run} == run
+    summary = (tmp_path / "summary.txt").read_text().splitlines()[1]
+    assert summary == (f"  {run['euler_steps']} Euler steps ({run['limited_steps']} limited), "
+                       f"{run['super_steps']} super-steps (0 discarded and redone by Euler)")
+
+
 @pytest.mark.parametrize("d,p", [("3", "0.600000001"), ("1", "1.0000001")])
 def test_main_reference_unexpected_error_exit(capsys, d, p):
     # next to d/(d+2) and to 1 the closed forms lose their digits and the

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import renyiflow as rf
+from renyiflow import solver
 from renyiflow.solver import InstabilityError, StiffnessError
 
 
@@ -211,3 +212,89 @@ def test_evolution_properties_on_random_mixtures(d, p_frac, bumps):
     a, b = runs
     assert [repr(r) for r in a.records] == [repr(r) for r in b.records]
     assert np.array_equal(a.final_state.u, b.final_state.u)
+
+
+def _profile_kernel():
+    """The d = 3, p = 2/3 source-type state at t0 = 1 on a coarse stretched
+    grid, its flux kernel and its explicit step at cfl 0.85."""
+    params = rf.ModelParams(3, 2.0 / 3.0)
+    grid = rf.build_grid(3, 200.0, 160, stretch=1.03)
+    state = rf.project_initial(
+        lambda r: rf.self_similar_density(r, 1.0, params), grid, t=1.0)
+    kernel = solver._Kernel(grid, params, 0.0)  # no floor: dt_expl itself
+    kernel.pair(state.u, kernel.w, kernel.factor)
+    dt_expl = solver._bound_dt(kernel.factor, kernel.geometry, True,
+                               rf.SolverConfig(cfl=0.85), kernel.scratch)
+    return kernel, state.u * grid.volumes, dt_expl
+
+
+def _super_steps(kernel, m, t, n, dt_expl):
+    out = np.empty_like(m)
+    tau = t / n
+    s = solver._stages(tau / dt_expl)
+    for _ in range(n):
+        solver._face_rates(kernel.power(m * kernel.inv_vol), kernel.coef,
+                           kernel.flux[1:-1])
+        m = kernel.super_step(m, tau, s, out.copy())
+    return m, s
+
+
+def test_super_step_is_second_order_in_time():
+    # over t in [1, 1.2], N = 2, 4, ..., 32 equal super-steps (s from 49
+    # down to 13 stages): each halving of tau cuts the L1 distance between
+    # successive results by about 4, the mark of a second-order integrator
+    kernel, m0, dt_expl = _profile_kernel()
+    finals = [_super_steps(kernel, m0, 0.2, n, dt_expl)[0] for n in (2, 4, 8, 16, 32)]
+    diffs = [float(np.abs(a - b).sum()) for a, b in zip(finals, finals[1:])]
+    ratios = [a / b for a, b in zip(diffs, diffs[1:])]
+    assert min(ratios) >= 3.5, ratios
+
+
+def test_super_step_conserves_mass_at_most_stages():
+    kernel, m0, dt_expl = _profile_kernel()
+    smax = solver.SUPER_STEP_STAGES
+    tau = 0.25 * (smax * smax + smax - 2) * dt_expl
+    m, s = _super_steps(kernel, m0, tau, 1, dt_expl)
+    assert s == smax
+    assert abs(m.sum() - m0.sum()) <= 1e-13 * m0.sum()
+    assert np.all(np.isfinite(m))
+
+
+def test_compact_support_runs_all_euler(run_pm1_barenblatt):
+    # p > 1: an empty cell next to a filled one is a front, so every step
+    # is a limited Euler step
+    traj = run_pm1_barenblatt
+    assert traj.super_steps == traj.rejected_super_steps == 0
+    assert traj.euler_steps == traj.n_steps > 0
+
+
+def test_positive_runs_take_super_steps(run_pm1_gaussian, run_fd3_gaussian):
+    for traj in (run_pm1_gaussian, run_fd3_gaussian):
+        assert traj.super_steps > 0
+        assert traj.rejected_super_steps == 0
+        # a super-step wins only with s >= 4 stages
+        assert traj.n_steps >= traj.euler_steps + 4 * traj.super_steps
+
+
+def test_negative_super_step_is_redone_by_euler(monkeypatch, pm_setup):
+    # a super-step that leaves a negative mass is discarded, never clipped:
+    # the same step is taken again by limited Euler, and counted
+    params, ref, _, state = pm_setup
+    real = solver._Kernel.super_step
+    stages = []
+
+    def spoiled(self, m, tau, s, out):
+        real(self, m, tau, s, out)
+        if not stages:
+            out[0] = -1e-300
+        stages.append(s)
+        return out
+
+    monkeypatch.setattr(solver._Kernel, "super_step", spoiled)
+    traj = rf.evolve(state, 0.5, params, rf.SolverConfig(record_every=0.1), reference=ref)
+    assert traj.rejected_super_steps == 1
+    assert traj.super_steps == len(stages) - 1 > 0
+    assert traj.n_steps == traj.euler_steps + sum(stages)
+    assert traj.clipped_mass == 0.0
+    assert np.all(traj.final_state.u >= 0.0)
+    assert traj.final_state.mass() == pytest.approx(state.mass(), abs=1e-13)
