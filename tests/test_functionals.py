@@ -24,7 +24,7 @@ def sampled_state(f, grid):
     return rf.DensityState(grid=grid, u=u / grid.integrate(u), t=0.0)
 
 
-def projected_profile(d, p, r_max, n, stretch=1.0):
+def sampled_profile(d, p, r_max, n, stretch=1.0):
     params = rf.ModelParams(d, p)
     ref = rf.build_reference(params)
     grid = rf.build_grid(d, r_max, n, stretch=stretch)
@@ -40,7 +40,7 @@ def test_profile_state_diagnostics(d, p, r_max, n, stretch):
     """The projected source-type state at unit age reproduces the closed-form
     scale-invariant levels; tolerances are ~10x the measured discretization
     error at these resolutions."""
-    params, ref, state = projected_profile(d, p, r_max, n, stretch)
+    params, ref, state = sampled_profile(d, p, r_max, n, stretch)
     rec = diagnostics(state, params, ref)
     assert rec.mass == pytest.approx(1.0, abs=1e-13)
     assert rec.theta == pytest.approx(ref.theta_star, rel=1e-3)
@@ -55,7 +55,7 @@ def test_profile_state_diagnostics(d, p, r_max, n, stretch):
 
 
 def test_recomposition_identities():
-    params, ref, state = projected_profile(1, 2.0, 5.0, 800)
+    params, ref, state = sampled_profile(1, 2.0, 5.0, 800)
     rec = diagnostics(state, params, ref)
     ex = ref.exponents
     assert rec.f_power == pytest.approx(rec.entropy**ex.sigma, rel=1e-12)
@@ -83,7 +83,7 @@ def test_gaussian_closed_forms():
 
 
 def test_relative_entropy_is_a_divergence():
-    params, ref, state = projected_profile(1, 2.0, 5.0, 800)
+    params, ref, state = sampled_profile(1, 2.0, 5.0, 800)
     s = diagnostics(state, params, ref).s_match
     assert relative_entropy(state, s, params, ref) <= 1e-6 * ref.entropy
     assert relative_entropy(state, 2.0 * s, params, ref) > 1e-3
@@ -188,7 +188,7 @@ def test_tail_fraction_and_confidence_flag():
 
 
 def test_diagnostics_parameter_mismatch():
-    params, ref, state = projected_profile(1, 2.0, 5.0, 800)
+    params, ref, state = sampled_profile(1, 2.0, 5.0, 800)
     with pytest.raises(ValueError):
         diagnostics(state, rf.ModelParams(1, 1.5), ref)
 
