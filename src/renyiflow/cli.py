@@ -480,6 +480,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
             "clipped_mass": trajectory.clipped_mass,
             "limited_steps": trajectory.limited_steps,
             "u_floor": trajectory.u_floor,
+            "whole_space_entropy": trajectory.whole_space_entropy,
             "wall_time": trajectory.wall_time,
         },
         "checks": [_check_payload(r) for r in results],

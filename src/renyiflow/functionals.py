@@ -29,7 +29,7 @@ import numpy as np
 from ._pow import pow_fn
 from .barenblatt import BarenblattReference
 from .grid import DensityState, RadialGrid, sphere_area
-from .params import ModelParams, unmet
+from .params import ModelParams, require, unmet
 
 # Cells below this fraction of max(u) are excluded from second-derivative
 # stencils; their v = p/(p-1) u**(p-1) values are dominated by floor noise,
@@ -58,6 +58,12 @@ FISHER_FLOOR_SHARE = 0.01
 # Share of the remainder quadrature near the support edge (p > 1) that
 # triggers the boundary-accuracy flag.
 REMAINDER_BOUNDARY_SHARE = 0.10
+# E's far-field tail is fitted only on runs whose fit window starts at least
+# this many root-mean-square radii out, at the widest the run can reach
+# (whole_space_entropy). There u r**(2/(1-p)) of the self-similar profile
+# is within 1/FAR_FIELD_BULK_FACTOR**2 of its limit A at d = 3, p = 2/3,
+# whose root-mean-square radius is sqrt(3) times its core radius.
+FAR_FIELD_BULK_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -105,9 +111,9 @@ def _u_max(u: np.ndarray) -> float:
     return float(u.max()) if u.size else 0.0
 
 
-def _second_moment(g: RadialGrid, c2u: np.ndarray) -> float:
-    """Theta = (1/d) integral of |x|^2 u from c2u = centers**2 * u."""
-    return float(np.dot(c2u, g.volumes)) / g.d
+def _second_moment(g: RadialGrid, u: np.ndarray) -> float:
+    """Theta = (1/d) integral of |x|^2 u of the cell averages u."""
+    return float(np.dot(u, g.moment_weights)) / g.d
 
 
 def _live_faces(u: np.ndarray, u_max: float, drc: np.ndarray) -> np.ndarray:
@@ -307,26 +313,57 @@ def relative_entropy(state: DensityState, s: float, params: ModelParams,
     return _relative_entropy(state.grid, u, pow_fn(p)(u), s, p, reference)
 
 
+def whole_space_entropy(state: DensityState, params: ModelParams,
+                        reference: BarenblattReference, t_end: float) -> bool:
+    """Whether the records of a run from state to t_end read E over the
+    whole space (diagnostics' whole_space), decided once per run so the
+    tail cannot switch on or off between records.
+
+    Yes for fast diffusion in the remainder window with finite moments when
+    the fit window [r_c/10, r_c) of _whole_space_entropy starts at least
+    FAR_FIELD_BULK_FACTOR times beyond the root-mean-square radius
+    sqrt(d theta* s**(2/mu)) of the matched profile at s = s0 + t_end - t0,
+    s0 the datum's match time: the delay s - t does not grow for p < 1, so
+    no record's match time exceeds that s. A small box, whose window holds
+    the bulk of the density, keeps the box E.
+    """
+    if unmet(params, "fast_diffusion", "remainder_window", "finite_moments") is not None:
+        return False
+    g = state.grid
+    theta = _second_moment(g, state.u)
+    if not theta > 0.0:
+        return False
+    s_end = (theta / reference.theta_star) ** (0.5 * reference.exponents.mu) + t_end - state.t
+    rms = math.sqrt(g.d * reference.theta_star * s_end ** (2.0 / reference.exponents.mu))
+    c, _, _ = g.far_field_window
+    return 0.1 * g.edges[c] >= FAR_FIELD_BULK_FACTOR * rms
+
+
 def _whole_space_entropy(g: RadialGrid, u: np.ndarray, w: np.ndarray, p: float) -> float:
     """E over the whole space for d/(d+2) < p < 1, p >= 1 - 1/d.
 
     Below r_c (RadialGrid.far_field_window) E sums u**p V over the cells.
     Beyond it the universal far field u = A r**(-2/(1-p)) integrates to
     omega_d A**p r_c**(-k) / k, k = 2p/(1-p) - d > 0, with A the (lower)
-    median of u r**(2/(1-p)) over the cells with centers in [r_c/10, r_c),
-    taken in logarithms so no power of r overflows for p near 1. A vacuum
-    median gives no tail. The box alone misses a tail whose second time
-    derivative is 8 pi kappa**2 / r_max on the d = 3, p = 2/3 profile:
-    5% of the smallest -F'' the deficit check admits on the fd3 grid.
+    median of u r**(2/(1-p)) over the nonempty cells with centers in
+    [r_c/10, r_c), taken in logarithms so no power of r overflows for p
+    near 1. With no nonempty cell there, there is no tail. The box alone
+    misses a tail whose second time derivative is 8 pi kappa**2 / r_max on
+    the d = 3, p = 2/3 profile: 5% of the smallest -F'' the deficit check
+    admits on the fd3 grid.
     """
     c, lo, log_r = g.far_field_window
-    log_a = np.log(u[lo:c])
+    box = float(np.dot(w[:c], g.volumes[:c]))
+    window = u[lo:c]
+    filled = np.count_nonzero(window)
+    if not filled:
+        return box
+    log_a = np.log(window)  # -inf on empty cells, which sort first
     log_a += (2.0 / (1.0 - p)) * log_r
-    mid = (log_a.size - 1) // 2
+    mid = window.size - filled + (filled - 1) // 2
     log_a = float(np.partition(log_a, mid)[mid])
     k = 2.0 * p / (1.0 - p) - g.d
-    tail = sphere_area(g.d) * math.exp(p * log_a - k * math.log(g.edges[c])) / k
-    return float(np.dot(w[:c], g.volumes[:c])) + tail
+    return box + sphere_area(g.d) * math.exp(p * log_a - k * math.log(g.edges[c])) / k
 
 
 def _tail_fraction(g: RadialGrid, moment: np.ndarray, total: float) -> float:
@@ -337,31 +374,35 @@ def _tail_fraction(g: RadialGrid, moment: np.ndarray, total: float) -> float:
 
 
 def diagnostics(state: DensityState, params: ModelParams,
-                reference: BarenblattReference, dt: float = float("nan")) -> FunctionalRecord:
+                reference: BarenblattReference, dt: float = float("nan"),
+                whole_space: bool = False) -> FunctionalRecord:
     """Evaluate every tracked functional of the state in one pass: the arrays
     several functionals read are built once and shared by their kernels.
 
-    For fast diffusion in the remainder window with finite moments the
-    entropy is the whole-space E, box cells plus the fitted far-field tail
-    (_whole_space_entropy); elsewhere, and for theta, the remainder's
-    integrals and the match time always, the integrals run over the box.
+    With whole_space (fast diffusion in the remainder window with finite
+    moments only; see whole_space_entropy) the entropy is the whole-space
+    E, box cells plus the fitted far-field tail (_whole_space_entropy);
+    otherwise, and for theta, the remainder's integrals and the match time
+    always, the integrals run over the box.
     """
     if params != reference.params:
         raise ValueError("reference was built for different parameters")
+    if whole_space:
+        require(params, "whole-space entropy",
+                "fast_diffusion", "remainder_window", "finite_moments")
     ex = reference.exponents
     p = params.p
     g, u = state.grid, state.u
 
     u_max = _u_max(u)
     w = pow_fn(p)(u)
-    c2u = g.centers_sq * u
-    moment = c2u * g.volumes
+    moment = u * g.moment_weights
     moment_total = float(moment.sum())
 
     mass = state.mass()
-    theta = _second_moment(g, c2u)
+    theta = _second_moment(g, u)
     with _quiet():
-        if unmet(params, "fast_diffusion", "remainder_window", "finite_moments") is None:
+        if whole_space:
             entropy = _whole_space_entropy(g, u, w, p)
         else:
             entropy = g.integrate(w)

@@ -63,9 +63,23 @@ class RadialGrid:
         return float(self.edges[-1])
 
     @cached_property
-    def centers_sq(self) -> np.ndarray:
-        """(n,) squared cell-center radii."""
-        return _read_only(self.centers * self.centers)
+    def moment_weights(self) -> np.ndarray:
+        """(n,) weights W_i with sum(u_i W_i) the integral of |x|**2 u when
+        the u_i are cell averages, to O(h**4) for smooth u.
+
+        With f = u r**(d-1), a cell of width h and center c holds
+        int f r**2 dr = c**2 int f dr + (h**3/12)(f + 2 r f')(c) + O(h**5).
+        Summed over cells, the second term is the integral of
+        (h**2/12)(f + 2 r f'), which by parts is minus that of
+        f (h**2 + 4 r h h')/12, h(r) the local width. So
+        W_i = V_i (c_i**2 - (h_i**2 + 4 c_i h_i h_i')/12), h' the width's
+        derivative across centers. The bare c_i**2 V_i reads the moment of
+        a cell-average state high by about h**2/12 of the mass (times
+        1 + 4 r h'/h on a stretched grid).
+        """
+        c, h = self.centers, self.widths
+        dh = np.gradient(h, c)
+        return _read_only(self.volumes * (c * c - (h * h + 4.0 * c * h * dh) / 12.0))
 
     @cached_property
     def center_gaps(self) -> np.ndarray:

@@ -475,6 +475,7 @@ def test_report_counts_steps_by_integrator(tmp_path):
     run = report["run"]
     assert run["super_steps"] > 0 and run["rejected_super_steps"] == 0
     assert run["n_steps"] >= run["euler_steps"] + 4 * run["super_steps"]
+    assert run["whole_space_entropy"] is False  # p > 1: E over the box
     on_disk = json.loads((tmp_path / "report.json").read_text())["run"]
     assert {k: on_disk[k] for k in run} == run
     summary = (tmp_path / "summary.txt").read_text().splitlines()[1]

@@ -13,6 +13,7 @@ from renyiflow.functionals import (
     _potential,
     diagnostics,
     relative_entropy,
+    whole_space_entropy,
 )
 
 
@@ -288,7 +289,7 @@ def test_diagnostics_equal_standalone_functionals(d, p, grid_args, datum, t_end)
             assert math.isnan(rec.s_match) and math.isnan(rec.tau)
             assert math.isnan(rec.rel_entropy)
             flags.add("moments_infinite")
-        moment = grid.centers * grid.centers * state.u * grid.volumes
+        moment = state.u * grid.moment_weights
         if moment[grid.centers > 0.9 * grid.r_max].sum() > 0.10 * moment.sum():
             flags.add("low_confidence_moments")
         assert rec.flags == tuple(sorted(set(rec.flags)))
@@ -297,7 +298,7 @@ def test_diagnostics_equal_standalone_functionals(d, p, grid_args, datum, t_end)
 
 def test_cached_grid_arrays_are_read_only():
     grid = rf.build_grid(3, 60.0, 64, stretch=1.01)
-    arrays = [grid.centers_sq, grid.center_gaps, grid.gap_mids,
+    arrays = [grid.moment_weights, grid.center_gaps, grid.gap_mids,
               grid.gap_mids_sq, grid.gap_weights, *grid.stencil_gaps]
     for a in arrays:
         assert not a.flags.writeable
@@ -321,7 +322,61 @@ def test_whole_space_entropy_of_the_profile_is_linear_in_time():
     for t in (1.5, 4.0):
         states = [rf.project_initial(lambda r: ref.self_similar(r, s), grid, t=s)
                   for s in (t - h, t, t + h)]
-        e = [diagnostics(st, params, ref).entropy for st in states]
+        e = [diagnostics(st, params, ref, whole_space=True).entropy for st in states]
         box = [grid.integrate(pow_fn(params.p)(st.u)) for st in states]
         assert abs(e[2] - 2.0 * e[1] + e[0]) / h**2 <= 8.5e-3 / 100.0, t
         assert abs(box[2] - 2.0 * box[1] + box[0]) / h**2 > 8.5e-3 / 100.0, t
+
+
+def test_entropy_tail_fit_skips_empty_cells():
+    # the limiter can leave isolated cells of exactly zero mass in the fit
+    # window; they leave the median, so the tail keeps its value instead of
+    # dropping to zero once they are half the window
+    params = rf.ModelParams(3, 2.0 / 3.0)
+    ref = rf.build_reference(params)
+    grid = rf.build_grid(3, 896000.0, 1050, stretch=1.012)
+    state = rf.project_initial(lambda r: ref.self_similar(r, 2.0), grid, t=2.0)
+    c, lo, _ = grid.far_field_window
+    below_rc = np.arange(grid.n) < c
+
+    def tail(holes):
+        u = state.u.copy()
+        u[holes] = 0.0
+        holed = rf.DensityState(grid=grid, u=u, t=state.t)
+        box = grid.integrate(np.where(below_rc, pow_fn(params.p)(u), 0.0))
+        return diagnostics(holed, params, ref, whole_space=True).entropy - box
+
+    full = tail(slice(0, 0))
+    assert full > 0.0
+    assert tail(slice(lo, c, 2)) == pytest.approx(full, rel=1e-2)
+    assert tail(slice(lo, lo + 2 * (c - lo) // 3)) == pytest.approx(full, rel=1e-2)
+    assert tail(slice(lo, c)) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_entropy_tail_is_decided_once_per_run_from_the_box():
+    # on a small box the fit window [r_c/10, r_c) holds the bulk of the
+    # density, so every record keeps the box E; on the fd3 grid the window
+    # lies far beyond it and every record carries the tail
+    params = rf.ModelParams(1, 0.4)
+    ref = rf.build_reference(params)
+    small = rf.project_initial(_gaussian, rf.build_grid(1, 40.0, 160))
+    assert not whole_space_entropy(small, params, ref, 0.01)
+    traj = rf.evolve(small, 0.01, params, rf.SolverConfig(record_every=0.005), reference=ref)
+    assert not traj.whole_space_entropy
+    assert traj.records[0].entropy == small.grid.integrate(pow_fn(params.p)(small.u))
+    assert traj.records[-1].entropy == diagnostics(traj.final_state, params, ref).entropy
+
+    params3 = rf.ModelParams(3, 2.0 / 3.0)
+    ref3 = rf.build_reference(params3)
+    wide = rf.project_initial(_gaussian, rf.build_grid(3, 896000.0, 1050, stretch=1.012))
+    assert whole_space_entropy(wide, params3, ref3, 5.0)
+    # at r_max = 2000 the window [20, 200) lies inside the run's reach
+    narrow = rf.project_initial(_gaussian, rf.build_grid(3, 2000.0, 400, stretch=1.012))
+    assert not whole_space_entropy(narrow, params3, ref3, 5.0)
+    # outside the scope of the tail a run never asks for it, and a caller
+    # that does is refused
+    params_pm = rf.ModelParams(1, 2.0)
+    ref_pm = rf.build_reference(params_pm)
+    assert not whole_space_entropy(small, params_pm, ref_pm, 1.0)
+    with pytest.raises(rf.RegimeError):
+        diagnostics(small, params_pm, ref_pm, whole_space=True)

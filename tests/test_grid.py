@@ -81,6 +81,18 @@ def test_project_initial_raw_and_time():
     assert state.t == 2.5
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n,stretch", [(40, 1.0), (40, 1.05), (80, 1.02)])
+def test_moment_weights_read_cell_averages(d, n, stretch):
+    # the cell averages of exp(-r**2) at unit mass have second moment
+    # (1/d) int |x|**2 u = 1/2 in every d; the weights read it within 1e-5
+    # on 40 cells, where centers**2 V reads it 4e-4 or more high
+    grid = rf.build_grid(d, 6.0, n, stretch=stretch)
+    u = rf.project_initial(lambda r: np.exp(-r * r), grid).u
+    assert np.dot(u, grid.moment_weights) / d == pytest.approx(0.5, rel=1e-5)
+    assert np.dot(u, grid.centers**2 * grid.volumes) / d > 0.5 * (1.0 + 4e-4)
+
+
 def test_project_initial_rejections():
     grid = rf.build_grid(1, 4.0, 64)
     with pytest.raises(ValueError):
