@@ -32,7 +32,8 @@ traj = rf.evolve(state, 1.5, params, rf.SolverConfig(cfl=0.85, record_every=0.01
                  reference=ref)
 
 rep = deficit_identity_check(traj, params, ref)
-budget_bound = rf.run_check("deficit", traj, params, ref).details["clauses"]["budget_bound"]
+(deficit,) = rf.run_checks(("deficit",), traj, params, ref)
+budget_bound = deficit.details["clauses"]["budget_bound"]
 t = traj.times()
 j = traj.series("j_scale")
 p_series = rep["p_series"]

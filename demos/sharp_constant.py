@@ -45,6 +45,6 @@ vals = []
 for lam in (1.0, 3.0):
     grid = rf.build_grid(1, 30.0 * lam, 2000)
     w = np.exp(-((grid.centers / lam) ** 2) / 2.0)
-    vals.append(gn_quotient(TestFunction(grid, w), gn, params.d))
+    vals.append(gn_quotient(TestFunction(grid, w), gn))
 print(f"\ndilation invariance of the quotient: Q(lam=1) = {vals[0]:.12f}, "
       f"Q(lam=3) = {vals[1]:.12f}, rel diff {abs(vals[0] / vals[1] - 1):.2e}")

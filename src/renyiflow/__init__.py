@@ -21,7 +21,6 @@ from .checks import (
     CheckResult,
     compatible_checks,
     incompatibility,
-    run_check,
     run_checks,
 )
 
@@ -54,6 +53,5 @@ __all__ = [
     "CheckResult",
     "compatible_checks",
     "incompatibility",
-    "run_check",
     "run_checks",
 ]

@@ -128,6 +128,11 @@ class BarenblattReference:
     def self_similar(self, r: np.ndarray | float, t: float) -> np.ndarray:
         return _self_similar(r, t, self.params, self.exponents, self.c_star)
 
+    def match_time(self, theta: float) -> float:
+        """Time s = (theta / theta_star)**(mu/2) at which the source-type
+        solution has second moment theta."""
+        return (theta / self.theta_star) ** (0.5 * self.exponents.mu)
+
 
 def reference_functionals(params: ModelParams, c_star: float | None = None) -> dict[str, float]:
     """Closed-form mass, second moment, entropy, Fisher information of B."""
@@ -243,7 +248,7 @@ def build_reference(params: ModelParams) -> BarenblattReference:
     mass_q = _quad_moment(params, c_star, "mass")
     if abs(mass_q - 1.0) > 1e-8:
         raise RuntimeError(f"profile mass {mass_q} deviates from 1 beyond tolerance")
-    if ex.moments_finite:
+    if unmet(params, "finite_moments") is None:
         for key in ("theta", "entropy"):
             q = _quad_moment(params, c_star, key)
             if abs(q - vals[key]) > 1e-8 * abs(vals[key]):

@@ -26,6 +26,7 @@ import numpy as np
 
 from .barenblatt import BarenblattReference
 from .gn import DEFAULT_SEED, deficit_identity_check, extremality_test, gn_constant_report
+from .grid import uniform_interior
 from .matching import build_delay_report, envelope_worst
 from .params import ModelParams, unmet
 
@@ -35,7 +36,6 @@ __all__ = [
     "CheckResult",
     "incompatibility",
     "compatible_checks",
-    "run_check",
     "run_checks",
 ]
 
@@ -155,15 +155,6 @@ def _sign_tol(scale: float, tol_scale: float) -> float:
     return max(SIGN_TOL_FLOOR, SIGN_TOL_REL * abs(scale)) * tol_scale
 
 
-def _uniform_interior(t: np.ndarray) -> np.ndarray:
-    """Indices whose two surrounding record intervals match, so the plain
-    centered difference is second order there. The initial record falls at
-    whatever offset the schedule starts from, so the first window is the
-    only one this usually drops."""
-    h = np.diff(t)
-    return np.where(np.abs(h[:-1] - h[1:]) <= 1e-9 * np.maximum(h[:-1], h[1:]))[0] + 1
-
-
 def _rate_clause(t, series, target, k) -> float:
     num = (series[k + 1] - series[k - 1]) / (t[k + 1] - t[k - 1])
     return float(np.max(np.abs(num - target[k]) / np.abs(target[k])))
@@ -190,7 +181,7 @@ def _check_theorem1(trajectory, params, reference, tol_scale, **_) -> CheckResul
     p = params.p
 
     clauses: dict[str, dict] = {}
-    k = _uniform_interior(t)
+    k = uniform_interior(t)
     if k.size:
         clauses["theta_rate"] = _clause(
             _rate_clause(t, theta, 2.0 * entropy, k), THETA_RATE_TOL * tol_scale)
@@ -322,15 +313,6 @@ _RUNNERS: dict[str, Callable[..., CheckResult]] = {
     "gn": _check_gn,
     "deficit": _check_deficit,
 }
-
-
-def run_check(name: str, trajectory, params: ModelParams,
-              reference: BarenblattReference, tol_scale: float = 1.0,
-              expected_tau: float | None = None,
-              gn_seed: int = DEFAULT_SEED) -> CheckResult:
-    """Evaluate one named check; inapplicable regimes yield a skipped result."""
-    return run_checks((name,), trajectory, params, reference, tol_scale=tol_scale,
-                      expected_tau=expected_tau, gn_seed=gn_seed)[0]
 
 
 def run_checks(names, trajectory, params: ModelParams,

@@ -60,7 +60,7 @@ from .checks import CHECK_NAMES, CheckResult, compatible_checks, incompatibility
 from .functionals import FunctionalRecord
 from .gn import DEFAULT_SEED
 from .grid import DensityState, build_grid, project_initial
-from .params import ModelParams, ParameterDomainError, RegimeError
+from .params import HYPOTHESES, ModelParams, ParameterDomainError, RegimeError, unmet
 from .solver import InstabilityError, SolverConfig, StiffnessError, evolve
 
 __all__ = [
@@ -169,7 +169,7 @@ class ExperimentConfig:
     expected_tau: float | None
 
 
-def _parse_datum(raw, p: float) -> dict:
+def _parse_datum(raw) -> dict:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise _fail("initial_datum", "expected an object with a 'kind' key")
     kind = raw["kind"]
@@ -235,7 +235,7 @@ def parse_config(document: dict | str, label: str = "config") -> ExperimentConfi
     except ParameterDomainError as e:
         raise _fail("p", str(e)) from e
 
-    datum = _parse_datum(document["initial_datum"], p)
+    datum = _parse_datum(document["initial_datum"])
 
     raw_grid = document["grid"]
     if isinstance(raw_grid, dict):
@@ -388,7 +388,6 @@ def _check_payload(result: CheckResult) -> dict:
 
 
 def _reference_payload(reference: BarenblattReference) -> dict:
-    ex = reference.exponents
     return {
         "d": reference.params.d,
         "p": reference.params.p,
@@ -401,11 +400,8 @@ def _reference_payload(reference: BarenblattReference) -> dict:
         "j_star": reference.j_star,
         "theta_star": reference.theta_star,
         "c_gn": reference.c_gn,
-        "exponents": {
-            "mu": ex.mu, "eta": ex.eta, "sigma": ex.sigma, "kappa": ex.kappa,
-            "gn_q": ex.gn_q, "theorem1_valid": ex.theorem1_valid,
-            "theorem2_valid": ex.theorem2_valid, "moments_finite": ex.moments_finite,
-        },
+        "exponents": dataclasses.asdict(reference.exponents),
+        "hypotheses": {name: unmet(reference.params, name) is None for name in HYPOTHESES},
     }
 
 

@@ -333,7 +333,7 @@ def whole_space_entropy(state: DensityState, params: ModelParams,
     theta = _second_moment(g, state.u)
     if not theta > 0.0:
         return False
-    s_end = (theta / reference.theta_star) ** (0.5 * reference.exponents.mu) + t_end - state.t
+    s_end = reference.match_time(theta) + t_end - state.t
     rms = math.sqrt(g.d * reference.theta_star * s_end ** (2.0 / reference.exponents.mu))
     c, _, _ = g.far_field_window
     return 0.1 * g.edges[c] >= FAR_FIELD_BULK_FACTOR * rms
@@ -418,8 +418,8 @@ def diagnostics(state: DensityState, params: ModelParams,
     j_scale = entropy ** (ex.sigma - 1.0) * fisher
 
     flags = list(flags_f + flags_q + flags_r)
-    if ex.moments_finite and math.isfinite(reference.theta_star):
-        s_match = (theta / reference.theta_star) ** (0.5 * ex.mu)
+    if unmet(params, "finite_moments") is None and math.isfinite(reference.theta_star):
+        s_match = reference.match_time(theta)
         tau = s_match - state.t
         rel_ent = _relative_entropy(g, u, w, s_match, p, reference)
     else:

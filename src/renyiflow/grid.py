@@ -27,6 +27,15 @@ def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
+def uniform_interior(t: np.ndarray) -> np.ndarray:
+    """Indices whose two surrounding record intervals match, so the plain
+    centered difference is second order there. The initial record falls at
+    whatever offset the schedule starts from, so the first window is the
+    only one this usually drops."""
+    h = np.diff(t)
+    return np.where(np.abs(h[:-1] - h[1:]) <= 1e-9 * np.maximum(h[:-1], h[1:]))[0] + 1
+
+
 # Radius, as a share of r_max, beyond which a fast-diffusion density is read
 # as its far field (functionals.diagnostics fits E's tail there).
 FAR_FIELD_RADIUS_REL = 0.1

@@ -38,7 +38,7 @@ def best_match_scale(theta: float, reference: BarenblattReference) -> float:
     require(reference.params, "best matching", "finite_moments")
     if not theta > 0.0:
         raise ValueError(f"second moment must be positive, got {theta}")
-    return (theta / reference.theta_star) ** (0.5 * reference.exponents.mu)
+    return reference.match_time(theta)
 
 
 def best_match_scale_numeric(state: DensityState, params: ModelParams,
@@ -82,7 +82,7 @@ def best_match_scale_numeric(state: DensityState, params: ModelParams,
 
 
 def delay_lower_bound(record0: FunctionalRecord, reference: BarenblattReference,
-                      params: ModelParams, h_prime: float | None = None) -> tuple[float, float]:
+                      params: ModelParams, h_prime: float) -> tuple[float, float]:
     """Quadratic lower bound on the total delay drop |tau(0) - tau(inf)|.
 
     The drop equals (1/H_star) * integral of (H_star - H(t)); since the gap
@@ -92,24 +92,18 @@ def delay_lower_bound(record0: FunctionalRecord, reference: BarenblattReference,
 
         bound = t_star * |H_star - H(0)| / (2 H_star).
 
-    With the closed-form H'(0) = (1-p) Theta^(-1-eta/2) (Theta I - d E^2)
-    this is Theta^(1+eta/2) (H_star-H(0))^2 / (2 H_star |1-p| (Theta I - d E^2)).
-    Pass h_prime to use a measured initial slope instead (e.g. from the
-    first recorded interval). Initial data already at the profile up to
-    discretization noise (relative H-gap or Cauchy-Schwarz slack below
+    h_prime is the measured initial slope H'(0); build_delay_report reads it
+    off the first recorded interval. Initial data already at the profile up
+    to discretization noise (relative H-gap or Cauchy-Schwarz slack below
     DEGENERATE_REL) return (0.0, 0.0) rather than a 0/0 artifact.
     """
     require(params, "delay drop bound", "remainder_window", "finite_moments")
-    d, p = params.d, params.p
-    ex = reference.exponents
+    d = params.d
     h_star = reference.h_star
     gap = h_star - record0.h_renyi
     denom = record0.theta * record0.fisher - d * record0.entropy**2
-    if abs(gap) <= DEGENERATE_REL * h_star or denom <= DEGENERATE_REL * d * record0.entropy**2:
-        return 0.0, 0.0
-    if h_prime is None:
-        h_prime = (1.0 - p) * record0.theta ** (-1.0 - 0.5 * ex.eta) * denom
-    if h_prime == 0.0:
+    if (abs(gap) <= DEGENERATE_REL * h_star or denom <= DEGENERATE_REL * d * record0.entropy**2
+            or h_prime == 0.0):
         return 0.0, 0.0
     t_star = gap / h_prime
     if t_star <= 0.0:
@@ -145,7 +139,7 @@ def _records_of(trajectory) -> list[FunctionalRecord]:
     return recs
 
 
-def _upper_series(recs: list[FunctionalRecord], qbar: np.ndarray,
+def _upper_series(trajectory, qbar: np.ndarray,
                   reference: BarenblattReference) -> np.ndarray:
     """Integral upper bound on tau at each recorded time.
 
@@ -158,16 +152,17 @@ def _upper_series(recs: list[FunctionalRecord], qbar: np.ndarray,
     denominator becomes nonpositive (recording cadence too coarse).
     """
     ex = reference.exponents
-    t = np.array([r.t for r in recs]) - recs[0].t
+    rec0 = trajectory.records[0]
+    t = trajectory.times() - rec0.t
     inner = cumulative_trapezoid(qbar - 1.0, t)
-    denom = t + recs[0].theta / (ex.mu * recs[0].entropy) - (ex.eta / ex.mu) * inner
+    denom = t + rec0.theta / (ex.mu * rec0.entropy) - (ex.eta / ex.mu) * inner
     if (denom <= 0.0).any():
         raise MatchingError(
             "inner denominator of the delay bound became nonpositive; "
             "record more often"
         )
     outer = cumulative_trapezoid(1.0 / denom, t)
-    return recs[0].tau * np.exp(outer) - t
+    return rec0.tau * np.exp(outer) - t
 
 
 def envelope_worst(trajectory, params: ModelParams,
@@ -178,10 +173,10 @@ def envelope_worst(trajectory, params: ModelParams,
     require(params, "delay envelope", "envelope_window", "finite_moments")
     recs = _records_of(trajectory)
     qbar = np.array([q_envelope(recs[0].q_ratio, recs[0].theta, r.theta) for r in recs])
-    q = np.array([r.q_ratio for r in recs])
-    tau = np.array([r.tau for r in recs])
+    q = trajectory.series("q_ratio")
+    tau = trajectory.series("tau")
     return (float((q - qbar).max()),
-            float((tau - _upper_series(recs, qbar, reference)).max()))
+            float((tau - _upper_series(trajectory, qbar, reference)).max()))
 
 
 @dataclass(frozen=True)
@@ -210,7 +205,7 @@ def build_delay_report(trajectory, params: ModelParams,
     """
     require(params, "delay report", "finite_moments")
     recs = _records_of(trajectory)
-    tau = np.array([r.tau for r in recs])
+    tau = trajectory.series("tau")
 
     dtau = np.diff(tau)
     # p < 1: tau nonincreasing; p > 1: tau nondecreasing

@@ -57,7 +57,7 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class ExponentSet:
-    """Scaling exponents and validity flags derived from (d, p).
+    """Scaling exponents derived from (d, p).
 
     mu:    self-similar time exponent, mu = 2 + d*(p - 1); Theta along the
            self-similar solution grows like t**(2/mu).
@@ -75,9 +75,6 @@ class ExponentSet:
     sigma: float
     kappa: float
     gn_q: float | None
-    theorem1_valid: bool
-    theorem2_valid: bool
-    moments_finite: bool
 
 
 def derive_exponents(params: ModelParams) -> ExponentSet:
@@ -87,19 +84,7 @@ def derive_exponents(params: ModelParams) -> ExponentSet:
     sigma = 2.0 / (d * (1.0 - p)) - 1.0
     kappa = abs(2.0 * mu * p / (p - 1.0)) ** (1.0 / mu)
     gn_q = 1.0 / (2.0 * p - 1.0) if unmet(params, "gn_conversion") is None else None
-    moments_finite = unmet(params, "finite_moments") is None
-    return ExponentSet(
-        mu=mu,
-        eta=eta,
-        sigma=sigma,
-        kappa=kappa,
-        gn_q=gn_q,
-        theorem1_valid=unmet(params, "remainder_window") is None,
-        # The comparison of H with the profile's h_star needs that value
-        # finite, as checks.CHECK_HYPOTHESES["theorem2"] does.
-        theorem2_valid=moments_finite,
-        moments_finite=moments_finite,
-    )
+    return ExponentSet(mu=mu, eta=eta, sigma=sigma, kappa=kappa, gn_q=gn_q)
 
 
 # Slack below which the p >= 1 - 1/d window edge is still admitted:

@@ -13,7 +13,7 @@ import pytest
 from scipy import integrate
 
 import renyiflow as rf
-from renyiflow.checks import run_check
+from renyiflow.checks import run_checks
 from renyiflow.cli import main
 from renyiflow.gn import (deficit_identity_check, extremality_test,
                           gn_constant_report, gn_exponent)
@@ -288,7 +288,7 @@ def test_criterion_11_deficit_budget(corpus):
     reproduces the concavity rate -F'' within 5% on every resolved interior
     window (of which there must be a meaningful number)."""
     traj, params, ref, _ = corpus["fd3_mixture"]
-    res = run_check("deficit", traj, params, ref)
+    (res,) = run_checks(("deficit",), traj, params, ref)
     clauses = res.details["clauses"]
     assert clauses["partial_nondecreasing"]["passed"]
     assert clauses["budget_bound"]["passed"]

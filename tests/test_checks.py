@@ -6,7 +6,7 @@ import pytest
 import renyiflow as rf
 from renyiflow import checks, matching
 from renyiflow.checks import (
-    CHECK_NAMES, compatible_checks, incompatibility, run_check, run_checks)
+    CHECK_NAMES, compatible_checks, incompatibility, run_checks)
 from renyiflow.matching import MatchingError
 
 
@@ -57,7 +57,7 @@ def test_admitted_checks_run_below_remainder_window(d, p):
     traj = rf.evolve(state, 0.2, params, rf.SolverConfig(record_every=0.05))
     ref = rf.build_reference(params)
     for name in compatible_checks(params):
-        res = run_check(name, traj, params, ref)
+        (res,) = run_checks((name,), traj, params, ref)
         assert res.applicable, name
 
 
@@ -67,14 +67,14 @@ def test_unknown_check_name():
 
 
 def test_inapplicable_check_is_skipped(run_pm1_gaussian, params_pm1, ref_pm1):
-    res = run_check("deficit", run_pm1_gaussian, params_pm1, ref_pm1)
+    (res,) = run_checks(("deficit",), run_pm1_gaussian, params_pm1, ref_pm1)
     assert res.applicable is False
     assert res.passed is None and res.slack is None
     assert "fast diffusion" in res.details["reason"]
 
 
 def test_clause_shape(run_pm1_barenblatt, params_pm1, ref_pm1):
-    res = run_check("theorem2", run_pm1_barenblatt, params_pm1, ref_pm1)
+    (res,) = run_checks(("theorem2",), run_pm1_barenblatt, params_pm1, ref_pm1)
     assert res.applicable and res.passed
     clauses = res.details["clauses"]
     assert set(clauses) == {"h_monotone", "h_limit_side"}
@@ -95,27 +95,27 @@ def test_corpus_checks_pass(corpus):
                 # thin initial tails leave the remainder quadrature
                 # unresolved early on; the mixture run covers this check
                 continue
-            res = run_check(check, traj, params, ref, expected_tau=expected_tau)
+            (res,) = run_checks((check,), traj, params, ref, expected_tau=expected_tau)
             assert res.passed, (name, check, res.slack, res.details)
 
 
 def test_tau_flat_clause_present_only_with_expectation(
         run_pm1_barenblatt, params_pm1, ref_pm1):
-    with_tau = run_check("theorem3", run_pm1_barenblatt, params_pm1, ref_pm1,
-                         expected_tau=1.0)
+    (with_tau,) = run_checks(("theorem3",), run_pm1_barenblatt, params_pm1, ref_pm1,
+                             expected_tau=1.0)
     assert "tau_flat" in with_tau.details["clauses"]
-    without = run_check("theorem3", run_pm1_barenblatt, params_pm1, ref_pm1)
+    (without,) = run_checks(("theorem3",), run_pm1_barenblatt, params_pm1, ref_pm1)
     assert "tau_flat" not in without.details["clauses"]
 
 
 def test_tol_scale_tightens_and_loosens(run_pm1_barenblatt, params_pm1, ref_pm1):
     # a vanishing tolerance budget must fail the rate identities, and a huge
     # one must pass them, through the same code path
-    tight = run_check("theorem1", run_pm1_barenblatt, params_pm1, ref_pm1,
-                      tol_scale=1e-12)
+    (tight,) = run_checks(("theorem1",), run_pm1_barenblatt, params_pm1, ref_pm1,
+                          tol_scale=1e-12)
     assert not tight.passed
-    loose = run_check("theorem1", run_pm1_barenblatt, params_pm1, ref_pm1,
-                      tol_scale=1e6)
+    (loose,) = run_checks(("theorem1",), run_pm1_barenblatt, params_pm1, ref_pm1,
+                          tol_scale=1e6)
     assert loose.passed
 
 
@@ -136,7 +136,7 @@ def test_tol_scale_multiplies_every_clause_tolerance(corpus):
 
 
 def test_gn_check_reports_seed(run_pm1_barenblatt, params_pm1, ref_pm1):
-    res = run_check("gn", run_pm1_barenblatt, params_pm1, ref_pm1, gn_seed=99)
+    (res,) = run_checks(("gn",), run_pm1_barenblatt, params_pm1, ref_pm1, gn_seed=99)
     assert res.passed
     assert res.details["seed"] == 99
     assert res.details["n_perturbations"] == 20
@@ -187,4 +187,4 @@ def test_prop_t4_fails_loudly_on_huge_initial_ratio():
     traj = rf.evolve(state, 1e-3, params, rf.SolverConfig(), reference=ref)
     assert math.isfinite(traj.records[0].q_ratio) and traj.records[0].q_ratio > 1e60
     with pytest.raises(MatchingError, match="envelope denominator"):
-        run_check("prop_t4", traj, params, ref)
+        run_checks(("prop_t4",), traj, params, ref)

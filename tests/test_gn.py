@@ -6,6 +6,7 @@ function (machine-exact here because both grids are scaled copies), and the
 hand-reduced values at simple indices pin the algebra.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ def gaussian_quotient(d, q, lam):
     gn = GnParams(q=q, theta=theta, branch="GN1" if q > 1.0 else "GN2")
     grid = rf.build_grid(d, 30.0 * lam, 2000)
     w = np.exp(-((grid.centers / lam) ** 2) / 2.0)
-    return rf.gn_quotient(GnTestFunction(grid, w), gn, d)
+    return rf.gn_quotient(GnTestFunction(grid, w), gn)
 
 
 @settings(max_examples=20, deadline=None)
@@ -49,8 +50,8 @@ def test_quotient_amplitude_invariant():
     gn = GnParams(q=1.5, theta=theta, branch="GN1")
     grid = rf.build_grid(2, 30.0, 1000)
     w = np.exp(-(grid.centers**2) / 2.0)
-    a = rf.gn_quotient(GnTestFunction(grid, w), gn, 2)
-    b = rf.gn_quotient(GnTestFunction(grid, 3.7 * w), gn, 2)
+    a = rf.gn_quotient(GnTestFunction(grid, w), gn)
+    b = rf.gn_quotient(GnTestFunction(grid, 3.7 * w), gn)
     assert b == pytest.approx(a, rel=1e-13)
 
 
@@ -143,7 +144,7 @@ def test_test_function_validation():
         GnTestFunction(grid, np.ones(5))
     with pytest.raises(ValueError):
         rf.gn_quotient(GnTestFunction(grid, np.zeros(grid.n)),
-                       GnParams(q=0.5, theta=0.25, branch="GN2"), 1)
+                       GnParams(q=0.5, theta=0.25, branch="GN2"))
 
 
 def test_deficit_regime_gates(run_pm1_gaussian, params_pm1, ref_pm1):
@@ -155,3 +156,73 @@ def test_deficit_regime_gates(run_pm1_gaussian, params_pm1, ref_pm1):
     ref = rf.build_reference(params)
     with pytest.raises(RegimeError):
         deficit_identity_check(run_pm1_gaussian, params, ref)
+
+
+def _deficit_windows_by_loop(trajectory, params, reference):
+    """fpp_worst and fpp_count of the concavity-rate identity, scored one
+    window at a time: the reference the array form must reproduce bit for
+    bit."""
+    from renyiflow.gn import FPP_SIGNIFICANCE_REL
+
+    p, sigma = params.p, reference.exponents.sigma
+    t = np.array([r.t for r in trajectory.records])
+    e = np.array([r.entropy for r in trajectory.records])
+    rem = np.array([r.remainder for r in trajectory.records])
+    f = np.array([r.f_power for r in trajectory.records])
+    h = np.diff(t)
+    rhs = sigma * (1.0 - p) ** 2 * e ** (sigma - 2.0) * rem
+    eps = float(np.finfo(float).eps)
+    resolved = []
+    for k in range(1, len(t) - 1):
+        hl, hr = h[k - 1], h[k]
+        if abs(hl - hr) > 1e-9 * max(hl, hr):
+            continue
+        noise = 4.0 * eps * abs(f[k]) / (hl * hr)
+        if abs(rhs[k]) < 1e4 * noise:
+            continue
+        if float(np.ptp(rhs[k - 1:k + 2])) > 0.5 * abs(rhs[k]):
+            continue
+        resolved.append(k)
+    worst, count = 0.0, 0
+    if resolved:
+        floor = FPP_SIGNIFICANCE_REL * max(abs(rhs[k]) for k in resolved)
+        for k in resolved:
+            if abs(rhs[k]) < floor:
+                continue
+            lhs = -(f[k + 1] - 2.0 * f[k] + f[k - 1]) / (h[k - 1] * h[k])
+            target = 0.25 * float(rhs[k - 1] + 2.0 * rhs[k] + rhs[k + 1])
+            worst = max(worst, abs(lhs - target) / abs(target))
+            count += 1
+    return worst, count
+
+
+def test_deficit_windows_match_the_per_window_loop(run_fd3_mixture, params_fd3, ref_fd3):
+    from renyiflow.gn import deficit_identity_check
+
+    rep = deficit_identity_check(run_fd3_mixture, params_fd3, ref_fd3)
+    worst, count = _deficit_windows_by_loop(run_fd3_mixture, params_fd3, ref_fd3)
+    assert count >= 10
+    assert (rep["fpp_worst"], rep["fpp_count"]) == (worst, count)
+
+
+def test_deficit_windows_skip_uneven_gaps_and_unresolved_windows(params_fd3, ref_fd3):
+    # E = 1 and R = 9 make -F'' = sigma (1-p)**2 R = 1 at d = 3, p = 2/3, and
+    # F = t - t**2/2 has exactly that second derivative. The gap 0.3 -> 0.5
+    # is twice the others, which rules out the windows at 0.3 and 0.5; R
+    # doubles at the last record, so the window before it varies by 100%.
+    # The four windows left hold the identity to rounding; scoring an uneven
+    # window would read an error above 1, the varying one 0.2.
+    from renyiflow.gn import deficit_identity_check
+
+    t = [0.0, 0.1, 0.2, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9]
+    rem = [9.0] * 8 + [18.0]
+    template = rf.FunctionalRecord(*(0.0,) * 16)
+    records = [replace(template, t=tk, entropy=1.0, remainder=rk,
+                       f_power=tk - 0.5 * tk * tk, j_scale=1.0)
+               for tk, rk in zip(t, rem)]
+    traj = rf.Trajectory(records=records)
+    rep = deficit_identity_check(traj, params_fd3, ref_fd3)
+    assert rep["fpp_count"] == 4
+    assert rep["fpp_worst"] <= 1e-9
+    assert (rep["fpp_worst"], rep["fpp_count"]) == _deficit_windows_by_loop(
+        traj, params_fd3, ref_fd3)

@@ -97,7 +97,7 @@ def test_drop_bound_degenerate_on_profile(params_pm1, ref_pm1):
     state = rf.project_initial(
         lambda r: rf.self_similar_density(r, 1.0, params_pm1), grid)
     rec = rf.diagnostics(state, params_pm1, ref_pm1)
-    bound, t_star = delay_lower_bound(rec, ref_pm1, params_pm1)
+    bound, t_star = delay_lower_bound(rec, ref_pm1, params_pm1, h_prime=1.0)
     assert bound == 0.0 and t_star == 0.0
 
 
@@ -109,4 +109,4 @@ def test_drop_bound_window_gate(ref_fd3):
     state = rf.project_initial(lambda r: np.exp(-r * r), grid)
     rec = rf.diagnostics(state, params, ref)
     with pytest.raises(RegimeError):
-        delay_lower_bound(rec, ref, params)
+        delay_lower_bound(rec, ref, params, h_prime=1.0)

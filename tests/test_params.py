@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from renyiflow import ModelParams, ParameterDomainError, RegimeError, derive_exponents
+from renyiflow.checks import CHECK_HYPOTHESES
+from renyiflow.params import unmet
 
 
 def valid_pairs():
@@ -36,7 +38,7 @@ def test_frozen_exponents_pm():
     assert (ex.mu, ex.eta, ex.sigma) == (3.0, -1.0, -3.0)
     assert ex.kappa == pytest.approx(12.0 ** (1.0 / 3.0), rel=1e-15)
     assert ex.gn_q == pytest.approx(1.0 / 3.0, rel=1e-15)
-    assert ex.theorem1_valid and ex.theorem2_valid and ex.moments_finite
+    assert unmet(ModelParams(1, 2.0), "remainder_window", "finite_moments") is None
 
 
 def test_frozen_exponents_fd():
@@ -48,8 +50,10 @@ def test_frozen_exponents_fd():
     assert ex.gn_q == pytest.approx(3.0, rel=1e-14)
     # float(2/3) sits one ulp below 1 - float(1/3); the window gate must
     # still admit the endpoint
-    assert ex.theorem1_valid
-    assert ex.theorem2_valid and ex.moments_finite
+    params = ModelParams(3, 2.0 / 3.0)
+    assert 2.0 / 3.0 < 1.0 - 1.0 / 3.0
+    assert unmet(params, "remainder_window") is None
+    assert unmet(params, "finite_moments") is None
 
 
 @pytest.mark.parametrize("d,p,t1,t2,mom", [
@@ -60,10 +64,12 @@ def test_frozen_exponents_fd():
     (3, 2.0, True, True, True),
 ])
 def test_validity_flags(d, p, t1, t2, mom):
-    ex = derive_exponents(ModelParams(d, p))
-    assert ex.theorem1_valid is t1
-    assert ex.theorem2_valid is t2
-    assert ex.moments_finite is mom
+    # t1: theorem1's remainder window, t2: theorem2's hypotheses, mom: a
+    # finite profile second moment, each read off the HYPOTHESES table
+    params = ModelParams(d, p)
+    assert (unmet(params, "remainder_window") is None) is t1
+    assert (unmet(params, *CHECK_HYPOTHESES["theorem2"]) is None) is t2
+    assert (unmet(params, "finite_moments") is None) is mom
 
 
 def test_regime_labels():
