@@ -14,13 +14,12 @@ import numpy as np
 import renyiflow as rf
 
 params = rf.ModelParams(d=1, p=2.0)
-ref = rf.build_reference(params)
 grid = rf.build_grid(1, 5.0, 800)
 
 t0 = 1.0
 state = rf.project_initial(lambda r: rf.self_similar_density(r, t0, params), grid)
-traj = rf.evolve(state, 1.0, params, rf.SolverConfig(cfl=0.85, record_every=0.25),
-                 reference=ref)
+traj = rf.evolve(state, 1.0, params, rf.SolverConfig(cfl=0.85, record_every=0.25))
+ref = traj.reference
 
 mu = ref.exponents.mu
 print(f"porous medium d={params.d} p={params.p}: release the self-similar "

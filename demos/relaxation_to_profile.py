@@ -17,12 +17,11 @@ import numpy as np
 import renyiflow as rf
 
 params = rf.ModelParams(d=1, p=2.0)
-ref = rf.build_reference(params)
 grid = rf.build_grid(1, 6.0, 800)
 
 state = rf.project_initial(lambda r: np.exp(-(r * r)), grid)
-traj = rf.evolve(state, 5.0, params, rf.SolverConfig(cfl=0.85, record_every=0.25),
-                 reference=ref)
+traj = rf.evolve(state, 5.0, params, rf.SolverConfig(cfl=0.85, record_every=0.25))
+ref = traj.reference
 
 print(f"porous medium d={params.d} p={params.p}, Gaussian data, horizon t = 5\n")
 print(f"{'t':>6} {'F':>10} {'H/H*':>10} {'J/J*':>10} {'q':>12} "

@@ -12,7 +12,10 @@ This module is the only verdict layer: matching and gn return measurements,
 and every tolerance (the named constants below) and pass/fail decision
 lives here. Sign and monotonicity clauses use one-sided margins of 1e-3 of
 the quantity's own scale (floored at 1e-8), derivative identities use the
-relative tolerances stated per clause; `tol_scale` multiplies every tolerance.
+relative tolerances stated per clause. Each check reads the trajectory
+alone (its records and reference) and returns its clauses as
+(measured, tolerance) pairs; run_checks judges every clause, in one place,
+against tolerance * tol_scale.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from typing import Callable
 
 import numpy as np
 
-from .barenblatt import BarenblattReference
 from .gn import DEFAULT_SEED, deficit_identity_check, extremality_test, gn_constant_report
 from .grid import uniform_interior
 from .matching import build_delay_report, envelope_worst
@@ -136,23 +138,27 @@ def _clause(measured: float, tolerance: float) -> dict:
     }
 
 
-def _finish(name: str, clauses: dict[str, dict], extra: dict | None = None) -> CheckResult:
-    worst = min(clauses.values(), key=lambda c: c["margin"])
-    details: dict = {"clauses": clauses}
-    if extra:
-        details.update(extra)
+# A check's clauses before judgement: name -> (measured, tolerance), the
+# tolerance at tol_scale = 1.
+Clauses = dict[str, tuple[float, float]]
+
+
+def _finish(name: str, clauses: Clauses, extra: dict, tol_scale: float) -> CheckResult:
+    judged = {key: _clause(measured, tolerance * tol_scale)
+              for key, (measured, tolerance) in clauses.items()}
+    worst = min(judged.values(), key=lambda c: c["margin"])
     return CheckResult(
         name=name,
         applicable=True,
-        passed=all(c["passed"] for c in clauses.values()),
+        passed=all(c["passed"] for c in judged.values()),
         slack=worst["margin"],
         tolerance=worst["tolerance"],
-        details=details,
+        details={"clauses": judged, **extra},
     )
 
 
-def _sign_tol(scale: float, tol_scale: float) -> float:
-    return max(SIGN_TOL_FLOOR, SIGN_TOL_REL * abs(scale)) * tol_scale
+def _sign_tol(scale: float) -> float:
+    return max(SIGN_TOL_FLOOR, SIGN_TOL_REL * abs(scale))
 
 
 def _rate_clause(t, series, target, k) -> float:
@@ -160,13 +166,12 @@ def _rate_clause(t, series, target, k) -> float:
     return float(np.max(np.abs(num - target[k]) / np.abs(target[k])))
 
 
-def _check_theorem1(trajectory, params, reference, tol_scale, **_) -> CheckResult:
+def _check_theorem1(trajectory, **_) -> tuple[Clauses, dict]:
     """Entropy-production complex: the production identities at recorded
     times, q >= 1, the remainder's regime sign, concavity of F, F strictly
     increasing, and J nonincreasing (with its gap to the extremal value
     reported). These all hang on the same remainder sign, hence one verdict.
     """
-    recs = trajectory.records
     t = trajectory.times()
     theta = trajectory.series("theta")
     entropy = trajectory.series("entropy")
@@ -177,102 +182,96 @@ def _check_theorem1(trajectory, params, reference, tol_scale, **_) -> CheckResul
     rem = trajectory.series("remainder")
     f = trajectory.series("f_power")
     j = trajectory.series("j_scale")
+    reference = trajectory.reference
     ex = reference.exponents
-    p = params.p
+    p = reference.params.p
 
-    clauses: dict[str, dict] = {}
+    clauses: Clauses = {}
     k = uniform_interior(t)
     if k.size:
-        clauses["theta_rate"] = _clause(
-            _rate_clause(t, theta, 2.0 * entropy, k), THETA_RATE_TOL * tol_scale)
-        clauses["entropy_rate"] = _clause(
-            _rate_clause(t, entropy, (1.0 - p) * fisher, k), ENTROPY_RATE_TOL * tol_scale)
-        clauses["moment_rate"] = _clause(
-            _rate_clause(t, gmom, ex.mu * hren, k), MOMENT_RATE_TOL * tol_scale)
-    clauses["q_lower"] = _clause(float(np.max(1.0 - q)), Q_LOWER_TOL * tol_scale)
+        clauses["theta_rate"] = (_rate_clause(t, theta, 2.0 * entropy, k), THETA_RATE_TOL)
+        clauses["entropy_rate"] = (
+            _rate_clause(t, entropy, (1.0 - p) * fisher, k), ENTROPY_RATE_TOL)
+        clauses["moment_rate"] = (_rate_clause(t, gmom, ex.mu * hren, k), MOMENT_RATE_TOL)
+    clauses["q_lower"] = (float(np.max(1.0 - q)), Q_LOWER_TOL)
     # R >= 0 in the fast-diffusion window; for p > 1 both remainder
     # coefficients flip sign, so R <= 0 and the scale ratio still decays.
     signed = rem if p < 1.0 else -rem
-    clauses["remainder_sign"] = _clause(
-        float(np.max(-signed)), _sign_tol(float(np.max(np.abs(rem))), tol_scale))
+    clauses["remainder_sign"] = (
+        float(np.max(-signed)), _sign_tol(float(np.max(np.abs(rem)))))
     if len(t) >= 3:
         # F is concave in both regimes: -F'' carries sigma * R, whose factors
         # flip sign together across p = 1.
         d2f = f[2:] - 2.0 * f[1:-1] + f[:-2]
-        clauses["f_concave"] = _clause(
-            float(np.max(d2f / np.abs(f[1:-1]))), SIGN_TOL_REL * tol_scale)
-    f_tol = _sign_tol(float(np.max(np.abs(f))), tol_scale)
-    clauses["f_increasing"] = _clause(float(np.max(-np.diff(f))), f_tol)
-    j_tol = _sign_tol(float(np.max(np.abs(j))), tol_scale)
-    clauses["j_monotone"] = _clause(float(np.max(np.diff(j))), j_tol)
+        clauses["f_concave"] = (float(np.max(d2f / np.abs(f[1:-1]))), SIGN_TOL_REL)
+    clauses["f_increasing"] = (
+        float(np.max(-np.diff(f))), _sign_tol(float(np.max(np.abs(f)))))
+    clauses["j_monotone"] = (
+        float(np.max(np.diff(j))), _sign_tol(float(np.max(np.abs(j)))))
     j_rel_gap = abs(j[-1] - reference.j_star) / reference.j_star
-    return _finish("theorem1", clauses, {
+    return clauses, {
         "n_rate_windows": int(k.size),
-        "n_records": len(recs),
+        "n_records": len(trajectory.records),
         "j_rel_gap": float(j_rel_gap),
-    })
+    }
 
 
-def _check_theorem2(trajectory, params, reference, tol_scale, **_) -> CheckResult:
+def _check_theorem2(trajectory, **_) -> tuple[Clauses, dict]:
     """Scale-invariant entropy power: H moves monotonically toward its
     extremal value and stays on the regime's side of it."""
     h = trajectory.series("h_renyi")
-    p = params.p
+    p = trajectory.reference.params.p
+    h_star = trajectory.reference.h_star
 
-    clauses: dict[str, dict] = {}
     dh = np.diff(h)
     scale = np.maximum(np.abs(h[:-1]), np.abs(h[1:]))
-    clauses["h_monotone"] = _clause(
-        float(np.max(-(1.0 - p) * dh / scale)), SIGN_TOL_REL * tol_scale)
-    h_star = reference.h_star
     side = h - h_star if p < 1.0 else h_star - h
-    clauses["h_limit_side"] = _clause(
-        float(np.max(side)), SIGN_TOL_REL * abs(h_star) * tol_scale)
-    return _finish("theorem2", clauses, {
+    clauses: Clauses = {
+        "h_monotone": (float(np.max(-(1.0 - p) * dh / scale)), SIGN_TOL_REL),
+        "h_limit_side": (float(np.max(side)), SIGN_TOL_REL * abs(h_star)),
+    }
+    return clauses, {
         "h_final": float(h[-1]),
         "h_star": float(h_star),
-    })
+    }
 
 
-def _delay_check(trajectory, params, reference, tol_scale, *, name,
-                 delay_report, **_) -> CheckResult:
+def _delay_check(trajectory, *, name, delay_report, **_) -> tuple[Clauses, dict]:
     report = delay_report()
     tau0 = float(report.tau_series[0])
-    tau_tol = SIGN_TOL_REL * abs(tau0) * tol_scale
-    clauses: dict[str, dict] = {}
+    tau_tol = SIGN_TOL_REL * abs(tau0)
+    clauses: Clauses = {}
     if name == "theorem3":
-        clauses["tau_monotone"] = _clause(report.monotone_worst, tau_tol)
+        clauses["tau_monotone"] = (report.monotone_worst, tau_tol)
         if report.flat_worst is not None:
-            clauses["tau_flat"] = _clause(report.flat_worst, tau_tol)
+            clauses["tau_flat"] = (report.flat_worst, tau_tol)
     elif name == "theorem3bis":
         # drop_slack = measured - bound; nonnegative passes, no extra tolerance
         # beyond the one-sided noise floor.
-        clauses["drop_lower_bound"] = _clause(
-            -report.drop_slack, _sign_tol(abs(tau0), tol_scale))
+        clauses["drop_lower_bound"] = (-report.drop_slack, _sign_tol(abs(tau0)))
     else:  # prop_t4
-        env_worst, upper_worst = envelope_worst(trajectory, params, reference)
-        clauses["ratio_envelope"] = _clause(env_worst, SIGN_TOL_REL * tol_scale)
-        clauses["delay_upper_bound"] = _clause(upper_worst, tau_tol)
-    return _finish(name, clauses, {
+        env_worst, upper_worst = envelope_worst(trajectory)
+        clauses["ratio_envelope"] = (env_worst, SIGN_TOL_REL)
+        clauses["delay_upper_bound"] = (upper_worst, tau_tol)
+    return clauses, {
         "tau0": tau0,
         "drop_bound": report.drop_bound,
         "drop_measured": report.drop_measured,
-    })
+    }
 
 
-def _check_gn(trajectory, params, reference, tol_scale, *, gn_seed, **_) -> CheckResult:
-    const = gn_constant_report(params, reference)
-    ext = extremality_test(params, reference, n_perturbations=GN_PERTURBATIONS,
+def _check_gn(trajectory, *, gn_seed, **_) -> tuple[Clauses, dict]:
+    const = gn_constant_report(trajectory.reference)
+    ext = extremality_test(trajectory.reference, n_perturbations=GN_PERTURBATIONS,
                            seed=gn_seed)
-    clauses: dict[str, dict] = {}
-    clauses["constant_dual_path"] = _clause(
-        const["rel_discrepancy"], GN_CONSTANT_TOL * tol_scale)
-    clauses["perturbation_gap"] = _clause(
-        -ext["min_gap"], GN_GAP_TOL_REL * tol_scale * ext["q0"])
     slope_err = (abs(ext["slope"] - GN_SLOPE_TARGET)
                  if math.isfinite(ext["slope"]) else float("inf"))
-    clauses["gap_growth_rate"] = _clause(slope_err, GN_SLOPE_BAND * tol_scale)
-    return _finish("gn", clauses, {
+    clauses: Clauses = {
+        "constant_dual_path": (const["rel_discrepancy"], GN_CONSTANT_TOL),
+        "perturbation_gap": (-ext["min_gap"], GN_GAP_TOL_REL * ext["q0"]),
+        "gap_growth_rate": (slope_err, GN_SLOPE_BAND),
+    }
+    return clauses, {
         "c_gn": const["c_gn"],
         "quotient": const["quotient"],
         "asymptote_form": const["asymptote_form"],
@@ -281,30 +280,29 @@ def _check_gn(trajectory, params, reference, tol_scale, *, gn_seed, **_) -> Chec
         "slope": ext["slope"],
         "n_perturbations": ext["n_perturbations"],
         "seed": ext["seed"],
-    })
+    }
 
 
-def _check_deficit(trajectory, params, reference, tol_scale, **_) -> CheckResult:
-    rep = deficit_identity_check(trajectory, params, reference)
+def _check_deficit(trajectory, **_) -> tuple[Clauses, dict]:
+    rep = deficit_identity_check(trajectory)
     p_series = rep["p_series"]
-    clauses: dict[str, dict] = {}
-    p_tol = _sign_tol(float(np.max(np.abs(p_series))), tol_scale)
-    clauses["partial_nondecreasing"] = _clause(rep["monotone_worst"], p_tol)
-    clauses["budget_bound"] = _clause(
-        rep["bound_worst"], BUDGET_TOL_REL * reference.j_star * tol_scale)
-    clauses["concavity_rate_identity"] = _clause(
-        rep["fpp_worst"], CONCAVITY_RATE_TOL * tol_scale)
-    return _finish("deficit", clauses, {
+    clauses: Clauses = {
+        "partial_nondecreasing": (
+            rep["monotone_worst"], _sign_tol(float(np.max(np.abs(p_series))))),
+        "budget_bound": (rep["bound_worst"], BUDGET_TOL_REL * trajectory.reference.j_star),
+        "concavity_rate_identity": (rep["fpp_worst"], CONCAVITY_RATE_TOL),
+    }
+    return clauses, {
         "partial_final": float(p_series[-1]),
         "raw_final": float(rep["p_raw_series"][-1]),
         "budget": rep["budget"],
         "fraction": rep["fraction"],
         "fpp_windows": rep["fpp_count"],
         "low_confidence": rep["low_confidence"],
-    })
+    }
 
 
-_RUNNERS: dict[str, Callable[..., CheckResult]] = {
+_RUNNERS: dict[str, Callable[..., tuple[Clauses, dict]]] = {
     "theorem1": _check_theorem1,
     "theorem2": _check_theorem2,
     "theorem3": partial(_delay_check, name="theorem3"),
@@ -315,22 +313,23 @@ _RUNNERS: dict[str, Callable[..., CheckResult]] = {
 }
 
 
-def run_checks(names, trajectory, params: ModelParams,
-               reference: BarenblattReference, tol_scale: float = 1.0,
+def run_checks(names, trajectory, tol_scale: float = 1.0,
                expected_tau: float | None = None,
                gn_seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """Evaluate named checks in order. theorem3, theorem3bis and prop_t4 read
-    one DelayReport, built on first use and shared; only prop_t4 measures
-    the envelope inequalities."""
+    """Evaluate named checks on one trajectory, in order, at the (d, p) of
+    its reference, judging every clause against its tolerance times
+    tol_scale. theorem3, theorem3bis and prop_t4 read one DelayReport,
+    built on first use and shared; only prop_t4 measures the envelope
+    inequalities."""
     report = None
 
     def delay_report():
         nonlocal report
         if report is None:
-            report = build_delay_report(trajectory, params, reference,
-                                        expected_tau=expected_tau)
+            report = build_delay_report(trajectory, expected_tau=expected_tau)
         return report
 
+    params = trajectory.reference.params
     results = []
     for name in names:
         reason = incompatibility(name, params)
@@ -339,6 +338,7 @@ def run_checks(names, trajectory, params: ModelParams,
                                        slack=None, tolerance=None,
                                        details={"reason": reason}))
             continue
-        results.append(_RUNNERS[name](trajectory, params, reference, tol_scale,
-                                      gn_seed=gn_seed, delay_report=delay_report))
+        clauses, extra = _RUNNERS[name](trajectory, gn_seed=gn_seed,
+                                        delay_report=delay_report)
+        results.append(_finish(name, clauses, extra, tol_scale))
     return results

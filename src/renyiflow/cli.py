@@ -97,20 +97,8 @@ class ConfigError(ValueError):
     """Config rejected at parse time; the message names the field at fault."""
 
 
-def _json_default(obj):
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _fail(field: str, message: str) -> ConfigError:
@@ -203,6 +191,23 @@ def _parse_datum(raw) -> dict:
     return out
 
 
+def _requested_checks(names: list, params: ModelParams) -> tuple[str, ...]:
+    """names in first-seen order without repeats, each a known check whose
+    hypotheses hold at (d, p); the one gate of a config's "checks" list and
+    of verify --check."""
+    seen: list[str] = []
+    for name in names:
+        try:
+            reason = incompatibility(name, params)
+        except ValueError as e:  # an unknown name
+            raise _fail("checks", str(e)) from e
+        if reason is not None:
+            raise _fail("checks", f"incompatible with d={params.d}, p={params.p:g}: {reason}")
+        if name not in seen:
+            seen.append(name)
+    return tuple(seen)
+
+
 def parse_config(document: dict | str, label: str = "config") -> ExperimentConfig:
     """Validate a config document (dict or JSON text) into an ExperimentConfig.
 
@@ -285,20 +290,10 @@ def parse_config(document: dict | str, label: str = "config") -> ExperimentConfi
     raw_checks = document.get("checks", "all")
     if raw_checks == "all":
         checks = compatible_checks(params)
+    elif isinstance(raw_checks, list):
+        checks = _requested_checks(raw_checks, params)
     else:
-        if not isinstance(raw_checks, list):
-            raise _fail("checks", "expected 'all' or a list of check names")
-        seen: list[str] = []
-        for name in raw_checks:
-            if name not in CHECK_NAMES:
-                raise _fail("checks",
-                            f"unknown check {name!r}; valid: {', '.join(CHECK_NAMES)}")
-            reason = incompatibility(name, params)
-            if reason is not None:
-                raise _fail("checks", f"incompatible with d={d}, p={p:g}: {reason}")
-            if name not in seen:
-                seen.append(name)
-        checks = tuple(seen)
+        raise _fail("checks", "expected 'all' or a list of check names")
 
     seed = _as_int(document.get("seed", DEFAULT_SEED), "seed")
     output_dir = document.get("output_dir")
@@ -441,9 +436,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     state = build_initial_state(config)
-    reference = build_reference(config.params)
-    trajectory = evolve(state, config.t_end, config.params, config.solver,
-                        reference=reference)
+    trajectory = evolve(state, config.t_end, config.params, config.solver)
     # written before the checks, so a check that raises keeps the trajectory
     write_trajectory_csv(out / "trajectory.csv", trajectory)
     if trajectory.records[-1].t != config.t_end:
@@ -456,16 +449,15 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
             f"trajectory has a non-finite record field, {bad}; its "
             "trajectory.csv is kept, no check ran")
     results = run_checks(
-        config.checks, trajectory, config.params, reference,
-        tol_scale=tol_scale, expected_tau=config.expected_tau,
-        gn_seed=config.seed)
+        config.checks, trajectory, tol_scale=tol_scale,
+        expected_tau=config.expected_tau, gn_seed=config.seed)
     all_passed = all(r.passed for r in results if r.applicable)
     report = {
         "label": config.label,
         "d": config.params.d,
         "p": config.params.p,
         "tol_scale": tol_scale,
-        "reference": _reference_payload(reference),
+        "reference": _reference_payload(trajectory.reference),
         "run": {
             "n_steps": trajectory.n_steps,
             "euler_steps": trajectory.euler_steps,
@@ -503,12 +495,8 @@ def _run_path(path: str, out_root: str | None, tol_scale: float,
     try:
         config = load_config(path)
         if check is not None:
-            if check not in CHECK_NAMES:
-                raise ConfigError(f"unknown check {check!r}; valid: {', '.join(CHECK_NAMES)}")
-            reason = incompatibility(check, config.params)
-            if reason is not None:
-                raise ConfigError(f"check incompatible with this config: {reason}")
-            config = dataclasses.replace(config, checks=(check,))
+            config = dataclasses.replace(
+                config, checks=_requested_checks([check], config.params))
         out = Path(out_root) if out_root else (
             Path(config.output_dir) if config.output_dir else Path("out") / config.label)
         report = run_experiment(config, out, tol_scale=tol_scale, echo=echo)

@@ -301,7 +301,7 @@ def _relative_entropy(g: RadialGrid, u: np.ndarray, up: np.ndarray, s: float,
     return g.integrate(integrand)
 
 
-def relative_entropy(state: DensityState, s: float, params: ModelParams,
+def relative_entropy(state: DensityState, s: float,
                      reference: BarenblattReference) -> float:
     """Bregman divergence of the entropy between u and the self-similar
     solution at time s: 1/(p-1) int [u^p - U^p - p U^(p-1) (u - U)].
@@ -309,12 +309,12 @@ def relative_entropy(state: DensityState, s: float, params: ModelParams,
     The integrand is pointwise nonnegative for every p in the admissible
     range, so the value is a genuine divergence (zero iff u = U a.e.).
     """
-    u, p = state.u, params.p
+    u, p = state.u, reference.params.p
     return _relative_entropy(state.grid, u, pow_fn(p)(u), s, p, reference)
 
 
-def whole_space_entropy(state: DensityState, params: ModelParams,
-                        reference: BarenblattReference, t_end: float) -> bool:
+def whole_space_entropy(state: DensityState, reference: BarenblattReference,
+                        t_end: float) -> bool:
     """Whether the records of a run from state to t_end read E over the
     whole space (diagnostics' whole_space), decided once per run so the
     tail cannot switch on or off between records.
@@ -327,7 +327,8 @@ def whole_space_entropy(state: DensityState, params: ModelParams,
     no record's match time exceeds that s. A small box, whose window holds
     the bulk of the density, keeps the box E.
     """
-    if unmet(params, "fast_diffusion", "remainder_window", "finite_moments") is not None:
+    if unmet(reference.params, "fast_diffusion", "remainder_window",
+             "finite_moments") is not None:
         return False
     g = state.grid
     theta = _second_moment(g, state.u)
@@ -336,7 +337,7 @@ def whole_space_entropy(state: DensityState, params: ModelParams,
     s_end = reference.match_time(theta) + t_end - state.t
     rms = math.sqrt(g.d * reference.theta_star * s_end ** (2.0 / reference.exponents.mu))
     c, _, _ = g.far_field_window
-    return 0.1 * g.edges[c] >= FAR_FIELD_BULK_FACTOR * rms
+    return bool(0.1 * g.edges[c] >= FAR_FIELD_BULK_FACTOR * rms)
 
 
 def _whole_space_entropy(g: RadialGrid, u: np.ndarray, w: np.ndarray, p: float) -> float:
@@ -373,9 +374,8 @@ def _tail_fraction(g: RadialGrid, moment: np.ndarray, total: float) -> float:
     return float(moment[g.centers > 0.5 * g.r_max].sum()) / total
 
 
-def diagnostics(state: DensityState, params: ModelParams,
-                reference: BarenblattReference, dt: float = float("nan"),
-                whole_space: bool = False) -> FunctionalRecord:
+def diagnostics(state: DensityState, reference: BarenblattReference,
+                dt: float = float("nan"), whole_space: bool = False) -> FunctionalRecord:
     """Evaluate every tracked functional of the state in one pass: the arrays
     several functionals read are built once and shared by their kernels.
 
@@ -385,8 +385,7 @@ def diagnostics(state: DensityState, params: ModelParams,
     otherwise, and for theta, the remainder's integrals and the match time
     always, the integrals run over the box.
     """
-    if params != reference.params:
-        raise ValueError("reference was built for different parameters")
+    params = reference.params
     if whole_space:
         require(params, "whole-space entropy",
                 "fast_diffusion", "remainder_window", "finite_moments")

@@ -119,8 +119,7 @@ def gn_quotient(w: TestFunction, gn: GnParams) -> float:
     return grad**th * n2q ** (1.0 - th) / nq1
 
 
-def extremal_test_function(params: ModelParams, reference: BarenblattReference,
-                           n: int = 4096) -> TestFunction:
+def extremal_test_function(reference: BarenblattReference, n: int = 4096) -> TestFunction:
     """The profile extremal w = B**(p-1/2) sampled on a dedicated grid.
 
     p > 1: uniform grid slightly past the support edge so the gradient drop
@@ -128,6 +127,7 @@ def extremal_test_function(params: ModelParams, reference: BarenblattReference,
     the slowest-decaying norm in the admissible window has an O(1/R) tail,
     so the truncation error is ~1e-5 relative.
     """
+    params = reference.params
     root_c = math.sqrt(reference.c_star)
     if params.p > 1.0:
         grid = build_grid(params.d, 1.05 * root_c, n, stretch=1.0)
@@ -137,16 +137,16 @@ def extremal_test_function(params: ModelParams, reference: BarenblattReference,
     return TestFunction(grid=grid, w=w)
 
 
-def gn_constant_report(params: ModelParams, reference: BarenblattReference) -> dict:
+def gn_constant_report(reference: BarenblattReference) -> dict:
     """Both normalizations of the sharp constant plus the dual-path check.
 
     c_gn uses the j-based form (j_star * ((2p-1)/(2p))**2)**(theta/2) that
     the quotient of the extremal actually attains; the bare j_star**(theta/2)
     reading is reported alongside for comparison.
     """
-    gn = gn_params_for(params)
-    c_formula = sharp_constant_from_j(reference.j_star, gn.theta, params.p)
-    tf = extremal_test_function(params, reference)
+    gn = gn_params_for(reference.params)
+    c_formula = sharp_constant_from_j(reference.j_star, gn.theta, reference.params.p)
+    tf = extremal_test_function(reference)
     c_quotient = gn_quotient(tf, gn)
     return {
         "q": gn.q,
@@ -184,8 +184,8 @@ def _bump(grid: RadialGrid, center: float, width: float, edge: float | None) -> 
     return phi
 
 
-def extremality_test(params: ModelParams, reference: BarenblattReference,
-                     n_perturbations: int = 20, seed: int = DEFAULT_SEED) -> dict:
+def extremality_test(reference: BarenblattReference, n_perturbations: int = 20,
+                     seed: int = DEFAULT_SEED) -> dict:
     """Perturb the extremal with random smooth bumps and measure how far the
     quotient moves from its value q0 there (min_gap < 0 would contradict
     extremality).
@@ -197,11 +197,11 @@ def extremality_test(params: ModelParams, reference: BarenblattReference,
     """
     if n_perturbations < 4 or n_perturbations % 4 != 0:
         raise ValueError("n_perturbations must be a positive multiple of 4")
-    gn = gn_params_for(params)
-    tf = extremal_test_function(params, reference)
+    gn = gn_params_for(reference.params)
+    tf = extremal_test_function(reference)
     q0 = gn_quotient(tf, gn)
     scale = math.sqrt(reference.c_star)
-    edge = scale if params.p > 1.0 else None
+    edge = scale if reference.params.p > 1.0 else None
     w_max = float(tf.w.max())
 
     n_shapes = n_perturbations // 4
@@ -242,8 +242,7 @@ def extremality_test(params: ModelParams, reference: BarenblattReference,
     }
 
 
-def deficit_identity_check(trajectory, params: ModelParams,
-                           reference: BarenblattReference) -> dict:
+def deficit_identity_check(trajectory) -> dict:
     """Partial deficit integral P(T) = (1-p) int_0^T E**(sigma-2) R dt and
     its consistency with the drop of J = E**(sigma-1) I.
 
@@ -265,9 +264,10 @@ def deficit_identity_check(trajectory, params: ModelParams,
     difference cannot certify rates three decades below the trajectory's
     own concavity scale).
     """
-    require(params, "deficit integral",
+    reference = trajectory.reference
+    require(reference.params, "deficit integral",
             "fast_diffusion", "remainder_window", "finite_moments")
-    p = params.p
+    p = reference.params.p
     ex = reference.exponents
     recs = trajectory.records
     if len(recs) < 3:

@@ -21,7 +21,7 @@ import numpy as np
 from .barenblatt import BarenblattReference
 from .functionals import FunctionalRecord, _second_moment, relative_entropy
 from .grid import DensityState, cumulative_trapezoid
-from .params import ModelParams, require, unmet
+from .params import require, unmet
 
 # Relative H-gap and Cauchy-Schwarz slack below which the quadratic drop
 # bound is treated as degenerate (initial data already at the profile up to
@@ -41,8 +41,7 @@ def best_match_scale(theta: float, reference: BarenblattReference) -> float:
     return reference.match_time(theta)
 
 
-def best_match_scale_numeric(state: DensityState, params: ModelParams,
-                             reference: BarenblattReference,
+def best_match_scale_numeric(state: DensityState, reference: BarenblattReference,
                              rel_tol: float = 1e-8) -> float:
     """Minimize s -> relative_entropy(state, s) by golden-section search.
 
@@ -56,7 +55,7 @@ def best_match_scale_numeric(state: DensityState, params: ModelParams,
     lo, hi = 0.1 * s0, 10.0 * s0
 
     def phi(s: float) -> float:
-        return relative_entropy(state, s, params, reference)
+        return relative_entropy(state, s, reference)
 
     invphi = 0.5 * (math.sqrt(5.0) - 1.0)
     a, b = lo, hi
@@ -82,7 +81,7 @@ def best_match_scale_numeric(state: DensityState, params: ModelParams,
 
 
 def delay_lower_bound(record0: FunctionalRecord, reference: BarenblattReference,
-                      params: ModelParams, h_prime: float) -> tuple[float, float]:
+                      h_prime: float) -> tuple[float, float]:
     """Quadratic lower bound on the total delay drop |tau(0) - tau(inf)|.
 
     The drop equals (1/H_star) * integral of (H_star - H(t)); since the gap
@@ -97,8 +96,8 @@ def delay_lower_bound(record0: FunctionalRecord, reference: BarenblattReference,
     to discretization noise (relative H-gap or Cauchy-Schwarz slack below
     DEGENERATE_REL) return (0.0, 0.0) rather than a 0/0 artifact.
     """
-    require(params, "delay drop bound", "remainder_window", "finite_moments")
-    d = params.d
+    require(reference.params, "delay drop bound", "remainder_window", "finite_moments")
+    d = reference.params.d
     h_star = reference.h_star
     gap = h_star - record0.h_renyi
     denom = record0.theta * record0.fisher - d * record0.entropy**2
@@ -139,8 +138,7 @@ def _records_of(trajectory) -> list[FunctionalRecord]:
     return recs
 
 
-def _upper_series(trajectory, qbar: np.ndarray,
-                  reference: BarenblattReference) -> np.ndarray:
+def _upper_series(trajectory, qbar: np.ndarray) -> np.ndarray:
     """Integral upper bound on tau at each recorded time.
 
         tau(t) <= tau0 * exp( int_0^t ds / (s + Theta0/(mu E0)
@@ -151,7 +149,7 @@ def _upper_series(trajectory, qbar: np.ndarray,
     telescopes to tau(t) = tau0 exactly. Raises MatchingError if the inner
     denominator becomes nonpositive (recording cadence too coarse).
     """
-    ex = reference.exponents
+    ex = trajectory.reference.exponents
     rec0 = trajectory.records[0]
     t = trajectory.times() - rec0.t
     inner = cumulative_trapezoid(qbar - 1.0, t)
@@ -165,18 +163,18 @@ def _upper_series(trajectory, qbar: np.ndarray,
     return rec0.tau * np.exp(outer) - t
 
 
-def envelope_worst(trajectory, params: ModelParams,
-                   reference: BarenblattReference) -> tuple[float, float]:
+def envelope_worst(trajectory) -> tuple[float, float]:
     """Largest violations (positive = violated) over the recorded times of
     q <= q_bar, the envelope from the initial record, and of tau <= its
     integral upper bound."""
-    require(params, "delay envelope", "envelope_window", "finite_moments")
+    require(trajectory.reference.params, "delay envelope", "envelope_window",
+            "finite_moments")
     recs = _records_of(trajectory)
     qbar = np.array([q_envelope(recs[0].q_ratio, recs[0].theta, r.theta) for r in recs])
     q = trajectory.series("q_ratio")
     tau = trajectory.series("tau")
     return (float((q - qbar).max()),
-            float((tau - _upper_series(trajectory, qbar, reference)).max()))
+            float((tau - _upper_series(trajectory, qbar)).max()))
 
 
 @dataclass(frozen=True)
@@ -195,14 +193,13 @@ class DelayReport:
     drop_slack: float | None  # drop_measured - drop_bound
 
 
-def build_delay_report(trajectory, params: ModelParams,
-                       reference: BarenblattReference,
-                       expected_tau: float | None = None) -> DelayReport:
+def build_delay_report(trajectory, expected_tau: float | None = None) -> DelayReport:
     """Measure the delay inequalities on one recorded trajectory.
 
     The initial slope H'(0) entering the drop bound is estimated from the
     first recorded interval. Tolerances and verdicts belong to checks.
     """
+    params = trajectory.reference.params
     require(params, "delay report", "finite_moments")
     recs = _records_of(trajectory)
     tau = trajectory.series("tau")
@@ -218,7 +215,7 @@ def build_delay_report(trajectory, params: ModelParams,
     bound = drop_slack = None
     if unmet(params, "remainder_window") is None:
         h_prime = (recs[1].h_renyi - recs[0].h_renyi) / (recs[1].t - recs[0].t)
-        bound, _ = delay_lower_bound(recs[0], reference, params, h_prime=h_prime)
+        bound, _ = delay_lower_bound(recs[0], trajectory.reference, h_prime=h_prime)
         drop_slack = measured - bound
 
     return DelayReport(

@@ -282,6 +282,7 @@ class _Kernel:
 
 @dataclass
 class Trajectory:
+    reference: BarenblattReference  # the profile of the run's (d, p)
     records: list[FunctionalRecord] = field(default_factory=list)
     final_state: DensityState | None = None
     # flux evaluations: one per Euler step, s per super-step (a discarded
@@ -354,27 +355,28 @@ def evolve(
     t_end: float,
     params: ModelParams,
     config: SolverConfig,
-    reference: BarenblattReference | None = None,
     observer: Callable[[FunctionalRecord, DensityState], None] | None = None,
 ) -> Trajectory:
     """Run to t_end, recording diagnostics at t0, at every record_times
     offset (else every record_every) before t_end, and at t_end. A record's
     dt is the length of the step or super-step that reached it (the first
     record's, the first Euler bound). Whether the records' E carries the
-    far-field tail is decided here, once (whole_space_entropy)."""
+    far-field tail is decided here, once (whole_space_entropy), and the
+    run's reference profile built once (Trajectory.reference)."""
     if t_end < state.t:
         raise ValueError(f"t_end {t_end} precedes state time {state.t}")
-    if reference is None:
-        reference = build_reference(params)
     grid = state.grid
-    traj = Trajectory()
+    if grid.d != params.d:
+        raise ValueError(f"the model's d = {params.d} differs from the grid's d = {grid.d}")
+    reference = build_reference(params)
+    traj = Trajectory(reference)
     start_wall = time.perf_counter()
 
     u0_max = float(state.u.max())
     u_cap = 10.0 * u0_max
     traj.u_floor = resolve_u_floor(config, params, u0_max)
     whole_space = traj.whole_space_entropy = whole_space_entropy(
-        state, params, reference, t_end)
+        state, reference, t_end)
     kernel = _Kernel(grid, params, traj.u_floor)
     u, w, factor, scratch, gain = kernel.u, kernel.w, kernel.factor, kernel.scratch, kernel.gain
     pair, coef, geometry, inv_vol = kernel.pair, kernel.coef, kernel.geometry, kernel.inv_vol
@@ -392,7 +394,7 @@ def evolve(
 
     def emit(tag_t: float, dt: float) -> None:
         snap = DensityState(grid=grid, u=u.copy(), t=tag_t)
-        rec = diagnostics(snap, params, reference, dt=dt, whole_space=whole_space)
+        rec = diagnostics(snap, reference, dt=dt, whole_space=whole_space)
         traj.records.append(rec)
         if observer is not None:
             observer(rec, snap)

@@ -102,13 +102,13 @@ def run_pm1_indicator(params_pm1):
 
 @pytest.fixture(scope="session")
 def corpus(run_fd3_gaussian, run_fd3_mixture, run_pm1_barenblatt,
-           run_pm1_gaussian, run_pm1_indicator, params_fd3, params_pm1,
-           ref_fd3, ref_pm1):
-    """name -> (trajectory, params, reference, expected_tau or None)."""
+           run_pm1_gaussian, run_pm1_indicator):
+    """name -> (trajectory, expected_tau or None); each trajectory carries
+    its reference (and through it its params)."""
     return {
-        "fd3_gaussian": (run_fd3_gaussian, params_fd3, ref_fd3, None),
-        "fd3_mixture": (run_fd3_mixture, params_fd3, ref_fd3, None),
-        "pm1_barenblatt": (run_pm1_barenblatt, params_pm1, ref_pm1, 1.0),
-        "pm1_gaussian": (run_pm1_gaussian, params_pm1, ref_pm1, None),
-        "pm1_indicator": (run_pm1_indicator, params_pm1, ref_pm1, None),
+        "fd3_gaussian": (run_fd3_gaussian, None),
+        "fd3_mixture": (run_fd3_mixture, None),
+        "pm1_barenblatt": (run_pm1_barenblatt, 1.0),
+        "pm1_gaussian": (run_pm1_gaussian, None),
+        "pm1_indicator": (run_pm1_indicator, None),
     }

@@ -115,8 +115,7 @@ def test_criterion_02_source_solution_convergence(params_pm1, ref_pm1):
         state = rf.project_initial(
             lambda r: rf.self_similar_density(r, 1.0, params_pm1), grid)
         traj = rf.evolve(state, 1.0, params_pm1,
-                         rf.SolverConfig(cfl=0.85, record_every=0.5),
-                         reference=ref_pm1)
+                         rf.SolverConfig(cfl=0.85, record_every=0.5))
         exact = ref_pm1.self_similar(grid.centers, 2.0)
         errs[n] = grid.integrate(np.abs(traj.final_state.u - exact))
     ratio = errs[400] / errs[800]
@@ -142,13 +141,14 @@ def test_criterion_03_production_identities(corpus, run_name):
     production laws: dTheta/dt = 2E within 1%, dE/dt = (1-p) I within 2%,
     dG/dt = mu H within 1%. Windows where the recording cadence changes
     (the very first one) are not second-order and are skipped."""
-    traj, params, ref, _ = corpus[run_name]
+    traj, _ = corpus[run_name]
+    ref = traj.reference
     t = traj.times()
     k = _uniform_windows(t)
     assert k.size >= 100
     theta_err = _worst_rate(t, traj.series("theta"), 2.0 * traj.series("entropy"), k)
     entropy_err = _worst_rate(t, traj.series("entropy"),
-                              (1.0 - params.p) * traj.series("fisher"), k)
+                              (1.0 - ref.params.p) * traj.series("fisher"), k)
     moment_err = _worst_rate(t, traj.series("g_power"),
                              ref.exponents.mu * traj.series("h_renyi"), k)
     print(f"\ncriterion 3 [{run_name}]: dTheta {theta_err:.2e} (<= 1e-2), "
@@ -162,10 +162,11 @@ def test_criterion_04_entropy_power_concavity(corpus):
     """Fast-diffusion Gaussian run: (1-p) * second differences of F = E^sigma
     stay below 1e-3 |F| on every record interval, F increases strictly, and
     the scale ratio J lands within 5% of its extremal value by t = 5."""
-    traj, params, ref, _ = corpus["fd3_gaussian"]
+    traj, _ = corpus["fd3_gaussian"]
+    ref = traj.reference
     f = traj.series("f_power")
     j = traj.series("j_scale")
-    d2f = (1.0 - params.p) * (f[2:] - 2.0 * f[1:-1] + f[:-2])
+    d2f = (1.0 - ref.params.p) * (f[2:] - 2.0 * f[1:-1] + f[:-2])
     concavity_worst = float(np.max(d2f / np.abs(f[1:-1])))
     assert concavity_worst <= 1e-3
     assert np.all(np.diff(f) > 0.0)
@@ -183,13 +184,15 @@ def test_criterion_05_scale_invariant_entropy_monotone(corpus):
     stays on its regime's side of the extremal level H_star to 1e-3 H_star:
     below for fast diffusion, above for porous medium."""
     lines = []
-    for name, (traj, params, ref, _) in corpus.items():
+    for name, (traj, _) in corpus.items():
+        ref = traj.reference
+        p = ref.params.p
         h = traj.series("h_renyi")
-        dh = (1.0 - params.p) * np.diff(h)
+        dh = (1.0 - p) * np.diff(h)
         scale = np.maximum(np.abs(h[:-1]), np.abs(h[1:]))
         mono_worst = float(np.max(-dh / scale))
         assert mono_worst <= 1e-3, name
-        side = h - ref.h_star if params.p < 1.0 else ref.h_star - h
+        side = h - ref.h_star if p < 1.0 else ref.h_star - h
         side_worst = float(np.max(side)) / ref.h_star
         assert side_worst <= 1e-3, name
         lines.append(f"{name} mono {mono_worst:+.1e} side {side_worst:+.1e}")
@@ -200,7 +203,7 @@ def test_criterion_06_ratio_never_below_one(corpus):
     """The moment/entropy/information ratio q stays >= 1 - 1e-6 at every
     recorded time of every corpus run."""
     worst = math.inf
-    for name, (traj, _, _, _) in corpus.items():
+    for name, (traj, _) in corpus.items():
         q_min = float(np.min(traj.series("q_ratio")))
         worst = min(worst, q_min)
         assert q_min >= 1.0 - 1e-6, (name, q_min)
@@ -212,10 +215,11 @@ def test_criterion_07_delay_monotone(corpus):
     for p > 1, to 1e-3 tau(0) per interval, on every corpus run; released
     exactly on the source-type solution it stays constant to 1e-3."""
     lines = []
-    for name, (traj, params, ref, expected_tau) in corpus.items():
+    for name, (traj, expected_tau) in corpus.items():
         tau = traj.series("tau")
         dtau = np.diff(tau)
-        worst = float(np.max(dtau)) if params.p < 1.0 else float(-np.min(dtau))
+        fast = traj.reference.params.p < 1.0
+        worst = float(np.max(dtau)) if fast else float(-np.min(dtau))
         tol = 1e-3 * abs(float(tau[0]))
         assert worst <= tol, (name, worst, tol)
         lines.append(f"{name} {worst:+.1e}/{tol:.1e}")
@@ -230,16 +234,16 @@ def test_criterion_08_delay_drop_lower_bound(corpus):
     """The measured total delay drop of the fast-diffusion Gaussian run
     strictly dominates the quadratic lower bound computed from the initial
     record; on the source-type run the bound degenerates to zero."""
-    traj, params, ref, _ = corpus["fd3_gaussian"]
-    report = rf.build_delay_report(traj, params, ref)
+    traj, _ = corpus["fd3_gaussian"]
+    report = rf.build_delay_report(traj)
     assert report.drop_bound > 0.0
     assert report.drop_slack > 0.0
     assert report.drop_measured >= report.drop_bound
     print(f"\ncriterion 8: drop {report.drop_measured:.4f} >= bound "
           f"{report.drop_bound:.4f}, slack {report.drop_slack:.4f}")
 
-    btraj, bparams, bref, _ = corpus["pm1_barenblatt"]
-    breport = rf.build_delay_report(btraj, bparams, bref)
+    btraj, _ = corpus["pm1_barenblatt"]
+    breport = rf.build_delay_report(btraj)
     assert breport.drop_bound == 0.0
 
 
@@ -249,14 +253,14 @@ def test_criterion_09_envelope_and_upper_bound(corpus):
     to 1e-3 tau(0)."""
     lines = []
     for name in ("fd3_gaussian", "fd3_mixture"):
-        traj, params, ref, _ = corpus[name]
+        traj, _ = corpus[name]
         theta = traj.series("theta")
         q = traj.series("q_ratio")
         tau = traj.series("tau")
         qbar = np.array([q_envelope(q[0], theta[0], th) for th in theta])
         env_worst = float(np.max(q - qbar))
         assert env_worst <= 1e-3, name
-        up_worst = envelope_worst(traj, params, ref)[1]
+        up_worst = envelope_worst(traj)[1]
         assert up_worst <= 1e-3 * abs(tau[0]), name
         lines.append(f"{name} envelope {env_worst:+.1e} upper {up_worst:+.1e}")
     print("\ncriterion 9 (<= 1e-3 of scale): " + "; ".join(lines))
@@ -270,9 +274,9 @@ def test_criterion_10_interpolation_extremality(d, p):
     quadratically in amplitude (log-log slope 2 +- 0.3)."""
     params = rf.ModelParams(d, p)
     ref = rf.build_reference(params)
-    const = gn_constant_report(params, ref)
+    const = gn_constant_report(ref)
     assert const["rel_discrepancy"] <= 1e-3
-    ext = extremality_test(params, ref, n_perturbations=20, seed=20260814)
+    ext = extremality_test(ref, n_perturbations=20, seed=20260814)
     assert len(ext["gaps"]) == 20
     assert ext["min_gap"] >= 0.0
     assert abs(ext["slope"] - 2.0) <= 0.3
@@ -287,15 +291,15 @@ def test_criterion_11_deficit_budget(corpus):
     available drop J(0) - j_star + 1e-3 j_star, and the same remainder
     reproduces the concavity rate -F'' within 5% on every resolved interior
     window (of which there must be a meaningful number)."""
-    traj, params, ref, _ = corpus["fd3_mixture"]
-    (res,) = run_checks(("deficit",), traj, params, ref)
+    traj, _ = corpus["fd3_mixture"]
+    (res,) = run_checks(("deficit",), traj)
     clauses = res.details["clauses"]
     assert clauses["partial_nondecreasing"]["passed"]
     assert clauses["budget_bound"]["passed"]
     assert clauses["concavity_rate_identity"]["measured"] <= 5e-2
     assert res.details["fpp_windows"] >= 10
     # the unweighted integral (1-p) int R dt must be nondecreasing too
-    raw = deficit_identity_check(traj, params, ref)["p_raw_series"]
+    raw = deficit_identity_check(traj)["p_raw_series"]
     assert float(np.min(np.diff(raw))) >= 0.0
     print(f"\ncriterion 11: P(T) final {res.details['partial_final']:.4f} of "
           f"budget {res.details['budget']:.4f} "

@@ -55,9 +55,8 @@ def test_admitted_checks_run_below_remainder_window(d, p):
     grid = rf.build_grid(d, 1000.0, 120, stretch=1.06)
     state = rf.project_initial(lambda r: np.exp(-r * r), grid)
     traj = rf.evolve(state, 0.2, params, rf.SolverConfig(record_every=0.05))
-    ref = rf.build_reference(params)
     for name in compatible_checks(params):
-        (res,) = run_checks((name,), traj, params, ref)
+        (res,) = run_checks((name,), traj)
         assert res.applicable, name
 
 
@@ -66,15 +65,15 @@ def test_unknown_check_name():
         incompatibility("theorem9", rf.ModelParams(1, 2.0))
 
 
-def test_inapplicable_check_is_skipped(run_pm1_gaussian, params_pm1, ref_pm1):
-    (res,) = run_checks(("deficit",), run_pm1_gaussian, params_pm1, ref_pm1)
+def test_inapplicable_check_is_skipped(run_pm1_gaussian):
+    (res,) = run_checks(("deficit",), run_pm1_gaussian)
     assert res.applicable is False
     assert res.passed is None and res.slack is None
     assert "fast diffusion" in res.details["reason"]
 
 
-def test_clause_shape(run_pm1_barenblatt, params_pm1, ref_pm1):
-    (res,) = run_checks(("theorem2",), run_pm1_barenblatt, params_pm1, ref_pm1)
+def test_clause_shape(run_pm1_barenblatt):
+    (res,) = run_checks(("theorem2",), run_pm1_barenblatt)
     assert res.applicable and res.passed
     clauses = res.details["clauses"]
     assert set(clauses) == {"h_monotone", "h_limit_side"}
@@ -89,44 +88,39 @@ def test_clause_shape(run_pm1_barenblatt, params_pm1, ref_pm1):
 
 
 def test_corpus_checks_pass(corpus):
-    for name, (traj, params, ref, expected_tau) in corpus.items():
-        for check in compatible_checks(params):
+    for name, (traj, expected_tau) in corpus.items():
+        for check in compatible_checks(traj.reference.params):
             if check == "deficit" and name == "fd3_gaussian":
                 # thin initial tails leave the remainder quadrature
                 # unresolved early on; the mixture run covers this check
                 continue
-            (res,) = run_checks((check,), traj, params, ref, expected_tau=expected_tau)
+            (res,) = run_checks((check,), traj, expected_tau=expected_tau)
             assert res.passed, (name, check, res.slack, res.details)
 
 
-def test_tau_flat_clause_present_only_with_expectation(
-        run_pm1_barenblatt, params_pm1, ref_pm1):
-    (with_tau,) = run_checks(("theorem3",), run_pm1_barenblatt, params_pm1, ref_pm1,
-                             expected_tau=1.0)
+def test_tau_flat_clause_present_only_with_expectation(run_pm1_barenblatt):
+    (with_tau,) = run_checks(("theorem3",), run_pm1_barenblatt, expected_tau=1.0)
     assert "tau_flat" in with_tau.details["clauses"]
-    (without,) = run_checks(("theorem3",), run_pm1_barenblatt, params_pm1, ref_pm1)
+    (without,) = run_checks(("theorem3",), run_pm1_barenblatt)
     assert "tau_flat" not in without.details["clauses"]
 
 
-def test_tol_scale_tightens_and_loosens(run_pm1_barenblatt, params_pm1, ref_pm1):
+def test_tol_scale_tightens_and_loosens(run_pm1_barenblatt):
     # a vanishing tolerance budget must fail the rate identities, and a huge
     # one must pass them, through the same code path
-    (tight,) = run_checks(("theorem1",), run_pm1_barenblatt, params_pm1, ref_pm1,
-                          tol_scale=1e-12)
+    (tight,) = run_checks(("theorem1",), run_pm1_barenblatt, tol_scale=1e-12)
     assert not tight.passed
-    (loose,) = run_checks(("theorem1",), run_pm1_barenblatt, params_pm1, ref_pm1,
-                          tol_scale=1e6)
+    (loose,) = run_checks(("theorem1",), run_pm1_barenblatt, tol_scale=1e6)
     assert loose.passed
 
 
 def test_tol_scale_multiplies_every_clause_tolerance(corpus):
     # the tol_scale factor reaches every clause of every admitted check,
     # with no tolerance fixed outside it
-    for name, (traj, params, ref, expected_tau) in corpus.items():
-        names = compatible_checks(params)
-        base = run_checks(names, traj, params, ref, expected_tau=expected_tau)
-        doubled = run_checks(names, traj, params, ref, tol_scale=2.0,
-                             expected_tau=expected_tau)
+    for name, (traj, expected_tau) in corpus.items():
+        names = compatible_checks(traj.reference.params)
+        base = run_checks(names, traj, expected_tau=expected_tau)
+        doubled = run_checks(names, traj, tol_scale=2.0, expected_tau=expected_tau)
         for one, two in zip(base, doubled):
             c1, c2 = one.details["clauses"], two.details["clauses"]
             assert set(c1) == set(c2), (name, one.name)
@@ -135,8 +129,8 @@ def test_tol_scale_multiplies_every_clause_tolerance(corpus):
                     name, one.name, clause)
 
 
-def test_gn_check_reports_seed(run_pm1_barenblatt, params_pm1, ref_pm1):
-    (res,) = run_checks(("gn",), run_pm1_barenblatt, params_pm1, ref_pm1, gn_seed=99)
+def test_gn_check_reports_seed(run_pm1_barenblatt):
+    (res,) = run_checks(("gn",), run_pm1_barenblatt, gn_seed=99)
     assert res.passed
     assert res.details["seed"] == 99
     assert res.details["n_perturbations"] == 20
@@ -145,7 +139,7 @@ def test_gn_check_reports_seed(run_pm1_barenblatt, params_pm1, ref_pm1):
 
 
 def test_delay_report_built_once_per_run_checks(
-        monkeypatch, run_fd3_mixture, params_fd3, ref_fd3):
+        monkeypatch, run_fd3_mixture):
     # theorem3, theorem3bis and prop_t4 all read one DelayReport
     calls = []
     real = checks.build_delay_report
@@ -155,25 +149,24 @@ def test_delay_report_built_once_per_run_checks(
         return real(*args, **kwargs)
 
     monkeypatch.setattr(checks, "build_delay_report", counted)
-    names = compatible_checks(params_fd3)
+    names = compatible_checks(run_fd3_mixture.reference.params)
     assert {"theorem3", "theorem3bis", "prop_t4"} <= set(names)
-    results = run_checks(names, run_fd3_mixture, params_fd3, ref_fd3)
+    results = run_checks(names, run_fd3_mixture)
     assert [r.name for r in results] == list(names)
     assert len(calls) == 1
 
 
-def test_theorem3_does_not_evaluate_the_envelope(
-        monkeypatch, run_fd3_gaussian, params_fd3, ref_fd3):
+def test_theorem3_does_not_evaluate_the_envelope(monkeypatch, run_fd3_gaussian):
     # only prop_t4 reads the envelope, so a broken envelope cannot fail
     # a theorem3 verdict
     def broken(*args, **kwargs):
         raise MatchingError("envelope evaluated")
 
     monkeypatch.setattr(matching, "q_envelope", broken)
-    (res,) = run_checks(("theorem3",), run_fd3_gaussian, params_fd3, ref_fd3)
+    (res,) = run_checks(("theorem3",), run_fd3_gaussian)
     assert res.passed
     with pytest.raises(MatchingError, match="envelope evaluated"):
-        run_checks(("prop_t4",), run_fd3_gaussian, params_fd3, ref_fd3)
+        run_checks(("prop_t4",), run_fd3_gaussian)
 
 
 def test_prop_t4_fails_loudly_on_huge_initial_ratio():
@@ -181,10 +174,9 @@ def test_prop_t4_fails_loudly_on_huge_initial_ratio():
     # denominator q0 theta(t) - (q0 - 1) theta0 has no significant digits
     # left: the check raises instead of judging a NaN
     params = rf.ModelParams(1, 0.4)
-    ref = rf.build_reference(params)
     grid = rf.build_grid(1, 40.0, 160)
     state = rf.project_initial(lambda r: np.exp(-r * r), grid)
-    traj = rf.evolve(state, 1e-3, params, rf.SolverConfig(), reference=ref)
+    traj = rf.evolve(state, 1e-3, params, rf.SolverConfig())
     assert math.isfinite(traj.records[0].q_ratio) and traj.records[0].q_ratio > 1e60
     with pytest.raises(MatchingError, match="envelope denominator"):
-        run_checks(("prop_t4",), traj, params, ref)
+        run_checks(("prop_t4",), traj)

@@ -348,10 +348,10 @@ def test_run_all_checks_below_moment_threshold(tmp_path):
 def _checks_failing_at(p_bad):
     real = cli.run_checks
 
-    def fake(names, trajectory, params, *args, **kwargs):
-        if params.p == p_bad:
+    def fake(names, trajectory, *args, **kwargs):
+        if trajectory.reference.params.p == p_bad:
             raise RuntimeError("injected fault")
-        return real(names, trajectory, params, *args, **kwargs)
+        return real(names, trajectory, *args, **kwargs)
 
     return fake
 
@@ -500,7 +500,7 @@ def _synthetic_trajectory(values):
     records = [FunctionalRecord(**{name: values[(k + i) % len(values)]
                                    for i, name in enumerate(fields)})
                for k in range(len(values))]
-    return Trajectory(records=records)
+    return Trajectory(rf.build_reference(rf.ModelParams(1, 2.0)), records=records)
 
 
 def test_streamed_csv_matches_joined_rendering(tmp_path):

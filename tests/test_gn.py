@@ -88,7 +88,7 @@ def test_family_from_diffusion_exponent(params_pm1, params_fd3):
 def test_sharp_constant_dual_path(key, params_pm1, params_fd3, ref_pm1, ref_fd3):
     params, ref = ((params_pm1, ref_pm1) if key == "pm1"
                    else (params_fd3, ref_fd3))
-    report = gn_constant_report(params, ref)
+    report = gn_constant_report(ref)
     assert report["rel_discrepancy"] <= 1e-3
     assert report["c_gn"] == pytest.approx(ref.c_gn, rel=1e-12)
     frozen = {"pm1": 1.470273503554807, "fd3": 2.340492275042014}[key]
@@ -103,27 +103,27 @@ def test_sharp_constant_formula():
         (16.0 * 0.25) ** 0.25, rel=1e-15)
 
 
-def test_extremality_deterministic(params_pm1, ref_pm1):
-    a = extremality_test(params_pm1, ref_pm1, seed=11)
-    b = extremality_test(params_pm1, ref_pm1, seed=11)
-    c = extremality_test(params_pm1, ref_pm1, seed=12)
+def test_extremality_deterministic(ref_pm1):
+    a = extremality_test(ref_pm1, seed=11)
+    b = extremality_test(ref_pm1, seed=11)
+    c = extremality_test(ref_pm1, seed=12)
     assert a["gaps"] == b["gaps"]
     assert a["gaps"] != c["gaps"]
 
 
-def test_extremality_gap_and_slope(params_pm1, ref_pm1):
-    ext = extremality_test(params_pm1, ref_pm1)
+def test_extremality_gap_and_slope(ref_pm1):
+    ext = extremality_test(ref_pm1)
     assert len(ext["gaps"]) == 20
     assert ext["min_gap"] > 0.0
     assert abs(ext["slope"] - 2.0) <= 0.3
     assert ext["min_gap"] >= -1e-6 * ext["q0"]
 
 
-def test_extremality_argument_validation(params_pm1, ref_pm1):
+def test_extremality_argument_validation(ref_pm1):
     with pytest.raises(ValueError):
-        extremality_test(params_pm1, ref_pm1, n_perturbations=3)
+        extremality_test(ref_pm1, n_perturbations=3)
     with pytest.raises(ValueError):
-        extremality_test(params_pm1, ref_pm1, n_perturbations=0)
+        extremality_test(ref_pm1, n_perturbations=0)
 
 
 def test_lcg_documented_recurrence():
@@ -147,24 +147,24 @@ def test_test_function_validation():
                        GnParams(q=0.5, theta=0.25, branch="GN2"))
 
 
-def test_deficit_regime_gates(run_pm1_gaussian, params_pm1, ref_pm1):
+def test_deficit_regime_gates(run_pm1_gaussian):
     from renyiflow.gn import deficit_identity_check
 
     with pytest.raises(RegimeError):
-        deficit_identity_check(run_pm1_gaussian, params_pm1, ref_pm1)
-    params = rf.ModelParams(3, 0.55)
-    ref = rf.build_reference(params)
+        deficit_identity_check(run_pm1_gaussian)
+    # the same records read against a (d, p) below the remainder window
+    ref = rf.build_reference(rf.ModelParams(3, 0.55))
     with pytest.raises(RegimeError):
-        deficit_identity_check(run_pm1_gaussian, params, ref)
+        deficit_identity_check(replace(run_pm1_gaussian, reference=ref))
 
 
-def _deficit_windows_by_loop(trajectory, params, reference):
+def _deficit_windows_by_loop(trajectory):
     """fpp_worst and fpp_count of the concavity-rate identity, scored one
     window at a time: the reference the array form must reproduce bit for
     bit."""
     from renyiflow.gn import FPP_SIGNIFICANCE_REL
 
-    p, sigma = params.p, reference.exponents.sigma
+    p, sigma = trajectory.reference.params.p, trajectory.reference.exponents.sigma
     t = np.array([r.t for r in trajectory.records])
     e = np.array([r.entropy for r in trajectory.records])
     rem = np.array([r.remainder for r in trajectory.records])
@@ -196,16 +196,16 @@ def _deficit_windows_by_loop(trajectory, params, reference):
     return worst, count
 
 
-def test_deficit_windows_match_the_per_window_loop(run_fd3_mixture, params_fd3, ref_fd3):
+def test_deficit_windows_match_the_per_window_loop(run_fd3_mixture):
     from renyiflow.gn import deficit_identity_check
 
-    rep = deficit_identity_check(run_fd3_mixture, params_fd3, ref_fd3)
-    worst, count = _deficit_windows_by_loop(run_fd3_mixture, params_fd3, ref_fd3)
+    rep = deficit_identity_check(run_fd3_mixture)
+    worst, count = _deficit_windows_by_loop(run_fd3_mixture)
     assert count >= 10
     assert (rep["fpp_worst"], rep["fpp_count"]) == (worst, count)
 
 
-def test_deficit_windows_skip_uneven_gaps_and_unresolved_windows(params_fd3, ref_fd3):
+def test_deficit_windows_skip_uneven_gaps_and_unresolved_windows(ref_fd3):
     # E = 1 and R = 9 make -F'' = sigma (1-p)**2 R = 1 at d = 3, p = 2/3, and
     # F = t - t**2/2 has exactly that second derivative. The gap 0.3 -> 0.5
     # is twice the others, which rules out the windows at 0.3 and 0.5; R
@@ -220,9 +220,8 @@ def test_deficit_windows_skip_uneven_gaps_and_unresolved_windows(params_fd3, ref
     records = [replace(template, t=tk, entropy=1.0, remainder=rk,
                        f_power=tk - 0.5 * tk * tk, j_scale=1.0)
                for tk, rk in zip(t, rem)]
-    traj = rf.Trajectory(records=records)
-    rep = deficit_identity_check(traj, params_fd3, ref_fd3)
+    traj = rf.Trajectory(ref_fd3, records=records)
+    rep = deficit_identity_check(traj)
     assert rep["fpp_count"] == 4
     assert rep["fpp_worst"] <= 1e-9
-    assert (rep["fpp_worst"], rep["fpp_count"]) == _deficit_windows_by_loop(
-        traj, params_fd3, ref_fd3)
+    assert (rep["fpp_worst"], rep["fpp_count"]) == _deficit_windows_by_loop(traj)

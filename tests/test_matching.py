@@ -35,8 +35,8 @@ def test_numeric_match_agrees_with_moment_match(params_pm1, ref_pm1):
     grid = rf.build_grid(1, 5.0, 800)
     state = rf.project_initial(
         lambda r: rf.self_similar_density(r, 1.0, params_pm1), grid)
-    s_closed = rf.diagnostics(state, params_pm1, ref_pm1).s_match
-    s_num = best_match_scale_numeric(state, params_pm1, ref_pm1)
+    s_closed = rf.diagnostics(state, ref_pm1).s_match
+    s_num = best_match_scale_numeric(state, ref_pm1)
     assert s_num == pytest.approx(s_closed, rel=1e-4)
 
 
@@ -55,14 +55,14 @@ def test_envelope_algebra():
         q_envelope(2.0, 1.0, 0.4)  # moment decreased below admissible range
 
 
-def test_envelope_window_gate(run_pm1_gaussian, params_pm1, ref_pm1):
+def test_envelope_window_gate(run_pm1_gaussian):
     # p = 2 > 1 is outside the fast-diffusion window: no envelope
     with pytest.raises(RegimeError):
-        envelope_worst(run_pm1_gaussian, params_pm1, ref_pm1)
+        envelope_worst(run_pm1_gaussian)
 
 
-def test_delay_report_porous_medium(run_pm1_gaussian, params_pm1, ref_pm1):
-    report = rf.build_delay_report(run_pm1_gaussian, params_pm1, ref_pm1)
+def test_delay_report_porous_medium(run_pm1_gaussian):
+    report = rf.build_delay_report(run_pm1_gaussian)
     tau_tol = 1e-3 * abs(report.tau_series[0])
     # p > 1: tau nondecreasing toward the self-similar clock
     assert report.monotone_worst <= tau_tol
@@ -71,22 +71,21 @@ def test_delay_report_porous_medium(run_pm1_gaussian, params_pm1, ref_pm1):
     assert report.tau_series[-1] >= report.tau_series[0] - tau_tol
 
 
-def test_delay_report_fast_diffusion(run_fd3_gaussian, params_fd3, ref_fd3):
-    report = rf.build_delay_report(run_fd3_gaussian, params_fd3, ref_fd3)
+def test_delay_report_fast_diffusion(run_fd3_gaussian):
+    report = rf.build_delay_report(run_fd3_gaussian)
     tau_tol = 1e-3 * abs(report.tau_series[0])
     assert report.monotone_worst <= tau_tol   # tau nonincreasing for p < 1
     assert report.drop_bound > 0.0     # strict lower bound on the total drop
     assert report.drop_slack >= 0.0
     # the envelope dominates the measured ratio and the integral bound
     # dominates the measured delay, pointwise
-    env_worst, upper_worst = envelope_worst(run_fd3_gaussian, params_fd3, ref_fd3)
+    env_worst, upper_worst = envelope_worst(run_fd3_gaussian)
     assert env_worst <= 1e-3
     assert upper_worst <= tau_tol
 
 
-def test_delay_flat_on_self_similar_run(run_pm1_barenblatt, params_pm1, ref_pm1):
-    report = rf.build_delay_report(run_pm1_barenblatt, params_pm1, ref_pm1,
-                                   expected_tau=1.0)
+def test_delay_flat_on_self_similar_run(run_pm1_barenblatt):
+    report = rf.build_delay_report(run_pm1_barenblatt, expected_tau=1.0)
     assert report.flat_worst <= 1e-3
     # data already on the profile: degenerate quadratic bound collapses to 0
     assert report.drop_bound == 0.0
@@ -96,17 +95,17 @@ def test_drop_bound_degenerate_on_profile(params_pm1, ref_pm1):
     grid = rf.build_grid(1, 5.0, 800)
     state = rf.project_initial(
         lambda r: rf.self_similar_density(r, 1.0, params_pm1), grid)
-    rec = rf.diagnostics(state, params_pm1, ref_pm1)
-    bound, t_star = delay_lower_bound(rec, ref_pm1, params_pm1, h_prime=1.0)
+    rec = rf.diagnostics(state, ref_pm1)
+    bound, t_star = delay_lower_bound(rec, ref_pm1, h_prime=1.0)
     assert bound == 0.0 and t_star == 0.0
 
 
-def test_drop_bound_window_gate(ref_fd3):
+def test_drop_bound_window_gate():
     # d=3, p=0.65 sits below the 1 - 1/d window edge
     params = rf.ModelParams(3, 0.65)
     ref = rf.build_reference(params)
     grid = rf.build_grid(3, 100.0, 200, stretch=1.02)
     state = rf.project_initial(lambda r: np.exp(-r * r), grid)
-    rec = rf.diagnostics(state, params, ref)
+    rec = rf.diagnostics(state, ref)
     with pytest.raises(RegimeError):
-        delay_lower_bound(rec, ref, params, h_prime=1.0)
+        delay_lower_bound(rec, ref, h_prime=1.0)

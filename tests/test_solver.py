@@ -12,10 +12,9 @@ from renyiflow.solver import InstabilityError, StiffnessError
 @pytest.fixture(scope="module")
 def pm_setup():
     params = rf.ModelParams(1, 2.0)
-    ref = rf.build_reference(params)
     grid = rf.build_grid(1, 6.0, 200)
     state = rf.project_initial(lambda r: np.exp(-r * r), grid)
-    return params, ref, grid, state
+    return params, grid, state
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -80,15 +79,14 @@ def test_stable_dt_honors_dt_max():
 
 
 def test_stiffness_error_below_dt_min(pm_setup):
-    params, ref, _, state = pm_setup
+    params, _, state = pm_setup
     with pytest.raises(StiffnessError):
-        rf.evolve(state, 0.1, params, rf.SolverConfig(dt_min=1e3), reference=ref)
+        rf.evolve(state, 0.1, params, rf.SolverConfig(dt_min=1e3))
 
 
 def test_mass_conservation_and_positivity(pm_setup):
-    params, ref, _, state = pm_setup
-    traj = rf.evolve(state, 0.5, params, rf.SolverConfig(record_every=0.1),
-                     reference=ref)
+    params, _, state = pm_setup
+    traj = rf.evolve(state, 0.5, params, rf.SolverConfig(record_every=0.1))
     for rec in traj.records:
         assert rec.mass == pytest.approx(1.0, abs=1e-13)
     assert np.all(traj.final_state.u >= 0.0)
@@ -97,40 +95,46 @@ def test_mass_conservation_and_positivity(pm_setup):
 
 
 def test_record_schedule_uniform(pm_setup):
-    params, ref, _, state = pm_setup
-    traj = rf.evolve(state, 1.0, params, rf.SolverConfig(record_every=0.25),
-                     reference=ref)
+    params, _, state = pm_setup
+    traj = rf.evolve(state, 1.0, params, rf.SolverConfig(record_every=0.25))
     assert np.allclose(traj.times(), [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-12)
     assert traj.final_state.t == 1.0
 
 
 def test_record_schedule_explicit(pm_setup):
-    params, ref, _, state = pm_setup
+    params, _, state = pm_setup
     cfg = rf.SolverConfig(record_times=(0.1, 0.3))
-    traj = rf.evolve(state, 0.5, params, cfg, reference=ref)
+    traj = rf.evolve(state, 0.5, params, cfg)
     # initial record and a final one at t_end are always present
     assert np.allclose(traj.times(), [0.0, 0.1, 0.3, 0.5], atol=1e-12)
 
 
 def test_evolve_rejects_backward_time(pm_setup):
-    params, ref, grid, _ = pm_setup
+    params, grid, _ = pm_setup
     state = rf.project_initial(lambda r: np.exp(-r * r), grid, t=1.0)
     with pytest.raises(ValueError):
-        rf.evolve(state, 0.5, params, rf.SolverConfig(), reference=ref)
+        rf.evolve(state, 0.5, params, rf.SolverConfig())
+
+
+def test_evolve_rejects_a_grid_of_another_dimension(pm_setup):
+    # the d = 3 model's fluxes on a d = 1 grid would record a flow of neither
+    _, _, state = pm_setup
+    with pytest.raises(ValueError, match="model's d = 3 differs from the grid's d = 1"):
+        rf.evolve(state, 0.5, rf.ModelParams(3, 2.0 / 3.0), rf.SolverConfig())
 
 
 def test_evolution_is_deterministic(pm_setup):
-    params, ref, _, state = pm_setup
+    params, _, state = pm_setup
     cfg = rf.SolverConfig(record_every=0.1)
-    a = rf.evolve(state, 0.3, params, cfg, reference=ref)
-    b = rf.evolve(state, 0.3, params, cfg, reference=ref)
+    a = rf.evolve(state, 0.3, params, cfg)
+    b = rf.evolve(state, 0.3, params, cfg)
     assert a.n_steps == b.n_steps
     assert np.array_equal(a.final_state.u, b.final_state.u)
     for fa, fb in zip(a.records, b.records):
         assert fa == fb
 
 
-def test_self_similar_moment_growth(run_pm1_barenblatt, params_pm1, ref_pm1):
+def test_self_similar_moment_growth(run_pm1_barenblatt, ref_pm1):
     # released at age t0 = 1, Theta(t) = theta_star (1 + t)^(2/mu)
     traj = run_pm1_barenblatt
     t = traj.times()
@@ -141,11 +145,9 @@ def test_self_similar_moment_growth(run_pm1_barenblatt, params_pm1, ref_pm1):
 
 def test_fast_diffusion_smoke():
     params = rf.ModelParams(3, 2.0 / 3.0)
-    ref = rf.build_reference(params)
     grid = rf.build_grid(3, 200.0, 160, stretch=1.03)
     state = rf.project_initial(lambda r: np.exp(-r * r), grid)
-    traj = rf.evolve(state, 0.01, params, rf.SolverConfig(record_every=0.005),
-                     reference=ref)
+    traj = rf.evolve(state, 0.01, params, rf.SolverConfig(record_every=0.005))
     for rec in traj.records:
         assert rec.mass == pytest.approx(1.0, abs=1e-12)
         assert rec.q_ratio >= 1.0 - 1e-12
@@ -279,7 +281,7 @@ def test_positive_runs_take_super_steps(run_pm1_gaussian, run_fd3_gaussian):
 def test_negative_super_step_is_redone_by_euler(monkeypatch, pm_setup):
     # a super-step that leaves a negative mass is discarded, never clipped:
     # the same step is taken again by limited Euler, and counted
-    params, ref, _, state = pm_setup
+    params, _, state = pm_setup
     real = solver._Kernel.super_step
     stages = []
 
@@ -291,7 +293,7 @@ def test_negative_super_step_is_redone_by_euler(monkeypatch, pm_setup):
         return out
 
     monkeypatch.setattr(solver._Kernel, "super_step", spoiled)
-    traj = rf.evolve(state, 0.5, params, rf.SolverConfig(record_every=0.1), reference=ref)
+    traj = rf.evolve(state, 0.5, params, rf.SolverConfig(record_every=0.1))
     assert traj.rejected_super_steps == 1
     assert traj.super_steps == len(stages) - 1 > 0
     assert traj.n_steps == traj.euler_steps + sum(stages)
