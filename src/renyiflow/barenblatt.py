@@ -26,6 +26,7 @@ import, by Newton's method on the Legendre recurrence.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 
@@ -87,13 +88,23 @@ def self_similar_density(
     return _self_similar(r, t, params, derive_exponents(params), c_star)
 
 
-def _self_similar(r: np.ndarray | float, t: float, params: ModelParams, ex: ExponentSet,
-                  c_star: float | None) -> np.ndarray:
-    if t <= 0.0:
-        raise ValueError(f"self-similar density requires t > 0, got {t}")
-    scale = ex.kappa * t ** (1.0 / ex.mu)
+def _self_similar(r: np.ndarray | float, t: float | Sequence[float], params: ModelParams,
+                  ex: ExponentSet, c_star: float | None) -> np.ndarray:
+    """The source-type solution at radii r and time t, or at each of a
+    sequence of k times as a (k, r.size) block. The scale and amplitude of
+    each time are Python floats, so a row has the bits of its own call."""
+    one = np.ndim(t) == 0
+    times = [t] if one else list(t)
+    for s in times:
+        if s <= 0.0:
+            raise ValueError(f"self-similar density requires t > 0, got {s}")
+    scale = [ex.kappa * s ** (1.0 / ex.mu) for s in times]
+    amplitude = [c ** (-params.d) for c in scale]
     r = np.asarray(r, dtype=float)
-    return scale ** (-params.d) * profile_density(r / scale, params, c_star=c_star)
+    if one:
+        return amplitude[0] * profile_density(r / scale[0], params, c_star=c_star)
+    return (np.array(amplitude)[:, None]
+            * profile_density(r / np.array(scale)[:, None], params, c_star=c_star))
 
 
 @dataclass(frozen=True)
@@ -125,7 +136,7 @@ class BarenblattReference:
     def profile(self, r: np.ndarray | float) -> np.ndarray:
         return profile_density(r, self.params, c_star=self.c_star)
 
-    def self_similar(self, r: np.ndarray | float, t: float) -> np.ndarray:
+    def self_similar(self, r: np.ndarray | float, t: float | Sequence[float]) -> np.ndarray:
         return _self_similar(r, t, self.params, self.exponents, self.c_star)
 
     def match_time(self, theta: float) -> float:

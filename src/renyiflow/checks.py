@@ -29,7 +29,7 @@ import numpy as np
 
 from .gn import DEFAULT_SEED, deficit_identity_check, extremality_test, gn_constant_report
 from .grid import uniform_interior
-from .matching import build_delay_report, envelope_worst
+from .matching import MatchingError, build_delay_report, envelope_worst
 from .params import ModelParams, unmet
 
 __all__ = [
@@ -104,7 +104,10 @@ class CheckResult:
     (tolerance - measured) / tolerance, so positive means every clause
     holds with room and -1 means a clause missed by its full tolerance.
     tolerance is the binding clause's tolerance in its own units; details
-    carries every clause's measured value, tolerance, and margin.
+    carries every clause's measured value, tolerance, and margin. A check
+    that does not apply, or whose measurement cannot be evaluated on the
+    trajectory, has no clauses: slack and tolerance are None and
+    details["reason"] says why (passed is None and False respectively).
     """
 
     name: str
@@ -338,7 +341,15 @@ def run_checks(names, trajectory, tol_scale: float = 1.0,
                                        slack=None, tolerance=None,
                                        details={"reason": reason}))
             continue
-        clauses, extra = _RUNNERS[name](trajectory, gn_seed=gn_seed,
-                                        delay_report=delay_report)
+        try:
+            clauses, extra = _RUNNERS[name](trajectory, gn_seed=gn_seed,
+                                            delay_report=delay_report)
+        except MatchingError as e:
+            # e.g. prop_t4's envelope denominator with no digits left when
+            # q(0) is huge: the claim is not verified, so the check fails
+            results.append(CheckResult(name=name, applicable=True, passed=False,
+                                       slack=None, tolerance=None,
+                                       details={"reason": f"not evaluable: {e}"}))
+            continue
         results.append(_finish(name, clauses, extra, tol_scale))
     return results

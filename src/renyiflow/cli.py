@@ -410,8 +410,9 @@ def _summary_lines(label: str, trajectory, results: list[CheckResult]) -> list[s
         "discarded and redone by Euler)",
     ]
     for r in results:
-        if not r.applicable:
-            lines.append(f"  {r.name:12s} SKIP  {r.details['reason']}")
+        if "reason" in r.details:
+            verdict = "SKIP" if not r.applicable else "FAIL"
+            lines.append(f"  {r.name:12s} {verdict}  {r.details['reason']}")
             continue
         binding = min(r.details["clauses"].items(), key=lambda kv: kv[1]["margin"])
         verdict = "PASS" if r.passed else "FAIL"
@@ -470,6 +471,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
             "u_floor": trajectory.u_floor,
             "whole_space_entropy": trajectory.whole_space_entropy,
             "wall_time": trajectory.wall_time,
+            "diagnostics_time": trajectory.diagnostics_time,
         },
         "checks": [_check_payload(r) for r in results],
         "all_passed": all_passed,
@@ -555,6 +557,8 @@ def _matrix_table(rows: list[tuple[str, dict | None, str | None]]) -> str:
             else:
                 cells.append(f"{'PASS' if c['passed'] else 'FAIL':>11}")
         out.append(f"{label:<{width}}  {report['d']:>2} {report['p']:>8.4g}  " + " ".join(cells))
+        out += [f"{'':<{width}}  {c['name']}: {c['reason']}"
+                for c in report["checks"] if c["applicable"] and "reason" in c]
     return "\n".join(out)
 
 

@@ -8,19 +8,25 @@ term-for-term over a single set of face weights, so q_ratio >= 1 holds for
 every nonnegative state by construction (up to round-off), not just in the
 continuum limit.
 
-diagnostics is the one public path to the per-record functionals. Each
-functional's formula lives in one private kernel that takes the per-record
-arrays it reads (u**p, the potential v, the live-face mask, ...) as
-arguments; diagnostics builds each of those arrays once per record and
-feeds every kernel, and the grid-only arrays come cached from RadialGrid.
-relative_entropy stays public because the numeric best-match search
-evaluates it at arbitrary match times. The kernels assume their caller has
-silenced divide and invalid warnings: vacuum cells make v infinite, and the
-masks then discard those faces.
+diagnostics is the one public path to the per-record functionals. It
+takes a block of k states on one grid, and each functional's formula lives
+in one private kernel that takes the (k, n) arrays it reads (u**p, the
+potential v, the live-face mask, ...) as arguments, with per-record
+scalars as (k, 1) columns: one numpy call serves k records, whose fixed
+call cost would otherwise dominate at n ~ 1000. diagnostics builds each of
+those arrays once per block and feeds every kernel, and the grid-only
+arrays come cached from RadialGrid. A row's results do not depend on its
+block: sums run along rows (pairwise, as on a lone array), dot products
+are np.vecdot (one ddot per row), and sums over a masked subset of a row
+are taken row by row. relative_entropy stays public because the numeric
+best-match search evaluates it at arbitrary match times. The kernels
+assume their caller has silenced divide and invalid warnings: vacuum cells
+make v infinite, and the masks then discard those faces.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 
@@ -103,20 +109,17 @@ def _potential(g: RadialGrid, u: np.ndarray,
     """v = p/(p-1) u**(p-1) (infinite on vacuum cells when p < 1), its
     differences across the n-1 interior faces, and its face slopes."""
     v = (p / (p - 1.0)) * pow_fn(p - 1.0)(u)
-    dv = v[1:] - v[:-1]
+    dv = v[:, 1:] - v[:, :-1]
     return v, dv, dv / g.center_gaps
 
 
-def _u_max(u: np.ndarray) -> float:
-    return float(u.max()) if u.size else 0.0
+def _second_moment(g: RadialGrid, u: np.ndarray) -> np.ndarray:
+    """Theta = (1/d) integral of |x|^2 u of the cell averages u, per row of a
+    block (a scalar for one state's u)."""
+    return np.vecdot(u, g.moment_weights) / g.d
 
 
-def _second_moment(g: RadialGrid, u: np.ndarray) -> float:
-    """Theta = (1/d) integral of |x|^2 u of the cell averages u."""
-    return float(np.dot(u, g.moment_weights)) / g.d
-
-
-def _live_faces(u: np.ndarray, u_max: float, drc: np.ndarray) -> np.ndarray:
+def _live_faces(u: np.ndarray, u_max: np.ndarray, drc: np.ndarray) -> np.ndarray:
     """Faces admitted to gradient quadratures.
 
     A face is live when both cells sit above DUST_REL * max(u), or below
@@ -127,22 +130,24 @@ def _live_faces(u: np.ndarray, u_max: float, drc: np.ndarray) -> np.ndarray:
     alternates between flat and cliff faces, so neighbor consistency
     separates signal from noise independently of level.
     """
-    dust = DUST_REL * u_max
-    level = (u[:-1] >= dust) & (u[1:] >= dust)
-    if u.size < 3:
+    above = u >= DUST_REL * u_max
+    level = above[:, :-1] & above[:, 1:]
+    if u.shape[1] < 3:
         return level
-    slopes = np.diff(np.log(u)) / drc
-    jump = np.abs(np.diff(slopes))
+    log_u = np.log(u)
+    slopes = log_u[:, 1:] - log_u[:, :-1]
+    slopes /= drc
+    jump = np.abs(slopes[:, 1:] - slopes[:, :-1])
     dev = np.empty_like(slopes)
-    dev[0] = jump[0]
-    dev[-1] = jump[-1]
-    np.minimum(jump[:-1], jump[1:], out=dev[1:-1])
+    dev[:, 0] = jump[:, 0]
+    dev[:, -1] = jump[:, -1]
+    np.minimum(jump[:, :-1], jump[:, 1:], out=dev[:, 1:-1])
     smooth = np.isfinite(slopes) & (dev <= SMOOTH_SLOPE_REL * np.abs(slopes))
     return level | smooth
 
 
-def _fisher(g: RadialGrid, u: np.ndarray, u_max: float, live: np.ndarray,
-            params: ModelParams) -> tuple[float, tuple[str, ...]]:
+def _fisher(g: RadialGrid, u: np.ndarray, u_max: np.ndarray, live: np.ndarray,
+            params: ModelParams) -> tuple[np.ndarray, list[tuple[str, ...]]]:
     """I = integral u |grad v|^2, v = p/(p-1) u**(p-1).
 
     For p > 1/2 this is written as (2p/(2p-1))^2 integral |grad u**(p-1/2)|^2,
@@ -155,24 +160,25 @@ def _fisher(g: RadialGrid, u: np.ndarray, u_max: float, live: np.ndarray,
     drc = g.center_gaps
     if unmet(params, "gn_conversion") is None:
         wt = pow_fn(p - 0.5)(u)
-        slope = np.where(live, (wt[1:] - wt[:-1]) / drc, 0.0)
+        slope = np.where(live, (wt[:, 1:] - wt[:, :-1]) / drc, 0.0)
         coef = (2.0 * p / (2.0 * p - 1.0)) ** 2
-        return coef * float(np.dot(slope * slope, g.gap_weights)), ()
+        return coef * np.vecdot(slope * slope, g.gap_weights), [()] * u.shape[0]
     floor = 1e-10 * u_max
-    uf = 0.5 * (u[:-1] + u[1:])
+    uf = 0.5 * (u[:, :-1] + u[:, 1:])
     floored = live & (uf < floor)
     uf_safe = np.maximum(uf, floor)
-    slope = np.where(live, (u[1:] - u[:-1]) / drc, 0.0)
+    slope = np.where(live, (u[:, 1:] - u[:, :-1]) / drc, 0.0)
     contrib = (p * p) * uf_safe ** (2.0 * p - 3.0) * slope * slope * g.gap_weights
-    total = float(contrib.sum())
-    flags: tuple[str, ...] = ()
-    if total > 0.0 and float(contrib[floored].sum()) > FISHER_FLOOR_SHARE * total:
-        flags = ("fisher_floor",)
+    total = contrib.sum(axis=1)
+    # the floored share sums the selected faces alone, row by row: a masked
+    # row sum would group the pairwise summation differently
+    flags = [("fisher_floor",) if t > 0.0 and float(c[f].sum()) > FISHER_FLOOR_SHARE * t
+             else () for c, f, t in zip(contrib, floored, total.tolist())]
     return total, flags
 
 
 def _q_ratio(g: RadialGrid, u: np.ndarray, w: np.ndarray, dv: np.ndarray,
-             v_slope: np.ndarray, live: np.ndarray) -> tuple[float, tuple[str, ...]]:
+             v_slope: np.ndarray, live: np.ndarray) -> tuple[list[float], list[tuple[str, ...]]]:
     """q = Theta * I / (d * E^2) discretized so that q >= 1 is exact.
 
     Over live interior faces, using the mean-value face density
@@ -185,32 +191,31 @@ def _q_ratio(g: RadialGrid, u: np.ndarray, w: np.ndarray, dv: np.ndarray,
     are the quadratures of d*Theta, I, and integral(u x.grad v) = -d*E with
     a common positive weight, so S^2 <= A B is the Cauchy-Schwarz inequality
     of finite sums and q = A B / S^2 >= 1 identically. Faces where v is
-    infinite or flat (pairs of vacuum cells) are masked. g_f is divided by
-    2**(e//2), e the binary exponent of max|g_f|, before squaring: q is
-    homogeneous of degree zero in g_f and a power of two scales exactly, so
-    q keeps its value while steep tail faces (|g_f| ~ 2e192 in a d = 1,
-    p = 0.4 Gaussian) do not overflow B.
+    infinite or flat (pairs of vacuum cells) are masked. Each row's g_f is
+    divided by 2**(e//2), e the binary exponent of its max|g_f|, before
+    squaring: q is homogeneous of degree zero in g_f and a power of two
+    scales exactly, so q keeps its value while steep tail faces
+    (|g_f| ~ 2e192 in a d = 1, p = 0.4 Gaussian) do not overflow B.
     """
-    dw = w[1:] - w[:-1]
+    dw = w[:, 1:] - w[:, :-1]
     sloped = live & np.isfinite(dv) & (dv != 0.0)
     flat = live & ~sloped
     uf = np.divide(dw, dv, out=np.zeros_like(dv), where=sloped)
-    np.copyto(uf, u[:-1], where=flat)
+    np.copyto(uf, u[:, :-1], where=flat)
     gf = np.where(sloped, v_slope, 0.0)
-    gf *= 2.0 ** -(math.frexp(float(np.abs(gf).max()))[1] // 2)
+    gf *= np.array([[2.0 ** -(math.frexp(x)[1] // 2)] for x in np.abs(gf).max(axis=1).tolist()])
 
     wu = g.gap_weights * uf
-    a = float(np.dot(wu, g.gap_mids_sq))
-    b = float(np.dot(wu, gf * gf))
-    s = float(np.dot(wu, g.gap_mids * gf))
-    if s == 0.0:
-        return math.inf, ("q_degenerate",)
-    return a * b / (s * s), ()
+    a = np.vecdot(wu, g.gap_mids_sq).tolist()
+    b = np.vecdot(wu, gf * gf).tolist()
+    s = np.vecdot(wu, g.gap_mids * gf).tolist()
+    q = [ai * bi / (si * si) if si != 0.0 else math.inf for ai, bi, si in zip(a, b, s)]
+    return q, [() if si != 0.0 else ("q_degenerate",) for si in s]
 
 
-def _remainder(g: RadialGrid, u: np.ndarray, u_max: float, w: np.ndarray,
-               v: np.ndarray, v_slope: np.ndarray, entropy: float,
-               params: ModelParams) -> tuple[float, tuple[str, ...]]:
+def _remainder(g: RadialGrid, u: np.ndarray, u_max: np.ndarray, w: np.ndarray,
+               v: np.ndarray, v_slope: np.ndarray, entropy: np.ndarray,
+               params: ModelParams) -> tuple[np.ndarray, list[tuple[str, ...]]]:
     """R = E [(sigma-1) int u^p (lap v - m)^2 + 2/(1-p) int u^p |D^2v - (lap v/d) Id|^2].
 
     v = p/(p-1) u**(p-1); m is the u^p-weighted mean of lap v over the
@@ -226,7 +231,7 @@ def _remainder(g: RadialGrid, u: np.ndarray, u_max: float, w: np.ndarray,
     """
     p = params.p
     d = params.d
-    n = u.size
+    k, n = u.shape
     if n < 3:
         raise ValueError("remainder needs at least 3 cells")
     sigma = 2.0 / (d * (1.0 - p)) - 1.0
@@ -234,71 +239,98 @@ def _remainder(g: RadialGrid, u: np.ndarray, u_max: float, w: np.ndarray,
     mask = u >= REMAINDER_MASK_REL * u_max
     c = g.centers
     h_m, h_p, h_sum = g.stencil_gaps
-    # one-sided slopes of v on either side of each cell; the inner one of
-    # cell 0 uses the even reflection v(-r) = v(r), the outer one of the
-    # last cell has no neighbor
-    slope_m = np.empty(n)
-    slope_m[1:] = v_slope
-    slope_m[0] = (v[0] - v[0]) / h_m[0]
-    slope_p = np.empty(n)
-    slope_p[:-1] = v_slope
-    slope_p[-1] = np.nan
+    # one-sided slopes of v on either side of each cell, two views of one
+    # array: the inner one of cell 0 uses the even reflection v(-r) = v(r),
+    # the outer one of the last cell has no neighbor
+    slopes = np.empty((k, n + 1))
+    slopes[:, 1:n] = v_slope
+    slopes[:, 0] = (v[:, 0] - v[:, 0]) / h_m[0]
+    slopes[:, n] = np.nan
+    slope_m, slope_p = slopes[:, :-1], slopes[:, 1:]
 
-    valid = np.zeros(n, dtype=bool)
-    valid[1:-1] = mask[:-2] & mask[1:-1] & mask[2:]
-    valid[0] = mask[0] & mask[1]
+    # cells whose stencil (the cell and its neighbors) is unmasked
+    pairs = mask[:, :-1] & mask[:, 1:]
+    valid = np.zeros((k, n), dtype=bool)
+    valid[:, 0] = pairs[:, 0]
+    np.logical_and(pairs[:, :-1], pairs[:, 1:], out=valid[:, 1:-1])
 
-    # masked-out cells may overflow; np.where(valid, ...) discards them
+    # masked-out cells may overflow; np.where(valid, ...) discards them. The
+    # in-place steps are the operations of v1 = (h_m s_p + h_p s_m) / h_sum,
+    # v2 = 2 (s_p - s_m) / h_sum and lap = v2 + (d - 1) v1 / r, in order.
     with np.errstate(over="ignore"):
-        v1 = (h_m * slope_p + h_p * slope_m) / h_sum
-        v2 = 2.0 * (slope_p - slope_m) / h_sum
-        lap = v2 + (d - 1) * v1 / c
-        aniso_sq = np.where(valid, (v2 - v1 / c) ** 2, 0.0) if d > 1 else None
+        v1 = h_m * slope_p
+        v1 += h_p * slope_m
+        v1 /= h_sum
+        v2 = slope_p - slope_m
+        v2 *= 2.0
+        v2 /= h_sum
+        lap = (d - 1) * v1
+        lap /= c
+        lap += v2
+        aniso_sq = None
+        if d > 1:
+            aniso_sq = v1 / c
+            np.subtract(v2, aniso_sq, out=aniso_sq)
+            aniso_sq = np.where(valid, np.square(aniso_sq, out=aniso_sq), 0.0)
 
     wgt = np.where(valid, w * g.volumes, 0.0)
     lap_v = np.where(valid, lap, 0.0)
-    e_masked = float(wgt.sum())
-    if e_masked <= 0.0:
-        return 0.0, ("remainder_empty",)
-    m_hat = float(np.dot(wgt, lap_v)) / e_masked
-    var_term = float(np.dot(wgt, (lap_v - m_hat) ** 2))
+    e_masked = wgt.sum(axis=1)
+    # rows with e_masked <= 0 divide by zero here; they read 0 below
+    m_hat = np.vecdot(wgt, lap_v) / e_masked
+    spread = lap_v - m_hat[:, None]
+    np.square(spread, out=spread)
+    var_term = np.vecdot(wgt, spread)
     aniso_term = 0.0
     if aniso_sq is not None:
-        aniso_term = (1.0 - 1.0 / d) * float(np.dot(wgt, aniso_sq))
-    value = entropy * ((sigma - 1.0) * var_term + (2.0 / (1.0 - p)) * aniso_term)
+        aniso_term = (1.0 - 1.0 / d) * np.vecdot(wgt, aniso_sq)
+    empty = e_masked <= 0.0
+    value = np.where(empty, 0.0, entropy * (
+        (sigma - 1.0) * var_term + (2.0 / (1.0 - p)) * aniso_term))
 
-    flags: tuple[str, ...] = ()
+    flags: list[tuple[str, ...]] = [("remainder_empty",) if e else () for e in empty.tolist()]
     if p > 1.0:
-        contrib = wgt * abs(sigma - 1.0) * (lap_v - m_hat) ** 2
+        contrib = wgt * abs(sigma - 1.0) * spread
         if aniso_sq is not None:
             contrib = contrib + wgt * abs(2.0 / (1.0 - p)) * (1.0 - 1.0 / d) * aniso_sq
-        total = float(contrib.sum())
-        if total > 0.0:
-            # cells whose 3-wide neighborhood touches a masked-out cell
-            near = np.zeros(n, dtype=bool)
-            bad = ~mask
-            for off in range(-3, 4):
-                lo = max(0, -off)
-                hi = n - max(0, off)
-                near[lo:hi] |= bad[lo + off:hi + off]
-            share = float(contrib[valid & near].sum()) / total
-            if share > REMAINDER_BOUNDARY_SHARE:
-                flags = ("remainder_boundary",)
+        total = contrib.sum(axis=1).tolist()
+        # cells whose 3-wide neighborhood touches a masked-out cell
+        near = np.zeros((k, n), dtype=bool)
+        bad = ~mask
+        for off in range(-3, 4):
+            lo = max(0, -off)
+            hi = n - max(0, off)
+            near[:, lo:hi] |= bad[:, lo + off:hi + off]
+        edge = valid & near
+        for i in np.flatnonzero(~empty).tolist():
+            # the edge share sums the selected cells alone, row by row (see
+            # _fisher)
+            if total[i] > 0.0 and (float(contrib[i][edge[i]].sum()) / total[i]
+                                   > REMAINDER_BOUNDARY_SHARE):
+                flags[i] = ("remainder_boundary",)
     return value, flags
 
 
-def _relative_entropy(g: RadialGrid, u: np.ndarray, up: np.ndarray, s: float,
-                      p: float, reference: BarenblattReference) -> float:
-    if not s > 0.0:
-        raise ValueError(f"match time must be positive, got {s}")
+def _relative_entropy(g: RadialGrid, u: np.ndarray, up: np.ndarray, s: list[float],
+                      p: float, reference: BarenblattReference) -> np.ndarray:
+    for si in s:
+        if not si > 0.0:
+            raise ValueError(f"match time must be positive, got {si}")
     cap_u = reference.self_similar(g.centers, s)
     cap_up = pow_fn(p)(cap_u)
+    # in place, the operations of
+    # (u**p - U**p - p U**(p-1) (u - U)) / (p - 1) in order
     if p > 1.0:
-        integrand = (up - cap_up - p * pow_fn(p - 1.0)(cap_u) * (u - cap_u)) / (p - 1.0)
+        slope = p * pow_fn(p - 1.0)(cap_u)
     else:
         # U > 0 everywhere in the fast-diffusion range, so U**(p-1) is finite
-        integrand = (up - cap_up - p * cap_up / cap_u * (u - cap_u)) / (p - 1.0)
-    return g.integrate(integrand)
+        slope = p * cap_up
+        slope /= cap_u
+    slope *= u - cap_u
+    integrand = up - cap_up
+    integrand -= slope
+    integrand /= p - 1.0
+    return np.vecdot(integrand, g.volumes)
 
 
 def relative_entropy(state: DensityState, s: float,
@@ -309,8 +341,8 @@ def relative_entropy(state: DensityState, s: float,
     The integrand is pointwise nonnegative for every p in the admissible
     range, so the value is a genuine divergence (zero iff u = U a.e.).
     """
-    u, p = state.u, reference.params.p
-    return _relative_entropy(state.grid, u, pow_fn(p)(u), s, p, reference)
+    u, p = state.u[None], reference.params.p
+    return float(_relative_entropy(state.grid, u, pow_fn(p)(u), [s], p, reference)[0])
 
 
 def whole_space_entropy(state: DensityState, reference: BarenblattReference,
@@ -331,7 +363,7 @@ def whole_space_entropy(state: DensityState, reference: BarenblattReference,
              "finite_moments") is not None:
         return False
     g = state.grid
-    theta = _second_moment(g, state.u)
+    theta = float(_second_moment(g, state.u))
     if not theta > 0.0:
         return False
     s_end = reference.match_time(theta) + t_end - state.t
@@ -340,7 +372,7 @@ def whole_space_entropy(state: DensityState, reference: BarenblattReference,
     return bool(0.1 * g.edges[c] >= FAR_FIELD_BULK_FACTOR * rms)
 
 
-def _whole_space_entropy(g: RadialGrid, u: np.ndarray, w: np.ndarray, p: float) -> float:
+def _whole_space_entropy(g: RadialGrid, u: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
     """E over the whole space for d/(d+2) < p < 1, p >= 1 - 1/d.
 
     Below r_c (RadialGrid.far_field_window) E sums u**p V over the cells.
@@ -354,30 +386,35 @@ def _whole_space_entropy(g: RadialGrid, u: np.ndarray, w: np.ndarray, p: float) 
     admits on the fd3 grid.
     """
     c, lo, log_r = g.far_field_window
-    box = float(np.dot(w[:c], g.volumes[:c]))
-    window = u[lo:c]
-    filled = np.count_nonzero(window)
-    if not filled:
-        return box
+    box = np.vecdot(w[:, :c], g.volumes[:c]).tolist()
+    window = u[:, lo:c]
+    filled = np.count_nonzero(window, axis=1)
     log_a = np.log(window)  # -inf on empty cells, which sort first
     log_a += (2.0 / (1.0 - p)) * log_r
-    mid = window.size - filled + (filled - 1) // 2
-    log_a = float(np.partition(log_a, mid)[mid])
+    log_a.sort()
     k = 2.0 * p / (1.0 - p) - g.d
-    return box + sphere_area(g.d) * math.exp(p * log_a - k * math.log(g.edges[c])) / k
+    log_rc = math.log(g.edges[c])
+    out = []
+    for b, row, f in zip(box, log_a, filled.tolist()):
+        if f:
+            a = float(row[row.size - f + (f - 1) // 2])
+            b += sphere_area(g.d) * math.exp(p * a - k * log_rc) / k
+        out.append(b)
+    return np.array(out)
 
 
-def _tail_fraction(g: RadialGrid, moment: np.ndarray, total: float) -> float:
-    """Share of the second moment carried beyond r_max / 2."""
-    if total <= 0.0:
-        return 0.0
-    return float(moment[g.centers > 0.5 * g.r_max].sum()) / total
+def diagnostics(states: Sequence[DensityState], reference: BarenblattReference,
+                dts: Sequence[float] | None = None,
+                whole_space: bool = False) -> list[FunctionalRecord]:
+    """The record of every tracked functional of each state, for states on
+    one grid, with dts their record dt (nan when not given).
 
-
-def diagnostics(state: DensityState, reference: BarenblattReference,
-                dt: float = float("nan"), whole_space: bool = False) -> FunctionalRecord:
-    """Evaluate every tracked functional of the state in one pass: the arrays
-    several functionals read are built once and shared by their kernels.
+    The states go through every kernel together, as one (k, n) block, and
+    the arrays several functionals read are built once and shared by their
+    kernels. Each record has the same bits whatever block it is evaluated
+    in: the kernels' numpy calls act on each row as on a lone array, and
+    per-record scalars are Python floats. A single state is
+    diagnostics([state], reference)[0].
 
     With whole_space (fast diffusion in the remainder window with finite
     moments only; see whole_space_entropy) the entropy is the whole-space
@@ -389,50 +426,58 @@ def diagnostics(state: DensityState, reference: BarenblattReference,
     if whole_space:
         require(params, "whole-space entropy",
                 "fast_diffusion", "remainder_window", "finite_moments")
+    g = states[0].grid
+    if any(state.grid is not g for state in states):
+        raise ValueError("diagnostics needs states on one grid")
     ex = reference.exponents
     p = params.p
-    g, u = state.grid, state.u
+    u = np.array([state.u for state in states])
 
-    u_max = _u_max(u)
+    u_max = u.max(axis=1, keepdims=True)
     w = pow_fn(p)(u)
     moment = u * g.moment_weights
-    moment_total = float(moment.sum())
+    moment_total = moment.sum(axis=1).tolist()
+    moment_tail = moment[:, g.moment_tail_start:].sum(axis=1).tolist()
+    moment_edge = moment[:, g.moment_edge_start:].sum(axis=1).tolist()
 
-    mass = state.mass()
-    theta = _second_moment(g, u)
+    mass = np.vecdot(u, g.volumes).tolist()
+    theta = _second_moment(g, u).tolist()
     with _quiet():
         if whole_space:
             entropy = _whole_space_entropy(g, u, w, p)
         else:
-            entropy = g.integrate(w)
+            entropy = np.vecdot(w, g.volumes)
         v, dv, v_slope = _potential(g, u, p)
         live = _live_faces(u, u_max, g.center_gaps)
         fisher, flags_f = _fisher(g, u, u_max, live, params)
         q_ratio, flags_q = _q_ratio(g, u, w, dv, v_slope, live)
         remainder, flags_r = _remainder(g, u, u_max, w, v, v_slope, entropy, params)
 
-    f_power = entropy**ex.sigma
-    g_power = theta ** (0.5 * ex.mu)
-    h_renyi = theta ** (-0.5 * ex.eta) * entropy
-    j_scale = entropy ** (ex.sigma - 1.0) * fisher
-
-    flags = list(flags_f + flags_q + flags_r)
-    if unmet(params, "finite_moments") is None and math.isfinite(reference.theta_star):
-        s_match = reference.match_time(theta)
-        tau = s_match - state.t
-        rel_ent = _relative_entropy(g, u, w, s_match, p, reference)
+    nan = float("nan")
+    matched = unmet(params, "finite_moments") is None and math.isfinite(reference.theta_star)
+    if matched:
+        s_match = [reference.match_time(x) for x in theta]
+        rel_ent = _relative_entropy(g, u, w, s_match, p, reference).tolist()
     else:
-        s_match = tau = rel_ent = float("nan")
-        flags.append("moments_infinite")
+        s_match = rel_ent = [nan] * len(states)
 
-    tail = _tail_fraction(g, moment, moment_total)
-    if moment_total > 0.0 and float(moment[g.centers > 0.9 * g.r_max].sum()) > 0.10 * moment_total:
-        flags.append("low_confidence_moments")
-
-    return FunctionalRecord(
-        t=state.t, dt=dt, mass=mass, theta=theta, entropy=entropy,
-        fisher=fisher, f_power=f_power, g_power=g_power, h_renyi=h_renyi,
-        j_scale=j_scale, q_ratio=q_ratio, s_match=s_match, tau=tau,
-        rel_entropy=rel_ent, remainder=remainder, tail_frac=tail,
-        flags=tuple(sorted(set(flags))),
-    )
+    entropy, fisher, remainder = entropy.tolist(), fisher.tolist(), remainder.tolist()
+    records = []
+    for i, state in enumerate(states):
+        e, th, s, total = entropy[i], theta[i], s_match[i], moment_total[i]
+        flags = [*flags_f[i], *flags_q[i], *flags_r[i]]
+        if not matched:
+            flags.append("moments_infinite")
+        if total > 0.0 and moment_edge[i] > 0.10 * total:
+            flags.append("low_confidence_moments")
+        records.append(FunctionalRecord(
+            t=state.t, dt=nan if dts is None else dts[i], mass=mass[i], theta=th,
+            entropy=e, fisher=fisher[i], f_power=e**ex.sigma,
+            g_power=th ** (0.5 * ex.mu), h_renyi=th ** (-0.5 * ex.eta) * e,
+            j_scale=e ** (ex.sigma - 1.0) * fisher[i], q_ratio=q_ratio[i],
+            s_match=s, tau=s - state.t, rel_entropy=rel_ent[i], remainder=remainder[i],
+            # the share of the second moment beyond r_max / 2
+            tail_frac=moment_tail[i] / total if total > 0.0 else 0.0,
+            flags=tuple(sorted(set(flags))),
+        ))
+    return records

@@ -39,6 +39,11 @@ def uniform_interior(t: np.ndarray) -> np.ndarray:
 # Radius, as a share of r_max, beyond which a fast-diffusion density is read
 # as its far field (functionals.diagnostics fits E's tail there).
 FAR_FIELD_RADIUS_REL = 0.1
+# Radii, as shares of r_max, beyond which functionals.diagnostics counts the
+# second moment's tail (tail_frac) and its share near the wall (the
+# low_confidence_moments flag).
+MOMENT_TAIL_RADIUS_REL = 0.5
+MOMENT_EDGE_RADIUS_REL = 0.9
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -137,6 +142,20 @@ class RadialGrid:
         c = int(np.abs(self.edges - FAR_FIELD_RADIUS_REL * self.r_max).argmin())
         lo = int(np.searchsorted(self.centers, 0.1 * self.edges[c]))
         return c, lo, _read_only(np.log(self.centers[lo:c]))
+
+    @cached_property
+    def moment_tail_start(self) -> int:
+        """Index of the first cell centered beyond MOMENT_TAIL_RADIUS_REL *
+        r_max; the centers increase, so the cells from it on are exactly
+        those beyond."""
+        return int(np.searchsorted(self.centers, MOMENT_TAIL_RADIUS_REL * self.r_max,
+                                   side="right"))
+
+    @cached_property
+    def moment_edge_start(self) -> int:
+        """Index of the first cell centered beyond MOMENT_EDGE_RADIUS_REL * r_max."""
+        return int(np.searchsorted(self.centers, MOMENT_EDGE_RADIUS_REL * self.r_max,
+                                   side="right"))
 
     def integrate(self, f: np.ndarray) -> float:
         f = np.asarray(f, dtype=float)

@@ -51,7 +51,7 @@ def best_match_scale_numeric(state: DensityState, reference: BarenblattReference
     edge (the state is nowhere near any self-similar time).
     """
     g = state.grid
-    s0 = best_match_scale(_second_moment(g, state.u), reference)
+    s0 = best_match_scale(float(_second_moment(g, state.u)), reference)
     lo, hi = 0.1 * s0, 10.0 * s0
 
     def phi(s: float) -> float:

@@ -165,18 +165,24 @@ def test_theorem3_does_not_evaluate_the_envelope(monkeypatch, run_fd3_gaussian):
     monkeypatch.setattr(matching, "q_envelope", broken)
     (res,) = run_checks(("theorem3",), run_fd3_gaussian)
     assert res.passed
-    with pytest.raises(MatchingError, match="envelope evaluated"):
-        run_checks(("prop_t4",), run_fd3_gaussian)
+    (res,) = run_checks(("prop_t4",), run_fd3_gaussian)
+    assert res.applicable and res.passed is False
+    assert "envelope evaluated" in res.details["reason"]
 
 
 def test_prop_t4_fails_loudly_on_huge_initial_ratio():
     # a d = 1, p = 0.4 Gaussian starts at q ~ 1.1e66, where the envelope
     # denominator q0 theta(t) - (q0 - 1) theta0 has no significant digits
-    # left: the check raises instead of judging a NaN
+    # left: the envelope raises instead of judging a NaN, and the check
+    # fails with that reason instead of crashing the run
     params = rf.ModelParams(1, 0.4)
     grid = rf.build_grid(1, 40.0, 160)
     state = rf.project_initial(lambda r: np.exp(-r * r), grid)
     traj = rf.evolve(state, 1e-3, params, rf.SolverConfig())
     assert math.isfinite(traj.records[0].q_ratio) and traj.records[0].q_ratio > 1e60
     with pytest.raises(MatchingError, match="envelope denominator"):
-        run_checks(("prop_t4",), traj)
+        matching.envelope_worst(traj)
+    (res,) = run_checks(("prop_t4",), traj)
+    assert res.applicable and res.passed is False
+    assert res.slack is None and res.tolerance is None
+    assert res.details["reason"].startswith("not evaluable: envelope denominator")

@@ -528,3 +528,28 @@ def test_streamed_csv_memory_stays_flat(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "t.csv").stat().st_size > 1_000_000
     assert peak < 256 * 1024
+
+
+def test_report_records_diagnostics_time(tmp_path):
+    # the seconds evolve spent in its diagnostics blocks, part of wall_time
+    report = run_experiment(parse_config(tiny_config()), tmp_path, echo=None)
+    run = report["run"]
+    assert 0.0 < run["diagnostics_time"] < run["wall_time"]
+    on_disk = json.loads((tmp_path / "report.json").read_text())["run"]
+    assert on_disk["diagnostics_time"] == run["diagnostics_time"]
+
+
+def test_unevaluable_envelope_fails_prop_t4_with_its_reason(tmp_path, capsys):
+    # a d = 1, p = 0.4 Gaussian starts at q ~ 1.1e66, beyond what the
+    # envelope's denominator can hold: prop_t4 fails with the reason, and
+    # the run exits 1 instead of 3
+    doc = tiny_config(p=0.4, grid={"r_max": 40.0, "n": 160}, t_end=1e-3,
+                      record_every=1e-4, checks="all")
+    path = write_config(tmp_path / "d1_p04.json", doc)
+    assert main(["run", path, "--out", str(tmp_path / "run")]) == 1
+    reason = "prop_t4      FAIL  not evaluable: envelope denominator nonpositive"
+    assert reason in (tmp_path / "run" / "summary.txt").read_text()
+    capsys.readouterr()
+    assert main(["sweep", str(tmp_path), "--out", str(tmp_path / "sweep")]) == 1
+    table = capsys.readouterr().out
+    assert "prop_t4: not evaluable: envelope denominator nonpositive" in table

@@ -4,9 +4,15 @@ package, so a renamed function or a changed signature would break them
 silently; these tests run them against the package as it is."""
 import importlib
 import importlib.util
+import math
 import re
 import sys
 from pathlib import Path
+
+import numpy as np
+
+import renyiflow as rf
+from renyiflow import solver
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,3 +34,27 @@ def test_benchmark_wrap_points_resolve(monkeypatch):
     for module_name, attr, _ in spans.WRAP_POINTS:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_benchmark_wrap_point_sees_every_record(monkeypatch):
+    # the traced benchmark times diagnostics through renyiflow.solver; evolve
+    # must call it there, once per block, with every record once, in order
+    calls = []
+    real = solver.diagnostics
+
+    def counted(states, *args, **kwargs):
+        calls.append([state.t for state in states])
+        return real(states, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "diagnostics", counted)
+    grid = rf.build_grid(1, 6.0, 400)
+    state = rf.project_initial(lambda r: np.exp(-r * r), grid)
+    observed = []
+    traj = rf.evolve(state, 0.03, rf.ModelParams(1, 2.0), rf.SolverConfig(record_every=0.001),
+                     observer=lambda rec, snap: observed.append(snap.t))
+    n_records = len(traj.records)
+    block = solver.record_block(grid.n)
+    assert n_records > 2 * block
+    assert len(calls) == math.ceil(n_records / block)
+    assert [t for call in calls for t in call] == traj.times().tolist()
+    assert observed == traj.times().tolist()

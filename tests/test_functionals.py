@@ -43,7 +43,7 @@ def test_profile_state_diagnostics(d, p, r_max, n, stretch):
     scale-invariant levels; tolerances are ~10x the measured discretization
     error at these resolutions."""
     ref, state = sampled_profile(d, p, r_max, n, stretch)
-    rec = diagnostics(state, ref)
+    rec = diagnostics([state], ref)[0]
     assert rec.mass == pytest.approx(1.0, abs=1e-13)
     assert rec.theta == pytest.approx(ref.theta_star, rel=1e-3)
     assert rec.h_renyi == pytest.approx(ref.h_star, rel=1e-4)
@@ -58,7 +58,7 @@ def test_profile_state_diagnostics(d, p, r_max, n, stretch):
 
 def test_recomposition_identities():
     ref, state = sampled_profile(1, 2.0, 5.0, 800)
-    rec = diagnostics(state, ref)
+    rec = diagnostics([state], ref)[0]
     ex = ref.exponents
     assert rec.f_power == pytest.approx(rec.entropy**ex.sigma, rel=1e-12)
     assert rec.g_power == pytest.approx(rec.theta ** (0.5 * ex.mu), rel=1e-12)
@@ -72,7 +72,7 @@ def test_gaussian_closed_forms():
     params = rf.ModelParams(1, 2.0)
     grid = rf.build_grid(1, 6.0, 800)
     state = sampled_state(lambda r: np.exp(-r * r), grid)
-    rec = diagnostics(state, rf.build_reference(params))
+    rec = diagnostics([state], rf.build_reference(params))[0]
     assert rec.theta == pytest.approx(0.5, rel=1e-3)
     # u = exp(-r^2)/sqrt(pi): int u^2 = 1/sqrt(2 pi)
     assert rec.entropy == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-6)
@@ -80,13 +80,13 @@ def test_gaussian_closed_forms():
     params3 = rf.ModelParams(3, 2.0)
     grid3 = rf.build_grid(3, 40.0, 800)
     state3 = sampled_state(lambda r: np.exp(-r * r), grid3)
-    rec3 = diagnostics(state3, rf.build_reference(params3))
+    rec3 = diagnostics([state3], rf.build_reference(params3))[0]
     assert rec3.theta == pytest.approx(0.5, rel=1e-3)
 
 
 def test_relative_entropy_is_a_divergence():
     ref, state = sampled_profile(1, 2.0, 5.0, 800)
-    s = diagnostics(state, ref).s_match
+    s = diagnostics([state], ref)[0].s_match
     assert relative_entropy(state, s, ref) <= 1e-6 * ref.entropy
     assert relative_entropy(state, 2.0 * s, ref) > 1e-3
     with pytest.raises(ValueError):
@@ -115,7 +115,7 @@ def test_ratio_lower_bound_by_construction(d, amps, centers, p_off):
         return out
 
     state = rf.project_initial(profile, grid)
-    q = diagnostics(state, rf.build_reference(params)).q_ratio
+    q = diagnostics([state], rf.build_reference(params))[0].q_ratio
     assert q >= 1.0 - 1e-12
 
 
@@ -124,12 +124,12 @@ def test_remainder_sign_on_generic_data():
     params = rf.ModelParams(3, 2.0 / 3.0)
     grid = rf.build_grid(3, 60.0, 400, stretch=1.01)
     state = rf.project_initial(lambda r: np.exp(-r * r), grid)
-    assert diagnostics(state, rf.build_reference(params)).remainder > 0.0
+    assert diagnostics([state], rf.build_reference(params))[0].remainder > 0.0
 
     params_pm = rf.ModelParams(1, 2.0)
     grid1 = rf.build_grid(1, 6.0, 400)
     state1 = rf.project_initial(lambda r: np.exp(-r * r), grid1)
-    assert diagnostics(state1, rf.build_reference(params_pm)).remainder < 0.0
+    assert diagnostics([state1], rf.build_reference(params_pm))[0].remainder < 0.0
 
 
 def test_gradient_quadratures_ignore_front_dust():
@@ -144,8 +144,8 @@ def test_gradient_quadratures_ignore_front_dust():
     vacuum = np.where(base == 0.0)[0]
     noisy_u[vacuum[::2]] = 1e-22 * base.max()
     noisy = rf.DensityState(grid=grid, u=noisy_u, t=0.0)
-    assert (diagnostics(noisy, ref).fisher
-            == diagnostics(clean, ref).fisher)
+    assert (diagnostics([noisy], ref)[0].fisher
+            == diagnostics([clean], ref)[0].fisher)
 
 
 def test_smooth_tail_stays_live():
@@ -156,10 +156,10 @@ def test_smooth_tail_stays_live():
     grid = rf.build_grid(3, 896000.0, 1050, stretch=1.012)
     u = ref.profile(grid.centers)
     live = rf.DensityState(grid=grid, u=u / grid.integrate(u), t=0.0)
-    err_live = abs(diagnostics(live, ref).fisher - ref.fisher) / ref.fisher
+    err_live = abs(diagnostics([live], ref)[0].fisher - ref.fisher) / ref.fisher
     chopped_u = np.where(u >= 1e-15 * u.max(), u, 0.0)
     chopped = rf.DensityState(grid=grid, u=chopped_u / grid.integrate(chopped_u), t=0.0)
-    err_chop = abs(diagnostics(chopped, ref).fisher - ref.fisher) / ref.fisher
+    err_chop = abs(diagnostics([chopped], ref)[0].fisher - ref.fisher) / ref.fisher
     assert err_live < 1e-4
     assert err_chop > 10.0 * err_live
 
@@ -169,7 +169,7 @@ def test_fisher_low_exponent_branch():
     params = rf.ModelParams(3, 0.45)
     grid = rf.build_grid(3, 60.0, 900, stretch=1.01)
     state = rf.project_initial(lambda r: np.exp(-r * r), grid)
-    rec = diagnostics(state, rf.build_reference(params))
+    rec = diagnostics([state], rf.build_reference(params))[0]
     assert math.isfinite(rec.fisher) and rec.fisher > 0.0
     # p = 0.45 < d/(d+2) also leaves the moments infinite
     assert set(rec.flags) <= {"fisher_floor", "moments_infinite"}
@@ -178,12 +178,11 @@ def test_fisher_low_exponent_branch():
 def test_tail_fraction_and_confidence_flag():
     ref = rf.build_reference(rf.ModelParams(1, 2.0))
     grid = rf.build_grid(1, 6.0, 128)
-    shell = diagnostics(rf.project_initial(
-        lambda r: np.exp(-(((r - 5.7) / 0.1) ** 2)), grid), ref)
+    shell, core = diagnostics([
+        rf.project_initial(lambda r: np.exp(-(((r - 5.7) / 0.1) ** 2)), grid),
+        rf.project_initial(lambda r: np.exp(-((r / 0.3) ** 2)), grid)], ref)
     assert shell.tail_frac > 0.99
     assert "low_confidence_moments" in shell.flags
-    core = diagnostics(rf.project_initial(
-        lambda r: np.exp(-((r / 0.3) ** 2)), grid), ref)
     assert core.tail_frac < 1e-6
     assert "low_confidence_moments" not in core.flags
 
@@ -208,8 +207,8 @@ def _q_exact(state, p):
     over the face densities and slopes the q kernel sums in floating point."""
     g, u = state.grid, state.u
     with np.errstate(divide="ignore", invalid="ignore"):
-        _, dv, v_slope = _potential(g, u, p)
-        live = _live_faces(u, float(u.max()), g.center_gaps)
+        _, dv, v_slope = (a[0] for a in _potential(g, u[None], p))
+        live = _live_faces(u[None], u.max(keepdims=True)[None], g.center_gaps)[0]
         w = pow_fn(p)(u)
         sloped = live & np.isfinite(dv) & (dv != 0.0)
         uf = np.where(sloped, (w[1:] - w[:-1]) / dv, np.where(live, u[:-1], 0.0))
@@ -264,7 +263,7 @@ def test_diagnostics_equal_standalone_functionals(d, p, grid_args, datum, t_end)
 
     ex = ref.exponents
     for state in (profile, initial, evolved):
-        rec = diagnostics(state, ref, dt=0.5)
+        rec = diagnostics([state], ref, dts=[0.5])[0]
         assert rec.t == state.t and rec.dt == 0.5
         assert rec.mass == state.mass()
         assert math.isfinite(rec.q_ratio)
@@ -315,7 +314,7 @@ def test_whole_space_entropy_of_the_profile_is_linear_in_time():
     for t in (1.5, 4.0):
         states = [rf.project_initial(lambda r: ref.self_similar(r, s), grid, t=s)
                   for s in (t - h, t, t + h)]
-        e = [diagnostics(st, ref, whole_space=True).entropy for st in states]
+        e = [rec.entropy for rec in diagnostics(states, ref, whole_space=True)]
         box = [grid.integrate(pow_fn(params.p)(st.u)) for st in states]
         assert abs(e[2] - 2.0 * e[1] + e[0]) / h**2 <= 8.5e-3 / 100.0, t
         assert abs(box[2] - 2.0 * box[1] + box[0]) / h**2 > 8.5e-3 / 100.0, t
@@ -337,7 +336,7 @@ def test_entropy_tail_fit_skips_empty_cells():
         u[holes] = 0.0
         holed = rf.DensityState(grid=grid, u=u, t=state.t)
         box = grid.integrate(np.where(below_rc, pow_fn(params.p)(u), 0.0))
-        return diagnostics(holed, ref, whole_space=True).entropy - box
+        return diagnostics([holed], ref, whole_space=True)[0].entropy - box
 
     full = tail(slice(0, 0))
     assert full > 0.0
@@ -357,7 +356,7 @@ def test_entropy_tail_is_decided_once_per_run_from_the_box():
     traj = rf.evolve(small, 0.01, params, rf.SolverConfig(record_every=0.005))
     assert not traj.whole_space_entropy
     assert traj.records[0].entropy == small.grid.integrate(pow_fn(params.p)(small.u))
-    assert traj.records[-1].entropy == diagnostics(traj.final_state, ref).entropy
+    assert traj.records[-1].entropy == diagnostics([traj.final_state], ref)[0].entropy
 
     params3 = rf.ModelParams(3, 2.0 / 3.0)
     ref3 = rf.build_reference(params3)
@@ -372,4 +371,4 @@ def test_entropy_tail_is_decided_once_per_run_from_the_box():
     ref_pm = rf.build_reference(params_pm)
     assert not whole_space_entropy(small, ref_pm, 1.0)
     with pytest.raises(rf.RegimeError):
-        diagnostics(small, ref_pm, whole_space=True)
+        diagnostics([small], ref_pm, whole_space=True)

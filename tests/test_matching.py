@@ -35,7 +35,7 @@ def test_numeric_match_agrees_with_moment_match(params_pm1, ref_pm1):
     grid = rf.build_grid(1, 5.0, 800)
     state = rf.project_initial(
         lambda r: rf.self_similar_density(r, 1.0, params_pm1), grid)
-    s_closed = rf.diagnostics(state, ref_pm1).s_match
+    s_closed = rf.diagnostics([state], ref_pm1)[0].s_match
     s_num = best_match_scale_numeric(state, ref_pm1)
     assert s_num == pytest.approx(s_closed, rel=1e-4)
 
@@ -95,7 +95,7 @@ def test_drop_bound_degenerate_on_profile(params_pm1, ref_pm1):
     grid = rf.build_grid(1, 5.0, 800)
     state = rf.project_initial(
         lambda r: rf.self_similar_density(r, 1.0, params_pm1), grid)
-    rec = rf.diagnostics(state, ref_pm1)
+    rec = rf.diagnostics([state], ref_pm1)[0]
     bound, t_star = delay_lower_bound(rec, ref_pm1, h_prime=1.0)
     assert bound == 0.0 and t_star == 0.0
 
@@ -106,6 +106,6 @@ def test_drop_bound_window_gate():
     ref = rf.build_reference(params)
     grid = rf.build_grid(3, 100.0, 200, stretch=1.02)
     state = rf.project_initial(lambda r: np.exp(-r * r), grid)
-    rec = rf.diagnostics(state, ref)
+    rec = rf.diagnostics([state], ref)[0]
     with pytest.raises(RegimeError):
         delay_lower_bound(rec, ref, h_prime=1.0)

@@ -96,7 +96,7 @@ FAST = {
 
 def _report(out: Path) -> dict:
     report = json.loads((out / "report.json").read_text())
-    del report["run"]["wall_time"]
+    del report["run"]["wall_time"], report["run"]["diagnostics_time"]  # timings
     return report
 
 

@@ -300,3 +300,57 @@ def test_negative_super_step_is_redone_by_euler(monkeypatch, pm_setup):
     assert traj.clipped_mass == 0.0
     assert np.all(traj.final_state.u >= 0.0)
     assert traj.final_state.mass() == pytest.approx(state.mass(), abs=1e-13)
+
+
+def _indicator(r):
+    from scipy.special import erfc
+
+    return 0.5 * erfc((r - 1.0) / 0.25)
+
+
+# (d, p, grid, datum, t_end, record_every, u_floor relative to max u0): runs
+# whose record counts are not multiples of their block size, so the last
+# block is partial
+BLOCK_RUNS = {
+    # the fd3 grid, the exact datum and the whole-space E
+    "fd3_exact": (3, 2.0 / 3.0, (896000.0, 1050, 1.012), "barenblatt", 0.01, 0.0005, None),
+    # pm1_indicator's datum: p > 1 with remainder_boundary raised
+    "pm1_indicator": (1, 2.0, (6.0, 100, 1.0), _indicator, 0.8, 0.01, None),
+    # p <= 1/2: the floored Fisher sum
+    "fisher_floored": (1, 0.4, (40.0, 160, 1.0), lambda r: np.exp(-r * r), 1e-3, 2.5e-5,
+                       1e-10),
+}
+
+
+@pytest.mark.parametrize("name", BLOCK_RUNS)
+def test_records_do_not_depend_on_their_block(name):
+    # evolve evaluates its records a block at a time; each must have the
+    # bits of the lone evaluation of its snapshot
+    d, p, (r_max, n, stretch), datum, t_end, every, floor = BLOCK_RUNS[name]
+    params = rf.ModelParams(d, p)
+    grid = rf.build_grid(d, r_max, n, stretch=stretch)
+    if datum == "barenblatt":
+        state = rf.project_initial(lambda r: rf.self_similar_density(r, 1.0, params), grid)
+    else:
+        state = rf.project_initial(datum, grid)
+    u_floor = None if floor is None else floor * state.u.max()
+    observed = []
+    traj = rf.evolve(state, t_end, params,
+                     rf.SolverConfig(record_every=every, u_floor=u_floor),
+                     observer=lambda rec, snap: observed.append((rec, snap)))
+    block = solver.record_block(n)
+    assert len(traj.records) > block and len(traj.records) % block != 0
+    assert [rec for rec, _ in observed] == traj.records
+    flags = set()
+    for rec, snap in observed:
+        alone = rf.diagnostics([snap], traj.reference, dts=[rec.dt],
+                               whole_space=traj.whole_space_entropy)[0]
+        for field in rf.FunctionalRecord.__dataclass_fields__:
+            assert getattr(rec, field) == getattr(alone, field), (field, rec.t)
+        flags.update(rec.flags)
+    if name == "fd3_exact":
+        assert traj.whole_space_entropy
+    elif name == "pm1_indicator":
+        assert "remainder_boundary" in flags
+    else:
+        assert rf.params.unmet(params, "gn_conversion") is not None
