@@ -2,11 +2,12 @@
 
 Each check bundles the inequalities and identities one verdict stands for,
 returning measured slacks next to the tolerances they are judged against.
-Check names form the config vocabulary (CHECK_NAMES). CHECK_HYPOTHESES
-lists, per check, the hypotheses of the params.HYPOTHESES table that every
-function its verdict calls requires; `incompatibility` reads that map, and
-both the config parser (reject at parse time) and the runner (mark
-inapplicable) share it.
+CHECKS is the one table of checks: per name, the hypotheses of the
+params.HYPOTHESES table that every function its verdict calls requires, and
+the function that measures it. Its names form the config vocabulary
+(CHECK_NAMES) and its hypotheses CHECK_HYPOTHESES; `incompatibility` reads
+them, and both the config parser (reject at parse time) and the runner
+(mark inapplicable) share it.
 
 This module is the only verdict layer: matching and gn return measurements,
 and every tolerance (the named constants below) and pass/fail decision
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -33,6 +34,7 @@ from .matching import MatchingError, build_delay_report, envelope_worst
 from .params import ModelParams, unmet
 
 __all__ = [
+    "CHECKS",
     "CHECK_NAMES",
     "CHECK_HYPOTHESES",
     "CheckResult",
@@ -40,32 +42,6 @@ __all__ = [
     "compatible_checks",
     "run_checks",
 ]
-
-CHECK_NAMES = (
-    "theorem1",
-    "theorem2",
-    "theorem3",
-    "theorem3bis",
-    "prop_t4",
-    "gn",
-    "deficit",
-)
-
-# Hypotheses of every function each verdict calls, most specific first so
-# that a request like gn at p = 0.4 names the p > 1/2 conversion rather than
-# a downstream window. theorem2 judges H against the profile's h_star, which
-# is finite only with the profile's second moment; theorem3 reads only the
-# drift of tau, so it runs wherever the best match exists, also below
-# 1 - 1/d.
-CHECK_HYPOTHESES: dict[str, tuple[str, ...]] = {
-    "theorem1": ("remainder_window",),
-    "theorem2": ("finite_moments",),
-    "theorem3": ("finite_moments",),
-    "theorem3bis": ("remainder_window", "finite_moments"),
-    "prop_t4": ("envelope_window", "finite_moments"),
-    "gn": ("gn_conversion", "remainder_window", "finite_moments"),
-    "deficit": ("fast_diffusion", "remainder_window", "finite_moments"),
-}
 
 # Derivative identities (theorem1) judge centered differences against these
 # relative tolerances; the entropy production carries the largest
@@ -305,15 +281,25 @@ def _check_deficit(trajectory, **_) -> tuple[Clauses, dict]:
     }
 
 
-_RUNNERS: dict[str, Callable[..., tuple[Clauses, dict]]] = {
-    "theorem1": _check_theorem1,
-    "theorem2": _check_theorem2,
-    "theorem3": partial(_delay_check, name="theorem3"),
-    "theorem3bis": partial(_delay_check, name="theorem3bis"),
-    "prop_t4": partial(_delay_check, name="prop_t4"),
-    "gn": _check_gn,
-    "deficit": _check_deficit,
+# name -> (hypotheses, measurement), in the order reports list checks. The
+# hypotheses are those of every function the verdict calls, most specific
+# first so that a request like gn at p = 0.4 names the p > 1/2 conversion
+# rather than a downstream window. theorem2 judges H against the profile's
+# h_star, which is finite only with the profile's second moment; theorem3
+# reads only the drift of tau, so it runs wherever the best match exists,
+# also below 1 - 1/d.
+CHECKS: dict[str, tuple[tuple[str, ...], Callable[..., tuple[Clauses, dict]]]] = {
+    "theorem1": (("remainder_window",), _check_theorem1),
+    "theorem2": (("finite_moments",), _check_theorem2),
+    "theorem3": (("finite_moments",), partial(_delay_check, name="theorem3")),
+    "theorem3bis": (("remainder_window", "finite_moments"),
+                    partial(_delay_check, name="theorem3bis")),
+    "prop_t4": (("envelope_window", "finite_moments"), partial(_delay_check, name="prop_t4")),
+    "gn": (("gn_conversion", "remainder_window", "finite_moments"), _check_gn),
+    "deficit": (("fast_diffusion", "remainder_window", "finite_moments"), _check_deficit),
 }
+CHECK_NAMES = tuple(CHECKS)
+CHECK_HYPOTHESES = {name: hypotheses for name, (hypotheses, _) in CHECKS.items()}
 
 
 def run_checks(names, trajectory, tol_scale: float = 1.0,
@@ -324,13 +310,7 @@ def run_checks(names, trajectory, tol_scale: float = 1.0,
     tol_scale. theorem3, theorem3bis and prop_t4 read one DelayReport,
     built on first use and shared; only prop_t4 measures the envelope
     inequalities."""
-    report = None
-
-    def delay_report():
-        nonlocal report
-        if report is None:
-            report = build_delay_report(trajectory, expected_tau=expected_tau)
-        return report
+    delay_report = cache(lambda: build_delay_report(trajectory, expected_tau=expected_tau))
 
     params = trajectory.reference.params
     results = []
@@ -342,8 +322,8 @@ def run_checks(names, trajectory, tol_scale: float = 1.0,
                                        details={"reason": reason}))
             continue
         try:
-            clauses, extra = _RUNNERS[name](trajectory, gn_seed=gn_seed,
-                                            delay_report=delay_report)
+            clauses, extra = CHECKS[name][1](trajectory, gn_seed=gn_seed,
+                                             delay_report=delay_report)
         except MatchingError as e:
             # e.g. prop_t4's envelope denominator with no digits left when
             # q(0) is huge: the claim is not verified, so the check fails

@@ -22,7 +22,8 @@ the tau column should sit at t0 throughout; gaussian(width) is
 exp(-(r/width)^2); indicator(radius, smoothing) is a mollified step;
 table(r, u) interpolates samples linearly. Every datum is renormalized to
 unit mass. "record_times" (strictly increasing offsets) may replace
-"record_every" when a transient needs a nonuniform cadence. "checks" is
+"record_every" when a transient needs a nonuniform cadence; a config gives
+at most one of the two. "checks" is
 "all" (every check the regime admits, possibly none) or a list drawn from
 CHECK_NAMES; a listed check whose hypothesis fails at (d, p) is rejected at
 parse time.
@@ -35,6 +36,9 @@ and E the whole-space entropy where functionals.diagnostics fits its
 far-field tail); report.json with every check clause's measured value,
 tolerance, and margin, and the run's step counts per integrator;
 summary.txt with those counts and one verdict line per check.
+
+Commands: `run CONFIG [--check NAME]` (NAME replaces the config's checks),
+`sweep DIR|LIST|CONFIG [--parallel N]` and `reference --d D --p P`.
 
 The gn check's perturbations come from the linear congruential generator
 x -> (1664525 x + 1013904223) mod 2**32 (seeded from "seed", default
@@ -59,9 +63,9 @@ from .barenblatt import (BarenblattReference, build_reference, normalization_con
 from .checks import CHECK_NAMES, CheckResult, compatible_checks, incompatibility, run_checks
 from .functionals import FunctionalRecord
 from .gn import DEFAULT_SEED
-from .grid import DensityState, build_grid, project_initial
+from .grid import DensityState, RadialGrid, build_grid, project_initial
 from .params import HYPOTHESES, ModelParams, ParameterDomainError, RegimeError, unmet
-from .solver import InstabilityError, SolverConfig, StiffnessError, evolve
+from .solver import InstabilityError, SolverConfig, StiffnessError, Trajectory, evolve
 
 __all__ = [
     "ConfigError",
@@ -87,7 +91,7 @@ _DATUM_ARGS = {
     "table": ("r", "u"),
 }
 
-_SOLVER_KEYS = ("cfl", "dt_max", "dt_min", "u_floor")
+_SOLVER_KEYS = ("cfl", "dt_min", "u_floor")
 
 _TOP_KEYS = ("d", "p", "initial_datum", "grid", "solver", "t_end",
              "record_every", "record_times", "checks", "seed", "output_dir")
@@ -134,10 +138,12 @@ def _as_number(value, field: str) -> float:
 
 
 def _as_int(value, field: str) -> int:
+    """An integer as given (a JSON int keeps every digit), or a float or
+    fraction string of integral value."""
     x = _as_number(value, field)
     if x != int(x):
         raise _fail(field, f"expected an integer, got {value!r}")
-    return int(x)
+    return value if isinstance(value, int) else int(x)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -145,9 +151,7 @@ class ExperimentConfig:
     label: str
     params: ModelParams
     datum: dict
-    r_max: float
-    n: int
-    stretch: float
+    grid: RadialGrid
     solver: SolverConfig
     t_end: float
     checks: tuple[str, ...]
@@ -194,7 +198,7 @@ def _parse_datum(raw) -> dict:
 def _requested_checks(names: list, params: ModelParams) -> tuple[str, ...]:
     """names in first-seen order without repeats, each a known check whose
     hypotheses hold at (d, p); the one gate of a config's "checks" list and
-    of verify --check."""
+    of run --check."""
     seen: list[str] = []
     for name in names:
         try:
@@ -243,23 +247,18 @@ def parse_config(document: dict | str, label: str = "config") -> ExperimentConfi
     datum = _parse_datum(document["initial_datum"])
 
     raw_grid = document["grid"]
-    if isinstance(raw_grid, dict):
-        extra = set(raw_grid) - {"r_max", "n", "stretch"}
-        if extra:
-            raise _fail("grid", f"unexpected keys: {', '.join(sorted(extra))}")
-        if "r_max" not in raw_grid or "n" not in raw_grid:
-            raise _fail("grid", "needs r_max and n")
-        r_max = _as_number(raw_grid["r_max"], "grid.r_max")
-        n = _as_int(raw_grid["n"], "grid.n")
-        stretch = _as_number(raw_grid.get("stretch", 1.0), "grid.stretch")
-    elif isinstance(raw_grid, list) and len(raw_grid) in (2, 3):
-        r_max = _as_number(raw_grid[0], "grid[0]")
-        n = _as_int(raw_grid[1], "grid[1]")
-        stretch = _as_number(raw_grid[2], "grid[2]") if len(raw_grid) == 3 else 1.0
-    else:
-        raise _fail("grid", "expected {r_max, n, stretch} or [r_max, n, stretch]")
+    if not isinstance(raw_grid, dict):
+        raise _fail("grid", "expected {r_max, n, stretch}")
+    extra = set(raw_grid) - {"r_max", "n", "stretch"}
+    if extra:
+        raise _fail("grid", f"unexpected keys: {', '.join(sorted(extra))}")
+    if "r_max" not in raw_grid or "n" not in raw_grid:
+        raise _fail("grid", "needs r_max and n")
+    r_max = _as_number(raw_grid["r_max"], "grid.r_max")
+    n = _as_int(raw_grid["n"], "grid.n")
+    stretch = _as_number(raw_grid.get("stretch", 1.0), "grid.stretch")
     try:
-        build_grid(d, r_max, n, stretch=stretch)
+        grid = build_grid(d, r_max, n, stretch=stretch)
     except ValueError as e:
         raise _fail("grid", str(e)) from e
 
@@ -286,6 +285,8 @@ def parse_config(document: dict | str, label: str = "config") -> ExperimentConfi
         solver = SolverConfig(**solver_kwargs)
     except ValueError as e:
         raise ConfigError(f"config field 'solver': {e}") from e
+    if "record_every" in document and "record_times" in document:
+        raise ConfigError("config fields 'record_every' and 'record_times': give one, not both")
 
     raw_checks = document.get("checks", "all")
     if raw_checks == "all":
@@ -302,9 +303,9 @@ def parse_config(document: dict | str, label: str = "config") -> ExperimentConfi
 
     expected_tau = datum["t0"] if datum["kind"] == "barenblatt" else None
     return ExperimentConfig(
-        label=label, params=params, datum=datum, r_max=r_max, n=n,
-        stretch=stretch, solver=solver, t_end=t_end, checks=checks,
-        seed=seed, output_dir=output_dir, expected_tau=expected_tau,
+        label=label, params=params, datum=datum, grid=grid, solver=solver,
+        t_end=t_end, checks=checks, seed=seed, output_dir=output_dir,
+        expected_tau=expected_tau,
     )
 
 
@@ -318,7 +319,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def build_initial_state(config: ExperimentConfig) -> DensityState:
-    grid = build_grid(config.params.d, config.r_max, config.n, stretch=config.stretch)
     datum = config.datum
     kind = datum["kind"]
     if kind == "barenblatt":
@@ -334,7 +334,7 @@ def build_initial_state(config: ExperimentConfig) -> DensityState:
         rv = np.asarray(datum["r"])
         uv = np.asarray(datum["u"])
         f = lambda r: np.interp(r, rv, uv, left=uv[0], right=0.0)
-    return project_initial(f, grid)
+    return project_initial(f, config.grid)
 
 
 def write_trajectory_csv(path: Path, trajectory) -> None:
@@ -357,6 +357,10 @@ _FLAGGED_NON_FINITE = {
 }
 _RECORD_NUMBERS = tuple(f.name for f in dataclasses.fields(FunctionalRecord)
                         if f.name != "flags")
+# Trajectory fields that report.json's "run" object carries, beside
+# n_records and t_end: every one but the reference, records and final state.
+_RUN_FIELDS = tuple(f.name for f in dataclasses.fields(Trajectory)
+                    if f.name not in ("reference", "records", "final_state"))
 
 
 def _non_finite_field(trajectory) -> str | None:
@@ -459,20 +463,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
         "p": config.params.p,
         "tol_scale": tol_scale,
         "reference": _reference_payload(trajectory.reference),
-        "run": {
-            "n_steps": trajectory.n_steps,
-            "euler_steps": trajectory.euler_steps,
-            "super_steps": trajectory.super_steps,
-            "rejected_super_steps": trajectory.rejected_super_steps,
-            "n_records": len(trajectory.records),
-            "t_end": config.t_end,
-            "clipped_mass": trajectory.clipped_mass,
-            "limited_steps": trajectory.limited_steps,
-            "u_floor": trajectory.u_floor,
-            "whole_space_entropy": trajectory.whole_space_entropy,
-            "wall_time": trajectory.wall_time,
-            "diagnostics_time": trajectory.diagnostics_time,
-        },
+        "run": {"n_records": len(trajectory.records), "t_end": config.t_end,
+                **{name: getattr(trajectory, name) for name in _RUN_FIELDS}},
         "checks": [_check_payload(r) for r in results],
         "all_passed": all_passed,
     }
@@ -486,7 +478,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
 
 def _run_path(path: str, out_root: str | None, tol_scale: float,
               echo=print, check: str | None = None) -> tuple[str, dict | None, str | None]:
-    """Isolated single-config execution used by run, verify and sweep.
+    """Isolated single-config execution used by run and sweep.
 
     check, when given, replaces the config's checks by that one name. The
     error string starts with "config error" (exit 2), "solver abort" or
@@ -570,10 +562,6 @@ def _exit_code(label: str, report: dict | None, error: str | None) -> int:
 
 
 def cmd_run(args) -> int:
-    return _exit_code(*_run_path(args.config, args.out, args.tol_scale))
-
-
-def cmd_verify(args) -> int:
     return _exit_code(*_run_path(args.config, args.out, args.tol_scale, check=args.check))
 
 
@@ -622,6 +610,13 @@ def cmd_sweep(args) -> int:
     return 0 if merged["all_passed"] else 1
 
 
+def _tol_scale(text: str) -> float:
+    x = float(text)
+    if not 0.0 < x < math.inf:  # NaN included
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return x
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="renyiflow",
@@ -630,11 +625,12 @@ def main(argv=None) -> int:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--tol-scale", type=float, default=1.0, dest="tol_scale",
+    common.add_argument("--tol-scale", type=_tol_scale, default=1.0, dest="tol_scale",
                         help="multiplies every default tolerance")
 
     p_run = sub.add_parser("run", parents=[common], help="run one config")
     p_run.add_argument("config")
+    p_run.add_argument("--check", help="run this one check instead of the config's")
     p_run.set_defaults(fn=cmd_run)
 
     p_sweep = sub.add_parser("sweep", parents=[common],
@@ -647,11 +643,6 @@ def main(argv=None) -> int:
     p_ref.add_argument("--d", type=int, required=True)
     p_ref.add_argument("--p", required=True)
     p_ref.set_defaults(fn=cmd_reference)
-
-    p_verify = sub.add_parser("verify", parents=[common], help="run a single named check")
-    p_verify.add_argument("config")
-    p_verify.add_argument("--check", required=True)
-    p_verify.set_defaults(fn=cmd_verify)
 
     args = parser.parse_args(argv)
     return args.fn(args)

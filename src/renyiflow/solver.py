@@ -24,9 +24,9 @@ further per flux evaluation (_plan):
   cell next to a filled one is a front, which needs the limiter; for p < 1
   an empty cell makes dt_expl zero), and one that leaves any negative mass
   is discarded and redone with limited Euler; it never clips. Its length is
-  capped by the rest of the record gap, by dt_max, by SUPER_STEP_STAGES
-  stages and by tau ||dm/dt||_1 <= SUPER_STEP_MASS_SHARE * mass; a binding
-  cap cuts the rest of the gap into equal pieces.
+  capped by the rest of the record gap, by SUPER_STEP_STAGES stages and by
+  tau ||dm/dt||_1 <= SUPER_STEP_MASS_SHARE * mass; a binding cap cuts the
+  rest of the gap into equal pieces.
 
 The step bound is the scheme's own monotone bound. Linearised, the update is
 m_i' = m_i + dt sum_j c_j (w_nb - w_i) over the faces j of cell i, with
@@ -103,7 +103,6 @@ class InstabilityError(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     cfl: float = 0.9
-    dt_max: float = math.inf
     dt_min: float = 0.0
     # None resolves to 0 for p > 1 and eps * max(u0) for p < 1 (eps the
     # double epsilon); the floor enters only the diffusivity of the limited
@@ -121,8 +120,6 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
-        if self.dt_min > self.dt_max:
-            raise ValueError("dt_min exceeds dt_max")
         if self.u_floor is not None and self.u_floor < 0.0:
             raise ValueError("u_floor must be nonnegative")
         if self.record_every <= 0.0:
@@ -151,8 +148,8 @@ def _stability_geometry(grid: RadialGrid, coef: np.ndarray, p: float) -> np.ndar
 
 
 def _bound_dt(factor, geometry, fast: bool, config: SolverConfig, out) -> float:
-    """cfl * min_i V_i / (D_i reach_i), capped at dt_max, from the stability
-    factor max(u, floor)**|p-1| and geometry V/(p reach); fast means p < 1.
+    """cfl * min_i V_i / (D_i reach_i) from the stability factor
+    max(u, floor)**|p-1| and geometry V/(p reach); fast means p < 1.
     out is scratch. A NaN in factor gives a NaN bound.
 
     Here and in evolve, a[a.argmin()] stands for a.min(): it is the same
@@ -160,12 +157,10 @@ def _bound_dt(factor, geometry, fast: bool, config: SolverConfig, out) -> float:
     """
     if fast:
         np.multiply(geometry, factor, out=out)
-        dt = config.cfl * float(out[out.argmin()])
-    else:
-        np.divide(factor, geometry, out=out)
-        worst = float(out[out.argmax()])
-        dt = config.cfl / worst if worst != 0.0 else math.inf
-    return min(dt, config.dt_max)
+        return config.cfl * float(out[out.argmin()])
+    np.divide(factor, geometry, out=out)
+    worst = float(out[out.argmax()])
+    return config.cfl / worst if worst != 0.0 else math.inf
 
 
 def _stiffness(dt: float, dt_min: float, t: float) -> StiffnessError:
@@ -292,9 +287,11 @@ class Trajectory:
     reference: BarenblattReference  # the profile of the run's (d, p)
     records: list[FunctionalRecord] = field(default_factory=list)
     final_state: DensityState | None = None
-    # flux evaluations: one per Euler step, s per super-step (a discarded
-    # one included), so the loop's time per evaluation compares with an
-    # Euler step's
+    # evolve fills the fields below, counting into them as it steps, and
+    # report.json's "run" object carries each of them. n_steps counts flux
+    # evaluations: one per Euler step, s per super-step (a discarded one
+    # included), so the loop's time per evaluation compares with an Euler
+    # step's
     n_steps: int = 0
     euler_steps: int = 0
     super_steps: int = 0  # accepted
@@ -345,7 +342,7 @@ def _plan(kernel: _Kernel, dt: float, rest: float, fast: bool, mass: float,
     else:
         dt_expl = dt
     smax = SUPER_STEP_STAGES
-    tau = min(rest, config.dt_max, 0.25 * (smax * smax + smax - 2) * dt_expl)
+    tau = min(rest, 0.25 * (smax * smax + smax - 2) * dt_expl)
     if tau / _stages(tau / dt_expl) <= dt:
         return 0.0, 0, False
     flux, gain = kernel.flux, kernel.gain
@@ -440,8 +437,6 @@ def evolve(
         raise _stiffness(dt, dt_min, t)
     emit(t0, dt)
     next_rec = next(schedule)
-    n_steps = euler_steps = super_steps = rejected = limited_steps = 0
-    clipped_mass = 0.0
     while t < t_end:
         pair(u, w, factor)
         dt = _bound_dt(factor, geometry, fast, config, scratch)
@@ -452,13 +447,13 @@ def evolve(
         if filled and t + 4.0 * dt < next_rec:
             tau, s, landed = _plan(kernel, dt, next_rec - t, fast, mass, config)
             if s:
-                n_steps += s
+                traj.n_steps += s
                 low = kernel.super_step(m, tau, s, m_new).min()
                 if low >= 0.0:
-                    super_steps += 1
+                    traj.super_steps += 1
                     dt = tau
                 else:  # NaN included
-                    rejected += 1
+                    traj.rejected_super_steps += 1
                     s = 0
         if not s:
             # the limited Euler step, inline: a call and its returned
@@ -471,11 +466,11 @@ def evolve(
             np.add(m, gain, out=m_new)
             low = m_new[m_new.argmin()]
             if low < 0.0:  # a NaN never enters: the density guard raises on it
-                limited_steps += 1
-                clipped_mass += _limit(m, flux, gain, m_new)
+                traj.limited_steps += 1
+                traj.clipped_mass += _limit(m, flux, gain, m_new)
                 low = m_new[m_new.argmin()]
-            n_steps += 1
-            euler_steps += 1
+            traj.n_steps += 1
+            traj.euler_steps += 1
         filled = low > 0.0
         m, m_new = m_new, m
         np.multiply(m, inv_vol, out=u)
@@ -483,7 +478,7 @@ def evolve(
         if not (u_max <= u_cap):
             raise InstabilityError(
                 f"density maximum {u_max} exceeds 10x the initial maximum at "
-                f"t={t + dt} (step {n_steps}); reduce cfl"
+                f"t={t + dt} (step {traj.n_steps}); reduce cfl"
             )
         if landed:
             t = next_rec
@@ -494,12 +489,6 @@ def evolve(
 
     if pending:
         flush()
-    traj.n_steps = n_steps
-    traj.euler_steps = euler_steps
-    traj.super_steps = super_steps
-    traj.rejected_super_steps = rejected
-    traj.limited_steps = limited_steps
-    traj.clipped_mass = clipped_mass
     traj.final_state = DensityState(grid=grid, u=u.copy(), t=t)
     traj.wall_time = time.perf_counter() - start_wall
     return traj

@@ -45,7 +45,8 @@ def write_config(path, doc):
 def test_parse_minimal_config():
     cfg = parse_config(tiny_config())
     assert cfg.params == rf.ModelParams(1, 2.0)
-    assert cfg.r_max == 6.0 and cfg.n == 64 and cfg.stretch == 1.0
+    assert cfg.grid.d == 1 and cfg.grid.r_max == 6.0 and cfg.grid.n == 64
+    assert np.allclose(np.diff(cfg.grid.edges), 6.0 / 64)  # stretch 1: uniform
     assert cfg.t_end == 0.05
     assert cfg.checks == ("theorem1", "theorem2")
     assert cfg.solver.record_every == 0.01
@@ -54,10 +55,11 @@ def test_parse_minimal_config():
 
 
 def test_fraction_strings_parse_exactly():
-    cfg = parse_config(tiny_config(d=3, p="2/3", grid=[40.0, 64, 1.01],
-                                   checks=["theorem2"]))
+    grid = {"r_max": "80/2", "n": 64, "stretch": 1.01}
+    cfg = parse_config(tiny_config(d=3, p="2/3", grid=grid, checks=["theorem2"]))
     assert cfg.params.p == 2.0 / 3.0
-    assert cfg.stretch == 1.01
+    assert cfg.grid.r_max == 40.0
+    assert cfg.grid.edges.tobytes() == rf.build_grid(3, 40.0, 64, stretch=1.01).edges.tobytes()
 
 
 def test_checks_all_expands_to_compatible_subset():
@@ -110,12 +112,17 @@ def test_barenblatt_datum_pins_expected_tau():
     (dict(output_dir=7), "expected a string"),
     (dict(grid={"r_max": 6.0, "n": 12}), "at least 16 cells"),
     (dict(grid={"r_max": -1.0, "n": 64}), "r_max must be positive"),
-    (dict(grid=[6.0, 64, 0.5]), "stretch must be >= 1"),
+    (dict(grid={"r_max": 6.0, "n": 64, "stretch": 0.5}), "stretch must be >= 1"),
     (dict(grid={"r_max": 6.0, "n": 1e999}), "must be finite"),
     (dict(grid={"r_max": math.nan, "n": 64}), "must be finite"),
     # parsed only: evolving it would schedule records without end
     (dict(t_end=1e999), "must be finite"),
     (dict(grid={"r_max": 10**400, "n": 64}), "must be finite"),
+    # the grid is an object only, and the solver has no step cap
+    (dict(grid=[6.0, 64, 1.0]), "expected {r_max, n, stretch}"),
+    (dict(solver={"cfl": 0.9, "dt_max": 1.0}), "unknown solver keys: dt_max"),
+    # TINY gives record_every
+    (dict(record_times=[0.01, 0.02]), "'record_every' and 'record_times'"),
 ])
 def test_parse_rejections(mutation, fragment):
     with pytest.raises(ConfigError) as err:
@@ -267,16 +274,16 @@ def test_main_reference(capsys):
     assert "invalid parameters" in capsys.readouterr().err
 
 
-def test_main_verify(tmp_path, capsys):
+def test_main_run_one_check(tmp_path, capsys):
     path = write_config(tmp_path / "ok.json", tiny_config())
-    assert main(["verify", path, "--check", "theorem2",
+    assert main(["run", path, "--check", "theorem2",
                  "--out", str(tmp_path / "v")]) == 0
     report = json.loads((tmp_path / "v" / "report.json").read_text())
     assert [c["name"] for c in report["checks"]] == ["theorem2"]
 
-    assert main(["verify", path, "--check", "deficit"]) == 2
+    assert main(["run", path, "--check", "deficit"]) == 2
     assert "fast diffusion" in capsys.readouterr().err
-    assert main(["verify", path, "--check", "nonsense"]) == 2
+    assert main(["run", path, "--check", "nonsense"]) == 2
 
 
 def test_sweep_serial_parallel_identical(tmp_path, capsys):
@@ -364,7 +371,7 @@ def test_main_unexpected_error_exit(tmp_path, capsys, monkeypatch):
     # the finished trajectory outlives the check that raised
     csv = "trajectory.csv"
     assert (tmp_path / "ok" / csv).read_bytes() == (tmp_path / "clean" / csv).read_bytes()
-    assert main(["verify", path, "--check", "theorem2",
+    assert main(["run", path, "--check", "theorem2",
                  "--out", str(tmp_path / "v")]) == 3
     err = capsys.readouterr().err
     assert "Traceback" in err and "RuntimeError: injected fault" in err
@@ -453,7 +460,8 @@ def test_profile_constant_overflow_is_config_error(tmp_path, capsys):
 def test_report_records_resolved_floor(tmp_path):
     # the step floor in use: eps * max(u0) for p < 1 by default, 0 for
     # p > 1, and a configured floor as given
-    doc = tiny_config(d=3, p="2/3", grid=[40.0, 64, 1.01], t_end=0.01, checks=[])
+    doc = tiny_config(d=3, p="2/3", grid={"r_max": 40.0, "n": 64, "stretch": 1.01},
+                      t_end=0.01, checks=[])
     cfg = parse_config(doc)
     report = run_experiment(cfg, tmp_path / "fast", echo=None)
     u0_max = float(build_initial_state(cfg).u.max())
@@ -553,3 +561,50 @@ def test_unevaluable_envelope_fails_prop_t4_with_its_reason(tmp_path, capsys):
     assert main(["sweep", str(tmp_path), "--out", str(tmp_path / "sweep")]) == 1
     table = capsys.readouterr().out
     assert "prop_t4: not evaluable: envelope denominator nonpositive" in table
+
+
+@pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
+def test_tol_scale_must_be_finite_and_positive(tmp_path, capsys, value):
+    # each used to run: nan failed every check, 0 and -1 passed theorem2 at
+    # slack -inf, and inf passed every check at slack nan
+    path = write_config(tmp_path / "ok.json", tiny_config())
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", path, "--out", str(tmp_path / "out"), "--tol-scale", value])
+    assert exit_.value.code == 2
+    assert "must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_beyond_double_precision_is_kept_exactly():
+    # 2**60 + 1 has no double; the gn generator reads the seed's low 32
+    # bits, which must be 1, not the 0 of the rounded 2**60
+    seed = 2**60 + 1
+    for doc in (tiny_config(seed=seed), json.dumps(tiny_config(seed=seed))):
+        cfg = parse_config(doc)
+        assert cfg.seed == seed and cfg.seed % 2**32 == 1
+    assert parse_config(tiny_config(seed="12/4")).seed == 3
+    with pytest.raises(ConfigError) as err:
+        parse_config(tiny_config(seed=10**400))
+    assert "must be finite" in str(err.value)
+
+
+def test_report_run_object_is_the_trajectory(tmp_path, monkeypatch):
+    # every Trajectory field but the reference, the records and the final
+    # state, each equal to the trajectory's, beside n_records and t_end
+    captured = []
+    evolve = cli.evolve
+
+    def kept(*args, **kwargs):
+        captured.append(evolve(*args, **kwargs))
+        return captured[-1]
+
+    monkeypatch.setattr(cli, "evolve", kept)
+    cfg = parse_config(tiny_config())
+    report = run_experiment(cfg, tmp_path, echo=None)
+    (trajectory,) = captured
+    names = [f.name for f in dataclasses.fields(Trajectory)
+             if f.name not in ("reference", "records", "final_state")]
+    expected = {"n_records": len(trajectory.records), "t_end": cfg.t_end,
+                **{name: getattr(trajectory, name) for name in names}}
+    assert report["run"] == expected
+    assert json.loads((tmp_path / "report.json").read_text())["run"] == expected
