@@ -18,10 +18,9 @@ those arrays once per block and feeds every kernel, and the grid-only
 arrays come cached from RadialGrid. A row's results do not depend on its
 block: sums run along rows (pairwise, as on a lone array), dot products
 are np.vecdot (one ddot per row), and sums over a masked subset of a row
-are taken row by row. relative_entropy stays public because the numeric
-best-match search evaluates it at arbitrary match times. The kernels
-assume their caller has silenced divide and invalid warnings: vacuum cells
-make v infinite, and the masks then discard those faces.
+are taken row by row. The kernels assume their caller has silenced divide
+and invalid warnings: vacuum cells make v infinite, and the masks then
+discard those faces.
 """
 from __future__ import annotations
 
@@ -313,6 +312,13 @@ def _remainder(g: RadialGrid, u: np.ndarray, u_max: np.ndarray, w: np.ndarray,
 
 def _relative_entropy(g: RadialGrid, u: np.ndarray, up: np.ndarray, s: list[float],
                       p: float, reference: BarenblattReference) -> np.ndarray:
+    """Per row of u (up = u**p), the Bregman divergence of the entropy
+    between u and the self-similar solution at that row's time s:
+    1/(p-1) int [u^p - U^p - p U^(p-1) (u - U)].
+
+    The integrand is pointwise nonnegative for every p in the admissible
+    range, so the value is a genuine divergence (zero iff u = U a.e.).
+    """
     for si in s:
         if not si > 0.0:
             raise ValueError(f"match time must be positive, got {si}")
@@ -331,18 +337,6 @@ def _relative_entropy(g: RadialGrid, u: np.ndarray, up: np.ndarray, s: list[floa
     integrand -= slope
     integrand /= p - 1.0
     return np.vecdot(integrand, g.volumes)
-
-
-def relative_entropy(state: DensityState, s: float,
-                     reference: BarenblattReference) -> float:
-    """Bregman divergence of the entropy between u and the self-similar
-    solution at time s: 1/(p-1) int [u^p - U^p - p U^(p-1) (u - U)].
-
-    The integrand is pointwise nonnegative for every p in the admissible
-    range, so the value is a genuine divergence (zero iff u = U a.e.).
-    """
-    u, p = state.u[None], reference.params.p
-    return float(_relative_entropy(state.grid, u, pow_fn(p)(u), [s], p, reference)[0])
 
 
 def whole_space_entropy(state: DensityState, reference: BarenblattReference,

@@ -13,14 +13,13 @@ This module measures; checks turns its worst violations into verdicts.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .barenblatt import BarenblattReference
-from .functionals import FunctionalRecord, _second_moment, relative_entropy
-from .grid import DensityState, cumulative_trapezoid
+from .functionals import FunctionalRecord
+from .grid import cumulative_trapezoid
 from .params import require, unmet
 
 # Relative H-gap and Cauchy-Schwarz slack below which the quadratic drop
@@ -39,45 +38,6 @@ def best_match_scale(theta: float, reference: BarenblattReference) -> float:
     if not theta > 0.0:
         raise ValueError(f"second moment must be positive, got {theta}")
     return reference.match_time(theta)
-
-
-def best_match_scale_numeric(state: DensityState, reference: BarenblattReference,
-                             rel_tol: float = 1e-8) -> float:
-    """Minimize s -> relative_entropy(state, s) by golden-section search.
-
-    The bracket is [s0/10, 10*s0] around the closed-form moment match s0;
-    the divergence is strictly convex near its minimum, so the search is
-    well posed. Raises MatchingError if the minimum sits on the bracket
-    edge (the state is nowhere near any self-similar time).
-    """
-    g = state.grid
-    s0 = best_match_scale(float(_second_moment(g, state.u)), reference)
-    lo, hi = 0.1 * s0, 10.0 * s0
-
-    def phi(s: float) -> float:
-        return relative_entropy(state, s, reference)
-
-    invphi = 0.5 * (math.sqrt(5.0) - 1.0)
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = phi(c), phi(d)
-    while b - a > rel_tol * s0:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = phi(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = phi(d)
-    s = 0.5 * (a + b)
-    if s <= lo + 0.005 * (hi - lo) or s >= hi - 0.005 * (hi - lo):
-        raise MatchingError(
-            f"no interior best match in bracket [{lo:.6g}, {hi:.6g}]; "
-            f"search stalled at s = {s:.6g}"
-        )
-    return s
 
 
 def delay_lower_bound(record0: FunctionalRecord, reference: BarenblattReference,

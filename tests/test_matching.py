@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import renyiflow as rf
+from renyiflow._pow import pow_fn
+from renyiflow.functionals import _relative_entropy
 from renyiflow.matching import (
     MatchingError,
-    best_match_scale_numeric,
     delay_lower_bound,
     envelope_worst,
     q_envelope,
@@ -29,6 +30,41 @@ def test_match_scale_rejections(ref_pm1):
     ref_inf = rf.build_reference(rf.ModelParams(3, 0.55))
     with pytest.raises(RegimeError):
         rf.best_match_scale(1.0, ref_inf)
+
+
+def best_match_scale_numeric(state, reference):
+    """Minimize s -> relative entropy of state to the profile at s by
+    golden-section search, an oracle for the closed-form moment match.
+
+    The bracket is [s0/10, 10*s0] around the moment match s0; the divergence
+    is strictly convex near its minimum, so the search is well posed. Fails
+    if the minimum sits on the bracket edge.
+    """
+    u, p = state.u[None], reference.params.p
+    up = pow_fn(p)(u)
+    s0 = rf.diagnostics([state], reference)[0].s_match
+    lo, hi = 0.1 * s0, 10.0 * s0
+
+    def phi(s):
+        return float(_relative_entropy(state.grid, u, up, [s], p, reference)[0])
+
+    invphi = 0.5 * (math.sqrt(5.0) - 1.0)
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = phi(c), phi(d)
+    while b - a > 1e-8 * s0:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = phi(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = phi(d)
+    s = 0.5 * (a + b)
+    assert lo + 0.005 * (hi - lo) < s < hi - 0.005 * (hi - lo), "no interior best match"
+    return s
 
 
 def test_numeric_match_agrees_with_moment_match(params_pm1, ref_pm1):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -160,14 +161,92 @@ def test_nan_state_fails_loudly(d, p):
         rf.evolve(state, 0.1, params, rf.SolverConfig(record_every=0.05))
 
 
-def test_donor_cell_limiter_fires_and_conserves():
+def _limit_oracle(m, flux, gain, m_new) -> float:
+    # the masked donor-cell limiter _Kernel.limit replaced, kept verbatim:
+    # _Kernel.limit must give its m_new and clipped mass bit for bit
+    rate = flux[1:-1]
+    outflow = np.zeros_like(m)
+    outflow[1:] += np.maximum(rate, 0.0)
+    outflow[:-1] += np.maximum(-rate, 0.0)
+    scale = np.ones_like(m)
+    mask = outflow > m
+    scale[mask] = m[mask] / outflow[mask]
+    rate *= np.where(rate > 0.0, scale[1:], scale[:-1])
+    np.subtract(flux[1:], flux[:-1], out=gain)
+    np.add(m, gain, out=m_new)
+    negative = m_new < 0.0
+    if not negative.any():
+        return 0.0
+    clipped = -float(m_new[negative].sum())
+    np.maximum(m_new, 0.0, out=m_new)
+    return clipped
+
+
+def _against_oracle(kernel, m, m_new, limit):
+    """limit(kernel, m, m_new), checked to give the oracle's bits on the
+    kernel's flux; returns the clipped mass."""
+    flux = kernel.flux.copy()
+    expected = np.empty_like(m)
+    expected_clip = _limit_oracle(m, flux, np.empty_like(m), expected)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clipped = limit(kernel, m, m_new)
+    assert m_new.tobytes() == expected.tobytes()
+    assert repr(clipped) == repr(expected_clip)
+    # the rewritten rates agree up to the sign of a zero
+    assert np.array_equal(kernel.flux, flux)
+    return clipped
+
+
+def _unit_line(n):
+    # a d = 1 grid of n unit cells (build_grid needs 16)
+    edges = np.arange(n + 1.0)
+    areas = np.ones(n + 1)
+    areas[0] = 0.0
+    return rf.RadialGrid(d=1, edges=edges, centers=edges[:-1] + 0.5,
+                         widths=np.ones(n), volumes=np.ones(n), areas=areas)
+
+
+_SUBNORMAL = st.floats(min_value=5e-324, max_value=2.2e-308)
+# a cell is empty 3 times in 10, else a subnormal or a normal mass
+_MASS = st.tuples(st.integers(0, 9), st.one_of(
+    _SUBNORMAL, st.floats(min_value=1e-300, max_value=1e3))).map(
+        lambda kv: 0.0 if kv[0] < 3 else kv[1])
+_RATE = st.one_of(st.just(0.0), st.just(-0.0), _SUBNORMAL, _SUBNORMAL.map(lambda x: -x),
+                  st.floats(min_value=-1e3, max_value=1e3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=2, max_value=40))
+def test_limiter_matches_masked_oracle(data, n):
+    # about 30% empty cells, signed zero and subnormal rates, subnormal
+    # masses: the same m_new and clipped mass bits, and no warning
+    m = np.array(data.draw(st.lists(_MASS, min_size=n, max_size=n)))
+    kernel = solver._Kernel(_unit_line(n), rf.ModelParams(1, 2.0), 0.0)
+    kernel.flux[1:-1] = data.draw(st.lists(_RATE, min_size=n - 1, max_size=n - 1))
+    m_new = np.empty(n)
+    clipped = _against_oracle(kernel, m, m_new, solver._Kernel.limit)
+    assert np.all(m_new >= 0.0) and clipped >= 0.0
+
+
+def test_donor_cell_limiter_fires_and_conserves(monkeypatch):
     # the diffusivity floor relaxes the step bound in the fast-diffusion
-    # tail, so plain updates would overdraw cells there
+    # tail, so plain updates would overdraw cells there; every limiter call
+    # of the run gives the masked oracle's bits
+    calls = []
+    real = solver._Kernel.limit
+
+    def spy(self, m, m_new):
+        calls.append(_against_oracle(self, m, m_new, real))
+        return calls[-1]
+
+    monkeypatch.setattr(solver._Kernel, "limit", spy)
     params = rf.ModelParams(3, 2.0 / 3.0)
     grid = rf.build_grid(3, 200.0, 160, stretch=1.03)
     state = rf.project_initial(lambda r: np.exp(-r * r), grid)
     traj = rf.evolve(state, 0.01, params, rf.SolverConfig(record_every=0.005))
-    assert traj.limited_steps > 0
+    assert traj.limited_steps == len(calls) > 0
+    assert traj.clipped_mass == sum(calls)
     assert np.all(traj.final_state.u >= 0.0)
     assert traj.final_state.mass() == pytest.approx(state.mass(), abs=1e-13)
 
