@@ -1,4 +1,4 @@
-"""Explicit conservative finite-volume evolution of du/dt = Laplacian(u**p).
+"""Conservative finite-volume evolution of du/dt = Laplacian(u**p).
 
 The update works on cell masses m_i = u_i V_i with face rates
 Phi_j = A_j (w_j - w_{j-1})/(r_j - r_{j-1}), w = u**p, and zero flux at both
@@ -6,27 +6,34 @@ boundaries, so total mass telescopes exactly (conservation to summation
 round-off, independent of step count).
 
 evolve() has three parts: the rate kernel (_face_rates, the face rates of a
-state from its w = u**p), two integrators (the limited Euler step, inline in
-the loop, and _Kernel.super_step), and the record schedule
-(_record_schedule). At every step it takes whichever integrator advances
-further per flux evaluation (_plan):
+state from its w = u**p), two integrators (the Euler step, inline in the
+loop, and _Kernel.super_step), and the record schedule (_record_schedule).
+At every step it takes whichever integrator advances further per flux
+evaluation (_plan):
 
-- Limited Euler. A donor-cell limiter scales outgoing face rates so no cell
-  can overdraw its mass within one step; this keeps the state nonnegative
-  without clipping even in fast-diffusion tails where the local stability
-  bound is intentionally relaxed by the diffusivity floor (u_floor).
+- Euler. The forward step m + dt diff(Phi), unless that would overdraw a
+  cell, which happens in fast-diffusion tails, where the step bound is
+  relaxed by the diffusivity floor (u_floor). Then the step is taken
+  backward instead (_Kernel.implicit_step): linearly implicit, with the
+  secant diffusivity K_j = dt c_j (w_j - w_(j-1))/(u_j - u_(j-1)) >= 0 on
+  each face, it solves (V + A) u' = V u, A the path Laplacian of the K_j.
+  V + A is an M-matrix, so u' >= 0 for any dt, with no limiter and no
+  clip, and m' = V u' keeps the mass to the solve's round-off. So its
+  length is not bounded by stability but by accuracy (the step is first
+  order): the larger of the Euler bound and
+  IMPLICIT_STEP_MASS_SHARE * mass / ||dm/dt||_1, cut at the record.
 - Second-order Runge-Kutta-Legendre (RKL2) super-steps (Meyer, Balsara &
   Aslam, J. Comput. Phys. 257, 2014): s flux evaluations advance
   tau <= dt_expl (s**2 + s - 2)/4, with dt_expl the unfloored monotone bound
   below. Each stage is written as Y_j = m + diff(P_j), the recursion run on
   the face sums P_j, so mass telescopes exactly as in the Euler step. A
   super-step is taken only on a state with no empty cell (for p > 1 an empty
-  cell next to a filled one is a front, which needs the limiter; for p < 1
-  an empty cell makes dt_expl zero), and one that leaves any negative mass
-  is discarded and redone with limited Euler; it never clips. Its length is
-  capped by the rest of the record gap, by SUPER_STEP_STAGES stages and by
-  tau ||dm/dt||_1 <= SUPER_STEP_MASS_SHARE * mass; a binding cap cuts the
-  rest of the gap into equal pieces.
+  cell next to a filled one is a front, which a super-step would overdraw;
+  for p < 1 an empty cell makes dt_expl zero), and one that leaves any
+  negative mass is discarded and redone by an Euler step; it never clips.
+  Its length is capped by the rest of the record gap, by SUPER_STEP_STAGES
+  stages and by tau ||dm/dt||_1 <= SUPER_STEP_MASS_SHARE * mass; a binding
+  cap cuts the rest of the gap into equal pieces.
 
 The step bound is the scheme's own monotone bound. Linearised, the update is
 m_i' = m_i + dt sum_j c_j (w_nb - w_i) over the faces j of cell i, with
@@ -52,12 +59,12 @@ they can:
 - the step bound cfl min_i V_i/(D_i reach_i), D_i = p max(u_i, floor)^(p-1),
   is read as cfl min(geometry * factor) for p < 1 and as
   cfl / max(factor / geometry) for p > 1, so neither regime divides by zero;
-- the donor-cell limiter (_Kernel.limit) runs only when min(m + gain) < 0,
-  but that is no rare path: on fd3_gaussian it runs on 16,445 of the
-  16,456 Euler steps, with a median of 372 overdrawn cells a call. So it is
-  16 numpy calls into kernel scratch, with no mask before the clip: 22-33 us
-  a call at n = 1050 (2-core host, numpy 2.4), 0.43-0.51 s of the run,
-  where the masked form took 38-55 us;
+- the implicit step is one tridiagonal solve (_implicit_solve) in Python
+  floats, about 0.3-0.5 ms at n = 1050 (2-core host, Python 3.11), over
+  the cells up to the first empty one past the last filled one only (the
+  empty cells beyond stay empty); on fd3_gaussian it replaces 16,445
+  overdrawn forward steps (a donor-cell limiter ran on each) by 740
+  implicit ones;
 - a super-step is planned only when the record gap left exceeds 4 Euler
   steps, the least that s >= 4 stages need to win.
 The guards are written so that a NaN fails them: a non-finite state raises
@@ -87,6 +94,14 @@ from .functionals import FunctionalRecord, diagnostics, whole_space_entropy
 # and 2.6e-5 (3.3e-5) with it.
 SUPER_STEP_STAGES = 200
 SUPER_STEP_MASS_SHARE = 0.01
+# The share of the mass one backward-Euler step may move, read from the
+# rates of the state it starts from: its length is the larger of the Euler
+# bound and IMPLICIT_STEP_MASS_SHARE * mass / ||dm/dt||_1. The step is first
+# order, so this cap sets how well the front phase keeps the checks: on
+# fd3_gaussian, shares of 0.01, 0.0025, 0.000625 and 0.000156 took 297, 662,
+# 740 and 797 implicit steps, with theorem1 slacks -0.24 (failed), 0.675,
+# 0.912 and 0.962.
+IMPLICIT_STEP_MASS_SHARE = SUPER_STEP_MASS_SHARE / 16
 # Doubles (40 KiB) per (k, n) array of a diagnostics block: evolve evaluates
 # its records k = max(1, RECORD_BLOCK_DOUBLES // n) at a time, one numpy call
 # per kernel serving k records (k = 4 at n = 1050). Larger blocks cost more
@@ -94,9 +109,6 @@ SUPER_STEP_MASS_SHARE = 0.01
 # fault their pages back in on every block (malloc returns the freed heap
 # top once it passes its 128 KiB trim threshold).
 RECORD_BLOCK_DOUBLES = 5120
-# The least positive double: the limiter's share of a cell with no outflow
-# is 0 / _TINY = 0 instead of 0 / 0.
-_TINY = 5e-324
 
 
 class StiffnessError(RuntimeError):
@@ -112,10 +124,11 @@ class SolverConfig:
     cfl: float = 0.9
     dt_min: float = 0.0
     # None resolves to 0 for p > 1 and eps * max(u0) for p < 1 (eps the
-    # double epsilon); the floor enters only the diffusivity of the limited
-    # Euler step's bound, never the state or the super-step's bound. A
-    # higher floor lets front dust (cells far below max u) take Euler steps
-    # its own bound would refuse.
+    # double epsilon); the floor enters only the diffusivity of the Euler
+    # step's bound, never the state or the super-step's bound. A higher
+    # floor gives front dust (cells far below max u) longer Euler steps
+    # than its own bound would; a step that would overdraw it is taken
+    # implicitly.
     u_floor: float | None = None
     record_every: float = 0.05
     # Explicit record offsets from the initial time (strictly increasing,
@@ -137,12 +150,6 @@ class SolverConfig:
                 raise ValueError("record_times must be nonempty when given")
             if not np.all(np.isfinite(rt)) or rt[0] <= 0.0 or np.any(np.diff(rt) <= 0.0):
                 raise ValueError("record_times must be finite, positive, strictly increasing")
-
-
-def resolve_u_floor(config: SolverConfig, params: ModelParams, u_max: float) -> float:
-    if config.u_floor is not None:
-        return config.u_floor
-    return 0.0 if params.p > 1.0 else float(np.finfo(float).eps) * u_max
 
 
 def _stability_geometry(grid: RadialGrid, coef: np.ndarray, p: float) -> np.ndarray:
@@ -168,13 +175,6 @@ def _bound_dt(factor, geometry, fast: bool, config: SolverConfig, out) -> float:
     np.divide(factor, geometry, out=out)
     worst = float(out[out.argmax()])
     return config.cfl / worst if worst != 0.0 else math.inf
-
-
-def _stiffness(dt: float, dt_min: float, t: float) -> StiffnessError:
-    return StiffnessError(
-        f"stable dt {dt} below dt_min {dt_min} at t={t}; the state may be "
-        "non-finite, or for p < 1 a positive u_floor is required"
-    )
 
 
 def _rkl2_table(s_max: int) -> tuple[list[float], list[float], list[float]]:
@@ -208,81 +208,85 @@ def _face_rates(w: np.ndarray, coef: np.ndarray, out: np.ndarray) -> None:
     out *= coef
 
 
+def _implicit_solve(k: np.ndarray, volumes: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """u', the solution of (V + A) u' = m: V = diag(volumes) > 0, A the
+    path Laplacian of the (n-1,) face weights k >= 0 (face j joins cells j
+    and j+1), m >= 0.
+
+    One Thomas sweep each way over Python floats, with the pivots in
+    row-sum form: e_0 = V_0, e_i = V_i + e_(i-1) r_i, r_i = K_i/(e_(i-1) +
+    K_i), pivot_i = e_i + K_(i+1). Every term is a sum, product or quotient
+    of nonnegative numbers, so nothing cancels: u' >= 0 exactly, each entry
+    to a relative error of O(n eps) whatever the spread of k, and V u' keeps
+    the mass of m to round-off. (The textbook pivot b - K**2/pivot cancels
+    to zero or below when K dwarfs V.)
+
+    The inputs are read through memoryviews, which make their floats one
+    at a time instead of holding three lists of them (about 100 KB at
+    n = 1050).
+    """
+    e, g = float(volumes[0]), float(m[0])
+    sweep = []  # (r_i, g_(i-1)/pivot_(i-1)) for i = 1 .. n-1, g the eliminated m
+    for kj, vj, mj in zip(memoryview(k), memoryview(volumes[1:]), memoryview(m[1:])):
+        pivot = e + kj
+        r = kj / pivot
+        sweep.append((r, g / pivot))
+        e, g = vj + e * r, mj + g * r
+    us = [g / e]  # u' from the last cell back
+    for r, q in reversed(sweep):
+        us.append(q + r * us[-1])
+    return np.fromiter(reversed(us), float, len(us))
+
+
 class _Kernel:
     """Per-run constants and scratch arrays of one grid and exponent, and
-    the RKL2 integrator over them (super_step)."""
+    the two integrators over them that are not inline in evolve
+    (implicit_step and super_step)."""
 
     def __init__(self, grid: RadialGrid, params: ModelParams, u_floor: float) -> None:
         n = grid.n
         self.coef = grid.areas[1:-1] / grid.center_gaps
+        self.volumes = grid.volumes
         self.inv_vol = 1.0 / grid.volumes
         self.geometry = _stability_geometry(grid, self.coef, params.p)
         self.pair = pow_pair(params.p, u_floor)
         self.power = pow_fn(params.p)
-        self.u, self.w, self.factor, self.scratch, self.gain, self.share = (
-            np.empty(n) for _ in range(6))
+        self.u, self.w, self.factor, self.scratch, self.gain = (np.empty(n) for _ in range(5))
         self.coef_k = np.empty(n - 1)
-        self.negative = np.empty(n, dtype=bool)
         # face arrays, entries 0 and n zero: the rates of the state, the
-        # super-step's two face sums, scaled first rates, stage rates,
-        # scratch, and the limiter's positive and negative parts of the rates
-        (self.flux, self.p_old, self.p_new, self.first, self.stage, self.tmp,
-         self.pos, self.neg) = (np.zeros(n + 1) for _ in range(8))
+        # super-step's two face sums, scaled first rates, stage rates and
+        # scratch
+        (self.flux, self.p_old, self.p_new, self.first, self.stage,
+         self.tmp) = (np.zeros(n + 1) for _ in range(6))
 
-    def limit(self, m: np.ndarray, m_new: np.ndarray) -> float:
-        """Redo an Euler step whose plain update m + gain, gain the
-        difference of the dt-scaled face rates in flux, would overdraw a
-        cell; flux, gain and m_new are rewritten.
+    def implicit_step(self, m: np.ndarray, scale: float, out: np.ndarray) -> None:
+        """One backward-Euler step from m, whose density u holds, into out,
+        scale times as long as the Euler step whose dt-scaled rates flux
+        holds.
 
-        Donor-cell limiter: each face rate is scaled by its donor's share
-        min(m, outflow)/outflow, outflow the mass the cell's outgoing rates
-        would move, so no cell loses more than it holds. Round-off can still
-        leave tiny negative masses: they are clipped to zero and their total
-        returned.
-
-        Face j lies between cells j-1 and j. Its rate is split into
-        pos = max(flux, 0), drawn from cell j, and neg = min(flux, 0), drawn
-        from cell j-1, so outflow = pos[:-1] - neg[1:] and the scaled rate
-        is pos[j] share[j] + neg[j] share[j-1]: whole-array calls with no
-        mask, gather or fresh array. On masses m >= +0 this has the bits of
-        the masked form (share 1 unless outflow > m, then m/outflow, and
-        each rate times its donor's share):
-        - outflow <= m gives outflow/outflow, exactly 1, and outflow > m
-          gives m/outflow;
-        - a cell with no outflow has share 0/_TINY = 0, and only the zero
-          parts of its faces read it;
-        - one of pos[j], neg[j] is an exact zero, and adding a zero leaves
-          a nonzero product unchanged, so only the sign of a zero rate can
-          differ, and with m >= +0 that sign reaches neither m_new nor the
-          clipped total.
-        The clip still gathers the negative masses: the order of their sum
-        fixes its bits.
+        The face coupling is the secant diffusivity, K_j = scale * flux_j /
+        (u_j - u_(j-1)), >= 0 as w = u**p is nondecreasing in u, and set to
+        0 where that quotient is not finite (equal neighbours included);
+        then (V + A) u' = m, A the weighted path
+        Laplacian of the K_j, is an M-matrix system, so u' >= 0 for any step
+        and m' = V u'.
         """
-        flux, gain, pos, neg = self.flux, self.gain, self.pos, self.neg
-        outflow, share = self.scratch, self.share
-        np.maximum(flux, 0.0, out=pos)
-        np.minimum(flux, 0.0, out=neg)
-        np.subtract(pos[:-1], neg[1:], out=outflow)
-        np.fmin(m, outflow, out=share)
-        np.fmax(outflow, _TINY, out=outflow)
-        share /= outflow
-        rate = flux[1:-1]
-        np.multiply(pos[1:-1], share[1:], out=rate)
-        part = gain[1:]  # scratch until gain is rewritten
-        np.multiply(neg[1:-1], share[:-1], out=part)
-        rate += part
-        np.subtract(flux[1:], flux[:-1], out=gain)
-        np.add(m, gain, out=m_new)
-        negative = np.less(m_new, 0.0, out=self.negative)
-        if not negative.any():
-            return 0.0
-        clipped = -float(m_new[negative].sum())
-        np.maximum(m_new, 0.0, out=m_new)
-        return clipped
+        k, u = self.coef_k, self.u
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.subtract(u[1:], u[:-1], out=k)
+            np.divide(self.flux[1:-1], k, out=k)
+            k *= scale
+        k[~np.isfinite(k)] = 0.0
+        # past the first empty cell after the last filled one, every face
+        # joins two empty cells (K = 0), so those cells stay empty
+        live = min(int(np.flatnonzero(m)[-1]) + 2, m.size)
+        vol = self.volumes[:live]
+        out[live:] = 0.0
+        np.multiply(_implicit_solve(k[:live - 1], vol, m[:live]), vol, out=out[:live])
 
     def super_step(self, m: np.ndarray, tau: float, s: int, out: np.ndarray) -> np.ndarray:
         """One s-stage RKL2 step of length tau from m into out, reading the
-        rates of m from flux; u and w are left as the last stage's.
+        rates of m from flux; scratch and w are left as the last stage's.
 
         Y_0 = m and Y_j = m + diff(P_j), with P_0 = 0, P_1 = w1 tau Phi(m)/3
         and P_j = mu_j (P_(j-1) + w1 tau Phi(Y_(j-1)) - a_(j-1) w1 tau Phi(m))
@@ -291,7 +295,7 @@ class _Kernel:
         """
         mu, nu, a_prev = _RKL2
         k = tau * 4.0 / (s * s + s - 2)  # w1 tau
-        u, inv_vol, power, coef_k = self.u, self.inv_vol, self.power, self.coef_k
+        u, inv_vol, power, coef_k = self.scratch, self.inv_vol, self.power, self.coef_k
         p_old, p_new, first, stage, tmp = (
             self.p_old, self.p_new, self.first, self.stage, self.tmp)
         rate = stage[1:-1]
@@ -331,8 +335,11 @@ class Trajectory:
     euler_steps: int = 0
     super_steps: int = 0  # accepted
     rejected_super_steps: int = 0  # left a negative mass, redone by Euler
-    clipped_mass: float = 0.0
-    limited_steps: int = 0
+    clipped_mass: float = 0.0  # always 0: no integrator clips
+    limited_steps: int = 0  # Euler steps taken implicitly (backward Euler)
+    # the shortest and longest step or super-step taken (0 when none was)
+    dt_min: float = 0.0
+    dt_max: float = 0.0
     u_floor: float = 0.0  # the resolved SolverConfig.u_floor
     # the records' E carries the far-field tail (whole_space_entropy)
     whole_space_entropy: bool = False
@@ -426,7 +433,8 @@ def evolve(
 
     u0_max = float(state.u.max())
     u_cap = 10.0 * u0_max
-    traj.u_floor = resolve_u_floor(config, params, u0_max)
+    traj.u_floor = config.u_floor if config.u_floor is not None else (
+        0.0 if params.p > 1.0 else float(np.finfo(float).eps) * u0_max)
     whole_space = traj.whole_space_entropy = whole_space_entropy(
         state, reference, t_end)
     kernel = _Kernel(grid, params, traj.u_floor)
@@ -440,9 +448,9 @@ def evolve(
     mass = float(m.sum())
     filled = m[m.argmin()] > 0.0  # no empty cell: a super-step may be planned
     fast = params.p < 1.0
-    dt_min = config.dt_min
     t0 = state.t
     t = t0
+    dt_lo, dt_hi = math.inf, 0.0  # of the steps taken
 
     block = record_block(grid.n)
     pending: list[DensityState] = []
@@ -467,16 +475,14 @@ def evolve(
 
     schedule = iter(_record_schedule(t0, t_end, config))
     pair(u, w, factor)
-    dt = _bound_dt(factor, geometry, fast, config, scratch)
-    if not (dt > 0.0 and dt >= dt_min):
-        raise _stiffness(dt, dt_min, t)
+    dt = _bound_dt(factor, geometry, fast, config, scratch)  # of the state at t
     emit(t0, dt)
     next_rec = next(schedule)
     while t < t_end:
-        pair(u, w, factor)
-        dt = _bound_dt(factor, geometry, fast, config, scratch)
-        if not (dt > 0.0 and dt >= dt_min):
-            raise _stiffness(dt, dt_min, t)
+        if not (dt > 0.0 and dt >= config.dt_min):
+            raise StiffnessError(
+                f"stable dt {dt} below dt_min {config.dt_min} at t={t}; the state may be "
+                "non-finite, or for p < 1 a positive u_floor is required")
         _face_rates(w, coef, rate)
         s = 0
         if filled and t + 4.0 * dt < next_rec:
@@ -491,8 +497,8 @@ def evolve(
                     traj.rejected_super_steps += 1
                     s = 0
         if not s:
-            # the limited Euler step, inline: a call and its returned
-            # tuple would add about 0.3 us to a step of 15-20 us
+            # the Euler step, inline: a call and its returned tuple would
+            # add about 0.3 us to a step of 15-20 us
             landed = t + dt >= next_rec
             if landed:
                 dt = next_rec - t
@@ -501,12 +507,19 @@ def evolve(
             np.add(m, gain, out=m_new)
             low = m_new[m_new.argmin()]
             if low < 0.0:  # a NaN never enters: the density guard raises on it
+                # the plain update would overdraw a cell: one backward-Euler
+                # step instead, of at least the Euler step's length
                 traj.limited_steps += 1
-                traj.clipped_mass += kernel.limit(m, m_new)
-                low = m_new[m_new.argmin()]
+                l1 = float(np.abs(gain, out=scratch).sum())
+                step = max(dt, IMPLICIT_STEP_MASS_SHARE * mass * dt / l1)
+                landed = t + step >= next_rec
+                step = next_rec - t if landed else step
+                kernel.implicit_step(m, step / dt, m_new)
+                dt, low = step, m_new[m_new.argmin()]
             traj.n_steps += 1
             traj.euler_steps += 1
         filled = low > 0.0
+        dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
         m, m_new = m_new, m
         np.multiply(m, inv_vol, out=u)
         u_max = u[u.argmax()]
@@ -521,9 +534,12 @@ def evolve(
             next_rec = next(schedule, t_end)
         else:
             t += dt
+        pair(u, w, factor)
+        dt = _bound_dt(factor, geometry, fast, config, scratch)
 
     if pending:
         flush()
+    traj.dt_min, traj.dt_max = min(dt_lo, dt_hi), dt_hi  # 0, 0 when no step was taken
     traj.final_state = DensityState(grid=grid, u=u.copy(), t=t)
     traj.wall_time = time.perf_counter() - start_wall
     return traj

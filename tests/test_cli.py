@@ -484,10 +484,11 @@ def test_report_counts_steps_by_integrator(tmp_path):
     assert run["super_steps"] > 0 and run["rejected_super_steps"] == 0
     assert run["n_steps"] >= run["euler_steps"] + 4 * run["super_steps"]
     assert run["whole_space_entropy"] is False  # p > 1: E over the box
+    assert 0.0 < run["dt_min"] <= run["dt_max"] <= 0.25  # no step crosses a record
     on_disk = json.loads((tmp_path / "report.json").read_text())["run"]
     assert {k: on_disk[k] for k in run} == run
     summary = (tmp_path / "summary.txt").read_text().splitlines()[1]
-    assert summary == (f"  {run['euler_steps']} Euler steps ({run['limited_steps']} limited), "
+    assert summary == (f"  {run['euler_steps']} Euler steps ({run['limited_steps']} implicit), "
                        f"{run['super_steps']} super-steps (0 discarded and redone by Euler)")
 
 

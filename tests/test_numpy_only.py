@@ -137,8 +137,8 @@ def test_lapack_stub_catches_calls(call):
     assert "LAPACK reached" in proc.stderr
 
 
-# the coarse fast-diffusion run reaches build_reference, the gn slope fit
-# and the deficit and envelope checks
+# the coarse fast-diffusion run reaches build_reference, the gn slope fit,
+# the deficit and envelope checks, and the implicit step's solve
 @pytest.mark.parametrize("doc,code", [(dict(TINY, initial_datum=DATA[0]), 0), (FAST, 1)],
                          ids=["gaussian", "fast_diffusion"])
 def test_run_without_lapack_matches_unstubbed_run(tmp_path, doc, code):
@@ -151,6 +151,8 @@ def test_run_without_lapack_matches_unstubbed_run(tmp_path, doc, code):
     assert (tmp_path / "stubbed" / csv).read_bytes() == (tmp_path / "free" / csv).read_bytes()
     report = _report(tmp_path / "stubbed")
     assert {c["name"] for c in report["checks"] if c["applicable"]} >= {"theorem1", "gn"}
+    if doc is FAST:
+        assert report["run"]["limited_steps"] > 0
     assert report == _report(tmp_path / "free")
 
 
