@@ -52,6 +52,7 @@ import argparse
 import dataclasses
 import json
 import math
+import operator
 import sys
 import traceback
 from pathlib import Path
@@ -83,6 +84,9 @@ CSV_COLUMNS = ("t", "dt", "mass", "theta", "E", "I", "F", "G", "H", "J",
 _CSV_FIELDS = ("t", "dt", "mass", "theta", "entropy", "fisher", "f_power",
                "g_power", "h_renyi", "j_scale", "q_ratio", "s_match", "tau",
                "rel_entropy", "remainder")
+# a row: one format over the record's fields, fetched as one tuple
+_CSV_ROW = ",".join(["%.17g"] * len(_CSV_FIELDS)) + "\n"
+_csv_values = operator.attrgetter(*_CSV_FIELDS)
 
 _DATUM_ARGS = {
     "barenblatt": ("t0",),
@@ -342,8 +346,7 @@ def write_trajectory_csv(path: Path, trajectory) -> None:
     held in memory whole."""
     with path.open("w") as f:
         f.write(",".join(CSV_COLUMNS) + "\n")
-        for rec in trajectory.records:
-            f.write(",".join("%.17g" % getattr(rec, name) for name in _CSV_FIELDS) + "\n")
+        f.writelines(_CSV_ROW % _csv_values(rec) for rec in trajectory.records)
 
 
 # Record fields that may be non-finite, each with the flag that explains it:
@@ -438,10 +441,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
                    tol_scale: float = 1.0, echo=print) -> dict:
     """Run one config end to end; returns the report dict (also written
     to report.json, next to trajectory.csv and summary.txt)."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     state = build_initial_state(config)
     trajectory = evolve(state, config.t_end, config.params, config.solver)
+    out = Path(out_dir)  # made once there is a trajectory to write
+    out.mkdir(parents=True, exist_ok=True)
     # written before the checks, so a check that raises keeps the trajectory
     write_trajectory_csv(out / "trajectory.csv", trajectory)
     if trajectory.records[-1].t != config.t_end:
@@ -497,6 +500,8 @@ def _run_path(path: str, out_root: str | None, tol_scale: float,
         return label, report, None
     except ConfigError as e:
         return label, None, f"config error: {e}"
+    except ParameterDomainError as e:  # evolve's build_reference: p near a threshold
+        return label, None, f"config error: config field 'p': {e}"
     except (StiffnessError, InstabilityError) as e:
         return label, None, f"solver abort: {e}"
     except Exception as e:
@@ -574,6 +579,9 @@ def cmd_reference(args) -> int:
         return 2
     try:
         reference = build_reference(params)
+    except ParameterDomainError as e:  # p too close to d/(d+2) or to 1
+        print(f"invalid parameters: {e}", file=sys.stderr)
+        return 2
     except Exception as e:
         return _exit_code("reference", None, _unexpected_error(e))
     print(_dump_json(_reference_payload(reference)), end="")

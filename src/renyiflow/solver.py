@@ -16,7 +16,10 @@ evaluation (_plan):
   relaxed by the diffusivity floor (u_floor). Then the step is taken
   backward instead (_Kernel.implicit_step): linearly implicit, with the
   secant diffusivity K_j = dt c_j (w_j - w_(j-1))/(u_j - u_(j-1)) >= 0 on
-  each face, it solves (V + A) u' = V u, A the path Laplacian of the K_j.
+  each face (the tangent one at max(u_(j-1), u_j, u_floor) where the
+  secant is 0/0; for p < 1 it couples the empty cells too, which fill as
+  far as the step reaches), it solves (V + A) u' = V u, A the path
+  Laplacian of the K_j.
   V + A is an M-matrix, so u' >= 0 for any dt, with no limiter and no
   clip, and m' = V u' keeps the mass to the solve's round-off. So its
   length is not bounded by stability but by accuracy (the step is first
@@ -60,11 +63,11 @@ they can:
   is read as cfl min(geometry * factor) for p < 1 and as
   cfl / max(factor / geometry) for p > 1, so neither regime divides by zero;
 - the implicit step is one tridiagonal solve (_implicit_solve) in Python
-  floats, about 0.3-0.5 ms at n = 1050 (2-core host, Python 3.11), over
-  the cells up to the first empty one past the last filled one only (the
-  empty cells beyond stay empty); on fd3_gaussian it replaces 16,445
-  overdrawn forward steps (a donor-cell limiter ran on each) by 740
-  implicit ones;
+  floats, about 0.3-0.5 ms at n = 1050 (2-core host, Python 3.11); on
+  fd3_gaussian the first eight fill the 862 cells the datum leaves empty
+  (419 of them in the first), and 9 implicit steps among 48 Euler steps
+  replace 16,445 overdrawn forward steps (a donor-cell limiter ran on
+  each);
 - a super-step is planned only when the record gap left exceeds 4 Euler
   steps, the least that s >= 4 stages need to win.
 The guards are written so that a NaN fails them: a non-finite state raises
@@ -98,9 +101,10 @@ SUPER_STEP_MASS_SHARE = 0.01
 # rates of the state it starts from: its length is the larger of the Euler
 # bound and IMPLICIT_STEP_MASS_SHARE * mass / ||dm/dt||_1. The step is first
 # order, so this cap sets how well the front phase keeps the checks: on
-# fd3_gaussian, shares of 0.01, 0.0025, 0.000625 and 0.000156 took 297, 662,
-# 740 and 797 implicit steps, with theorem1 slacks -0.24 (failed), 0.675,
-# 0.912 and 0.962.
+# fd3_gaussian, shares of 0.01, 0.0025, 0.000625 and 0.000156 took 6, 7, 9
+# and 10 implicit steps (17,498 to 18,328 flux evaluations in all), with
+# theorem3bis slacks -31.2 (theorem3 and prop_t4 failed too), 34.8, 38.7 and
+# 38.9.
 IMPLICIT_STEP_MASS_SHARE = SUPER_STEP_MASS_SHARE / 16
 # Doubles (40 KiB) per (k, n) array of a diagnostics block: evolve evaluates
 # its records k = max(1, RECORD_BLOCK_DOUBLES // n) at a time, one numpy call
@@ -124,11 +128,12 @@ class SolverConfig:
     cfl: float = 0.9
     dt_min: float = 0.0
     # None resolves to 0 for p > 1 and eps * max(u0) for p < 1 (eps the
-    # double epsilon); the floor enters only the diffusivity of the Euler
-    # step's bound, never the state or the super-step's bound. A higher
-    # floor gives front dust (cells far below max u) longer Euler steps
-    # than its own bound would; a step that would overdraw it is taken
-    # implicitly.
+    # double epsilon); the floor enters the diffusivity of the Euler step's
+    # bound and, for p < 1, the tangent diffusivity with which the implicit
+    # step couples empty cells, never the state or the super-step's bound.
+    # A higher floor gives front dust (cells far below max u) longer Euler
+    # steps than its own bound would; a step that would overdraw it is
+    # taken implicitly.
     u_floor: float | None = None
     record_every: float = 0.05
     # Explicit record offsets from the initial time (strictly increasing,
@@ -250,6 +255,8 @@ class _Kernel:
         self.inv_vol = 1.0 / grid.volumes
         self.geometry = _stability_geometry(grid, self.coef, params.p)
         self.pair = pow_pair(params.p, u_floor)
+        self.p = params.p
+        self.tangent_floor = u_floor if params.p < 1.0 else 0.0  # implicit_weights' floor
         self.power = pow_fn(params.p)
         self.u, self.w, self.factor, self.scratch, self.gain = (np.empty(n) for _ in range(5))
         self.coef_k = np.empty(n - 1)
@@ -259,30 +266,41 @@ class _Kernel:
         (self.flux, self.p_old, self.p_new, self.first, self.stage,
          self.tmp) = (np.zeros(n + 1) for _ in range(6))
 
-    def implicit_step(self, m: np.ndarray, scale: float, out: np.ndarray) -> None:
-        """One backward-Euler step from m, whose density u holds, into out,
-        scale times as long as the Euler step whose dt-scaled rates flux
-        holds.
+    def implicit_weights(self, dt: float, step: float) -> np.ndarray:
+        """The face couplings K_j of a backward-Euler step of length step
+        from the state u, whose rates scaled by dt flux holds, in coef_k.
 
-        The face coupling is the secant diffusivity, K_j = scale * flux_j /
-        (u_j - u_(j-1)), >= 0 as w = u**p is nondecreasing in u, and set to
-        0 where that quotient is not finite (equal neighbours included);
-        then (V + A) u' = m, A the weighted path
-        Laplacian of the K_j, is an M-matrix system, so u' >= 0 for any step
-        and m' = V u'.
+        K_j is the secant diffusivity step c_j (w_j - w_(j-1))/(u_j -
+        u_(j-1)), >= 0 as w = u**p is nondecreasing in u. Where that quotient
+        is not finite (two empty or two equal cells) it is the tangent
+        diffusivity step c_j p ubar**(p-1), ubar = max(u_(j-1), u_j, u_floor)
+        with the floor for p < 1 only. For p < 1 that bounds the diffusivity
+        of every density up to ubar from below, so every face couples and
+        empty cells fill as far as the step reaches, as the infinite speed
+        of propagation says; for p > 1, D(0) = 0 keeps K = 0 between two
+        empty cells, so a front moves at most one cell per step. A K that
+        still is not finite (overflow) is 0.
         """
-        k, u = self.coef_k, self.u
+        k, u, p = self.coef_k, self.u, self.p
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             np.subtract(u[1:], u[:-1], out=k)
             np.divide(self.flux[1:-1], k, out=k)
-            k *= scale
+            k *= step / dt
+            ubar = np.maximum(np.maximum(u[1:], u[:-1]), self.tangent_floor)
+            np.copyto(k, step * p * self.coef * ubar ** (p - 1.0), where=~np.isfinite(k))
         k[~np.isfinite(k)] = 0.0
-        # past the first empty cell after the last filled one, every face
-        # joins two empty cells (K = 0), so those cells stay empty
-        live = min(int(np.flatnonzero(m)[-1]) + 2, m.size)
-        vol = self.volumes[:live]
-        out[live:] = 0.0
-        np.multiply(_implicit_solve(k[:live - 1], vol, m[:live]), vol, out=out[:live])
+        return k
+
+    def implicit_step(self, m: np.ndarray, dt: float, step: float, out: np.ndarray) -> None:
+        """One backward-Euler step of length step from m, whose density u
+        holds, into out; flux holds the rates of m scaled by dt.
+
+        (V + A) u' = m, A the weighted path Laplacian of the K_j of
+        implicit_weights, is an M-matrix system, so u' >= 0 for any step and
+        m' = V u'.
+        """
+        k = self.implicit_weights(dt, step)
+        np.multiply(_implicit_solve(k, self.volumes, m), self.volumes, out=out)
 
     def super_step(self, m: np.ndarray, tau: float, s: int, out: np.ndarray) -> np.ndarray:
         """One s-stage RKL2 step of length tau from m into out, reading the
@@ -514,7 +532,7 @@ def evolve(
                 step = max(dt, IMPLICIT_STEP_MASS_SHARE * mass * dt / l1)
                 landed = t + step >= next_rec
                 step = next_rec - t if landed else step
-                kernel.implicit_step(m, step / dt, m_new)
+                kernel.implicit_step(m, dt, step, m_new)
                 dt, low = step, m_new[m_new.argmin()]
             traj.n_steps += 1
             traj.euler_steps += 1

@@ -8,6 +8,7 @@ cross-check (Gauss-Legendre after exact substitutions, numpy only) is held
 to the closed forms over a (d, p) sweep and to scipy's adaptive quadrature.
 """
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -252,4 +253,14 @@ def test_normalization_off_by_1e_7_is_caught(monkeypatch, d, p):
     monkeypatch.setattr(barenblatt, "normalization_constant",
                         lambda params: exact(params) * (1.0 + 1e-7))
     with pytest.raises(RuntimeError, match="profile mass"):
+        rf.build_reference(rf.ModelParams(d, p))
+
+
+@pytest.mark.parametrize("d,p,near", [(3, 0.600000001, "d/(d+2) = 0.6"), (1, 1.0000001, "1"),
+                                      (5, 1.0 - 1e-9, "1")])
+def test_cross_check_fails_near_thresholds_as_domain_error(d, p, near):
+    # within reach of d/(d+2) or 1 the 1e-8 gates fail on lost digits, not
+    # on a fault: the parameters are out of the reference's domain
+    match = f"too close to {re.escape(near)} at d = {d}"
+    with pytest.raises(rf.ParameterDomainError, match=match):
         rf.build_reference(rf.ModelParams(d, p))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import renyiflow as rf
-from renyiflow import cli
+from renyiflow import barenblatt, cli
 from renyiflow.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -492,15 +492,42 @@ def test_report_counts_steps_by_integrator(tmp_path):
                        f"{run['super_steps']} super-steps (0 discarded and redone by Euler)")
 
 
+_NEAR = {"0.600000001": "too close to d/(d+2) = 0.6 at d = 3",
+         "1.0000001": "too close to 1 at d = 1"}
+
+
 @pytest.mark.parametrize("d,p", [("3", "0.600000001"), ("1", "1.0000001")])
-def test_main_reference_unexpected_error_exit(capsys, d, p):
+def test_main_reference_near_threshold_is_config_error(tmp_path, capsys, d, p):
     # next to d/(d+2) and to 1 the closed forms lose their digits and the
-    # cross-check raises: a failed run (exit 3), never a failed check (exit 1)
-    assert main(["reference", "--d", d, "--p", p]) == 3
+    # cross-check fails: p is rejected with the threshold it is near
+    # (exit 2), in `reference` and in a run, never a crash or a failed check
+    assert main(["reference", "--d", d, "--p", p]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert f"invalid parameters: p = {p} is {_NEAR[p]}" in captured.err
+    path = write_config(tmp_path / "near.json", tiny_config(d=int(d), p=p, checks=[]))
+    assert main(["run", path, "--out", str(tmp_path / "near")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and not (tmp_path / "near").exists()
+    assert f"config error: config field 'p': p = {p} is {_NEAR[p]}" in err
+
+
+def test_main_reference_wrong_closed_form_exits_3(capsys, monkeypatch):
+    # far from every threshold a failed cross-check is a fault of the
+    # program: a failed run (exit 3) with its traceback
+    exact = barenblatt.reference_functionals
+
+    def skewed(params, c_star=None):
+        vals = exact(params, c_star=c_star)
+        vals["theta"] *= 1.0 + 1e-7
+        return vals
+
+    monkeypatch.setattr(barenblatt, "reference_functionals", skewed)
+    assert main(["reference", "--d", "3", "--p", "2/3"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" in captured.err
-    assert "reference: unexpected error: RuntimeError" in captured.err
+    assert "reference: unexpected error: RuntimeError: closed-form theta" in captured.err
 
 
 def _synthetic_trajectory(values):

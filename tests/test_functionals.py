@@ -242,9 +242,9 @@ ONE_PASS_REGIMES = [
     (3, 0.55, (1000.0, 120, 1.06), _gaussian, 5e-4),
 ]
 # The first step of the p = 0.4 run would overdraw the dust and is taken
-# implicitly, which lifts the whole tail to a plateau at 4e-9 max(u). Its
-# evolved state is built with the datum's dust put back in the cells where
-# the datum has dust.
+# implicitly, which lifts the whole tail, the datum's empty cells too, to a
+# plateau at 2.5e-9 max(u). Its evolved state is built with the datum's dust
+# put back in the cells where the datum has dust.
 DATUM_DUST = {(1, 0.4)}
 
 

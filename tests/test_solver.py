@@ -232,6 +232,114 @@ def test_overdrawing_steps_are_taken_implicitly():
     assert max(r.dt for r in traj.records[1:]) <= traj.dt_max <= 0.005
 
 
+def _kernel_at(grid, params, u, u_floor, dt):
+    """A kernel holding the state u and its rates scaled by dt, as evolve
+    leaves it before an implicit step."""
+    kernel = solver._Kernel(grid, params, u_floor)
+    np.copyto(kernel.u, u)
+    kernel.pair(kernel.u, kernel.w, kernel.factor)
+    solver._face_rates(kernel.w, kernel.coef, kernel.flux[1:-1])
+    kernel.flux *= dt
+    return kernel
+
+
+def _weights(d, p, u, u_floor, dt, step):
+    """implicit_weights of the state u, padded with empty cells to 16, on a
+    uniform grid of r_max 4, and the grid's face coefficients c_j."""
+    u = np.concatenate((u, np.zeros(16 - u.size)))
+    kernel = _kernel_at(rf.build_grid(d, 4.0, u.size), rf.ModelParams(d, p), u, u_floor, dt)
+    return kernel.implicit_weights(dt, step).copy(), kernel.coef
+
+
+@pytest.mark.parametrize("d,p", [(3, 2.0 / 3.0), (1, 0.2), (1, 2.0), (2, 3.0)])
+def test_implicit_weights_fall_back_to_the_tangent_diffusivity(d, p):
+    # filled cells, two equal ones (0/0 too) and an empty tail: the secant
+    # step c (w_r - w_l)/(u_r - u_l) where it is finite, else the tangent
+    # step c p max(u_l, u_r, floor)**(p-1), the floor for p < 1 only; so
+    # for p > 1 a face between two empty cells keeps K = 0 under any floor
+    u = np.concatenate(([1.0, 0.7, 0.7, 0.3, 1e-9], np.zeros(11)))
+    u_floor, dt, step = 1e-12, 1e-4, 0.05
+    k, coef = _weights(d, p, u, u_floor, dt, step)
+    left, right = u[:-1], u[1:]
+    w = u**p
+    unequal = left != right
+    np.testing.assert_allclose(
+        k[unequal], step * coef[unequal] * (w[1:] - w[:-1])[unequal]
+        / (right - left)[unequal], rtol=1e-12)
+    floor = u_floor if p < 1.0 else 0.0
+    tangent = step * coef * p * np.maximum(np.maximum(left, right), floor) ** (p - 1.0)
+    np.testing.assert_allclose(k[~unequal], tangent[~unequal], rtol=1e-12)
+    assert k[1] > 0.0  # the equal pair couples
+    empty = (left == 0.0) & (right == 0.0)
+    if p < 1.0:
+        assert np.all(k > 0.0)
+    else:
+        assert np.all(k[empty] == 0.0) and np.all(k[~empty] > 0.0)
+
+
+def test_implicit_weights_overflow_to_zero():
+    # a tangent that overflows (here, an empty face with no floor at
+    # p < 1) is 0, as an overflowing secant is
+    k, _ = _weights(3, 2.0 / 3.0, np.array([1.0, 0.5]), 0.0, 1e-4, 0.05)
+    assert np.all(k[2:] == 0.0) and np.all(k[:2] > 0.0)
+
+
+def test_empty_cells_fill_in_one_implicit_step(monkeypatch):
+    # fast diffusion propagates at infinite speed: the first implicit step
+    # of the coarse Gaussian run above leaves no cell empty, so the front
+    # does not take one Euler step per empty cell of the datum
+    params = rf.ModelParams(3, 2.0 / 3.0)
+    grid = rf.build_grid(3, 200.0, 160, stretch=1.03)
+    state = rf.project_initial(lambda r: np.exp(-r * r), grid)
+    empty = int(np.count_nonzero(state.u == 0.0))
+    assert empty > 50
+    real = solver._Kernel.implicit_step
+    results = []
+
+    def spy(self, m, *lengths_out):
+        real(self, m, *lengths_out)
+        results.append(lengths_out[-1].copy())
+
+    monkeypatch.setattr(solver._Kernel, "implicit_step", spy)
+    traj = rf.evolve(state, 0.01, params, rf.SolverConfig(record_every=0.005))
+    assert results and np.all(results[0] > 0.0)
+    assert traj.euler_steps < empty // 4
+    assert np.all(traj.final_state.u > 0.0)
+
+
+def test_compact_support_grows_one_cell_per_step(monkeypatch):
+    # p > 1: D(0) = 0, so the support grows by at most one cell per step,
+    # whatever the floor; in an implicit step of any length too
+    params = rf.ModelParams(1, 2.0)
+    grid = rf.build_grid(1, 40.0, 160)
+    state = rf.project_initial(lambda r: np.maximum(1.0 - r * r, 0.0), grid)
+    front = int(np.flatnonzero(state.u)[-1])
+    assert front < grid.n - 20
+    kernel = _kernel_at(grid, params, state.u, 1e-3, 1e-4)
+    out = np.empty(grid.n)
+    kernel.implicit_step(state.u * grid.volumes, 1e-4, 100.0, out)
+    assert out[front + 1] > 0.0 and np.all(out[front + 2:] == 0.0)
+    # every step of a run: evolve evaluates its stability factor once on
+    # the datum and once after each step
+    supports = []
+    real = solver.pow_pair
+
+    def recording(p, floor):
+        pair = real(p, floor)
+
+        def spy(u, w, f):
+            supports.append(int(np.flatnonzero(u)[-1]))
+            return pair(u, w, f)
+        return spy
+
+    monkeypatch.setattr(solver, "pow_pair", recording)
+    traj = rf.evolve(state, 0.2, params,
+                     rf.SolverConfig(record_every=0.05, u_floor=1e-3))
+    assert len(supports) == traj.euler_steps + 1 and traj.super_steps == 0
+    assert supports[0] == front and supports[-1] > front
+    assert max(np.diff(supports)) == 1 and min(np.diff(supports)) >= 0
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     d=st.integers(min_value=1, max_value=3),
