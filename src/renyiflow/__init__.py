@@ -4,7 +4,7 @@ Self-similar reference profiles, entropy/information functionals along the
 flow, best-matching scale and delay estimates, and the sharp interpolation
 constants attached to the profile's extremality.
 """
-from .params import ModelParams, ExponentSet, ParameterDomainError, RegimeError, derive_exponents
+from .params import ModelParams, ParameterDomainError, RegimeError
 from .barenblatt import (
     BarenblattReference,
     build_reference,
@@ -14,8 +14,8 @@ from .barenblatt import (
 from .grid import RadialGrid, DensityState, build_grid, project_initial
 from .solver import SolverConfig, Trajectory, evolve
 from .functionals import FunctionalRecord, diagnostics
-from .matching import DelayReport, best_match_scale, build_delay_report
-from .gn import GnParams, gn_exponent, gn_quotient
+from .matching import DelayReport, build_delay_report
+from .gn import gn_exponent, gn_quotient
 from .checks import (
     CHECK_NAMES,
     CheckResult,
@@ -26,10 +26,8 @@ from .checks import (
 
 __all__ = [
     "ModelParams",
-    "ExponentSet",
     "ParameterDomainError",
     "RegimeError",
-    "derive_exponents",
     "BarenblattReference",
     "build_reference",
     "profile_density",
@@ -44,9 +42,7 @@ __all__ = [
     "FunctionalRecord",
     "diagnostics",
     "DelayReport",
-    "best_match_scale",
     "build_delay_report",
-    "GnParams",
     "gn_exponent",
     "gn_quotient",
     "CHECK_NAMES",

@@ -4,9 +4,9 @@ p = k/n, where n has a root chain, is a product of u, r = u**(1/n) and
 h = sqrt(u), the first root of every even chain. With j, m = divmod(|k|, n) it
 is h * r**(m - n/2) * u**j if n is even and m >= n/2, else r**m * u**j,
 multiplied left to right and inverted if k < 0, while its worst-case relative
-error stays within 1e-15 (ROOT_EXPONENTS); any other p uses np.power. pow_pair,
-for the solver's step, adds max(u**|p-1|, floor**|p-1|) from the same roots:
-max(u, floor)**|p-1| bit for bit, since roots and rounded products are monotone.
+error stays within 1e-15 (ROOT_EXPONENTS); any other p uses np.power. pow_fn is
+the one path to u**p: the solver's steps, its stability factor
+max(u, floor)**|p-1| and the diagnostics all call it.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-_U, _H, _R, _W, _F, _P, _E, _G = range(8)  # slots: u, roots, outputs, p, |p-1|, floor**|p-1|
+_U, _H, _R, _W, _P = range(5)  # slots: u, roots, output, p
 # n: (root chain, worst relative error of r in units of 2**-53): sqrt rounds
 # correctly, np.cbrt gets one ulp (1.02 measured), a root divides prior error
 _CHAINS = {
@@ -48,12 +48,11 @@ ROOT_EXPONENTS = tuple(sorted({k / n for n in _CHAINS for k in range(-11 * n, 11
                                if _rule(k / n) is not None}))
 
 
-def _steps(p: float, pair: bool) -> tuple[list, int]:
-    """Steps (ufunc, slot, slot or None, out) for u**p and, if pair, f; and u**p's slot."""
-    rule, rule_e = _rule(p), _rule(abs(p - 1.0))
-    if rule is None or (pair and rule_e is None):
-        steps = [(np.power, _U, _E, _F), (np.maximum, _F, _G, _F)] if pair else []
-        return steps + [(np.power, _U, _P, _W)], _W
+def _steps(p: float) -> tuple[list, int]:
+    """Steps (ufunc, slot, slot or None, out) for u**p, and its slot."""
+    rule = _rule(p)
+    if rule is None:
+        return [(np.power, _U, _P, _W)], _W
     n, factors, invert = rule
     # the last root goes straight into w if w reads it among its first two
     # factors, before w is first written; other roots get new arrays
@@ -63,13 +62,10 @@ def _steps(p: float, pair: bool) -> tuple[list, int]:
     for root, slot in chain:
         steps.append((root, source, None, home.get(slot, slot)))
         source = home.get(slot, slot)
-    for names, out in ([(rule_e[1], _F)] if pair else []) + [(factors, _W)]:
-        result, *rest = (home.get(slot, slot) for slot in names)
-        for slot in rest:
-            steps.append((np.multiply, result, slot, out))
-            result = out
-        if out == _F:
-            steps.append((np.maximum, result, _G, _F))
+    result, *rest = (home.get(slot, slot) for slot in factors)
+    for slot in rest:
+        steps.append((np.multiply, result, slot, _W))
+        result = _W
     if invert:
         steps.append((np.reciprocal, result, None, _W))
         result = _W
@@ -89,13 +85,6 @@ def _run(steps: list, s: list) -> list:
 def pow_fn(p: float) -> Callable[..., np.ndarray]:
     """(u, out=None) -> u**p for an array u (not a scalar), written into out
     when given (for p > 0); u itself when p = 1."""
-    steps, result = _steps(p, pair=False)
-    return lambda u, out=None: _run(steps, [u, None, None, out, None, p])[result]
+    steps, result = _steps(p)
+    return lambda u, out=None: _run(steps, [u, None, None, out, p])[result]
 
-
-def pow_pair(p: float, floor: float) -> Callable[..., list]:
-    """pair(u, w, f) writes u**p into w and max(u, floor)**|p-1| into f (u >= 0, p > 0)."""
-    e = abs(p - 1.0)
-    g = float(pow_fn(e)(np.array([floor]))[0])
-    steps, _ = _steps(p, pair=True)  # for p > 0, u**p always lands in w
-    return lambda u, w, f: _run(steps, [u, None, None, w, f, p, e, g])

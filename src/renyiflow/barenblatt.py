@@ -21,18 +21,19 @@ functions, apart from the endpoint factor cos^(e-1) at pi/2. When e < 3,
 y = cos(theta) and the exact integral of the singular term y^(e-1) take that
 factor out (Davis & Rabinowitz, Methods of Numerical Integration, 2nd ed.,
 1984, ch. 2-3). The nodes are built at the first build_reference, not at
-import, by Newton's method on the Legendre recurrence.
+import, by Newton's method on the Legendre recurrence (grid._gauss_legendre,
+which project_initial also reads).
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
-from .grid import sphere_area
+from .gn import gn_exponent, sharp_constant_from_j
+from .grid import _gauss_legendre, sphere_area
 from .params import ModelParams, ExponentSet, ParameterDomainError, derive_exponents, unmet
 
 
@@ -167,42 +168,9 @@ def reference_functionals(params: ModelParams, c_star: float | None = None) -> d
 _NODES = 200
 
 
-def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
-    p_prev, p = np.ones_like(x), x
-    for j in range(2, n + 1):
-        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-    return p, n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
-
-
-@cache
-def _gauss_legendre(n: int = _NODES) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point rule on [0, 1], built on first use.
-
-    Newton's method on P_n from Tricomi's estimates cos(pi (k - 1/4) /
-    (n + 1/2)) of the nonnegative roots, with weights
-    2 / ((1 - x^2) P_n'(x)^2). No eigen-solver, so no LAPACK: the nodes
-    match leggauss(n) to 1.1e-16 and the weights are closer to 40-digit
-    values than leggauss's own (2.6e-13 against 2.2e-11 at the end nodes).
-    """
-    x = np.cos(math.pi * (np.arange(1, (n + 1) // 2 + 1) - 0.25) / (n + 0.5))
-    for _ in range(10):
-        p, dp = _legendre(n, x)
-        step = p / dp
-        x = x - step
-        if np.max(np.abs(step)) < 1e-15:
-            break
-    _, dp = _legendre(n, x)
-    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
-    # ascending on [-1, 1]; an odd n keeps its root at 0 once
-    x = np.concatenate((-x, x[::-1][n % 2:]))
-    w = np.concatenate((w, w[::-1][n % 2:]))
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 def _gauss(f, lo: float, hi: float) -> float:
     """Integral of the vectorized f over [lo, hi] by the rule."""
-    s, w = _gauss_legendre()
+    s, w = _gauss_legendre(_NODES)
     return (hi - lo) * float(w @ f(lo + (hi - lo) * s))
 
 
@@ -295,8 +263,6 @@ def build_reference(params: ModelParams) -> BarenblattReference:
         h_star = j_star = theta_star = math.nan
     c_gn = None
     if unmet(params, "gn_conversion", "remainder_window") is None:
-        from .gn import gn_exponent, sharp_constant_from_j
-
         assert ex.gn_q is not None
         gn_theta = gn_exponent(params.d, ex.gn_q)
         c_gn = sharp_constant_from_j(j_star, gn_theta, params.p)

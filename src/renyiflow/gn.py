@@ -21,13 +21,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._pow import pow_fn
-from .barenblatt import BarenblattReference
 from .grid import RadialGrid, build_grid, cumulative_trapezoid, uniform_interior
 from .params import EDGE_TOL, ModelParams, RegimeError, require
+
+if TYPE_CHECKING:  # barenblatt imports this module
+    from .barenblatt import BarenblattReference
 
 # Resolved second-difference windows whose right side is below this
 # fraction of the largest resolved one are too small to certify to 5%.
@@ -145,7 +148,8 @@ def gn_constant_report(reference: BarenblattReference) -> dict:
     reading is reported alongside for comparison.
     """
     gn = gn_params_for(reference.params)
-    c_formula = sharp_constant_from_j(reference.j_star, gn.theta, reference.params.p)
+    require(reference.params, "the sharp constant", "remainder_window")  # else c_gn is None
+    c_formula = reference.c_gn
     tf = extremal_test_function(reference)
     c_quotient = gn_quotient(tf, gn)
     return {

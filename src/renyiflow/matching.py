@@ -32,14 +32,6 @@ class MatchingError(RuntimeError):
     """Raised when a matching search or bound evaluation degenerates."""
 
 
-def best_match_scale(theta: float, reference: BarenblattReference) -> float:
-    """Closed-form match time s = (theta / theta_star)**(mu/2)."""
-    require(reference.params, "best matching", "finite_moments")
-    if not theta > 0.0:
-        raise ValueError(f"second moment must be positive, got {theta}")
-    return reference.match_time(theta)
-
-
 def delay_lower_bound(record0: FunctionalRecord, reference: BarenblattReference,
                       h_prime: float) -> tuple[float, float]:
     """Quadratic lower bound on the total delay drop |tau(0) - tau(inf)|.

@@ -5,21 +5,21 @@ Phi_j = A_j (w_j - w_{j-1})/(r_j - r_{j-1}), w = u**p, and zero flux at both
 boundaries, so total mass telescopes exactly (conservation to summation
 round-off, independent of step count).
 
-evolve() has three parts: the rate kernel (_face_rates, the face rates of a
-state from its w = u**p), two integrators (the Euler step, inline in the
-loop, and _Kernel.super_step), and the record schedule (_record_schedule).
-At every step it takes whichever integrator advances further per flux
-evaluation (_plan):
+evolve() keeps the record schedule (_record_schedule), the guards, the counts
+and the records; _Kernel holds the rate kernel (_face_rates, the face rates of
+a state from its w = u**p), both integrators and the rule that picks between
+them. At every step it takes whichever integrator advances further per flux
+evaluation (_Kernel.plan):
 
-- Euler. The forward step m + dt diff(Phi), unless that would overdraw a
-  cell, which happens in fast-diffusion tails, where the step bound is
-  relaxed by the diffusivity floor (u_floor). Then the step is taken
-  backward instead (_Kernel.implicit_step): linearly implicit, with the
-  secant diffusivity K_j = dt c_j (w_j - w_(j-1))/(u_j - u_(j-1)) >= 0 on
-  each face (the tangent one at max(u_(j-1), u_j, u_floor) where the
-  secant is 0/0; for p < 1 it couples the empty cells too, which fill as
-  far as the step reaches), it solves (V + A) u' = V u, A the path
-  Laplacian of the K_j.
+- Euler (_Kernel.euler_step). The forward step m + dt diff(Phi), unless
+  that would overdraw a cell, which happens in fast-diffusion tails, where
+  the step bound is relaxed by the diffusivity floor (u_floor). Then the
+  step is taken backward instead (_Kernel.implicit_step): linearly
+  implicit, with the secant diffusivity
+  K_j = dt c_j (w_j - w_(j-1))/(u_j - u_(j-1)) >= 0 on each face (the
+  tangent one at max(u_(j-1), u_j, u_floor) where the secant is 0/0; for
+  p < 1 it couples the empty cells too, which fill as far as the step
+  reaches), it solves (V + A) u' = V u, A the path Laplacian of the K_j.
   V + A is an M-matrix, so u' >= 0 for any dt, with no limiter and no
   clip, and m' = V u' keeps the mass to the solve's round-off. So its
   length is not bounded by stability but by accuracy (the step is first
@@ -55,10 +55,6 @@ they can:
 - the face coefficients c_j and the stability geometry V_i/(p reach_i)
   are computed once per run;
 - every temporary is preallocated and written with out=;
-- one chain of fractional roots of u per Euler step gives both w = u**p,
-  with the diagnostics' operations, and the stability factor
-  max(u, floor)**|p-1| (see _pow.pow_pair; for p = 2/3, c = cbrt(u),
-  w = c*c and the factor is max(c, cbrt(floor)));
 - the step bound cfl min_i V_i/(D_i reach_i), D_i = p max(u_i, floor)^(p-1),
   is read as cfl min(geometry * factor) for p < 1 and as
   cfl / max(factor / geometry) for p > 1, so neither regime divides by zero;
@@ -70,6 +66,10 @@ they can:
   each);
 - a super-step is planned only when the record gap left exceeds 4 Euler
   steps, the least that s >= 4 stages need to win.
+Euler steps per run (the rest are super-steps): fd3_gaussian 48 (9 of them
+implicit) against 648 super-steps, the 4,001-record exact run on its grid 0
+against 4,000, fd3_mixture, pm1_gaussian and pm1_indicator 0; only the
+compact-support pm1_barenblatt is all Euler (38,282 steps).
 The guards are written so that a NaN fails them: a non-finite state raises
 StiffnessError or InstabilityError instead of ending the run early.
 """
@@ -83,7 +83,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._pow import pow_fn, pow_pair
+from ._pow import pow_fn
 from .params import ModelParams
 from .barenblatt import BarenblattReference, build_reference
 from .grid import DensityState, RadialGrid
@@ -157,31 +157,6 @@ class SolverConfig:
                 raise ValueError("record_times must be finite, positive, strictly increasing")
 
 
-def _stability_geometry(grid: RadialGrid, coef: np.ndarray, p: float) -> np.ndarray:
-    """V_i / (p reach_i), reach_i the sum of cell i's face coefficients coef
-    (the (n-1,) interior faces; the boundary faces carry no flux)."""
-    reach = np.zeros(grid.n)
-    reach[:-1] += coef
-    reach[1:] += coef
-    return grid.volumes / (p * reach)
-
-
-def _bound_dt(factor, geometry, fast: bool, config: SolverConfig, out) -> float:
-    """cfl * min_i V_i / (D_i reach_i) from the stability factor
-    max(u, floor)**|p-1| and geometry V/(p reach); fast means p < 1.
-    out is scratch. A NaN in factor gives a NaN bound.
-
-    Here and in evolve, a[a.argmin()] stands for a.min(): it is the same
-    value, NaN included, at about a third of the call cost for n ~ 1000.
-    """
-    if fast:
-        np.multiply(geometry, factor, out=out)
-        return config.cfl * float(out[out.argmin()])
-    np.divide(factor, geometry, out=out)
-    worst = float(out[out.argmax()])
-    return config.cfl / worst if worst != 0.0 else math.inf
-
-
 def _rkl2_table(s_max: int) -> tuple[list[float], list[float], list[float]]:
     """mu_j, nu_j and a_(j-1) of the RKL2 recursion for 2 <= j <= s_max
     (entries 0 and 1 unused), with b_j = (j**2 + j - 2)/(2 j (j + 1)),
@@ -244,20 +219,28 @@ def _implicit_solve(k: np.ndarray, volumes: np.ndarray, m: np.ndarray) -> np.nda
 
 
 class _Kernel:
-    """Per-run constants and scratch arrays of one grid and exponent, and
-    the two integrators over them that are not inline in evolve
-    (implicit_step and super_step)."""
+    """Per-run constants and scratch arrays of one grid, exponent and cfl,
+    and every integrator over them: the Euler step (euler_step, backward by
+    implicit_step where the forward update would overdraw), the RKL2
+    super-step (super_step), the rule that picks between them (plan) and
+    the Euler bound (load)."""
 
-    def __init__(self, grid: RadialGrid, params: ModelParams, u_floor: float) -> None:
+    def __init__(self, grid: RadialGrid, params: ModelParams, cfl: float,
+                 u_floor: float) -> None:
         n = grid.n
         self.coef = grid.areas[1:-1] / grid.center_gaps
         self.volumes = grid.volumes
         self.inv_vol = 1.0 / grid.volumes
-        self.geometry = _stability_geometry(grid, self.coef, params.p)
-        self.pair = pow_pair(params.p, u_floor)
-        self.p = params.p
-        self.tangent_floor = u_floor if params.p < 1.0 else 0.0  # implicit_weights' floor
+        # V_i / (p reach_i), reach_i the sum of cell i's interior face
+        # coefficients (the boundary faces carry no flux)
+        reach = np.zeros(n)
+        reach[:-1] += self.coef
+        reach[1:] += self.coef
+        self.geometry = grid.volumes / (params.p * reach)
+        self.p, self.fast, self.cfl, self.u_floor = params.p, params.p < 1.0, cfl, u_floor
+        self.tangent_floor = u_floor if self.fast else 0.0  # implicit_weights' floor
         self.power = pow_fn(params.p)
+        self.factor_power = pow_fn(abs(params.p - 1.0))
         self.u, self.w, self.factor, self.scratch, self.gain = (np.empty(n) for _ in range(5))
         self.coef_k = np.empty(n - 1)
         # face arrays, entries 0 and n zero: the rates of the state, the
@@ -265,6 +248,91 @@ class _Kernel:
         # scratch
         (self.flux, self.p_old, self.p_new, self.first, self.stage,
          self.tmp) = (np.zeros(n + 1) for _ in range(6))
+
+    def stability_factor(self) -> np.ndarray:
+        """max(u, u_floor)**|p-1| of the density in u: the bits of
+        max(u**|p-1|, u_floor**|p-1|), as the maximum, the roots and rounded
+        products are monotone. It is factor, or scratch when |p-1| = 1."""
+        np.maximum(self.u, self.u_floor, out=self.scratch)
+        return self.factor_power(self.scratch, self.factor)
+
+    def load(self) -> float:
+        """w = u**p and the face rates (into flux) of the density in u, and
+        its Euler bound cfl min_i V_i / (D_i reach_i) from the stability
+        factor and geometry V/(p reach). A NaN in u gives a NaN bound.
+
+        Here and below, a[a.argmin()] stands for a.min(): it is the same
+        value, NaN included, at about a third of the call cost for n ~ 1000.
+        """
+        _face_rates(self.power(self.u, self.w), self.coef, self.flux[1:-1])
+        factor, out = self.stability_factor(), self.scratch
+        if self.fast:
+            np.multiply(self.geometry, factor, out=out)
+            return self.cfl * float(out[out.argmin()])
+        np.divide(factor, self.geometry, out=out)
+        worst = float(out[out.argmax()])
+        return self.cfl / worst if worst != 0.0 else math.inf
+
+    def plan(self, t: float, dt: float, next_rec: float, filled: bool,
+             mass: float) -> tuple[float, int, bool]:
+        """(tau, s, landed) of a super-step from t that advances further per
+        flux evaluation than the Euler step dt, with s = 0 when there is
+        none: the state must have no empty cell (filled), and the record gap
+        left must exceed 4 Euler steps. load holds u, w = u**p and the rates
+        of the state."""
+        if not (filled and t + 4.0 * dt < next_rec):
+            return 0.0, 0, False
+        rest = next_rec - t
+        if self.fast:
+            u, geometry = self.u, self.scratch
+            if not u[u.argmin()] > 0.0:  # an underflowed density: dt_expl = 0
+                return 0.0, 0, False
+            np.divide(u, self.w, out=geometry)  # u**(1-p), unfloored
+            geometry *= self.geometry
+            dt_expl = self.cfl * float(geometry[geometry.argmin()])
+        else:
+            dt_expl = dt
+        smax = SUPER_STEP_STAGES
+        tau = min(rest, 0.25 * (smax * smax + smax - 2) * dt_expl)
+        if tau / _stages(tau / dt_expl) <= dt:
+            return 0.0, 0, False
+        flux, gain = self.flux, self.gain
+        np.subtract(flux[1:], flux[:-1], out=gain)
+        np.abs(gain, out=gain)
+        l1 = float(gain.sum())
+        if l1 > 0.0:
+            tau = min(tau, SUPER_STEP_MASS_SHARE * mass / l1)
+        pieces = math.ceil(rest / tau)
+        if pieces > 1:
+            tau = rest / pieces
+        s = _stages(tau / dt_expl)
+        if tau / s <= dt:
+            return 0.0, 0, False
+        return tau, s, pieces == 1
+
+    def euler_step(self, m: np.ndarray, t: float, dt: float, next_rec: float,
+                   mass: float, out: np.ndarray) -> tuple[float, bool, float, bool]:
+        """One Euler step of length dt from m at t into out, cut at next_rec:
+        the forward update m + dt diff(Phi), or, where that would overdraw a
+        cell, one backward-Euler step (implicit_step) of at least dt. Returns
+        the step taken, whether it landed on next_rec, the least new mass
+        and whether the step was implicit; flux is left scaled by dt."""
+        flux, gain = self.flux, self.gain
+        landed = t + dt >= next_rec
+        if landed:
+            dt = next_rec - t
+        flux *= dt
+        np.subtract(flux[1:], flux[:-1], out=gain)
+        np.add(m, gain, out=out)
+        low = out[out.argmin()]
+        if not low < 0.0:  # a NaN passes: the density guard raises on it
+            return dt, landed, low, False
+        l1 = float(np.abs(gain, out=self.scratch).sum())
+        step = max(dt, IMPLICIT_STEP_MASS_SHARE * mass * dt / l1)
+        landed = t + step >= next_rec
+        step = next_rec - t if landed else step
+        self.implicit_step(m, dt, step, out)
+        return step, landed, out[out.argmin()], True
 
     def implicit_weights(self, dt: float, step: float) -> np.ndarray:
         """The face couplings K_j of a backward-Euler step of length step
@@ -387,39 +455,6 @@ def _record_schedule(t0: float, t_end: float, config: SolverConfig) -> list[floa
     return pending
 
 
-def _plan(kernel: _Kernel, dt: float, rest: float, fast: bool, mass: float,
-          config: SolverConfig) -> tuple[float, int, bool]:
-    """(tau, s, landed) of a super-step that advances further per flux
-    evaluation than the Euler step dt, with s = 0 when there is none.
-    kernel holds u, w = u**p > 0 and the rates of the state."""
-    if fast:
-        u, geometry = kernel.u, kernel.scratch
-        if not u[u.argmin()] > 0.0:  # an underflowed density: dt_expl = 0
-            return 0.0, 0, False
-        np.divide(u, kernel.w, out=geometry)  # u**(1-p), unfloored
-        geometry *= kernel.geometry
-        dt_expl = config.cfl * float(geometry[geometry.argmin()])
-    else:
-        dt_expl = dt
-    smax = SUPER_STEP_STAGES
-    tau = min(rest, 0.25 * (smax * smax + smax - 2) * dt_expl)
-    if tau / _stages(tau / dt_expl) <= dt:
-        return 0.0, 0, False
-    flux, gain = kernel.flux, kernel.gain
-    np.subtract(flux[1:], flux[:-1], out=gain)
-    np.abs(gain, out=gain)
-    l1 = float(gain.sum())
-    if l1 > 0.0:
-        tau = min(tau, SUPER_STEP_MASS_SHARE * mass / l1)
-    pieces = math.ceil(rest / tau)
-    if pieces > 1:
-        tau = rest / pieces
-    s = _stages(tau / dt_expl)
-    if tau / s <= dt:
-        return 0.0, 0, False
-    return tau, s, pieces == 1
-
-
 def evolve(
     state: DensityState,
     t_end: float,
@@ -455,17 +490,13 @@ def evolve(
         0.0 if params.p > 1.0 else float(np.finfo(float).eps) * u0_max)
     whole_space = traj.whole_space_entropy = whole_space_entropy(
         state, reference, t_end)
-    kernel = _Kernel(grid, params, traj.u_floor)
-    u, w, factor, scratch, gain = kernel.u, kernel.w, kernel.factor, kernel.scratch, kernel.gain
-    pair, coef, geometry, inv_vol = kernel.pair, kernel.coef, kernel.geometry, kernel.inv_vol
-    flux = kernel.flux
-    rate = flux[1:-1]  # the face rates of the state
+    kernel = _Kernel(grid, params, config.cfl, traj.u_floor)
+    u = kernel.u
     np.copyto(u, state.u)
     m = u * grid.volumes
     m_new = np.empty_like(m)
     mass = float(m.sum())
     filled = m[m.argmin()] > 0.0  # no empty cell: a super-step may be planned
-    fast = params.p < 1.0
     t0 = state.t
     t = t0
     dt_lo, dt_hi = math.inf, 0.0  # of the steps taken
@@ -492,8 +523,7 @@ def evolve(
             flush()
 
     schedule = iter(_record_schedule(t0, t_end, config))
-    pair(u, w, factor)
-    dt = _bound_dt(factor, geometry, fast, config, scratch)  # of the state at t
+    dt = kernel.load()  # the Euler bound of the state at t
     emit(t0, dt)
     next_rec = next(schedule)
     while t < t_end:
@@ -501,45 +531,25 @@ def evolve(
             raise StiffnessError(
                 f"stable dt {dt} below dt_min {config.dt_min} at t={t}; the state may be "
                 "non-finite, or for p < 1 a positive u_floor is required")
-        _face_rates(w, coef, rate)
-        s = 0
-        if filled and t + 4.0 * dt < next_rec:
-            tau, s, landed = _plan(kernel, dt, next_rec - t, fast, mass, config)
-            if s:
-                traj.n_steps += s
-                low = kernel.super_step(m, tau, s, m_new).min()
-                if low >= 0.0:
-                    traj.super_steps += 1
-                    dt = tau
-                else:  # NaN included
-                    traj.rejected_super_steps += 1
-                    s = 0
+        tau, s, landed = kernel.plan(t, dt, next_rec, filled, mass)
+        if s:
+            traj.n_steps += s
+            low = kernel.super_step(m, tau, s, m_new).min()
+            if low >= 0.0:
+                traj.super_steps += 1
+                dt = tau
+            else:  # NaN included
+                traj.rejected_super_steps += 1
+                s = 0
         if not s:
-            # the Euler step, inline: a call and its returned tuple would
-            # add about 0.3 us to a step of 15-20 us
-            landed = t + dt >= next_rec
-            if landed:
-                dt = next_rec - t
-            rate *= dt
-            np.subtract(flux[1:], flux[:-1], out=gain)
-            np.add(m, gain, out=m_new)
-            low = m_new[m_new.argmin()]
-            if low < 0.0:  # a NaN never enters: the density guard raises on it
-                # the plain update would overdraw a cell: one backward-Euler
-                # step instead, of at least the Euler step's length
-                traj.limited_steps += 1
-                l1 = float(np.abs(gain, out=scratch).sum())
-                step = max(dt, IMPLICIT_STEP_MASS_SHARE * mass * dt / l1)
-                landed = t + step >= next_rec
-                step = next_rec - t if landed else step
-                kernel.implicit_step(m, dt, step, m_new)
-                dt, low = step, m_new[m_new.argmin()]
+            dt, landed, low, implicit = kernel.euler_step(m, t, dt, next_rec, mass, m_new)
             traj.n_steps += 1
             traj.euler_steps += 1
+            traj.limited_steps += implicit
         filled = low > 0.0
         dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
         m, m_new = m_new, m
-        np.multiply(m, inv_vol, out=u)
+        np.multiply(m, kernel.inv_vol, out=u)
         u_max = u[u.argmax()]
         if not (u_max <= u_cap):
             raise InstabilityError(
@@ -552,8 +562,7 @@ def evolve(
             next_rec = next(schedule, t_end)
         else:
             t += dt
-        pair(u, w, factor)
-        dt = _bound_dt(factor, geometry, fast, config, scratch)
+        dt = kernel.load()
 
     if pending:
         flush()

@@ -9,7 +9,6 @@ to the closed forms over a (d, p) sweep and to scipy's adaptive quadrature.
 """
 import math
 import re
-from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -197,39 +196,6 @@ def test_quadrature_matches_scipy_quad(d, p):
         if math.isfinite(reference_functionals(params, c_star=c_star)[key]):
             want = _scipy_moment(d, p, c_star, key)
             assert _quad_moment(params, c_star, key) == pytest.approx(want, rel=1e-10), key
-
-
-def _weights_40_digits(nodes: np.ndarray, n: int) -> np.ndarray:
-    """Gauss-Legendre weights on [-1, 1] at the roots of P_n next to the
-    given nodes: Newton's method and 2 / ((1 - x^2) P_n'(x)^2) in 40 digits."""
-    weights = []
-    with localcontext() as ctx:
-        ctx.prec = 40
-        for x0 in nodes:
-            x = Decimal(float(x0))
-            for _ in range(3):
-                p_prev, p = Decimal(1), x
-                for j in range(2, n + 1):
-                    p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-                dp = n * (p_prev - x * p) / (1 - x * x)
-                x -= p / dp
-            weights.append(float(2 / ((1 - x * x) * dp * dp)))
-    return np.array(weights)
-
-
-def test_gauss_legendre_rule():
-    n = barenblatt._NODES
-    s, w = barenblatt._gauss_legendre()
-    x, w_ref = np.polynomial.legendre.leggauss(n)
-    assert np.max(np.abs(s - 0.5 * (x + 1.0))) <= 2e-16
-    # leggauss's own weights are up to 2.2e-11 off the 40-digit values (at
-    # the end nodes), so it bounds the new rule only that loosely
-    np.testing.assert_allclose(w, 0.5 * w_ref, rtol=1e-10, atol=0.0)
-    half = n // 2
-    np.testing.assert_allclose(w[:half], 0.5 * _weights_40_digits(x[:half], n),
-                               rtol=1e-12, atol=0.0)
-    assert np.array_equal(w, w[::-1]) and np.all(np.diff(s) > 0.0)
-    assert abs(w.sum() - 1.0) <= 4.5e-16
 
 
 @pytest.mark.parametrize("d,p", [(1, 2.0), (3, 2.0 / 3.0)])

@@ -284,7 +284,7 @@ def test_diagnostics_equal_standalone_functionals(d, p, grid_args, datum, t_end)
         assert rec.j_scale == rec.entropy ** (ex.sigma - 1.0) * rec.fisher
         flags = set()
         if unmet(params, "finite_moments") is None:
-            assert rec.s_match == rf.best_match_scale(rec.theta, ref)
+            assert rec.s_match == ref.match_time(rec.theta)
             assert rec.tau == rec.s_match - state.t
             assert rec.rel_entropy == relative_entropy(state, rec.s_match, ref)
         else:

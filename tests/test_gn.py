@@ -82,6 +82,12 @@ def test_family_from_diffusion_exponent(params_pm1, params_fd3):
     assert gn_fd.branch == "GN1"
     with pytest.raises(RegimeError):
         gn_params_for(rf.ModelParams(1, 0.4))
+    # q exists below the remainder window, but the reference carries no
+    # sharp constant there
+    ref = rf.build_reference(rf.ModelParams(3, 0.62))
+    assert ref.c_gn is None
+    with pytest.raises(RegimeError):
+        gn_constant_report(ref)
 
 
 @pytest.mark.parametrize("key", ["pm1", "fd3"])

@@ -17,19 +17,11 @@ from renyiflow.params import RegimeError
 
 def test_match_scale_closed_form(ref_pm1):
     ex = ref_pm1.exponents
-    assert rf.best_match_scale(ref_pm1.theta_star, ref_pm1) == pytest.approx(1.0, rel=1e-14)
+    assert ref_pm1.match_time(ref_pm1.theta_star) == pytest.approx(1.0, rel=1e-14)
     theta2 = ref_pm1.theta_star * 2.0 ** (2.0 / ex.mu)
-    assert rf.best_match_scale(theta2, ref_pm1) == pytest.approx(2.0, rel=1e-12)
+    assert ref_pm1.match_time(theta2) == pytest.approx(2.0, rel=1e-12)
     # the delay tau = s - t at t = 0.5
-    assert rf.best_match_scale(theta2, ref_pm1) - 0.5 == pytest.approx(1.5, rel=1e-12)
-
-
-def test_match_scale_rejections(ref_pm1):
-    with pytest.raises(ValueError):
-        rf.best_match_scale(0.0, ref_pm1)
-    ref_inf = rf.build_reference(rf.ModelParams(3, 0.55))
-    with pytest.raises(RegimeError):
-        rf.best_match_scale(1.0, ref_inf)
+    assert ref_pm1.match_time(theta2) - 0.5 == pytest.approx(1.5, rel=1e-12)
 
 
 def best_match_scale_numeric(state, reference):

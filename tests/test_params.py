@@ -3,9 +3,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from renyiflow import ModelParams, ParameterDomainError, RegimeError, derive_exponents
+from renyiflow import ModelParams, ParameterDomainError, RegimeError
 from renyiflow.checks import CHECK_HYPOTHESES
-from renyiflow.params import unmet
+from renyiflow.params import derive_exponents, unmet
 
 
 def valid_pairs():

@@ -3,11 +3,14 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, strategies as st
 
-from renyiflow._pow import ROOT_EXPONENTS, _rule, pow_fn, pow_pair
+import renyiflow as rf
+from renyiflow import solver
+from renyiflow._pow import ROOT_EXPONENTS, _rule, pow_fn
 
-# the flow exponents the rule serves with u**p finite for u up to 1e100
-PAIR_EXPONENTS = tuple(q for q in ROOT_EXPONENTS if 0.0 < q <= 3.0)
-# exponents without a shared root: pow_pair falls back to two np.power calls
+# the flow exponents (p = 1, heat flow, is not one) the rule serves with
+# u**p finite for u up to 1e100
+PAIR_EXPONENTS = tuple(q for q in ROOT_EXPONENTS if 0.0 < q <= 3.0 and q != 1.0)
+# exponents the rule does not serve: u**p and the factor fall back to np.power
 FALLBACK_EXPONENTS = (0.6, 1.7)
 
 pair_inputs = dict(
@@ -29,26 +32,21 @@ def _exact(p: float) -> tuple[np.longdouble, np.longdouble]:
 
 
 @given(**pair_inputs)
-def test_pow_pair_matches_both_powers(p, floor, above, below):
-    # one shared root must give u**p and max(u, floor)**|p-1| to ~4 ulp,
-    # for exact zeros and for values under the floor too
+def test_kernel_powers_match_extended_precision(p, floor, above, below):
+    # the solver's w = u**p and floored stability factor max(u, floor)**|p-1|
+    # to ~4 ulp, for exact zeros and for values under the floor too; cells
+    # of 1.0 pad u to the 16 cells a grid needs
     u = np.array(above + [floor * b for b in below])
-    w, f = np.empty_like(u), np.empty_like(u)
-    pow_pair(p, floor)(u, w, f)
+    u = np.concatenate((u, np.ones(max(0, 16 - u.size))))
+    kernel = solver._Kernel(rf.build_grid(1, 1.0, u.size), rf.ModelParams(1, p), 0.9, floor)
+    np.copyto(kernel.u, u)
+    kernel.load()
+    w, f = kernel.w, kernel.stability_factor()
     exponent, stability = _exact(p)
     exact_u = u.astype(np.longdouble)
     np.testing.assert_allclose(w, exact_u**exponent, rtol=1e-15, atol=0.0)
     np.testing.assert_allclose(
         f, np.maximum(exact_u, np.longdouble(floor)) ** stability, rtol=1e-15, atol=0.0)
-
-
-@given(**pair_inputs)
-def test_pow_pair_writes_pow_fn_bits(p, floor, above, below):
-    # the solver's w and the diagnostics' u**p are one computation
-    u = np.array(above + [floor * b for b in below])
-    w, f = np.empty_like(u), np.empty_like(u)
-    pow_pair(p, floor)(u, w, f)
-    assert w.tobytes() == pow_fn(p)(u).tobytes()
 
 
 @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))

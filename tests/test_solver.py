@@ -235,10 +235,9 @@ def test_overdrawing_steps_are_taken_implicitly():
 def _kernel_at(grid, params, u, u_floor, dt):
     """A kernel holding the state u and its rates scaled by dt, as evolve
     leaves it before an implicit step."""
-    kernel = solver._Kernel(grid, params, u_floor)
+    kernel = solver._Kernel(grid, params, 0.9, u_floor)
     np.copyto(kernel.u, u)
-    kernel.pair(kernel.u, kernel.w, kernel.factor)
-    solver._face_rates(kernel.w, kernel.coef, kernel.flux[1:-1])
+    kernel.load()
     kernel.flux *= dt
     return kernel
 
@@ -319,20 +318,17 @@ def test_compact_support_grows_one_cell_per_step(monkeypatch):
     out = np.empty(grid.n)
     kernel.implicit_step(state.u * grid.volumes, 1e-4, 100.0, out)
     assert out[front + 1] > 0.0 and np.all(out[front + 2:] == 0.0)
-    # every step of a run: evolve evaluates its stability factor once on
-    # the datum and once after each step
-    supports = []
-    real = solver.pow_pair
+    # every step of a run: the support after the datum and after each Euler
+    # step
+    supports = [front]
+    real = solver._Kernel.euler_step
 
-    def recording(p, floor):
-        pair = real(p, floor)
+    def spy(self, m, *args):
+        taken = real(self, m, *args)
+        supports.append(int(np.flatnonzero(args[-1])[-1]))
+        return taken
 
-        def spy(u, w, f):
-            supports.append(int(np.flatnonzero(u)[-1]))
-            return pair(u, w, f)
-        return spy
-
-    monkeypatch.setattr(solver, "pow_pair", recording)
+    monkeypatch.setattr(solver._Kernel, "euler_step", spy)
     traj = rf.evolve(state, 0.2, params,
                      rf.SolverConfig(record_every=0.05, u_floor=1e-3))
     assert len(supports) == traj.euler_steps + 1 and traj.super_steps == 0
@@ -383,10 +379,9 @@ def _profile_kernel():
     grid = rf.build_grid(3, 200.0, 160, stretch=1.03)
     state = rf.project_initial(
         lambda r: rf.self_similar_density(r, 1.0, params), grid, t=1.0)
-    kernel = solver._Kernel(grid, params, 0.0)  # no floor: dt_expl itself
-    kernel.pair(state.u, kernel.w, kernel.factor)
-    dt_expl = solver._bound_dt(kernel.factor, kernel.geometry, True,
-                               rf.SolverConfig(cfl=0.85), kernel.scratch)
+    kernel = solver._Kernel(grid, params, 0.85, 0.0)  # no floor: dt_expl itself
+    np.copyto(kernel.u, state.u)
+    dt_expl = kernel.load()
     return kernel, state.u * grid.volumes, dt_expl
 
 
