@@ -413,8 +413,8 @@ def _summary_lines(label: str, trajectory, results: list[CheckResult]) -> list[s
         f"run {label}: {len(trajectory.records)} records, {trajectory.n_steps} steps, "
         f"t in [{rec0.t:g}, {rec1.t:g}], wall {trajectory.wall_time:.2f}s",
         f"  {trajectory.euler_steps} Euler steps ({trajectory.limited_steps} implicit), "
-        f"{trajectory.super_steps} super-steps ({trajectory.rejected_super_steps} "
-        "discarded and redone by Euler)",
+        f"{trajectory.super_steps} super-steps of at most {trajectory.max_stages} stages "
+        f"({trajectory.rejected_super_steps} discarded and redone by Euler)",
     ]
     for r in results:
         if "reason" in r.details:

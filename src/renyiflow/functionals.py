@@ -154,6 +154,13 @@ def _fisher(g: RadialGrid, u: np.ndarray, u_max: np.ndarray, live: np.ndarray,
     p <= 1/2 that substitution is unavailable and the integrand u**(2p-3)
     |grad u|^2 needs a floor on u; the result is flagged when floored cells
     carry more than FISHER_FLOOR_SHARE of the sum.
+
+    Some data have no finite I at all. At p = 0.4 a Gaussian u = exp(-r^2)
+    has the integrand p^2 4 r^2 exp(0.2 r^2), so its whole-space I is
+    infinite and the box's is set by its outermost cells. The enormous q of
+    such a datum (4.8e65 at t = 0 for d = 1, r_max = 40, 160 cells) is the
+    datum's, not the live-face mask's: dropping the faces of subnormal
+    cells from _live_faces only moves it to 2.1e63.
     """
     p = params.p
     drc = g.center_gaps

@@ -27,13 +27,14 @@ evaluation (_Kernel.plan):
   IMPLICIT_STEP_MASS_SHARE * mass / ||dm/dt||_1, cut at the record.
 - Second-order Runge-Kutta-Legendre (RKL2) super-steps (Meyer, Balsara &
   Aslam, J. Comput. Phys. 257, 2014): s flux evaluations advance
-  tau <= dt_expl (s**2 + s - 2)/4, with dt_expl the unfloored monotone bound
-  below. Each stage is written as Y_j = m + diff(P_j), the recursion run on
-  the face sums P_j, so mass telescopes exactly as in the Euler step. A
-  super-step is taken only on a state with no empty cell (for p > 1 an empty
-  cell next to a filled one is a front, which a super-step would overdraw;
-  for p < 1 an empty cell makes dt_expl zero), and one that leaves any
-  negative mass is discarded and redone by an Euler step; it never clips.
+  tau <= dt_expl (s**2 + s - 2)/4, with dt_expl = 2 cfl / rho and rho the
+  spectral-radius bound below. Each stage is written as Y_j = m + diff(P_j),
+  the recursion run on the face sums P_j, so mass telescopes exactly as in
+  the Euler step. A super-step is taken only on a state with no empty cell
+  (for p > 1 an empty cell next to a filled one is a front, which a
+  super-step would overdraw; for p < 1 an empty cell makes dt_expl zero),
+  and one that leaves any negative mass is discarded and redone by an Euler
+  step; it never clips.
   Its length is capped by the rest of the record gap, by SUPER_STEP_STAGES
   stages and by tau ||dm/dt||_1 <= SUPER_STEP_MASS_SHARE * mass; a binding
   cap cuts the rest of the gap into equal pieces.
@@ -49,11 +50,22 @@ d = 1 and 2), where the textbook bound dr**2/(2 d D_i) is d times smaller;
 at cell 0 of a d = 3 grid it is dr**2/(3 D_i). The Euler step evaluates
 D_i at max(u_i, u_floor); the super-step's dt_expl evaluates it at u_i.
 
+The super-step's rho bounds the spectral radius of the linearised update
+dm/dt = L diag(D) V^-1 m, L the path Laplacian of the c_j, or of its
+similar D V^-1 L. At cfl = 1 the Euler bound is 2 / rho with rho
+Gershgorin's row bound max_i 2 D_i reach_i / V_i of that matrix. For any
+positive weights x, Collatz-Wielandt's max_i D_i g_i, g_i =
+(|V^-1 L| x)_i / x_i, bounds it too; x comes from the grid alone, once per
+run (_perron_weights), and x = 1 gives Gershgorin's. dt_expl takes the
+tighter of the two (_Kernel.explicit_bound). On the stretched fd3 grid
+Gershgorin's is 1.49 times the spectral radius, set by the row of the
+d = 3 origin cell, and Collatz-Wielandt's is within 0.05% of it.
+
 At these grid sizes (about 1000 cells) a flux evaluation costs numpy call
 overhead rather than arithmetic, so both integrators make as few calls as
 they can:
-- the face coefficients c_j and the stability geometry V_i/(p reach_i)
-  are computed once per run;
+- the face coefficients c_j, the stability geometry V_i/(p reach_i) and
+  its Collatz-Wielandt counterpart 2/(p g_i) are computed once per run;
 - every temporary is preallocated and written with out=;
 - the step bound cfl min_i V_i/(D_i reach_i), D_i = p max(u_i, floor)^(p-1),
   is read as cfl min(geometry * factor) for p < 1 and as
@@ -64,12 +76,19 @@ they can:
   (419 of them in the first), and 9 implicit steps among 48 Euler steps
   replace 16,445 overdrawn forward steps (a donor-cell limiter ran on
   each);
+- a super-step stage is 9 numpy calls at p = 2/3: three for the stage
+  density, two for w = u**p, two for its rates, and P_j as one product
+  c_j . stack (np.dot, a BLAS gemv) of the RKL2 weights with the rows
+  (rates, P_(j-1), P_(j-2), first rates), written into the other stack
+  beside one row copy;
 - a super-step is planned only when the record gap left exceeds 4 Euler
   steps, the least that s >= 4 stages need to win.
 Euler steps per run (the rest are super-steps): fd3_gaussian 48 (9 of them
-implicit) against 648 super-steps, the 4,001-record exact run on its grid 0
-against 4,000, fd3_mixture, pm1_gaussian and pm1_indicator 0; only the
-compact-support pm1_barenblatt is all Euler (38,282 steps).
+implicit) against 648 super-steps of at most 90 stages, 15,384 flux
+evaluations in all (18,098 with Gershgorin's rho alone); the 4,001-record
+exact run on its grid 0 against 4,000; fd3_mixture, pm1_gaussian and
+pm1_indicator 0; only the compact-support pm1_barenblatt is all Euler
+(38,282 steps).
 The guards are written so that a NaN fails them: a non-finite state raises
 StiffnessError or InstabilityError instead of ending the run early.
 """
@@ -94,7 +113,9 @@ from .functionals import FunctionalRecord, diagnostics, whole_space_entropy
 # keeps super-steps from jumping a fast transient: on pm1_indicator's datum
 # and grid over t in [0, 0.8], a run recorded every 0.8 (every 0.1) ended
 # 1.4e-2 (1.7e-3) off in L1 from one recorded every 0.0125 without the cap,
-# and 2.6e-5 (3.3e-5) with it.
+# and 2.6e-5 (3.3e-5) with it. A share of 0.02 takes fd3_gaussian from
+# 15,384 to 13,952 flux evaluations (IMPLICIT_STEP_MASS_SHARE held at
+# 0.000625), but moves that probe to 1.2e-4 (9.4e-5), so the share stays 0.01.
 SUPER_STEP_STAGES = 200
 SUPER_STEP_MASS_SHARE = 0.01
 # The share of the mass one backward-Euler step may move, read from the
@@ -172,6 +193,9 @@ def _rkl2_table(s_max: int) -> tuple[list[float], list[float], list[float]]:
 
 
 _RKL2 = _rkl2_table(SUPER_STEP_STAGES)
+# c_j = (mu_j, mu_j, nu_j, -mu_j a_(j-1)): P_j is c_j dotted with the rows
+# (w1 tau Phi(Y_(j-1)), P_(j-1), P_(j-2), w1 tau Phi(m)) of a stage stack
+_STAGE_WEIGHTS = list(np.array([(mu, mu, nu, -mu * a) for mu, nu, a in zip(*_RKL2)]))
 
 
 def _stages(x: float) -> int:
@@ -186,6 +210,31 @@ def _face_rates(w: np.ndarray, coef: np.ndarray, out: np.ndarray) -> None:
     rates of the density whose u**p is w (times a scalar folded into coef)."""
     np.subtract(w[1:], w[:-1], out=out)
     out *= coef
+
+
+def _abs_operator(x: np.ndarray, coef: np.ndarray, reach: np.ndarray,
+                  inv_vol: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """out = |V^-1 L| x, L the path Laplacian of the face coefficients coef
+    (reach its diagonal's magnitude): (reach_i x_i + c_(i-1) x_(i-1) +
+    c_i x_(i+1)) / V_i. tmp is (n-1,) scratch."""
+    np.multiply(reach, x, out=out)
+    out[:-1] += np.multiply(coef, x[1:], out=tmp)
+    out[1:] += np.multiply(coef, x[:-1], out=tmp)
+    out *= inv_vol
+    return out
+
+
+def _perron_weights(coef: np.ndarray, reach: np.ndarray, inv_vol: np.ndarray) -> np.ndarray:
+    """Positive cell weights close to the Perron vector of |V^-1 L|: 64
+    power iterations from ones, each scaled to max 1, plus 1e-3 (which keeps
+    the ratios of _Kernel.spectral_geometry bounded where the vector
+    decays)."""
+    x, y, tmp = np.ones(len(reach)), np.empty(len(reach)), np.empty(len(coef))
+    for _ in range(64):
+        _abs_operator(x, coef, reach, inv_vol, y, tmp)
+        np.divide(y, y[y.argmax()], out=x)
+    x += 1e-3
+    return x
 
 
 def _implicit_solve(k: np.ndarray, volumes: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -233,21 +282,37 @@ class _Kernel:
         self.inv_vol = 1.0 / grid.volumes
         # V_i / (p reach_i), reach_i the sum of cell i's interior face
         # coefficients (the boundary faces carry no flux)
-        reach = np.zeros(n)
+        self.reach = reach = np.zeros(n)
         reach[:-1] += self.coef
         reach[1:] += self.coef
         self.geometry = grid.volumes / (params.p * reach)
         self.p, self.fast, self.cfl, self.u_floor = params.p, params.p < 1.0, cfl, u_floor
+        self.spectral_geometry = self.collatz_geometry(
+            _perron_weights(self.coef, reach, self.inv_vol))
         self.tangent_floor = u_floor if self.fast else 0.0  # implicit_weights' floor
         self.power = pow_fn(params.p)
         self.factor_power = pow_fn(abs(params.p - 1.0))
         self.u, self.w, self.factor, self.scratch, self.gain = (np.empty(n) for _ in range(5))
         self.coef_k = np.empty(n - 1)
-        # face arrays, entries 0 and n zero: the rates of the state, the
-        # super-step's two face sums, scaled first rates, stage rates and
-        # scratch
-        (self.flux, self.p_old, self.p_new, self.first, self.stage,
-         self.tmp) = (np.zeros(n + 1) for _ in range(6))
+        self.flux = np.zeros(n + 1)  # the rates of the state, entries 0 and n zero
+        # the super-step's two stage stacks, rows (stage rates, P_(j-1),
+        # P_(j-2), scaled first rates), face arrays with entries 0 and n
+        # zero. The stages of even j read stacks[0] and write the next P into
+        # stacks[1], those of odd j the other way round; stage_views holds
+        # (P_(j-1)[1:], P_(j-1)[:-1], the rates' interior, the stack read,
+        # the row P_j goes to, the row P_(j-1) goes to, P_(j-1)) for each
+        self.stacks = np.zeros((2, 4, n + 1))
+        a, b = self.stacks
+        self.stage_views = [(x[1, 1:], x[1, :-1], x[0, 1:-1], x, y[1], y[2], x[1])
+                            for x, y in ((a, b), (b, a))]
+
+    def collatz_geometry(self, x: np.ndarray) -> np.ndarray:
+        """2 / (p g), g_i = (|V^-1 L| x)_i / x_i the Collatz-Wielandt row
+        ratios of the positive weights x: where x = 1 it is geometry."""
+        g = _abs_operator(x, self.coef, self.reach, self.inv_vol, np.empty(len(x)),
+                          np.empty(len(self.coef)))
+        g /= x
+        return 2.0 / (self.p * g)
 
     def stability_factor(self) -> np.ndarray:
         """max(u, u_floor)**|p-1| of the density in u: the bits of
@@ -256,22 +321,38 @@ class _Kernel:
         np.maximum(self.u, self.u_floor, out=self.scratch)
         return self.factor_power(self.scratch, self.factor)
 
-    def load(self) -> float:
-        """w = u**p and the face rates (into flux) of the density in u, and
-        its Euler bound cfl min_i V_i / (D_i reach_i) from the stability
-        factor and geometry V/(p reach). A NaN in u gives a NaN bound.
+    def bound(self, factor: np.ndarray, geometry: np.ndarray) -> float:
+        """cfl min_i geometry_i u_i**(1-p), from factor = u**|p-1|: read as
+        cfl min(geometry * factor) for p < 1 and as cfl / max(factor /
+        geometry) for p > 1, so neither regime divides by zero (inf when
+        every factor is 0). A NaN in factor gives a NaN bound.
 
         Here and below, a[a.argmin()] stands for a.min(): it is the same
         value, NaN included, at about a third of the call cost for n ~ 1000.
         """
-        _face_rates(self.power(self.u, self.w), self.coef, self.flux[1:-1])
-        factor, out = self.stability_factor(), self.scratch
+        out = self.scratch
         if self.fast:
-            np.multiply(self.geometry, factor, out=out)
+            np.multiply(geometry, factor, out=out)
             return self.cfl * float(out[out.argmin()])
-        np.divide(factor, self.geometry, out=out)
+        np.divide(factor, geometry, out=out)
         worst = float(out[out.argmax()])
         return self.cfl / worst if worst != 0.0 else math.inf
+
+    def load(self) -> float:
+        """w = u**p and the face rates (into flux) of the density in u, and
+        its Euler bound cfl min_i V_i / (D_i reach_i) from the stability
+        factor and geometry V/(p reach)."""
+        _face_rates(self.power(self.u, self.w), self.coef, self.flux[1:-1])
+        return self.bound(self.stability_factor(), self.geometry)
+
+    def explicit_bound(self) -> float:
+        """dt_expl, the super-step's bound for the density in u: 2 cfl over
+        a bound on the spectral radius of the linearised operator, the
+        tighter of Gershgorin's (the Euler bound's form, unfloored) and
+        Collatz-Wielandt's (spectral_geometry)."""
+        factor = self.factor_power(self.u, self.factor)  # u**|p-1|, unfloored
+        return max(self.bound(factor, self.geometry),
+                   self.bound(factor, self.spectral_geometry))
 
     def plan(self, t: float, dt: float, next_rec: float, filled: bool,
              mass: float) -> tuple[float, int, bool]:
@@ -283,15 +364,9 @@ class _Kernel:
         if not (filled and t + 4.0 * dt < next_rec):
             return 0.0, 0, False
         rest = next_rec - t
-        if self.fast:
-            u, geometry = self.u, self.scratch
-            if not u[u.argmin()] > 0.0:  # an underflowed density: dt_expl = 0
-                return 0.0, 0, False
-            np.divide(u, self.w, out=geometry)  # u**(1-p), unfloored
-            geometry *= self.geometry
-            dt_expl = self.cfl * float(geometry[geometry.argmin()])
-        else:
-            dt_expl = dt
+        dt_expl = self.explicit_bound()
+        if not dt_expl > 0.0:  # p < 1 and an underflowed density
+            return 0.0, 0, False
         smax = SUPER_STEP_STAGES
         tau = min(rest, 0.25 * (smax * smax + smax - 2) * dt_expl)
         if tau / _stages(tau / dt_expl) <= dt:
@@ -378,31 +453,29 @@ class _Kernel:
         and P_j = mu_j (P_(j-1) + w1 tau Phi(Y_(j-1)) - a_(j-1) w1 tau Phi(m))
         + nu_j P_(j-2): the stage recursion of Meyer, Balsara & Aslam with
         the m terms of each stage, whose weights add to one, summed to m.
+        Each P_j is one product c_j . stack (_STAGE_WEIGHTS) over a stage
+        stack, written into the other stack, which the stages alternate.
         """
-        mu, nu, a_prev = _RKL2
         k = tau * 4.0 / (s * s + s - 2)  # w1 tau
-        u, inv_vol, power, coef_k = self.scratch, self.inv_vol, self.power, self.coef_k
-        p_old, p_new, first, stage, tmp = (
-            self.p_old, self.p_new, self.first, self.stage, self.tmp)
-        rate = stage[1:-1]
+        u, inv_vol, power, w, coef_k = self.scratch, self.inv_vol, self.power, self.w, self.coef_k
         np.multiply(self.coef, k, out=coef_k)
+        first = self.stacks[0, 3]
         np.multiply(self.flux, k, out=first)
-        np.multiply(first, 1.0 / 3.0, out=p_new)
-        p_old.fill(0.0)
+        np.copyto(self.stacks[1, 3], first)
+        np.multiply(first, 1.0 / 3.0, out=self.stacks[0, 1])
+        self.stacks[0, 2].fill(0.0)
+        views = self.stage_views
         with np.errstate(invalid="ignore"):  # a stage may dip below zero
             for j in range(2, s + 1):
-                np.subtract(p_new[1:], p_new[:-1], out=u)
+                hi, lo, rate, stack, p_out, p_out_old, p_in = views[j & 1]
+                np.subtract(hi, lo, out=u)
                 u += m
                 u *= inv_vol
-                _face_rates(power(u, self.w), coef_k, rate)
-                stage += p_new
-                np.multiply(first, a_prev[j], out=tmp)
-                stage -= tmp
-                stage *= mu[j]
-                p_old *= nu[j]
-                p_old += stage
-                p_old, p_new = p_new, p_old
-        np.subtract(p_new[1:], p_new[:-1], out=out)
+                _face_rates(power(u, w), coef_k, rate)
+                np.dot(_STAGE_WEIGHTS[j], stack, out=p_out)
+                np.copyto(p_out_old, p_in)
+        p_s = self.stacks[(s - 1) & 1, 1]
+        np.subtract(p_s[1:], p_s[:-1], out=out)
         out += m
         return out
 
@@ -420,6 +493,7 @@ class Trajectory:
     n_steps: int = 0
     euler_steps: int = 0
     super_steps: int = 0  # accepted
+    max_stages: int = 0  # the most stages of one accepted super-step
     rejected_super_steps: int = 0  # left a negative mass, redone by Euler
     clipped_mass: float = 0.0  # always 0: no integrator clips
     limited_steps: int = 0  # Euler steps taken implicitly (backward Euler)
@@ -537,6 +611,7 @@ def evolve(
             low = kernel.super_step(m, tau, s, m_new).min()
             if low >= 0.0:
                 traj.super_steps += 1
+                traj.max_stages = max(traj.max_stages, s)
                 dt = tau
             else:  # NaN included
                 traj.rejected_super_steps += 1

@@ -489,7 +489,8 @@ def test_report_counts_steps_by_integrator(tmp_path):
     assert {k: on_disk[k] for k in run} == run
     summary = (tmp_path / "summary.txt").read_text().splitlines()[1]
     assert summary == (f"  {run['euler_steps']} Euler steps ({run['limited_steps']} implicit), "
-                       f"{run['super_steps']} super-steps (0 discarded and redone by Euler)")
+                       f"{run['super_steps']} super-steps of at most {run['max_stages']} "
+                       "stages (0 discarded and redone by Euler)")
 
 
 _NEAR = {"0.600000001": "too close to d/(d+2) = 0.6 at d = 3",

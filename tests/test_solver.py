@@ -372,13 +372,13 @@ def test_evolution_properties_on_random_mixtures(d, p_frac, bumps):
     assert np.array_equal(a.final_state.u, b.final_state.u)
 
 
-def _profile_kernel():
-    """The d = 3, p = 2/3 source-type state at t0 = 1 on a coarse stretched
+def _profile_kernel(t0=1.0):
+    """The d = 3, p = 2/3 source-type state at t0 on a coarse stretched
     grid, its flux kernel and its explicit step at cfl 0.85."""
     params = rf.ModelParams(3, 2.0 / 3.0)
     grid = rf.build_grid(3, 200.0, 160, stretch=1.03)
     state = rf.project_initial(
-        lambda r: rf.self_similar_density(r, 1.0, params), grid, t=1.0)
+        lambda r: rf.self_similar_density(r, t0, params), grid, t=t0)
     kernel = solver._Kernel(grid, params, 0.85, 0.0)  # no floor: dt_expl itself
     np.copyto(kernel.u, state.u)
     dt_expl = kernel.load()
@@ -408,13 +408,120 @@ def test_super_step_is_second_order_in_time():
 
 
 def test_super_step_conserves_mass_at_most_stages():
-    kernel, m0, dt_expl = _profile_kernel()
+    # the longest super-step at plan's reach (the Collatz-Wielandt dt_expl),
+    # from t0 = 3, where 200 stages span tau = 0.29 t0: mass telescopes, and
+    # no mass goes negative. From t0 = 1 they would span 2.6 t0 (1.7 t0 at
+    # Gershgorin's dt_expl), far beyond a linearised step, and overdraw
+    # cell 0, in the 13-call recursion too; plan caps such a step first
+    # (test_planned_super_step_is_nonnegative)
+    kernel, m0, _ = _profile_kernel(3.0)
+    dt_expl = kernel.explicit_bound()
     smax = solver.SUPER_STEP_STAGES
     tau = 0.25 * (smax * smax + smax - 2) * dt_expl
     m, s = _super_steps(kernel, m0, tau, 1, dt_expl)
     assert s == smax
     assert abs(m.sum() - m0.sum()) <= 1e-13 * m0.sum()
-    assert np.all(np.isfinite(m))
+    assert np.all(np.isfinite(m)) and m.min() >= 0.0
+
+
+def test_planned_super_step_is_nonnegative():
+    # from t0 = 1, with the next record 10 time units away, the mass share
+    # caps the super-step plan gives: it keeps every mass and the total
+    kernel, m0, dt = _profile_kernel()
+    tau, s, landed = kernel.plan(1.0, dt, 11.0, True, float(m0.sum()))
+    assert 4 <= s < solver.SUPER_STEP_STAGES and not landed
+    m = kernel.super_step(m0, tau, s, np.empty_like(m0))
+    assert m.min() >= 0.0
+    assert abs(m.sum() - m0.sum()) <= 1e-13 * m0.sum()
+
+
+def _super_step_oracle(kernel, m, tau, s):
+    """The stage recursion as it was before it became one product per
+    stage: P_j = mu_j (P_(j-1) + rate - a_(j-1) first) + nu_j P_(j-2) in
+    13 numpy calls per stage."""
+    mu, nu, a_prev = solver._RKL2
+    k = tau * 4.0 / (s * s + s - 2)
+    coef_k = kernel.coef * k
+    first = kernel.flux * k
+    p_new = first / 3.0
+    p_old, stage, tmp = (np.zeros_like(first) for _ in range(3))
+    u, w, rate = np.empty_like(m), np.empty_like(m), stage[1:-1]
+    for j in range(2, s + 1):
+        np.subtract(p_new[1:], p_new[:-1], out=u)
+        u += m
+        u *= kernel.inv_vol
+        solver._face_rates(kernel.power(u, w), coef_k, rate)
+        stage += p_new
+        np.multiply(first, a_prev[j], out=tmp)
+        stage -= tmp
+        stage *= mu[j]
+        p_old *= nu[j]
+        p_old += stage
+        p_old, p_new = p_new, p_old
+    return m + np.diff(p_new)
+
+
+@settings(max_examples=25, deadline=None)
+@given(s=st.integers(2, solver.SUPER_STEP_STAGES))
+def test_fused_stages_match_the_stage_recursion(s):
+    # one product c_j . stack per stage gives the recursion's masses to a
+    # few ulps of the largest mass per stage (about 2 at s = 200), at the
+    # longest tau that s stages reach
+    kernel, m0, _ = _profile_kernel(3.0)
+    tau = 0.25 * (s * s + s - 2) * kernel.explicit_bound()
+    expected = _super_step_oracle(kernel, m0, tau, s)
+    got = kernel.super_step(m0, tau, s, np.empty_like(m0))
+    scale = np.finfo(float).eps * np.abs(expected).max()
+    assert np.abs(got - expected).max() <= 4.0 * s * scale
+
+
+def _spectral_radius(kernel, u):
+    """The spectral radius of V^-1 L diag(p u**(p-1)), L the path Laplacian
+    of the face coefficients, from eigvalsh of its symmetrisation
+    (D/V)**(1/2) L (D/V)**(1/2): the oracle of the bound, which a run
+    never computes."""
+    root = np.sqrt(kernel.p * u ** (kernel.p - 1.0) * kernel.inv_vol)
+    off = kernel.coef * root[:-1] * root[1:]
+    matrix = np.diag(-kernel.reach * root * root) + np.diag(off, 1) + np.diag(off, -1)
+    return -np.linalg.eigvalsh(matrix)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 3), stretch=st.sampled_from([1.0, 1.02, 1.05]),
+       p=st.sampled_from([0.4, 0.5, 2.0 / 3.0, 0.9, 1.5, 2.0, 3.0]),
+       logs=st.lists(st.floats(-30.0, 0.0), min_size=40, max_size=40))
+def test_super_step_bound_covers_the_spectral_radius(d, stretch, p, logs):
+    # plan's dt_expl is 2 cfl over a bound on the spectral radius of the
+    # linearised operator, never shorter than the Gershgorin dt_expl of the
+    # Euler bound's form, which the Collatz-Wielandt bound gives with unit
+    # weights
+    grid = rf.build_grid(d, 8.0, 40, stretch=stretch)
+    u = 10.0 ** np.array(logs)
+    cfl = 0.9
+    kernel = solver._Kernel(grid, rf.ModelParams(d, p), cfl, 0.0)
+    np.copyto(kernel.u, u)
+    euler = kernel.load()  # no floor: for p > 1, the Gershgorin dt_expl
+    dt_expl = kernel.explicit_bound()
+    assert 2.0 * cfl / dt_expl >= _spectral_radius(kernel, u) * (1.0 - 1e-12)
+    gershgorin = cfl * np.min(kernel.geometry * u / kernel.w) if p < 1.0 else euler
+    assert dt_expl >= gershgorin * (1.0 - 1e-14)
+    unit = kernel.collatz_geometry(np.ones(grid.n))
+    np.testing.assert_allclose(unit, kernel.geometry, rtol=4.0 * np.finfo(float).eps)
+    kernel.spectral_geometry = unit
+    assert kernel.explicit_bound() == pytest.approx(gershgorin, rel=1e-14)
+
+
+def test_super_step_bound_is_tight_on_the_fd3_grid(run_fd3_gaussian, params_fd3):
+    # on the stretched fd3 grid Gershgorin's row bound is about 1.49 times
+    # the spectral radius (the d = 3 origin cell's row); the Collatz-Wielandt
+    # bound is within 1% of it
+    state = run_fd3_gaussian.final_state
+    kernel = solver._Kernel(state.grid, params_fd3, 0.85, 0.0)
+    np.copyto(kernel.u, state.u)
+    euler = kernel.load()
+    rho = _spectral_radius(kernel, state.u)
+    assert 2.0 * 0.85 / euler > 1.4 * rho
+    assert rho <= 2.0 * 0.85 / kernel.explicit_bound() <= 1.01 * rho
 
 
 def test_compact_support_runs_all_euler(run_pm1_barenblatt):
@@ -431,6 +538,10 @@ def test_positive_runs_take_super_steps(run_pm1_gaussian, run_fd3_gaussian):
         assert traj.rejected_super_steps == 0
         # a super-step wins only with s >= 4 stages
         assert traj.n_steps >= traj.euler_steps + 4 * traj.super_steps
+        assert 4 <= traj.max_stages <= solver.SUPER_STEP_STAGES
+        assert traj.n_steps <= traj.euler_steps + traj.max_stages * traj.super_steps
+    # 18,098 flux evaluations with Gershgorin's dt_expl
+    assert run_fd3_gaussian.n_steps <= 16_000
 
 
 def test_negative_super_step_is_redone_by_euler(monkeypatch, pm_setup):
