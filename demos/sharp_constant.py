@@ -27,7 +27,7 @@ for d, p in [(1, 2.0), (3, 2.0 / 3.0)]:
     params = rf.ModelParams(d, p)
     ref = rf.build_reference(params)
     rep = gn_constant_report(ref)
-    ext = extremality_test(ref, n_perturbations=20, seed=20260814)
+    ext = extremality_test(ref, seed=20260814)
     print(f"\nd={d} p={p:.4g}  (exponent pair q={rep['q']:.4g}, "
           f"theta={rep['theta']:.6f}, branch {rep['branch']})")
     print(f"  constant from J*            : {rep['c_gn']:.12f}")

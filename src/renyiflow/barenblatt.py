@@ -74,19 +74,14 @@ def profile_density(r: np.ndarray | float, params: ModelParams, c_star: float | 
     return (c_star + r * r) ** (1.0 / (p - 1.0))
 
 
-def self_similar_density(
-    r: np.ndarray | float,
-    t: float,
-    params: ModelParams,
-    c_star: float | None = None,
-) -> np.ndarray:
+def self_similar_density(r: np.ndarray | float, t: float, params: ModelParams) -> np.ndarray:
     """Source-type solution at time t > 0, evaluated at radii r.
 
     u(t, x) = t^(-d/mu) * kappa^(-d) * B(x / (kappa t^(1/mu))), which solves
     the flow with unit mass for every t; its second-moment functional grows
     exactly like t^(2/mu).
     """
-    return _self_similar(r, t, params, derive_exponents(params), c_star)
+    return _self_similar(r, t, params, derive_exponents(params), None)
 
 
 def _self_similar(r: np.ndarray | float, t: float | Sequence[float], params: ModelParams,

@@ -63,13 +63,12 @@ SIGN_TOL_REL = 1e-3
 SIGN_TOL_FLOOR = 1e-8
 
 # gn clause gates: dual-path constant agreement, perturbation gap floor
-# (relative to the extremal's quotient), the admissible band for the
-# small-amplitude gap growth rate, and the number of seeded perturbations.
+# (relative to the extremal's quotient) and the admissible band for the
+# small-amplitude gap growth rate.
 GN_CONSTANT_TOL = 1e-3
 GN_GAP_TOL_REL = 1e-6
 GN_SLOPE_TARGET = 2.0
 GN_SLOPE_BAND = 0.3
-GN_PERTURBATIONS = 20
 
 
 @dataclass(frozen=True)
@@ -241,8 +240,7 @@ def _delay_check(trajectory, *, name, delay_report, **_) -> tuple[Clauses, dict]
 
 def _check_gn(trajectory, *, gn_seed, **_) -> tuple[Clauses, dict]:
     const = gn_constant_report(trajectory.reference)
-    ext = extremality_test(trajectory.reference, n_perturbations=GN_PERTURBATIONS,
-                           seed=gn_seed)
+    ext = extremality_test(trajectory.reference, seed=gn_seed)
     slope_err = (abs(ext["slope"] - GN_SLOPE_TARGET)
                  if math.isfinite(ext["slope"]) else float("inf"))
     clauses: Clauses = {

@@ -35,6 +35,10 @@ if TYPE_CHECKING:  # barenblatt imports this module
 # Resolved second-difference windows whose right side is below this
 # fraction of the largest resolved one are too small to certify to 5%.
 FPP_SIGNIFICANCE_REL = 1e-3
+# Cells of the grid the extremal is sampled on, and the seeded perturbations
+# of it: PERTURBATIONS // 4 bump shapes, each at 4 amplitudes.
+EXTREMAL_CELLS = 4096
+PERTURBATIONS = 20
 
 
 @dataclass(frozen=True)
@@ -122,7 +126,7 @@ def gn_quotient(w: TestFunction, gn: GnParams) -> float:
     return grad**th * n2q ** (1.0 - th) / nq1
 
 
-def extremal_test_function(reference: BarenblattReference, n: int = 4096) -> TestFunction:
+def extremal_test_function(reference: BarenblattReference) -> TestFunction:
     """The profile extremal w = B**(p-1/2) sampled on a dedicated grid.
 
     p > 1: uniform grid slightly past the support edge so the gradient drop
@@ -133,9 +137,9 @@ def extremal_test_function(reference: BarenblattReference, n: int = 4096) -> Tes
     params = reference.params
     root_c = math.sqrt(reference.c_star)
     if params.p > 1.0:
-        grid = build_grid(params.d, 1.05 * root_c, n, stretch=1.0)
+        grid = build_grid(params.d, 1.05 * root_c, EXTREMAL_CELLS, stretch=1.0)
     else:
-        grid = build_grid(params.d, 1e5 * root_c, n, stretch=1.005)
+        grid = build_grid(params.d, 1e5 * root_c, EXTREMAL_CELLS, stretch=1.005)
     w = pow_fn(params.p - 0.5)(reference.profile(grid.centers))
     return TestFunction(grid=grid, w=w)
 
@@ -188,19 +192,16 @@ def _bump(grid: RadialGrid, center: float, width: float, edge: float | None) -> 
     return phi
 
 
-def extremality_test(reference: BarenblattReference, n_perturbations: int = 20,
-                     seed: int = DEFAULT_SEED) -> dict:
+def extremality_test(reference: BarenblattReference, seed: int = DEFAULT_SEED) -> dict:
     """Perturb the extremal with random smooth bumps and measure how far the
     quotient moves from its value q0 there (min_gap < 0 would contradict
     extremality).
 
-    n_perturbations = n_shapes * 4 amplitudes (eps in {+-0.05, +-0.1}); the
+    PERTURBATIONS = n_shapes * 4 amplitudes (eps in {+-0.05, +-0.1}); the
     positive part of w + eps*phi is taken, so large negative bumps clamp at
     zero and remain admissible. Also fits the small-amplitude growth of the
     gap (expected quadratic: log-log slope ~2) on the first bump shape.
     """
-    if n_perturbations < 4 or n_perturbations % 4 != 0:
-        raise ValueError("n_perturbations must be a positive multiple of 4")
     gn = gn_params_for(reference.params)
     tf = extremal_test_function(reference)
     q0 = gn_quotient(tf, gn)
@@ -208,7 +209,7 @@ def extremality_test(reference: BarenblattReference, n_perturbations: int = 20,
     edge = scale if reference.params.p > 1.0 else None
     w_max = float(tf.w.max())
 
-    n_shapes = n_perturbations // 4
+    n_shapes = PERTURBATIONS // 4
     uniforms = _lcg_uniforms(seed, 2 * n_shapes)
     shapes = []
     for k in range(n_shapes):
@@ -241,7 +242,7 @@ def extremality_test(reference: BarenblattReference, n_perturbations: int = 20,
         "min_gap": min(gaps),
         "slope": slope,
         "slope_gaps": small_gaps,
-        "n_perturbations": n_perturbations,
+        "n_perturbations": PERTURBATIONS,
         "seed": seed,
     }
 

@@ -13,11 +13,11 @@ evaluation (_Kernel.plan):
 
 - Euler (_Kernel.euler_step). The forward step m + dt diff(Phi), unless
   that would overdraw a cell, which happens in fast-diffusion tails, where
-  the step bound is relaxed by the diffusivity floor (u_floor). Then the
+  the step bound is relaxed by the diffusivity floor (below). Then the
   step is taken backward instead (_Kernel.implicit_step): linearly
   implicit, with the secant diffusivity
   K_j = dt c_j (w_j - w_(j-1))/(u_j - u_(j-1)) >= 0 on each face (the
-  tangent one at max(u_(j-1), u_j, u_floor) where the secant is 0/0; for
+  tangent one at max(u_(j-1), u_j, floor) where the secant is 0/0; for
   p < 1 it couples the empty cells too, which fill as far as the step
   reaches), it solves (V + A) u' = V u, A the path Laplacian of the K_j.
   V + A is an M-matrix, so u' >= 0 for any dt, with no limiter and no
@@ -48,18 +48,19 @@ nothing). It stays nonnegative while dt <= V_i / (D_i reach_i). On uniform
 grids that is dr**2/(2 D_i) in the interior for every d (exactly so in
 d = 1 and 2), where the textbook bound dr**2/(2 d D_i) is d times smaller;
 at cell 0 of a d = 3 grid it is dr**2/(3 D_i). The Euler step evaluates
-D_i at max(u_i, u_floor); the super-step's dt_expl evaluates it at u_i.
+D_i at max(u_i, floor), the floor eps max(u0) for p < 1 (eps the double
+epsilon) and 0 for p > 1; the super-step's dt_expl evaluates it at u_i.
+For p > 1 the floor would only shorten steps: at the unfloored bound a
+forward step keeps m_i' >= (1 - cfl/p) m_i, so it never overdraws.
 
 The super-step's rho bounds the spectral radius of the linearised update
 dm/dt = L diag(D) V^-1 m, L the path Laplacian of the c_j, or of its
-similar D V^-1 L. At cfl = 1 the Euler bound is 2 / rho with rho
-Gershgorin's row bound max_i 2 D_i reach_i / V_i of that matrix. For any
-positive weights x, Collatz-Wielandt's max_i D_i g_i, g_i =
-(|V^-1 L| x)_i / x_i, bounds it too; x comes from the grid alone, once per
-run (_perron_weights), and x = 1 gives Gershgorin's. dt_expl takes the
-tighter of the two (_Kernel.explicit_bound). On the stretched fd3 grid
-Gershgorin's is 1.49 times the spectral radius, set by the row of the
-d = 3 origin cell, and Collatz-Wielandt's is within 0.05% of it.
+similar D V^-1 L. For any positive weights x, Collatz-Wielandt's
+max_i D_i g_i, g_i = (|V^-1 L| x)_i / x_i, bounds it; x comes from the grid
+alone, once per run (_perron_weights). x = 1 gives Gershgorin's row bound
+max_i 2 D_i reach_i / V_i, whose 2 / rho is the Euler bound at cfl = 1; on
+the stretched fd3 grid that is 1.49 times the spectral radius, set by the
+row of the d = 3 origin cell, and Collatz-Wielandt's is within 0.05% of it.
 
 At these grid sizes (about 1000 cells) a flux evaluation costs numpy call
 overhead rather than arithmetic, so both integrators make as few calls as
@@ -73,9 +74,7 @@ they can:
 - the implicit step is one tridiagonal solve (_implicit_solve) in Python
   floats, about 0.3-0.5 ms at n = 1050 (2-core host, Python 3.11); on
   fd3_gaussian the first eight fill the 862 cells the datum leaves empty
-  (419 of them in the first), and 9 implicit steps among 48 Euler steps
-  replace 16,445 overdrawn forward steps (a donor-cell limiter ran on
-  each);
+  (419 of them in the first);
 - a super-step stage is 9 numpy calls at p = 2/3: three for the stage
   density, two for w = u**p, two for its rates, and P_j as one product
   c_j . stack (np.dot, a BLAS gemv) of the RKL2 weights with the rows
@@ -83,12 +82,6 @@ they can:
   beside one row copy;
 - a super-step is planned only when the record gap left exceeds 4 Euler
   steps, the least that s >= 4 stages need to win.
-Euler steps per run (the rest are super-steps): fd3_gaussian 48 (9 of them
-implicit) against 648 super-steps of at most 90 stages, 15,384 flux
-evaluations in all (18,098 with Gershgorin's rho alone); the 4,001-record
-exact run on its grid 0 against 4,000; fd3_mixture, pm1_gaussian and
-pm1_indicator 0; only the compact-support pm1_barenblatt is all Euler
-(38,282 steps).
 The guards are written so that a NaN fails them: a non-finite state raises
 StiffnessError or InstabilityError instead of ending the run early.
 """
@@ -148,14 +141,6 @@ class InstabilityError(RuntimeError):
 class SolverConfig:
     cfl: float = 0.9
     dt_min: float = 0.0
-    # None resolves to 0 for p > 1 and eps * max(u0) for p < 1 (eps the
-    # double epsilon); the floor enters the diffusivity of the Euler step's
-    # bound and, for p < 1, the tangent diffusivity with which the implicit
-    # step couples empty cells, never the state or the super-step's bound.
-    # A higher floor gives front dust (cells far below max u) longer Euler
-    # steps than its own bound would; a step that would overdraw it is
-    # taken implicitly.
-    u_floor: float | None = None
     record_every: float = 0.05
     # Explicit record offsets from the initial time (strictly increasing,
     # positive). When set they replace the uniform record_every schedule;
@@ -166,8 +151,6 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
-        if self.u_floor is not None and self.u_floor < 0.0:
-            raise ValueError("u_floor must be nonnegative")
         if self.record_every <= 0.0:
             raise ValueError("record_every must be positive")
         if self.record_times is not None:
@@ -289,7 +272,6 @@ class _Kernel:
         self.p, self.fast, self.cfl, self.u_floor = params.p, params.p < 1.0, cfl, u_floor
         self.spectral_geometry = self.collatz_geometry(
             _perron_weights(self.coef, reach, self.inv_vol))
-        self.tangent_floor = u_floor if self.fast else 0.0  # implicit_weights' floor
         self.power = pow_fn(params.p)
         self.factor_power = pow_fn(abs(params.p - 1.0))
         self.u, self.w, self.factor, self.scratch, self.gain = (np.empty(n) for _ in range(5))
@@ -347,12 +329,10 @@ class _Kernel:
 
     def explicit_bound(self) -> float:
         """dt_expl, the super-step's bound for the density in u: 2 cfl over
-        a bound on the spectral radius of the linearised operator, the
-        tighter of Gershgorin's (the Euler bound's form, unfloored) and
-        Collatz-Wielandt's (spectral_geometry)."""
+        the Collatz-Wielandt bound (spectral_geometry) on the spectral radius
+        of the linearised operator."""
         factor = self.factor_power(self.u, self.factor)  # u**|p-1|, unfloored
-        return max(self.bound(factor, self.geometry),
-                   self.bound(factor, self.spectral_geometry))
+        return self.bound(factor, self.spectral_geometry)
 
     def plan(self, t: float, dt: float, next_rec: float, filled: bool,
              mass: float) -> tuple[float, int, bool]:
@@ -417,7 +397,7 @@ class _Kernel:
         u_(j-1)), >= 0 as w = u**p is nondecreasing in u. Where that quotient
         is not finite (two empty or two equal cells) it is the tangent
         diffusivity step c_j p ubar**(p-1), ubar = max(u_(j-1), u_j, u_floor)
-        with the floor for p < 1 only. For p < 1 that bounds the diffusivity
+        (u_floor is 0 for p > 1). For p < 1 that bounds the diffusivity
         of every density up to ubar from below, so every face couples and
         empty cells fill as far as the step reaches, as the infinite speed
         of propagation says; for p > 1, D(0) = 0 keeps K = 0 between two
@@ -429,7 +409,7 @@ class _Kernel:
             np.subtract(u[1:], u[:-1], out=k)
             np.divide(self.flux[1:-1], k, out=k)
             k *= step / dt
-            ubar = np.maximum(np.maximum(u[1:], u[:-1]), self.tangent_floor)
+            ubar = np.maximum(np.maximum(u[1:], u[:-1]), self.u_floor)
             np.copyto(k, step * p * self.coef * ubar ** (p - 1.0), where=~np.isfinite(k))
         k[~np.isfinite(k)] = 0.0
         return k
@@ -500,7 +480,7 @@ class Trajectory:
     # the shortest and longest step or super-step taken (0 when none was)
     dt_min: float = 0.0
     dt_max: float = 0.0
-    u_floor: float = 0.0  # the resolved SolverConfig.u_floor
+    u_floor: float = 0.0  # the Euler step's diffusivity floor: eps max(u0) for p < 1, else 0
     # the records' E carries the far-field tail (whole_space_entropy)
     whole_space_entropy: bool = False
     wall_time: float = 0.0
@@ -560,8 +540,7 @@ def evolve(
 
     u0_max = float(state.u.max())
     u_cap = 10.0 * u0_max
-    traj.u_floor = config.u_floor if config.u_floor is not None else (
-        0.0 if params.p > 1.0 else float(np.finfo(float).eps) * u0_max)
+    traj.u_floor = 0.0 if params.p > 1.0 else float(np.finfo(float).eps) * u0_max
     whole_space = traj.whole_space_entropy = whole_space_entropy(
         state, reference, t_end)
     kernel = _Kernel(grid, params, config.cfl, traj.u_floor)
@@ -603,8 +582,8 @@ def evolve(
     while t < t_end:
         if not (dt > 0.0 and dt >= config.dt_min):
             raise StiffnessError(
-                f"stable dt {dt} below dt_min {config.dt_min} at t={t}; the state may be "
-                "non-finite, or for p < 1 a positive u_floor is required")
+                f"stable dt {dt} below dt_min {config.dt_min} at t={t}; "
+                "the state may be non-finite")
         tau, s, landed = kernel.plan(t, dt, next_rec, filled, mass)
         if s:
             traj.n_steps += s

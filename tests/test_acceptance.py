@@ -276,7 +276,7 @@ def test_criterion_10_interpolation_extremality(d, p):
     ref = rf.build_reference(params)
     const = gn_constant_report(ref)
     assert const["rel_discrepancy"] <= 1e-3
-    ext = extremality_test(ref, n_perturbations=20, seed=20260814)
+    ext = extremality_test(ref, seed=20260814)
     assert len(ext["gaps"]) == 20
     assert ext["min_gap"] >= 0.0
     assert abs(ext["slope"] - 2.0) <= 0.3

@@ -123,6 +123,8 @@ def test_barenblatt_datum_pins_expected_tau():
     (dict(solver={"cfl": 0.9, "dt_max": 1.0}), "unknown solver keys: dt_max"),
     # TINY gives record_every
     (dict(record_times=[0.01, 0.02]), "'record_every' and 'record_times'"),
+    # evolve derives the step floor
+    (dict(solver={"cfl": 0.9, "u_floor": 1e-9}), "unknown solver keys: u_floor"),
 ])
 def test_parse_rejections(mutation, fragment):
     with pytest.raises(ConfigError) as err:
@@ -318,14 +320,6 @@ def test_sweep_empty_directory(tmp_path, capsys):
     assert "nothing to run" in capsys.readouterr().out
 
 
-def test_sweep_list_file(tmp_path):
-    path = write_config(tmp_path / "one.json", tiny_config())
-    listing = tmp_path / "plan.txt"
-    listing.write_text(f"# comment\n{path}\n\n")
-    assert main(["sweep", str(listing), "--out", str(tmp_path / "out")]) == 0
-    assert (tmp_path / "out" / "one" / "trajectory.csv").exists()
-
-
 def test_run_all_checks_below_remainder_window(tmp_path):
     # d/(d+2) < p < 1 - 1/d: "all" must expand to checks that can run there
     doc = tiny_config(
@@ -458,17 +452,13 @@ def test_profile_constant_overflow_is_config_error(tmp_path, capsys):
 
 
 def test_report_records_resolved_floor(tmp_path):
-    # the step floor in use: eps * max(u0) for p < 1 by default, 0 for
-    # p > 1, and a configured floor as given
+    # the step floor in use: eps * max(u0) for p < 1, 0 for p > 1
     doc = tiny_config(d=3, p="2/3", grid={"r_max": 40.0, "n": 64, "stretch": 1.01},
                       t_end=0.01, checks=[])
     cfg = parse_config(doc)
     report = run_experiment(cfg, tmp_path / "fast", echo=None)
     u0_max = float(build_initial_state(cfg).u.max())
     assert report["run"]["u_floor"] == np.finfo(float).eps * u0_max
-    doc["solver"] = {"cfl": 0.9, "u_floor": 1e-9}
-    report = run_experiment(parse_config(doc), tmp_path / "set", echo=None)
-    assert report["run"]["u_floor"] == 1e-9
     report = run_experiment(parse_config(tiny_config()), tmp_path / "slow", echo=None)
     assert report["run"]["u_floor"] == 0.0
     on_disk = json.loads((tmp_path / "slow" / "report.json").read_text())

@@ -125,13 +125,6 @@ def test_extremality_gap_and_slope(ref_pm1):
     assert ext["min_gap"] >= -1e-6 * ext["q0"]
 
 
-def test_extremality_argument_validation(ref_pm1):
-    with pytest.raises(ValueError):
-        extremality_test(ref_pm1, n_perturbations=3)
-    with pytest.raises(ValueError):
-        extremality_test(ref_pm1, n_perturbations=0)
-
-
 def test_lcg_documented_recurrence():
     xs = []
     x = 7
