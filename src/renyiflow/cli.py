@@ -11,8 +11,7 @@ Config document (single JSON object):
       "t_end": 5.0,
       "record_every": 0.05,
       "checks": "all",
-      "seed": 20260814,
-      "output_dir": "out/example"
+      "seed": 20260814
     }
 
 p (and any other number) may be an exact fraction string "a/b"; this keeps
@@ -38,7 +37,7 @@ tolerance, and margin, and the run's step counts per integrator;
 summary.txt with those counts and one verdict line per check.
 
 Commands: `run CONFIG [--check NAME]` (NAME replaces the config's checks),
-`sweep DIR|CONFIG [--parallel N]` and `reference --d D --p P`.
+`sweep DIR|CONFIG` and `reference --d D --p P`.
 
 The gn check's perturbations come from the linear congruential generator
 x -> (1664525 x + 1013904223) mod 2**32 (seeded from "seed", default
@@ -98,7 +97,7 @@ _DATUM_ARGS = {
 _SOLVER_KEYS = ("cfl", "dt_min")
 
 _TOP_KEYS = ("d", "p", "initial_datum", "grid", "solver", "t_end",
-             "record_every", "record_times", "checks", "seed", "output_dir")
+             "record_every", "record_times", "checks", "seed")
 
 
 class ConfigError(ValueError):
@@ -160,7 +159,6 @@ class ExperimentConfig:
     t_end: float
     checks: tuple[str, ...]
     seed: int
-    output_dir: str | None
     # barenblatt data pin the expected delay at t0; other data leave it free
     expected_tau: float | None
 
@@ -301,15 +299,11 @@ def parse_config(document: dict | str, label: str = "config") -> ExperimentConfi
         raise _fail("checks", "expected 'all' or a list of check names")
 
     seed = _as_int(document.get("seed", DEFAULT_SEED), "seed")
-    output_dir = document.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise _fail("output_dir", "expected a string path")
 
     expected_tau = datum["t0"] if datum["kind"] == "barenblatt" else None
     return ExperimentConfig(
         label=label, params=params, datum=datum, grid=grid, solver=solver,
-        t_end=t_end, checks=checks, seed=seed, output_dir=output_dir,
-        expected_tau=expected_tau,
+        t_end=t_end, checks=checks, seed=seed, expected_tau=expected_tau,
     )
 
 
@@ -440,7 +434,10 @@ def _summary_lines(label: str, trajectory, results: list[CheckResult]) -> list[s
 def run_experiment(config: ExperimentConfig, out_dir: str | Path,
                    tol_scale: float = 1.0, echo=print) -> dict:
     """Run one config end to end; returns the report dict (also written
-    to report.json, next to trajectory.csv and summary.txt)."""
+    to report.json, next to trajectory.csv and summary.txt).
+
+    tol_scale multiplies every check tolerance; the CLI always runs at 1,
+    and the benchmark's self-test passes 1e-12 to force a failed run."""
     state = build_initial_state(config)
     trajectory = evolve(state, config.t_end, config.params, config.solver)
     out = Path(out_dir)  # made once there is a trajectory to write
@@ -479,14 +476,15 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
     return report
 
 
-def _run_path(path: str, out_root: str | None, tol_scale: float,
-              echo=print, check: str | None = None) -> tuple[str, dict | None, str | None]:
+def _run_path(path: str, out: str | Path | None, echo=print,
+              check: str | None = None) -> tuple[str, dict | None, str | None]:
     """Isolated single-config execution used by run and sweep.
 
-    check, when given, replaces the config's checks by that one name. The
-    error string starts with "config error" (exit 2), "solver abort" or
-    "unexpected error" (both exit 3); an unexpected error also prints its
-    traceback on stderr, so it can never pass for a failed check.
+    out defaults to out/<label>; check, when given, replaces the config's
+    checks by that one name. The error string starts with "config error"
+    (exit 2), "solver abort" or "unexpected error" (both exit 3); an
+    unexpected error also prints its traceback on stderr, so it can never
+    pass for a failed check.
     """
     label = Path(path).stem
     try:
@@ -494,9 +492,7 @@ def _run_path(path: str, out_root: str | None, tol_scale: float,
         if check is not None:
             config = dataclasses.replace(
                 config, checks=_requested_checks([check], config.params))
-        out = Path(out_root) if out_root else (
-            Path(config.output_dir) if config.output_dir else Path("out") / config.label)
-        report = run_experiment(config, out, tol_scale=tol_scale, echo=echo)
+        report = run_experiment(config, out or Path("out") / config.label, echo=echo)
         return label, report, None
     except ConfigError as e:
         return label, None, f"config error: {e}"
@@ -512,12 +508,6 @@ def _unexpected_error(e: Exception) -> str:
     """Print the traceback on stderr; the message maps to exit 3."""
     traceback.print_exc()
     return f"unexpected error: {type(e).__name__}: {e}"
-
-
-def _sweep_worker(args: tuple[str, str | None, float]) -> tuple[str, dict | None, str | None]:
-    path, out_root, tol_scale = args
-    sub = str(Path(out_root) / Path(path).stem) if out_root else None
-    return _run_path(path, sub, tol_scale, echo=None)
 
 
 def _collect_configs(spec: str) -> list[str]:
@@ -562,7 +552,7 @@ def _exit_code(label: str, report: dict | None, error: str | None) -> int:
 
 
 def cmd_run(args) -> int:
-    return _exit_code(*_run_path(args.config, args.out, args.tol_scale, check=args.check))
+    return _exit_code(*_run_path(args.config, args.out, check=args.check))
 
 
 def cmd_reference(args) -> int:
@@ -584,14 +574,7 @@ def cmd_sweep(args) -> int:
         print(f"sweep error: {e}", file=sys.stderr)
         return 2
     out_root = Path(args.out) if args.out else Path("out")
-    jobs = [(p, str(out_root), args.tol_scale) for p in paths]
-    if args.parallel > 1 and len(paths) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            rows = list(pool.map(_sweep_worker, jobs))
-    else:
-        rows = [_sweep_worker(job) for job in jobs]
+    rows = [_run_path(p, out_root / Path(p).stem, echo=None) for p in paths]
 
     merged = {
         "runs": [r[1] if r[1] is not None else {"label": r[0], "error": r[2]}
@@ -607,13 +590,6 @@ def cmd_sweep(args) -> int:
     return 0 if merged["all_passed"] else 1
 
 
-def _tol_scale(text: str) -> float:
-    x = float(text)
-    if not 0.0 < x < math.inf:  # NaN included
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
-    return x
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="renyiflow",
@@ -622,8 +598,6 @@ def main(argv=None) -> int:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--tol-scale", type=_tol_scale, default=1.0, dest="tol_scale",
-                        help="multiplies every default tolerance")
 
     p_run = sub.add_parser("run", parents=[common], help="run one config")
     p_run.add_argument("config")
@@ -633,7 +607,6 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", parents=[common],
                              help="run a directory of configs (or one config)")
     p_sweep.add_argument("configs")
-    p_sweep.add_argument("--parallel", type=int, default=1)
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_ref = sub.add_parser("reference", help="print closed-form reference values as JSON")

@@ -175,17 +175,23 @@ def build_grid(d: int, r_max: float, n: int, stretch: float = 1.0) -> RadialGrid
         raise ValueError(f"need at least 16 cells, got {n}")
     if stretch < 1.0:
         raise ValueError(f"stretch must be >= 1, got {stretch}")
-    if stretch == 1.0:
-        edges = np.linspace(0.0, r_max, n + 1)
-    else:
-        ratios = np.concatenate([[0.0], np.cumprod(np.full(n, stretch)) - 1.0])
-        edges = r_max * ratios / ratios[-1]
-        # cumprod drift can leave the last edge off by an ulp; pin it
-        edges[-1] = r_max
+    # stretch**n and r_max**d may overflow, and the inner edges' powers
+    # underflow; the check below rejects the cells that leaves
+    with np.errstate(over="ignore", invalid="ignore"):
+        if stretch == 1.0:
+            edges = np.linspace(0.0, r_max, n + 1)
+        else:
+            ratios = np.concatenate([[0.0], np.cumprod(np.full(n, stretch)) - 1.0])
+            edges = r_max * ratios / ratios[-1]
+            # cumprod drift can leave the last edge off by an ulp; pin it
+            edges[-1] = r_max
+        omega = sphere_area(d)
+        volumes = omega * np.diff(edges**d) / d
+    if not np.all((volumes > 0.0) & (volumes < math.inf)):  # a NaN fails it too
+        raise ValueError(f"stretch {stretch:g} over {n} cells to r_max {r_max:g} "
+                         "leaves an empty or non-finite cell")
     widths = np.diff(edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    omega = sphere_area(d)
-    volumes = omega * np.diff(edges**d) / d
     areas = omega * edges ** (d - 1)
     areas[0] = 0.0  # symmetry face carries no flux, also pins the d=1 case
     return RadialGrid(d=d, edges=edges, centers=centers, widths=widths,

@@ -1,7 +1,8 @@
-"""Code outside the package that calls into it by name: the README's library
-quick start and the benchmark's tracing hooks. Neither is imported by the
-package, so a renamed function or a changed signature would break them
-silently; these tests run them against the package as it is."""
+"""Text that names the package's parts but that no package code runs: the
+README's library quick start, the config examples of the README and the
+`cli` docstring, and the benchmark's tracing hooks. A renamed function, a
+changed signature or a removed config key would break them silently; these
+tests run them against the package as it is."""
 import importlib
 import importlib.util
 import math
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import renyiflow as rf
-from renyiflow import solver
+from renyiflow import cli, solver
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -22,6 +23,17 @@ def test_readme_quick_start_prints_true(capsys):
     block = re.search(r"## Quick start \(library\)\n\n```python\n(.*?)```", text, re.S)
     exec(compile(block.group(1), "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines()[-1] == "True"
+
+
+def test_documented_configs_parse():
+    readme = (ROOT / "README.md").read_text()
+    examples = {
+        "README": re.search(r"### Config schema\n\n```json\n(.*?)```", readme, re.S),
+        "cli docstring": re.search(r"\n\n(    \{\n.*?\n    \})\n", cli.__doc__, re.S),
+    }
+    for source, block in examples.items():
+        assert block is not None, source
+        cli.parse_config(block.group(1))
 
 
 def test_benchmark_wrap_points_resolve(monkeypatch):
