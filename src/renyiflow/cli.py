@@ -14,18 +14,8 @@ Config document (single JSON object):
       "seed": 20260814
     }
 
-p (and any other number) may be an exact fraction string "a/b"; this keeps
-pairs like 2/3 at the same float the closed-form references use. Datum
-kinds: barenblatt(t0) starts from the source-type solution at time t0, so
-the tau column should sit at t0 throughout; gaussian(width) is
-exp(-(r/width)^2); indicator(radius, smoothing) is a mollified step;
-table(r, u) interpolates samples linearly. Every datum is renormalized to
-unit mass. "record_times" (strictly increasing offsets) may replace
-"record_every" when a transient needs a nonuniform cadence; a config gives
-at most one of the two. "checks" is
-"all" (every check the regime admits, possibly none) or a list drawn from
-CHECK_NAMES; a listed check whose hypothesis fails at (d, p) is rejected at
-parse time.
+The README's "Config schema" states the rest: every key, the datum kinds
+with their fields, and the form of a config error.
 
 Outputs per run, in the output directory: trajectory.csv with columns
 t, dt, mass, theta, E, I, F, G, H, J, q, s, tau, rel_entropy, R (one row
@@ -87,14 +77,16 @@ _CSV_FIELDS = ("t", "dt", "mass", "theta", "entropy", "fisher", "f_power",
 _CSV_ROW = ",".join(["%.17g"] * len(_CSV_FIELDS)) + "\n"
 _csv_values = operator.attrgetter(*_CSV_FIELDS)
 
-_DATUM_ARGS = {
-    "barenblatt": ("t0",),
-    "gaussian": ("width",),
-    "indicator": ("radius", "smoothing"),
-    "table": ("r", "u"),
+# kind -> (its fields, all required; its profile u(r) given the parsed
+# datum, the model and the radii)
+_DATUM_KINDS = {
+    "barenblatt": (("t0",), lambda datum, params, r: self_similar_density(r, datum["t0"], params)),
+    "gaussian": (("width",), lambda datum, params, r: np.exp(-((r / datum["width"]) ** 2))),
+    "indicator": (("radius", "smoothing"), lambda datum, params, r: 0.5 * np.array(
+        [math.erfc(z) for z in ((r - datum["radius"]) / datum["smoothing"]).tolist()])),
+    "table": (("r", "u"), lambda datum, params, r: np.interp(
+        r, datum["r"], datum["u"], left=datum["u"][0], right=0.0)),
 }
-
-_SOLVER_KEYS = ("cfl", "dt_min")
 
 _TOP_KEYS = ("d", "p", "initial_datum", "grid", "solver", "t_end",
              "record_every", "record_times", "checks", "seed")
@@ -108,8 +100,23 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _fail(field: str, message: str) -> ConfigError:
-    return ConfigError(f"config field {field!r}: {message}")
+def _fail(field: str | None, message: str) -> ConfigError:
+    """A config error about one field; field None is the whole document."""
+    where = "config" if field is None else f"config field {field!r}"
+    return ConfigError(f"{where}: {message}")
+
+
+def _check_keys(raw, field: str | None, allowed: tuple, required: tuple) -> None:
+    """The one check of a JSON object's shape: an object, holding every
+    required key and no key outside allowed."""
+    if not isinstance(raw, dict):
+        raise _fail(field, f"expected {{{', '.join(allowed)}}}, got {type(raw).__name__}")
+    missing = [key for key in required if key not in raw]
+    if missing:
+        raise _fail(field, f"missing keys: {', '.join(missing)}")
+    unknown = set(raw) - set(allowed)
+    if unknown:
+        raise _fail(field, f"unknown keys: {', '.join(sorted(unknown))}")
 
 
 def _as_number(value, field: str) -> float:
@@ -159,24 +166,22 @@ class ExperimentConfig:
     t_end: float
     checks: tuple[str, ...]
     seed: int
-    # barenblatt data pin the expected delay at t0; other data leave it free
-    expected_tau: float | None
 
 
 def _parse_datum(raw) -> dict:
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise _fail("initial_datum", "expected an object with a 'kind' key")
-    kind = raw["kind"]
-    if kind not in _DATUM_ARGS:
-        raise _fail("initial_datum.kind",
-                    f"unknown kind {kind!r}; one of {', '.join(sorted(_DATUM_ARGS))}")
-    extra = set(raw) - {"kind", *_DATUM_ARGS[kind]}
-    if extra:
-        raise _fail("initial_datum", f"unexpected keys for {kind}: {', '.join(sorted(extra))}")
-    out: dict = {"kind": kind}
-    if kind == "table":
-        r = raw.get("r")
-        u = raw.get("u")
+    # a known kind picks the fields; a non-object or a missing kind is
+    # left to the key check
+    names = ()
+    if isinstance(raw, dict) and "kind" in raw:
+        kind = raw["kind"]
+        if not isinstance(kind, str) or kind not in _DATUM_KINDS:
+            raise _fail("initial_datum.kind",
+                        f"unknown kind {kind!r}; one of {', '.join(_DATUM_KINDS)}")
+        names = _DATUM_KINDS[kind][0]
+    _check_keys(raw, "initial_datum", ("kind", *names), ("kind", *names))
+    out: dict = {"kind": raw["kind"]}
+    if out["kind"] == "table":
+        r, u = raw["r"], raw["u"]
         if not isinstance(r, list) or not isinstance(u, list) or len(r) != len(u) or len(r) < 2:
             raise _fail("initial_datum", "table needs equal-length lists r, u with >= 2 samples")
         rv = np.array([_as_number(x, "initial_datum.r") for x in r])
@@ -187,9 +192,7 @@ def _parse_datum(raw) -> dict:
             raise _fail("initial_datum.u", "values must be nonnegative with positive mass")
         out["r"], out["u"] = rv.tolist(), uv.tolist()
         return out
-    for name in _DATUM_ARGS[kind]:
-        if name not in raw:
-            raise _fail(f"initial_datum.{name}", f"required for kind {kind!r}")
+    for name in names:
         val = _as_number(raw[name], f"initial_datum.{name}")
         if val <= 0.0:
             raise _fail(f"initial_datum.{name}", f"must be positive, got {val}")
@@ -226,14 +229,7 @@ def parse_config(document: dict | str, label: str = "config") -> ExperimentConfi
             document = json.loads(document)
         except json.JSONDecodeError as e:
             raise ConfigError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
-    if not isinstance(document, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(document) - set(_TOP_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    for key in ("d", "p", "initial_datum", "grid", "t_end"):
-        if key not in document:
-            raise ConfigError(f"missing required config key {key!r}")
+    _check_keys(document, None, _TOP_KEYS, ("d", "p", "initial_datum", "grid", "t_end"))
 
     d = _as_int(document["d"], "d")
     p = _as_number(document["p"], "p")
@@ -249,13 +245,7 @@ def parse_config(document: dict | str, label: str = "config") -> ExperimentConfi
     datum = _parse_datum(document["initial_datum"])
 
     raw_grid = document["grid"]
-    if not isinstance(raw_grid, dict):
-        raise _fail("grid", "expected {r_max, n, stretch}")
-    extra = set(raw_grid) - {"r_max", "n", "stretch"}
-    if extra:
-        raise _fail("grid", f"unexpected keys: {', '.join(sorted(extra))}")
-    if "r_max" not in raw_grid or "n" not in raw_grid:
-        raise _fail("grid", "needs r_max and n")
+    _check_keys(raw_grid, "grid", ("r_max", "n", "stretch"), ("r_max", "n"))
     r_max = _as_number(raw_grid["r_max"], "grid.r_max")
     n = _as_int(raw_grid["n"], "grid.n")
     stretch = _as_number(raw_grid.get("stretch", 1.0), "grid.stretch")
@@ -269,11 +259,7 @@ def parse_config(document: dict | str, label: str = "config") -> ExperimentConfi
         raise _fail("t_end", f"must be positive, got {t_end}")
 
     solver_raw = document.get("solver", {})
-    if not isinstance(solver_raw, dict):
-        raise _fail("solver", "expected an object of solver settings")
-    extra = set(solver_raw) - set(_SOLVER_KEYS)
-    if extra:
-        raise _fail("solver", f"unknown solver keys: {', '.join(sorted(extra))}")
+    _check_keys(solver_raw, "solver", ("cfl", "dt_min"), ())
     solver_kwargs = {k: _as_number(v, f"solver.{k}") for k, v in solver_raw.items()}
     if "record_times" in document:
         rt = document["record_times"]
@@ -299,12 +285,8 @@ def parse_config(document: dict | str, label: str = "config") -> ExperimentConfi
         raise _fail("checks", "expected 'all' or a list of check names")
 
     seed = _as_int(document.get("seed", DEFAULT_SEED), "seed")
-
-    expected_tau = datum["t0"] if datum["kind"] == "barenblatt" else None
-    return ExperimentConfig(
-        label=label, params=params, datum=datum, grid=grid, solver=solver,
-        t_end=t_end, checks=checks, seed=seed, expected_tau=expected_tau,
-    )
+    return ExperimentConfig(label=label, params=params, datum=datum, grid=grid, solver=solver,
+                            t_end=t_end, checks=checks, seed=seed)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -317,22 +299,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def build_initial_state(config: ExperimentConfig) -> DensityState:
-    datum = config.datum
-    kind = datum["kind"]
-    if kind == "barenblatt":
-        params = config.params
-        f = lambda r: self_similar_density(r, datum["t0"], params)
-    elif kind == "gaussian":
-        w = datum["width"]
-        f = lambda r: np.exp(-((r / w) ** 2))
-    elif kind == "indicator":
-        rad, sm = datum["radius"], datum["smoothing"]
-        f = lambda r: 0.5 * np.array([math.erfc(z) for z in ((r - rad) / sm).tolist()])
-    else:  # table
-        rv = np.asarray(datum["r"])
-        uv = np.asarray(datum["u"])
-        f = lambda r: np.interp(r, rv, uv, left=uv[0], right=0.0)
-    return project_initial(f, config.grid)
+    profile = _DATUM_KINDS[config.datum["kind"]][1]
+    return project_initial(lambda r: profile(config.datum, config.params, r), config.grid)
 
 
 def write_trajectory_csv(path: Path, trajectory) -> None:
@@ -455,7 +423,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
             "trajectory.csv is kept, no check ran")
     results = run_checks(
         config.checks, trajectory, tol_scale=tol_scale,
-        expected_tau=config.expected_tau, gn_seed=config.seed)
+        # a barenblatt datum, the one kind with a t0, pins the delay at t0
+        expected_tau=config.datum.get("t0"), gn_seed=config.seed)
     all_passed = all(r.passed for r in results if r.applicable)
     report = {
         "label": config.label,

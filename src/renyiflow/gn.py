@@ -267,7 +267,9 @@ def deficit_identity_check(trajectory) -> dict:
     rounding noise of the second difference, and magnitude at least
     FPP_SIGNIFICANCE_REL of the largest resolved value (a second
     difference cannot certify rates three decades below the trajectory's
-    own concavity scale).
+    own concavity scale). low_confidence is fpp_count == 0: no resolvable
+    window (a self-similar datum, say, keeps R at rounding level throughout)
+    leaves the identity untested rather than violated.
     """
     reference = trajectory.reference
     require(reference.params, "deficit integral",
@@ -310,10 +312,6 @@ def deficit_identity_check(trajectory) -> dict:
         target = 0.25 * (rhs[k - 1] + 2.0 * rhs[k] + rhs[k + 1])
         fpp_worst = float((np.abs(lhs - target) / np.abs(target)).max())
         fpp_count = int(k.size)
-    # No resolvable window (e.g. a self-similar datum keeps R at rounding
-    # level throughout) leaves the identity untested rather than violated;
-    # low_confidence records that below.
-    flagged = any("remainder_boundary" in r.flags for r in recs)
     return {
         "p_series": p_series,
         "p_raw_series": p_raw,
@@ -323,5 +321,5 @@ def deficit_identity_check(trajectory) -> dict:
         "fraction": fraction,
         "fpp_worst": fpp_worst,
         "fpp_count": fpp_count,
-        "low_confidence": flagged or fpp_count == 0,
+        "low_confidence": fpp_count == 0,
     }

@@ -33,7 +33,7 @@ class MatchingError(RuntimeError):
 
 
 def delay_lower_bound(record0: FunctionalRecord, reference: BarenblattReference,
-                      h_prime: float) -> tuple[float, float]:
+                      h_prime: float) -> float:
     """Quadratic lower bound on the total delay drop |tau(0) - tau(inf)|.
 
     The drop equals (1/H_star) * integral of (H_star - H(t)); since the gap
@@ -46,7 +46,7 @@ def delay_lower_bound(record0: FunctionalRecord, reference: BarenblattReference,
     h_prime is the measured initial slope H'(0); build_delay_report reads it
     off the first recorded interval. Initial data already at the profile up
     to discretization noise (relative H-gap or Cauchy-Schwarz slack below
-    DEGENERATE_REL) return (0.0, 0.0) rather than a 0/0 artifact.
+    DEGENERATE_REL) return 0.0 rather than a 0/0 artifact.
     """
     require(reference.params, "delay drop bound", "remainder_window", "finite_moments")
     d = reference.params.d
@@ -55,12 +55,12 @@ def delay_lower_bound(record0: FunctionalRecord, reference: BarenblattReference,
     denom = record0.theta * record0.fisher - d * record0.entropy**2
     if (abs(gap) <= DEGENERATE_REL * h_star or denom <= DEGENERATE_REL * d * record0.entropy**2
             or h_prime == 0.0):
-        return 0.0, 0.0
+        return 0.0
     t_star = gap / h_prime
     if t_star <= 0.0:
         # measured slope contradicts the monotone direction: noise floor
-        return 0.0, t_star
-    return t_star * abs(gap) / (2.0 * h_star), t_star
+        return 0.0
+    return t_star * abs(gap) / (2.0 * h_star)
 
 
 def q_envelope(q0: float, theta0: float, theta_t: float) -> float:
@@ -167,7 +167,7 @@ def build_delay_report(trajectory, expected_tau: float | None = None) -> DelayRe
     bound = drop_slack = None
     if unmet(params, "remainder_window") is None:
         h_prime = (recs[1].h_renyi - recs[0].h_renyi) / (recs[1].t - recs[0].t)
-        bound, _ = delay_lower_bound(recs[0], trajectory.reference, h_prime=h_prime)
+        bound = delay_lower_bound(recs[0], trajectory.reference, h_prime=h_prime)
         drop_slack = measured - bound
 
     return DelayReport(

@@ -2,22 +2,27 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import conftest
 import renyiflow as rf
 from renyiflow import barenblatt, cli
 from renyiflow.cli import (
     CSV_COLUMNS,
     ConfigError,
     build_initial_state,
+    load_config,
     main,
     parse_config,
     run_experiment,
 )
 from renyiflow.functionals import FunctionalRecord
-from renyiflow.solver import Trajectory
+from renyiflow.solver import SolverConfig, Trajectory
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TINY = {
     "d": 1,
@@ -50,7 +55,7 @@ def test_parse_minimal_config():
     assert cfg.t_end == 0.05
     assert cfg.checks == ("theorem1", "theorem2")
     assert cfg.solver.record_every == 0.01
-    assert cfg.expected_tau is None
+    assert cfg.datum == {"kind": "gaussian", "width": 1.0}
     assert cfg.seed == 20260814
 
 
@@ -73,10 +78,16 @@ def test_checks_deduplicate_preserving_order():
     assert cfg.checks == ("theorem2", "theorem1")
 
 
-def test_barenblatt_datum_pins_expected_tau():
-    cfg = parse_config(tiny_config(
-        initial_datum={"kind": "barenblatt", "t0": 1.5}))
-    assert cfg.expected_tau == 1.5
+@pytest.mark.parametrize("datum,clauses", [
+    ({"kind": "barenblatt", "t0": 1.5}, {"tau_monotone", "tau_flat"}),
+    ({"kind": "gaussian", "width": 1.0}, {"tau_monotone"}),
+], ids=["barenblatt", "gaussian"])
+def test_barenblatt_datum_pins_the_delay(tmp_path, datum, clauses):
+    # a barenblatt datum's age is the delay theorem3 holds tau flat at;
+    # other data leave tau free
+    cfg = parse_config(tiny_config(initial_datum=datum, checks=["theorem3"]))
+    (theorem3,) = run_experiment(cfg, tmp_path, echo=None)["checks"]
+    assert set(theorem3["clauses"]) == clauses
 
 
 @pytest.mark.parametrize("mutation,fragment", [
@@ -89,27 +100,28 @@ def test_barenblatt_datum_pins_expected_tau():
     (dict(p=[2]), "expected a number"),
     (dict(d=1.5), "expected an integer"),
     (dict(t_end=-1.0), "must be positive"),
-    (dict(grid={"r_max": 6.0}), "needs r_max and n"),
-    (dict(grid={"r_max": 6.0, "n": 64, "cells": 3}), "unexpected keys"),
+    (dict(grid={"r_max": 6.0}), "config field 'grid': missing keys: n"),
+    (dict(grid={"r_max": 6.0, "n": 64, "cells": 3}), "config field 'grid': unknown keys: cells"),
     (dict(grid=[6.0]), "expected {r_max, n, stretch}"),
     (dict(initial_datum={"kind": "blob"}), "unknown kind"),
-    (dict(initial_datum={"kind": "gaussian"}), "required for kind"),
+    (dict(initial_datum={"kind": "gaussian"}),
+     "config field 'initial_datum': missing keys: width"),
     (dict(initial_datum={"kind": "gaussian", "width": -1.0}), "must be positive"),
     (dict(initial_datum={"kind": "gaussian", "width": 1.0, "t0": 1.0}),
-     "unexpected keys"),
+     "config field 'initial_datum': unknown keys: t0"),
     (dict(initial_datum={"kind": "table", "r": [0.0, 1.0], "u": [1.0]}),
      "equal-length"),
     (dict(initial_datum={"kind": "table", "r": [1.0, 0.5], "u": [1.0, 1.0]}),
      "strictly increasing"),
     (dict(initial_datum={"kind": "table", "r": [0.0, 1.0], "u": [0.0, 0.0]}),
      "positive mass"),
-    (dict(solver={"cfl": 0.9, "verbose": True}), "unknown solver keys"),
+    (dict(solver={"cfl": 0.9, "verbose": True}), "config field 'solver': unknown keys: verbose"),
     (dict(solver={"cfl": 2.0}), "cfl"),
     (dict(record_times=[]), "nonempty"),
     (dict(record_times=[0.2, 0.1]), "strictly increasing"),
-    (dict(cadence=0.1), "unknown config keys"),
+    (dict(cadence=0.1), "config: unknown keys: cadence"),
     (dict(seed=1.5), "expected an integer"),
-    (dict(output_dir="out/x"), "unknown config keys: output_dir"),
+    (dict(output_dir="out/x"), "config: unknown keys: output_dir"),
     (dict(grid={"r_max": 6.0, "n": 12}), "at least 16 cells"),
     (dict(grid={"r_max": -1.0, "n": 64}), "r_max must be positive"),
     (dict(grid={"r_max": 6.0, "n": 64, "stretch": 0.5}), "stretch must be >= 1"),
@@ -120,11 +132,11 @@ def test_barenblatt_datum_pins_expected_tau():
     (dict(grid={"r_max": 10**400, "n": 64}), "must be finite"),
     # the grid is an object only, and the solver has no step cap
     (dict(grid=[6.0, 64, 1.0]), "expected {r_max, n, stretch}"),
-    (dict(solver={"cfl": 0.9, "dt_max": 1.0}), "unknown solver keys: dt_max"),
+    (dict(solver={"cfl": 0.9, "dt_max": 1.0}), "config field 'solver': unknown keys: dt_max"),
     # TINY gives record_every
     (dict(record_times=[0.01, 0.02]), "'record_every' and 'record_times'"),
     # evolve derives the step floor
-    (dict(solver={"cfl": 0.9, "u_floor": 1e-9}), "unknown solver keys: u_floor"),
+    (dict(solver={"cfl": 0.9, "u_floor": 1e-9}), "config field 'solver': unknown keys: u_floor"),
     # grids whose steps come out NaN: stretch**n overflows to non-finite
     # edges, the inner edges' cubes underflow to 403 cells of zero volume,
     # and r_max**3 overflows
@@ -134,6 +146,20 @@ def test_barenblatt_datum_pins_expected_tau():
      "stretch 1.5 over 1050 cells to r_max 896000 leaves an empty or non-finite cell"),
     (dict(d=3, grid={"r_max": 1e120, "n": 64}),
      "stretch 1 over 64 cells to r_max 1e+120 leaves an empty or non-finite cell"),
+    # every object's shape has one check: each datum kind's fields, and a
+    # non-object solver or datum
+    (dict(initial_datum={"kind": "barenblatt"}),
+     "config field 'initial_datum': missing keys: t0"),
+    (dict(initial_datum={"kind": "barenblatt", "t0": 1.0, "width": 1.0}),
+     "config field 'initial_datum': unknown keys: width"),
+    (dict(initial_datum={"kind": "indicator", "radius": 1.0}),
+     "config field 'initial_datum': missing keys: smoothing"),
+    (dict(initial_datum={"kind": "indicator", "radius": 1.0, "smoothing": 0.25, "t0": 1.0}),
+     "config field 'initial_datum': unknown keys: t0"),
+    (dict(solver=[0.9]), "config field 'solver': expected {cfl, dt_min}, got list"),
+    (dict(initial_datum="gaussian"), "config field 'initial_datum': expected {kind}, got str"),
+    # a kind that is not a string is unknown too, not a crash
+    (dict(initial_datum={"kind": ["gaussian"]}), "unknown kind ['gaussian']"),
 ])
 def test_parse_rejections(mutation, fragment):
     with pytest.raises(ConfigError) as err:
@@ -171,6 +197,19 @@ def test_initial_states_are_normalized(datum):
     state = build_initial_state(cfg)
     assert state.mass() == pytest.approx(1.0, abs=1e-13)
     assert np.all(state.u >= 0.0)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_configs_build_unit_mass(path):
+    state = build_initial_state(load_config(path))
+    assert state.mass() == pytest.approx(1.0, abs=1e-13)
+    assert np.all(state.u >= 0.0)
+
+
+def test_shipped_fd3_schedule_is_the_fixtures():
+    # the fd3 corpus fixtures stand in for configs/fd3_gaussian.json
+    assert load_config(CONFIGS / "fd3_gaussian.json").solver == SolverConfig(
+        cfl=0.85, record_times=conftest.FD3_RECORD_TIMES)
 
 
 def test_table_datum_interpolates_then_vanishes():
