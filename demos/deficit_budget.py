@@ -28,7 +28,7 @@ state = rf.project_initial(
     lambda r: sum(0.5 * rf.profile_density(r / s, params, ref.c_star) / s**3
                   for s in scales),
     grid)
-traj = rf.evolve(state, 1.5, params, rf.SolverConfig(cfl=0.85, record_every=0.0125))
+traj = rf.evolve(state, 1.5, params, rf.SolverConfig(record_every=0.0125))
 
 rep = deficit_identity_check(traj)
 (deficit,) = rf.run_checks(("deficit",), traj)

@@ -18,7 +18,7 @@ grid = rf.build_grid(1, 5.0, 800)
 
 t0 = 1.0
 state = rf.project_initial(lambda r: rf.self_similar_density(r, t0, params), grid)
-traj = rf.evolve(state, 1.0, params, rf.SolverConfig(cfl=0.85, record_every=0.25))
+traj = rf.evolve(state, 1.0, params, rf.SolverConfig(record_every=0.25))
 ref = traj.reference
 
 mu = ref.exponents.mu

@@ -20,7 +20,7 @@ params = rf.ModelParams(d=1, p=2.0)
 grid = rf.build_grid(1, 6.0, 800)
 
 state = rf.project_initial(lambda r: np.exp(-(r * r)), grid)
-traj = rf.evolve(state, 5.0, params, rf.SolverConfig(cfl=0.85, record_every=0.25))
+traj = rf.evolve(state, 5.0, params, rf.SolverConfig(record_every=0.25))
 ref = traj.reference
 
 print(f"porous medium d={params.d} p={params.p}, Gaussian data, horizon t = 5\n")

@@ -16,8 +16,7 @@ Run: python3 demos/sharp_constant.py
 import numpy as np
 
 import renyiflow as rf
-from renyiflow.gn import (TestFunction, extremality_test, gn_constant_report,
-                          gn_params_for, gn_quotient)
+from renyiflow.gn import TestFunction, extremality_test, gn_constant_report, gn_quotient
 
 print("interpolation exponent theta(d, q), both branches:")
 for d, q in [(1, 2.0), (3, 2.0), (3, 3.0), (1, 1.0 / 3.0)]:
@@ -39,12 +38,12 @@ for d, p in [(1, 2.0), (3, 2.0 / 3.0)]:
           f"(quadratic = 2)")
 
 # the quotient is dilation invariant: same Gaussian at two widths
-params = rf.ModelParams(1, 2.0)
-gn = gn_params_for(params)
+q = rf.build_reference(rf.ModelParams(1, 2.0)).exponents.gn_q
+theta = rf.gn_exponent(1, q)
 vals = []
 for lam in (1.0, 3.0):
     grid = rf.build_grid(1, 30.0 * lam, 2000)
     w = np.exp(-((grid.centers / lam) ** 2) / 2.0)
-    vals.append(gn_quotient(TestFunction(grid, w), gn))
+    vals.append(gn_quotient(TestFunction(grid, w), q, theta))
 print(f"\ndilation invariance of the quotient: Q(lam=1) = {vals[0]:.12f}, "
       f"Q(lam=3) = {vals[1]:.12f}, rel diff {abs(vals[0] / vals[1] - 1):.2e}")

@@ -7,7 +7,6 @@ Config document (single JSON object):
       "p": "2/3",
       "initial_datum": {"kind": "gaussian", "width": 1.0},
       "grid": {"r_max": 40.0, "n": 800, "stretch": 1.0},
-      "solver": {"cfl": 0.85},
       "t_end": 5.0,
       "record_every": 0.05,
       "checks": "all",
@@ -259,21 +258,24 @@ def parse_config(document: dict | str, label: str = "config") -> ExperimentConfi
         raise _fail("t_end", f"must be positive, got {t_end}")
 
     solver_raw = document.get("solver", {})
-    _check_keys(solver_raw, "solver", ("cfl", "dt_min"), ())
-    solver_kwargs = {k: _as_number(v, f"solver.{k}") for k, v in solver_raw.items()}
+    _check_keys(solver_raw, "solver", ("dt_min",), ())
+    solver = SolverConfig(**{k: _as_number(v, f"solver.{k}") for k, v in solver_raw.items()})
+    schedule = {}
     if "record_times" in document:
         rt = document["record_times"]
         if not isinstance(rt, list) or not rt:
             raise _fail("record_times", "expected a nonempty list of offsets")
-        solver_kwargs["record_times"] = tuple(
-            _as_number(x, "record_times") for x in rt)
+        schedule["record_times"] = tuple(_as_number(x, "record_times") for x in rt)
     if "record_every" in document:
-        solver_kwargs["record_every"] = _as_number(document["record_every"], "record_every")
-    try:
-        solver = SolverConfig(**solver_kwargs)
-    except ValueError as e:
-        raise ConfigError(f"config field 'solver': {e}") from e
-    if "record_every" in document and "record_times" in document:
+        schedule["record_every"] = _as_number(document["record_every"], "record_every")
+    # every check SolverConfig makes is on the record schedule: adding one
+    # key at a time lets its error name that key
+    for key, value in schedule.items():
+        try:
+            solver = dataclasses.replace(solver, **{key: value})
+        except ValueError as e:
+            raise _fail(key, str(e)) from e
+    if len(schedule) == 2:
         raise ConfigError("config fields 'record_every' and 'record_times': give one, not both")
 
     raw_checks = document.get("checks", "all")
@@ -299,8 +301,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def build_initial_state(config: ExperimentConfig) -> DensityState:
+    """The datum projected onto the grid at unit mass; a datum whose
+    projected mass is zero or not finite is a config error."""
     profile = _DATUM_KINDS[config.datum["kind"]][1]
-    return project_initial(lambda r: profile(config.datum, config.params, r), config.grid)
+    try:
+        return project_initial(lambda r: profile(config.datum, config.params, r), config.grid)
+    except ValueError as e:
+        raise _fail("initial_datum", str(e)) from e
 
 
 def write_trajectory_csv(path: Path, trajectory) -> None:

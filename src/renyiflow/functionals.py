@@ -40,7 +40,7 @@ from .params import ModelParams, require, unmet
 # stencils; their v = p/(p-1) u**(p-1) values are dominated by floor noise,
 # and 1e-6 clips a few percent. The cut also keeps the zero-flux wall's mass
 # pile-up of fast-diffusion runs out of R: on the fd3_mixture run (Euler
-# steps at cfl 0.85) a cut at 1e-28 leaves the windows at t <= 1.5 as they
+# steps at CFL 0.85) a cut at 1e-28 leaves the windows at t <= 1.5 as they
 # are but moves the -F'' target at t = 3 from 3.12e-4 to 6.74e-4, and with
 # no cut the concavity-rate clause reads 0.080. So late in such runs R
 # depends on this level.
@@ -221,7 +221,7 @@ def _q_ratio(g: RadialGrid, u: np.ndarray, w: np.ndarray, dv: np.ndarray,
 
 def _remainder(g: RadialGrid, u: np.ndarray, u_max: np.ndarray, w: np.ndarray,
                v: np.ndarray, v_slope: np.ndarray, entropy: np.ndarray,
-               params: ModelParams) -> tuple[np.ndarray, list[tuple[str, ...]]]:
+               reference: BarenblattReference) -> tuple[np.ndarray, list[tuple[str, ...]]]:
     """R = E [(sigma-1) int u^p (lap v - m)^2 + 2/(1-p) int u^p |D^2v - (lap v/d) Id|^2].
 
     v = p/(p-1) u**(p-1); m is the u^p-weighted mean of lap v over the
@@ -235,12 +235,11 @@ def _remainder(g: RadialGrid, u: np.ndarray, u_max: np.ndarray, w: np.ndarray,
     the result is flagged when stencils within three cells of the support
     edge carry more than REMAINDER_BOUNDARY_SHARE of the quadrature.
     """
-    p = params.p
-    d = params.d
+    p, d = reference.params.p, reference.params.d
+    sigma = reference.exponents.sigma
     k, n = u.shape
     if n < 3:
         raise ValueError("remainder needs at least 3 cells")
-    sigma = 2.0 / (d * (1.0 - p)) - 1.0
 
     mask = u >= REMAINDER_MASK_REL * u_max
     c = g.centers
@@ -452,7 +451,7 @@ def diagnostics(states: Sequence[DensityState], reference: BarenblattReference,
         live = _live_faces(u, u_max, g.center_gaps)
         fisher, flags_f = _fisher(g, u, u_max, live, params)
         q_ratio, flags_q = _q_ratio(g, u, w, dv, v_slope, live)
-        remainder, flags_r = _remainder(g, u, u_max, w, v, v_slope, entropy, params)
+        remainder, flags_r = _remainder(g, u, u_max, w, v, v_slope, entropy, reference)
 
     nan = float("nan")
     matched = unmet(params, "finite_moments") is None and math.isfinite(reference.theta_star)

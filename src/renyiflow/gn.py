@@ -27,7 +27,7 @@ import numpy as np
 
 from ._pow import pow_fn
 from .grid import RadialGrid, build_grid, cumulative_trapezoid, uniform_interior
-from .params import EDGE_TOL, ModelParams, RegimeError, require
+from .params import EDGE_TOL, RegimeError, require
 
 if TYPE_CHECKING:  # barenblatt imports this module
     from .barenblatt import BarenblattReference
@@ -39,15 +39,6 @@ FPP_SIGNIFICANCE_REL = 1e-3
 # of it: PERTURBATIONS // 4 bump shapes, each at 4 amplitudes.
 EXTREMAL_CELLS = 4096
 PERTURBATIONS = 20
-
-
-@dataclass(frozen=True)
-class GnParams:
-    """Interpolation family: Lebesgue index q, exponent theta, branch tag."""
-
-    q: float
-    theta: float
-    branch: str  # "GN1" (q > 1) or "GN2" (0 < q < 1)
 
 
 @dataclass(frozen=True)
@@ -87,16 +78,6 @@ def gn_exponent(d: int, q: float) -> float:
     raise RegimeError(f"index q = {q} is outside both branches (q = 1 is excluded)")
 
 
-def gn_params_for(params: ModelParams) -> GnParams:
-    """Interpolation family attached to the diffusion exponent p via q = 1/(2p-1)."""
-    require(params, "interpolation conversion", "gn_conversion")
-    p = params.p
-    q = 1.0 / (2.0 * p - 1.0)
-    theta = gn_exponent(params.d, q)
-    branch = "GN1" if q > 1.0 else "GN2"
-    return GnParams(q=q, theta=theta, branch=branch)
-
-
 def sharp_constant_from_j(j_star: float, theta: float, p: float) -> float:
     """C = (j_star * ((2p-1)/(2p))**2)**(theta/2)."""
     return (j_star * ((2.0 * p - 1.0) / (2.0 * p)) ** 2) ** (0.5 * theta)
@@ -113,17 +94,16 @@ def _norms(tf: TestFunction, q: float) -> tuple[float, float, float]:
     return math.sqrt(grad2), n2q, nq1
 
 
-def gn_quotient(w: TestFunction, gn: GnParams) -> float:
+def gn_quotient(w: TestFunction, q: float, theta: float) -> float:
     """Scale- and amplitude-invariant quotient whose minimum is the sharp
-    constant: GN1 uses |grad w|^th |w|_{q+1}^{1-th} / |w|_{2q}, GN2 swaps
-    the roles of the 2q- and (q+1)-norms."""
-    grad, n2q, nq1 = _norms(w, gn.q)
+    constant: GN1 (q > 1) uses |grad w|^theta |w|_{q+1}^{1-theta} / |w|_{2q},
+    GN2 (q < 1) swaps the roles of the 2q- and (q+1)-norms."""
+    grad, n2q, nq1 = _norms(w, q)
     if grad == 0.0 or n2q == 0.0 or nq1 == 0.0:
         raise ValueError("zero-norm test function")
-    th = gn.theta
-    if gn.branch == "GN1":
-        return grad**th * nq1 ** (1.0 - th) / n2q
-    return grad**th * n2q ** (1.0 - th) / nq1
+    if q > 1.0:
+        return grad**theta * nq1 ** (1.0 - theta) / n2q
+    return grad**theta * n2q ** (1.0 - theta) / nq1
 
 
 def extremal_test_function(reference: BarenblattReference) -> TestFunction:
@@ -151,19 +131,21 @@ def gn_constant_report(reference: BarenblattReference) -> dict:
     the quotient of the extremal actually attains; the bare j_star**(theta/2)
     reading is reported alongside for comparison.
     """
-    gn = gn_params_for(reference.params)
-    require(reference.params, "the sharp constant", "remainder_window")  # else c_gn is None
+    # c_gn is None outside these windows
+    require(reference.params, "the sharp constant", "gn_conversion", "remainder_window")
+    q = reference.exponents.gn_q
+    theta = gn_exponent(reference.params.d, q)
     c_formula = reference.c_gn
     tf = extremal_test_function(reference)
-    c_quotient = gn_quotient(tf, gn)
+    c_quotient = gn_quotient(tf, q, theta)
     return {
-        "q": gn.q,
-        "theta": gn.theta,
-        "branch": gn.branch,
+        "q": q,
+        "theta": theta,
+        "branch": "GN1" if q > 1.0 else "GN2",
         "c_gn": c_formula,
         "quotient": c_quotient,
         "rel_discrepancy": abs(c_formula - c_quotient) / c_formula,
-        "asymptote_form": reference.j_star ** (0.5 * gn.theta),
+        "asymptote_form": reference.j_star ** (0.5 * theta),
     }
 
 
@@ -202,9 +184,11 @@ def extremality_test(reference: BarenblattReference, seed: int = DEFAULT_SEED) -
     zero and remain admissible. Also fits the small-amplitude growth of the
     gap (expected quadratic: log-log slope ~2) on the first bump shape.
     """
-    gn = gn_params_for(reference.params)
+    require(reference.params, "interpolation conversion", "gn_conversion")
+    q = reference.exponents.gn_q
+    theta = gn_exponent(reference.params.d, q)
     tf = extremal_test_function(reference)
-    q0 = gn_quotient(tf, gn)
+    q0 = gn_quotient(tf, q, theta)
     scale = math.sqrt(reference.c_star)
     edge = scale if reference.params.p > 1.0 else None
     w_max = float(tf.w.max())
@@ -221,14 +205,14 @@ def extremality_test(reference: BarenblattReference, seed: int = DEFAULT_SEED) -
     for phi in shapes:
         for eps in (0.05, -0.05, 0.1, -0.1):
             wp = TestFunction(tf.grid, np.maximum(tf.w + eps * phi, 0.0))
-            gaps.append(gn_quotient(wp, gn) - q0)
+            gaps.append(gn_quotient(wp, q, theta) - q0)
 
     slope = float("nan")
     eps_small = (0.0125, 0.025, 0.05, 0.1)
     small_gaps = []
     for eps in eps_small:
         wp = TestFunction(tf.grid, np.maximum(tf.w + eps * shapes[0], 0.0))
-        small_gaps.append(gn_quotient(wp, gn) - q0)
+        small_gaps.append(gn_quotient(wp, q, theta) - q0)
     if all(g > 0.0 for g in small_gaps):
         # least-squares line through the centred points (no LAPACK)
         x = np.log(np.array(eps_small))

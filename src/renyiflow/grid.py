@@ -258,20 +258,25 @@ def project_initial(
     The scheme evolves cell averages m_i / V_i, so the datum is one too:
     u_i = (omega_d / V_i) int over the shell of f(r) r**(d-1) dr, by
     PROJECTION_NODES-point Gauss-Legendre per shell. f is called once, on
-    the (n * PROJECTION_NODES,) array of nodes.
+    the (n * PROJECTION_NODES,) array of nodes. A profile whose values or
+    mass are not finite, or whose mass is not positive, raises ValueError.
     """
     s, wts = _gauss_legendre(PROJECTION_NODES)
     lo = grid.edges[:-1, None]
     width = grid.widths[:, None]
     r = (lo + width * s).ravel()
-    values = np.asarray(f(r), dtype=float)
-    if values.shape != r.shape:
-        raise ValueError("initial profile must return one value per radius")
-    if np.any(values < 0.0) or not np.all(np.isfinite(values)):
-        raise ValueError("initial profile must be finite and nonnegative")
-    shell = (values * r ** (grid.d - 1)).reshape(grid.n, -1) @ wts
-    u = sphere_area(grid.d) * grid.widths * shell / grid.volumes
-    mass = grid.integrate(u)
-    if mass <= 0.0:
-        raise ValueError("initial profile has zero mass, cannot renormalize")
+    # an overflow either rounds a value to zero (exp(-inf)) or leaves a
+    # non-finite value or mass, which the checks below reject
+    with np.errstate(over="ignore"):
+        values = np.asarray(f(r), dtype=float)
+        if values.shape != r.shape:
+            raise ValueError("initial profile must return one value per radius")
+        if np.any(values < 0.0) or not np.all(np.isfinite(values)):
+            raise ValueError("initial profile must be finite and nonnegative")
+        shell = (values * r ** (grid.d - 1)).reshape(grid.n, -1) @ wts
+        u = sphere_area(grid.d) * grid.widths * shell / grid.volumes
+        mass = grid.integrate(u)
+    if not (math.isfinite(mass) and mass > 0.0):
+        raise ValueError(f"initial profile has mass {mass}, not finite and positive; "
+                         "cannot renormalize")
     return DensityState(grid=grid, u=u / mass, t=t)

@@ -27,14 +27,17 @@ evaluation (_Kernel.plan):
   IMPLICIT_STEP_MASS_SHARE * mass / ||dm/dt||_1, cut at the record.
 - Second-order Runge-Kutta-Legendre (RKL2) super-steps (Meyer, Balsara &
   Aslam, J. Comput. Phys. 257, 2014): s flux evaluations advance
-  tau <= dt_expl (s**2 + s - 2)/4, with dt_expl = 2 cfl / rho and rho the
+  tau <= dt_expl (s**2 + s - 2)/4, with dt_expl = 2 CFL / rho and rho the
   spectral-radius bound below. Each stage is written as Y_j = m + diff(P_j),
   the recursion run on the face sums P_j, so mass telescopes exactly as in
   the Euler step. A super-step is taken only on a state with no empty cell
-  (for p > 1 an empty cell next to a filled one is a front, which a
-  super-step would overdraw; for p < 1 an empty cell makes dt_expl zero),
   and one that leaves any negative mass is discarded and redone by an Euler
-  step; it never clips.
+  step; it never clips. For p < 1 an empty cell makes dt_expl zero. For
+  p > 1 an empty cell next to a filled one is a front, and the rule keeps
+  super-steps off it for accuracy, not positivity: lifted on pm1_barenblatt
+  it rejected no super-step, but at the full SUPER_STEP_MASS_SHARE across
+  the front the L1 error stalled near 3e-5 and criterion 02's convergence
+  ratio read 0.85 (ROADMAP item 1).
   Its length is capped by the rest of the record gap, by SUPER_STEP_STAGES
   stages and by tau ||dm/dt||_1 <= SUPER_STEP_MASS_SHARE * mass; a binding
   cap cuts the rest of the gap into equal pieces.
@@ -51,14 +54,15 @@ at cell 0 of a d = 3 grid it is dr**2/(3 D_i). The Euler step evaluates
 D_i at max(u_i, floor), the floor eps max(u0) for p < 1 (eps the double
 epsilon) and 0 for p > 1; the super-step's dt_expl evaluates it at u_i.
 For p > 1 the floor would only shorten steps: at the unfloored bound a
-forward step keeps m_i' >= (1 - cfl/p) m_i, so it never overdraws.
+forward step keeps m_i' >= (1 - CFL/p) m_i, so it never overdraws, and the
+implicit step serves p < 1 only.
 
 The super-step's rho bounds the spectral radius of the linearised update
 dm/dt = L diag(D) V^-1 m, L the path Laplacian of the c_j, or of its
 similar D V^-1 L. For any positive weights x, Collatz-Wielandt's
 max_i D_i g_i, g_i = (|V^-1 L| x)_i / x_i, bounds it; x comes from the grid
 alone, once per run (_perron_weights). x = 1 gives Gershgorin's row bound
-max_i 2 D_i reach_i / V_i, whose 2 / rho is the Euler bound at cfl = 1; on
+max_i 2 D_i reach_i / V_i, whose 2 / rho is the Euler bound over CFL; on
 the stretched fd3 grid that is 1.49 times the spectral radius, set by the
 row of the d = 3 origin cell, and Collatz-Wielandt's is within 0.05% of it.
 
@@ -68,9 +72,9 @@ they can:
 - the face coefficients c_j, the stability geometry V_i/(p reach_i) and
   its Collatz-Wielandt counterpart 2/(p g_i) are computed once per run;
 - every temporary is preallocated and written with out=;
-- the step bound cfl min_i V_i/(D_i reach_i), D_i = p max(u_i, floor)^(p-1),
-  is read as cfl min(geometry * factor) for p < 1 and as
-  cfl / max(factor / geometry) for p > 1, so neither regime divides by zero;
+- the step bound CFL min_i V_i/(D_i reach_i), D_i = p max(u_i, floor)^(p-1),
+  is read as CFL min(geometry * factor) for p < 1 and as
+  CFL / max(factor / geometry) for p > 1, so neither regime divides by zero;
 - the implicit step is one tridiagonal solve (_implicit_solve) in Python
   floats, about 0.3-0.5 ms at n = 1050 (2-core host, Python 3.11); on
   fd3_gaussian the first eight fill the 862 cells the datum leaves empty
@@ -101,6 +105,11 @@ from .barenblatt import BarenblattReference, build_reference
 from .grid import DensityState, RadialGrid
 from .functionals import FunctionalRecord, diagnostics, whole_space_entropy
 
+# The safety factor of both step bounds: the Euler bound CFL min_i V_i /
+# (D_i reach_i) and the super-step's dt_expl = 2 CFL / rho. 0.85 is the value
+# every shipped config, demo and benchmark run used when it was a setting,
+# and at CFL < 1 < p a forward step keeps m' >= (1 - CFL/p) m.
+CFL = 0.85
 # Most stages of one super-step, and the share of the mass one super-step
 # may move: tau * ||dm/dt||_1 <= SUPER_STEP_MASS_SHARE * mass. The mass cap
 # keeps super-steps from jumping a fast transient: on pm1_indicator's datum
@@ -139,7 +148,6 @@ class InstabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    cfl: float = 0.9
     dt_min: float = 0.0
     record_every: float = 0.05
     # Explicit record offsets from the initial time (strictly increasing,
@@ -149,8 +157,6 @@ class SolverConfig:
     record_times: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.cfl <= 1.0:
-            raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
         if self.record_every <= 0.0:
             raise ValueError("record_every must be positive")
         if self.record_times is not None:
@@ -251,14 +257,13 @@ def _implicit_solve(k: np.ndarray, volumes: np.ndarray, m: np.ndarray) -> np.nda
 
 
 class _Kernel:
-    """Per-run constants and scratch arrays of one grid, exponent and cfl,
-    and every integrator over them: the Euler step (euler_step, backward by
+    """Per-run constants and scratch arrays of one grid and exponent, and
+    every integrator over them: the Euler step (euler_step, backward by
     implicit_step where the forward update would overdraw), the RKL2
     super-step (super_step), the rule that picks between them (plan) and
     the Euler bound (load)."""
 
-    def __init__(self, grid: RadialGrid, params: ModelParams, cfl: float,
-                 u_floor: float) -> None:
+    def __init__(self, grid: RadialGrid, params: ModelParams, u_floor: float) -> None:
         n = grid.n
         self.coef = grid.areas[1:-1] / grid.center_gaps
         self.volumes = grid.volumes
@@ -269,7 +274,7 @@ class _Kernel:
         reach[:-1] += self.coef
         reach[1:] += self.coef
         self.geometry = grid.volumes / (params.p * reach)
-        self.p, self.fast, self.cfl, self.u_floor = params.p, params.p < 1.0, cfl, u_floor
+        self.p, self.fast, self.u_floor = params.p, params.p < 1.0, u_floor
         self.spectral_geometry = self.collatz_geometry(
             _perron_weights(self.coef, reach, self.inv_vol))
         self.power = pow_fn(params.p)
@@ -304,8 +309,8 @@ class _Kernel:
         return self.factor_power(self.scratch, self.factor)
 
     def bound(self, factor: np.ndarray, geometry: np.ndarray) -> float:
-        """cfl min_i geometry_i u_i**(1-p), from factor = u**|p-1|: read as
-        cfl min(geometry * factor) for p < 1 and as cfl / max(factor /
+        """CFL min_i geometry_i u_i**(1-p), from factor = u**|p-1|: read as
+        CFL min(geometry * factor) for p < 1 and as CFL / max(factor /
         geometry) for p > 1, so neither regime divides by zero (inf when
         every factor is 0). A NaN in factor gives a NaN bound.
 
@@ -315,20 +320,20 @@ class _Kernel:
         out = self.scratch
         if self.fast:
             np.multiply(geometry, factor, out=out)
-            return self.cfl * float(out[out.argmin()])
+            return CFL * float(out[out.argmin()])
         np.divide(factor, geometry, out=out)
         worst = float(out[out.argmax()])
-        return self.cfl / worst if worst != 0.0 else math.inf
+        return CFL / worst if worst != 0.0 else math.inf
 
     def load(self) -> float:
         """w = u**p and the face rates (into flux) of the density in u, and
-        its Euler bound cfl min_i V_i / (D_i reach_i) from the stability
+        its Euler bound CFL min_i V_i / (D_i reach_i) from the stability
         factor and geometry V/(p reach)."""
         _face_rates(self.power(self.u, self.w), self.coef, self.flux[1:-1])
         return self.bound(self.stability_factor(), self.geometry)
 
     def explicit_bound(self) -> float:
-        """dt_expl, the super-step's bound for the density in u: 2 cfl over
+        """dt_expl, the super-step's bound for the density in u: 2 CFL over
         the Collatz-Wielandt bound (spectral_geometry) on the spectral radius
         of the linearised operator."""
         factor = self.factor_power(self.u, self.factor)  # u**|p-1|, unfloored
@@ -543,7 +548,7 @@ def evolve(
     traj.u_floor = 0.0 if params.p > 1.0 else float(np.finfo(float).eps) * u0_max
     whole_space = traj.whole_space_entropy = whole_space_entropy(
         state, reference, t_end)
-    kernel = _Kernel(grid, params, config.cfl, traj.u_floor)
+    kernel = _Kernel(grid, params, traj.u_floor)
     u = kernel.u
     np.copyto(u, state.u)
     m = u * grid.volumes
@@ -608,7 +613,7 @@ def evolve(
         if not (u_max <= u_cap):
             raise InstabilityError(
                 f"density maximum {u_max} exceeds 10x the initial maximum at "
-                f"t={t + dt} (step {traj.n_steps}); reduce cfl"
+                f"t={t + dt} (step {traj.n_steps}): the step was unstable"
             )
         if landed:
             t = next_rec

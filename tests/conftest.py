@@ -60,14 +60,14 @@ def grid_fd3(params_fd3):
 @pytest.fixture(scope="session")
 def run_fd3_gaussian(params_fd3, grid_fd3):
     state = rf.project_initial(lambda r: np.exp(-r * r), grid_fd3)
-    config = rf.SolverConfig(cfl=0.85, record_times=FD3_RECORD_TIMES)
+    config = rf.SolverConfig(record_times=FD3_RECORD_TIMES)
     return rf.evolve(state, 5.0, params_fd3, config)
 
 
 @pytest.fixture(scope="session")
 def run_fd3_mixture(params_fd3, ref_fd3, grid_fd3):
     state = rf.project_initial(mixture_profile(ref_fd3), grid_fd3)
-    config = rf.SolverConfig(cfl=0.85, record_every=0.0125)
+    config = rf.SolverConfig(record_every=0.0125)
     return rf.evolve(state, 5.0, params_fd3, config)
 
 
@@ -78,7 +78,7 @@ def run_pm1_barenblatt(params_pm1):
     grid = rf.build_grid(1, 5.0, 800)
     state = rf.project_initial(
         lambda r: rf.self_similar_density(r, 1.0, params_pm1), grid)
-    config = rf.SolverConfig(cfl=0.85, record_every=0.05)
+    config = rf.SolverConfig(record_every=0.05)
     return rf.evolve(state, 1.0, params_pm1, config)
 
 
@@ -86,7 +86,7 @@ def run_pm1_barenblatt(params_pm1):
 def run_pm1_gaussian(params_pm1):
     grid = rf.build_grid(1, 6.0, 800)
     state = rf.project_initial(lambda r: np.exp(-r * r), grid)
-    config = rf.SolverConfig(cfl=0.85, record_every=0.0125)
+    config = rf.SolverConfig(record_every=0.0125)
     return rf.evolve(state, 5.0, params_pm1, config)
 
 
@@ -96,7 +96,7 @@ def run_pm1_indicator(params_pm1):
 
     grid = rf.build_grid(1, 6.0, 800)
     state = rf.project_initial(lambda r: 0.5 * erfc((r - 1.0) / 0.25), grid)
-    config = rf.SolverConfig(cfl=0.85, record_every=0.0125)
+    config = rf.SolverConfig(record_every=0.0125)
     return rf.evolve(state, 1.0, params_pm1, config)
 
 

@@ -115,7 +115,7 @@ def test_criterion_02_source_solution_convergence(params_pm1, ref_pm1):
         state = rf.project_initial(
             lambda r: rf.self_similar_density(r, 1.0, params_pm1), grid)
         traj = rf.evolve(state, 1.0, params_pm1,
-                         rf.SolverConfig(cfl=0.85, record_every=0.5))
+                         rf.SolverConfig(record_every=0.5))
         exact = ref_pm1.self_similar(grid.centers, 2.0)
         errs[n] = grid.integrate(np.abs(traj.final_state.u - exact))
     ratio = errs[400] / errs[800]

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,6 @@ TINY = {
     "p": 2,
     "initial_datum": {"kind": "gaussian", "width": 1.0},
     "grid": {"r_max": 6.0, "n": 64},
-    "solver": {"cfl": 0.9},
     "t_end": 0.05,
     "record_every": 0.01,
     "checks": ["theorem1", "theorem2"],
@@ -115,7 +115,8 @@ def test_barenblatt_datum_pins_the_delay(tmp_path, datum, clauses):
      "strictly increasing"),
     (dict(initial_datum={"kind": "table", "r": [0.0, 1.0], "u": [0.0, 0.0]}),
      "positive mass"),
-    (dict(solver={"cfl": 0.9, "verbose": True}), "config field 'solver': unknown keys: verbose"),
+    (dict(solver={"verbose": True}), "config field 'solver': unknown keys: verbose"),
+    # the CFL number is the solver's constant: cfl is an unknown key
     (dict(solver={"cfl": 2.0}), "cfl"),
     (dict(record_times=[]), "nonempty"),
     (dict(record_times=[0.2, 0.1]), "strictly increasing"),
@@ -132,11 +133,11 @@ def test_barenblatt_datum_pins_the_delay(tmp_path, datum, clauses):
     (dict(grid={"r_max": 10**400, "n": 64}), "must be finite"),
     # the grid is an object only, and the solver has no step cap
     (dict(grid=[6.0, 64, 1.0]), "expected {r_max, n, stretch}"),
-    (dict(solver={"cfl": 0.9, "dt_max": 1.0}), "config field 'solver': unknown keys: dt_max"),
+    (dict(solver={"dt_max": 1.0}), "config field 'solver': unknown keys: dt_max"),
     # TINY gives record_every
     (dict(record_times=[0.01, 0.02]), "'record_every' and 'record_times'"),
     # evolve derives the step floor
-    (dict(solver={"cfl": 0.9, "u_floor": 1e-9}), "config field 'solver': unknown keys: u_floor"),
+    (dict(solver={"u_floor": 1e-9}), "config field 'solver': unknown keys: u_floor"),
     # grids whose steps come out NaN: stretch**n overflows to non-finite
     # edges, the inner edges' cubes underflow to 403 cells of zero volume,
     # and r_max**3 overflows
@@ -156,10 +157,13 @@ def test_barenblatt_datum_pins_the_delay(tmp_path, datum, clauses):
      "config field 'initial_datum': missing keys: smoothing"),
     (dict(initial_datum={"kind": "indicator", "radius": 1.0, "smoothing": 0.25, "t0": 1.0}),
      "config field 'initial_datum': unknown keys: t0"),
-    (dict(solver=[0.9]), "config field 'solver': expected {cfl, dt_min}, got list"),
+    (dict(solver=[0.9]), "config field 'solver': expected {dt_min}, got list"),
     (dict(initial_datum="gaussian"), "config field 'initial_datum': expected {kind}, got str"),
     # a kind that is not a string is unknown too, not a crash
     (dict(initial_datum={"kind": ["gaussian"]}), "unknown kind ['gaussian']"),
+    # the record schedule's errors name their own top-level key
+    (dict(record_every=-1), "config field 'record_every': record_every must be positive"),
+    (dict(record_times=[0.2, 0.1]), "config field 'record_times': record_times must be finite"),
 ])
 def test_parse_rejections(mutation, fragment):
     with pytest.raises(ConfigError) as err:
@@ -209,7 +213,7 @@ def test_shipped_configs_build_unit_mass(path):
 def test_shipped_fd3_schedule_is_the_fixtures():
     # the fd3 corpus fixtures stand in for configs/fd3_gaussian.json
     assert load_config(CONFIGS / "fd3_gaussian.json").solver == SolverConfig(
-        cfl=0.85, record_times=conftest.FD3_RECORD_TIMES)
+        record_times=conftest.FD3_RECORD_TIMES)
 
 
 def test_table_datum_interpolates_then_vanishes():
@@ -303,8 +307,25 @@ def test_main_grid_error_exit(tmp_path, capsys):
     assert "at least 16 cells" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [
+    # (r / 1e-200)**2 overflows at every node: the datum is exp(-inf) = 0
+    dict(initial_datum={"kind": "gaussian", "width": 1e-200}),
+    # u r**2 overflows the shell integrals
+    dict(d=3, p="2/3", initial_datum={"kind": "table", "r": [0, 1e6], "u": [1e300, 1e300]},
+         grid={"r_max": 2e6, "n": 64}),
+], ids=["zero", "overflow"])
+def test_main_datum_mass_error_exit(tmp_path, capsys, doc):
+    # a datum whose projected mass is zero or not finite is a config error,
+    # reached with no RuntimeWarning on the way
+    path = write_config(tmp_path / "datum.json", tiny_config(**doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", path, "--out", str(tmp_path / "datum")]) == 2
+    assert "config field 'initial_datum': initial profile has mass" in capsys.readouterr().err
+
+
 def test_main_solver_abort_exit(tmp_path, capsys):
-    doc = tiny_config(solver={"cfl": 0.9, "dt_min": 1e3})
+    doc = tiny_config(solver={"dt_min": 1e3})
     path = write_config(tmp_path / "stiff.json", doc)
     assert main(["run", path, "--out", str(tmp_path / "stiff")]) == 3
     assert "solver abort" in capsys.readouterr().err

@@ -1,8 +1,8 @@
 """Text that names the package's parts but that no package code runs: the
 README's library quick start, the config examples of the README and the
-`cli` docstring, and the benchmark's tracing hooks. A renamed function, a
-changed signature or a removed config key would break them silently; these
-tests run them against the package as it is."""
+`cli` docstring, and the benchmark's tracing hooks and workload configs. A
+renamed function, a changed signature or a removed config key would break
+them silently; these tests run them against the package as it is."""
 import importlib
 import importlib.util
 import math
@@ -46,6 +46,18 @@ def test_benchmark_wrap_points_resolve(monkeypatch):
     for module_name, attr, _ in spans.WRAP_POINTS:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_benchmark_workload_configs_parse():
+    # the benchmark builds its workloads from configs/ (fd3_exact_dense
+    # copies fd3_gaussian.json's solver object), so a config edit can break
+    # it without breaking any shipped config
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "perfbench" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert bench.WORKLOADS
+    for name in bench.WORKLOADS:
+        cli.parse_config(bench.workload_config(name, seed=1), label=name)
 
 
 def test_benchmark_wrap_point_sees_every_record(monkeypatch):

@@ -14,23 +14,19 @@ from hypothesis import given, settings, strategies as st
 
 import renyiflow as rf
 from renyiflow.gn import (
-    GnParams,
     TestFunction as GnTestFunction,
     _lcg_uniforms,
     extremality_test,
     gn_constant_report,
-    gn_params_for,
     sharp_constant_from_j,
 )
 from renyiflow.params import RegimeError
 
 
 def gaussian_quotient(d, q, lam):
-    theta = rf.gn_exponent(d, q)
-    gn = GnParams(q=q, theta=theta, branch="GN1" if q > 1.0 else "GN2")
     grid = rf.build_grid(d, 30.0 * lam, 2000)
     w = np.exp(-((grid.centers / lam) ** 2) / 2.0)
-    return rf.gn_quotient(GnTestFunction(grid, w), gn)
+    return rf.gn_quotient(GnTestFunction(grid, w), q, rf.gn_exponent(d, q))
 
 
 @settings(max_examples=20, deadline=None)
@@ -47,11 +43,10 @@ def test_exponent_makes_quotient_dilation_invariant(d, q, lam):
 
 def test_quotient_amplitude_invariant():
     theta = rf.gn_exponent(2, 1.5)
-    gn = GnParams(q=1.5, theta=theta, branch="GN1")
     grid = rf.build_grid(2, 30.0, 1000)
     w = np.exp(-(grid.centers**2) / 2.0)
-    a = rf.gn_quotient(GnTestFunction(grid, w), gn)
-    b = rf.gn_quotient(GnTestFunction(grid, 3.7 * w), gn)
+    a = rf.gn_quotient(GnTestFunction(grid, w), 1.5, theta)
+    b = rf.gn_quotient(GnTestFunction(grid, 3.7 * w), 1.5, theta)
     assert b == pytest.approx(a, rel=1e-13)
 
 
@@ -73,15 +68,19 @@ def test_exponent_rejections():
         rf.gn_exponent(2, math.nan)
 
 
-def test_family_from_diffusion_exponent(params_pm1, params_fd3):
-    gn_pm = gn_params_for(params_pm1)
-    assert gn_pm.q == pytest.approx(1.0 / 3.0, rel=1e-14)
-    assert gn_pm.branch == "GN2"
-    gn_fd = gn_params_for(params_fd3)
-    assert gn_fd.q == pytest.approx(3.0, rel=1e-12)   # the endpoint index
-    assert gn_fd.branch == "GN1"
-    with pytest.raises(RegimeError):
-        gn_params_for(rf.ModelParams(1, 0.4))
+def test_family_from_diffusion_exponent(ref_pm1, ref_fd3):
+    rep_pm = gn_constant_report(ref_pm1)
+    assert rep_pm["q"] == ref_pm1.exponents.gn_q == pytest.approx(1.0 / 3.0, rel=1e-14)
+    assert rep_pm["branch"] == "GN2"
+    rep_fd = gn_constant_report(ref_fd3)
+    assert rep_fd["q"] == pytest.approx(3.0, rel=1e-12)   # the endpoint index
+    assert rep_fd["branch"] == "GN1"
+    # no q = 1/(2p-1) at p <= 1/2
+    ref_low = rf.build_reference(rf.ModelParams(1, 0.4))
+    assert ref_low.exponents.gn_q is None
+    for measure in (gn_constant_report, extremality_test):
+        with pytest.raises(RegimeError, match="p > 1/2"):
+            measure(ref_low)
     # q exists below the remainder window, but the reference carries no
     # sharp constant there
     ref = rf.build_reference(rf.ModelParams(3, 0.62))
@@ -142,8 +141,7 @@ def test_test_function_validation():
     with pytest.raises(ValueError):
         GnTestFunction(grid, np.ones(5))
     with pytest.raises(ValueError):
-        rf.gn_quotient(GnTestFunction(grid, np.zeros(grid.n)),
-                       GnParams(q=0.5, theta=0.25, branch="GN2"))
+        rf.gn_quotient(GnTestFunction(grid, np.zeros(grid.n)), 0.5, 0.25)
 
 
 def test_deficit_regime_gates(run_pm1_gaussian):

@@ -105,6 +105,8 @@ def test_project_initial_rejections():
         rf.project_initial(lambda r: np.ones(3), grid)        # wrong shape
     with pytest.raises(ValueError):
         rf.project_initial(lambda r: np.full_like(r, np.nan), grid)
+    with pytest.raises(ValueError, match="not finite and positive"):  # u r**2 overflows
+        rf.project_initial(lambda r: np.full_like(r, 1e300), rf.build_grid(3, 2e6, 64))
 
 
 @settings(max_examples=200)

@@ -67,7 +67,6 @@ TINY = {
     "d": 1,
     "p": 2,
     "grid": {"r_max": 6.0, "n": 200},
-    "solver": {"cfl": 0.9},
     "t_end": 0.05,
     "record_every": 0.01,
     "checks": "all",
@@ -87,7 +86,6 @@ FAST = {
     "p": "2/3",
     "initial_datum": {"kind": "gaussian", "width": 1.0},
     "grid": {"r_max": 40.0, "n": 200, "stretch": 1.02},
-    "solver": {"cfl": 0.85},
     "t_end": 0.2,
     "record_every": 0.02,
     "checks": "all",

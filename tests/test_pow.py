@@ -38,7 +38,7 @@ def test_kernel_powers_match_extended_precision(p, floor, above, below):
     # of 1.0 pad u to the 16 cells a grid needs
     u = np.array(above + [floor * b for b in below])
     u = np.concatenate((u, np.ones(max(0, 16 - u.size))))
-    kernel = solver._Kernel(rf.build_grid(1, 1.0, u.size), rf.ModelParams(1, p), 0.9, floor)
+    kernel = solver._Kernel(rf.build_grid(1, 1.0, u.size), rf.ModelParams(1, p), floor)
     np.copyto(kernel.u, u)
     kernel.load()
     w, f = kernel.w, kernel.stability_factor()

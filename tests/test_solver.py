@@ -19,9 +19,6 @@ def pm_setup():
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(cfl=0.0),
-    dict(cfl=1.5),
-    dict(cfl=math.nan),
     dict(record_every=0.0),
     dict(record_times=()),
     dict(record_times=(0.2, 0.1)),
@@ -34,7 +31,7 @@ def test_solver_config_rejections(kwargs):
 
 
 def test_stable_dt_constant_state():
-    # D = p u^(p-1) is uniform, so dt = cfl min_i V_i / (D reach_i), reach_i
+    # D = p u^(p-1) is uniform, so dt = CFL min_i V_i / (D reach_i), reach_i
     # the sum of cell i's face coefficients A_j / gap_j. On a uniform d = 2
     # grid with edges k dr, cell i has V_i = pi ((i+1)^2 - i^2) dr^2 =
     # pi (2i+1) dr^2 and faces 2 pi i dr and 2 pi (i+1) dr at gap dr, so
@@ -44,23 +41,24 @@ def test_stable_dt_constant_state():
     grid = rf.build_grid(2, 1.0, 50)
     state = rf.DensityState(grid=grid, u=np.ones(grid.n), t=0.0)
     params = rf.ModelParams(2, 2.0)
-    dt = rf.evolve(state, 1e-6, params, rf.SolverConfig(cfl=0.5)).records[0].dt
+    dt = rf.evolve(state, 1e-6, params, rf.SolverConfig()).records[0].dt
     dr = grid.widths[0]
-    assert dt == pytest.approx(0.5 * (dr * dr / 2.0) / 2.0, rel=1e-12)
+    assert dt / solver.CFL == pytest.approx((dr * dr / 2.0) / 2.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("stretch", [1.0, 1.05])
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("p", [2.0 / 3.0, 2.0])
 def test_step_bound_is_monotone(d, p, stretch):
-    # at cfl = 1 the Euler update m_i' = m_i + dt sum_j c_j (w_nb - w_i),
-    # linearised, puts 1 - dt p u_i^(p-1) reach_i / V_i on m_i: nonnegative
-    # in every cell, and zero (to round-off) in the cell that sets dt
+    # at dt = bound / CFL the Euler update m_i' = m_i + dt sum_j c_j (w_nb -
+    # w_i), linearised, puts 1 - dt p u_i^(p-1) reach_i / V_i on m_i:
+    # nonnegative in every cell, and zero (to round-off) in the cell that
+    # sets dt
     grid = rf.build_grid(d, 8.0, 64, stretch=stretch)
     u = 0.5 + np.exp(-grid.centers**2)  # far above the p < 1 floor
     state = rf.DensityState(grid=grid, u=u, t=0.0)
     params = rf.ModelParams(d, p)
-    dt = rf.evolve(state, 1e-12, params, rf.SolverConfig(cfl=1.0)).records[0].dt
+    dt = rf.evolve(state, 1e-12, params, rf.SolverConfig()).records[0].dt / solver.CFL
     reach = np.zeros(grid.n)
     for j in range(grid.n - 1):  # interior face between cells j and j + 1
         c = grid.areas[j + 1] / (grid.centers[j + 1] - grid.centers[j])
@@ -234,7 +232,7 @@ def test_overdrawing_steps_are_taken_implicitly():
 def _kernel_at(grid, params, u, u_floor, dt):
     """A kernel holding the state u and its rates scaled by dt, as evolve
     leaves it before an implicit step."""
-    kernel = solver._Kernel(grid, params, 0.9, u_floor)
+    kernel = solver._Kernel(grid, params, u_floor)
     np.copyto(kernel.u, u)
     kernel.load()
     kernel.flux *= dt
@@ -372,12 +370,12 @@ def test_evolution_properties_on_random_mixtures(d, p_frac, bumps):
 
 def _profile_kernel(t0=1.0):
     """The d = 3, p = 2/3 source-type state at t0 on a coarse stretched
-    grid, its flux kernel and its explicit step at cfl 0.85."""
+    grid, its flux kernel and its explicit step."""
     params = rf.ModelParams(3, 2.0 / 3.0)
     grid = rf.build_grid(3, 200.0, 160, stretch=1.03)
     state = rf.project_initial(
         lambda r: rf.self_similar_density(r, t0, params), grid, t=t0)
-    kernel = solver._Kernel(grid, params, 0.85, 0.0)  # no floor: dt_expl itself
+    kernel = solver._Kernel(grid, params, 0.0)  # no floor: dt_expl itself
     np.copyto(kernel.u, state.u)
     dt_expl = kernel.load()
     return kernel, state.u * grid.volumes, dt_expl
@@ -489,18 +487,17 @@ def _spectral_radius(kernel, u):
        p=st.sampled_from([0.4, 0.5, 2.0 / 3.0, 0.9, 1.5, 2.0, 3.0]),
        logs=st.lists(st.floats(-30.0, 0.0), min_size=40, max_size=40))
 def test_super_step_bound_covers_the_spectral_radius(d, stretch, p, logs):
-    # plan's dt_expl is 2 cfl over a bound on the spectral radius of the
+    # plan's dt_expl is 2 CFL over a bound on the spectral radius of the
     # linearised operator; with unit weights the Collatz-Wielandt bound is
     # Gershgorin's, the Euler bound's form
     grid = rf.build_grid(d, 8.0, 40, stretch=stretch)
     u = 10.0 ** np.array(logs)
-    cfl = 0.9
-    kernel = solver._Kernel(grid, rf.ModelParams(d, p), cfl, 0.0)
+    kernel = solver._Kernel(grid, rf.ModelParams(d, p), 0.0)
     np.copyto(kernel.u, u)
     euler = kernel.load()  # no floor: for p > 1, the Gershgorin dt_expl
     dt_expl = kernel.explicit_bound()
-    assert 2.0 * cfl / dt_expl >= _spectral_radius(kernel, u) * (1.0 - 1e-12)
-    gershgorin = cfl * np.min(kernel.geometry * u / kernel.w) if p < 1.0 else euler
+    assert 2.0 * solver.CFL / dt_expl >= _spectral_radius(kernel, u) * (1.0 - 1e-12)
+    gershgorin = solver.CFL * np.min(kernel.geometry * u / kernel.w) if p < 1.0 else euler
     unit = kernel.collatz_geometry(np.ones(grid.n))
     np.testing.assert_allclose(unit, kernel.geometry, rtol=4.0 * np.finfo(float).eps)
     kernel.spectral_geometry = unit
@@ -512,12 +509,12 @@ def test_super_step_bound_is_tight_on_the_fd3_grid(run_fd3_gaussian, params_fd3)
     # the spectral radius (the d = 3 origin cell's row); the Collatz-Wielandt
     # bound is within 1% of it
     state = run_fd3_gaussian.final_state
-    kernel = solver._Kernel(state.grid, params_fd3, 0.85, 0.0)
+    kernel = solver._Kernel(state.grid, params_fd3, 0.0)
     np.copyto(kernel.u, state.u)
     euler = kernel.load()
     rho = _spectral_radius(kernel, state.u)
-    assert 2.0 * 0.85 / euler > 1.4 * rho
-    assert rho <= 2.0 * 0.85 / kernel.explicit_bound() <= 1.01 * rho
+    assert 2.0 * solver.CFL / euler > 1.4 * rho
+    assert rho <= 2.0 * solver.CFL / kernel.explicit_bound() <= 1.01 * rho
 
 
 def test_compact_support_runs_all_euler(run_pm1_barenblatt):
@@ -526,6 +523,15 @@ def test_compact_support_runs_all_euler(run_pm1_barenblatt):
     traj = run_pm1_barenblatt
     assert traj.super_steps == traj.rejected_super_steps == 0
     assert traj.euler_steps == traj.n_steps > 0
+
+
+def test_porous_medium_runs_take_no_implicit_step(corpus):
+    # at CFL < 1 < p a forward step keeps m' >= (1 - CFL/p) m, so it never
+    # overdraws a cell: the implicit step serves p < 1 only
+    runs = {name: traj for name, (traj, _) in corpus.items()
+            if traj.reference.params.p > 1.0}
+    assert sorted(runs) == ["pm1_barenblatt", "pm1_gaussian", "pm1_indicator"]
+    assert {name: traj.limited_steps for name, traj in runs.items()} == dict.fromkeys(runs, 0)
 
 
 def test_positive_runs_take_super_steps(run_pm1_gaussian, run_fd3_gaussian):
