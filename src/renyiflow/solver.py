@@ -157,7 +157,7 @@ class SolverConfig:
     record_times: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.record_every <= 0.0:
+        if not self.record_every > 0.0:  # NaN fails this too
             raise ValueError("record_every must be positive")
         if self.record_times is not None:
             rt = np.asarray(self.record_times, dtype=float)

@@ -19,6 +19,9 @@ def pm_setup():
 
 
 @pytest.mark.parametrize("kwargs", [
+    dict(record_every=math.nan),
+    dict(record_times=(0.0, 0.1)),
+    dict(record_times=(0.1, 0.1)),
     dict(record_every=0.0),
     dict(record_times=()),
     dict(record_times=(0.2, 0.1)),
