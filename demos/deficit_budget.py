@@ -25,7 +25,7 @@ grid = rf.build_grid(3, 896000.0, 1050, stretch=1.012)
 
 scales = (0.7, 2.2)
 state = rf.project_initial(
-    lambda r: sum(0.5 * rf.profile_density(r / s, params, ref.c_star) / s**3
+    lambda r: sum(0.5 * rf.profile_density(r / s, params) / s**3
                   for s in scales),
     grid)
 traj = rf.evolve(state, 1.5, params, rf.SolverConfig(record_every=0.0125))

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gn import gn_exponent, sharp_constant_from_j
 from .grid import _gauss_legendre, sphere_area
 from .params import ModelParams, ExponentSet, ParameterDomainError, derive_exponents, unmet
 
@@ -63,10 +62,9 @@ def normalization_constant(params: ModelParams) -> float:
         ) from None
 
 
-def profile_density(r: np.ndarray | float, params: ModelParams, c_star: float | None = None) -> np.ndarray:
+def profile_density(r: np.ndarray | float, params: ModelParams) -> np.ndarray:
     """Unit-mass stationary profile evaluated at radii r >= 0."""
-    if c_star is None:
-        c_star = normalization_constant(params)
+    c_star = normalization_constant(params)
     r = np.asarray(r, dtype=float)
     p = params.p
     if p > 1.0:
@@ -74,21 +72,17 @@ def profile_density(r: np.ndarray | float, params: ModelParams, c_star: float | 
     return (c_star + r * r) ** (1.0 / (p - 1.0))
 
 
-def self_similar_density(r: np.ndarray | float, t: float, params: ModelParams) -> np.ndarray:
-    """Source-type solution at time t > 0, evaluated at radii r.
+def self_similar_density(r: np.ndarray | float, t: float | Sequence[float],
+                         params: ModelParams) -> np.ndarray:
+    """Source-type solution at time t > 0, evaluated at radii r, or at each
+    of a sequence of k times as a (k, r.size) block.
 
     u(t, x) = t^(-d/mu) * kappa^(-d) * B(x / (kappa t^(1/mu))), which solves
     the flow with unit mass for every t; its second-moment functional grows
-    exactly like t^(2/mu).
+    exactly like t^(2/mu). The scale and amplitude of each time are Python
+    floats, so a row has the bits of its own call.
     """
-    return _self_similar(r, t, params, derive_exponents(params), None)
-
-
-def _self_similar(r: np.ndarray | float, t: float | Sequence[float], params: ModelParams,
-                  ex: ExponentSet, c_star: float | None) -> np.ndarray:
-    """The source-type solution at radii r and time t, or at each of a
-    sequence of k times as a (k, r.size) block. The scale and amplitude of
-    each time are Python floats, so a row has the bits of its own call."""
+    ex = derive_exponents(params)
     one = np.ndim(t) == 0
     times = [t] if one else list(t)
     for s in times:
@@ -98,9 +92,9 @@ def _self_similar(r: np.ndarray | float, t: float | Sequence[float], params: Mod
     amplitude = [c ** (-params.d) for c in scale]
     r = np.asarray(r, dtype=float)
     if one:
-        return amplitude[0] * profile_density(r / scale[0], params, c_star=c_star)
+        return amplitude[0] * profile_density(r / scale[0], params)
     return (np.array(amplitude)[:, None]
-            * profile_density(r / np.array(scale)[:, None], params, c_star=c_star))
+            * profile_density(r / np.array(scale)[:, None], params))
 
 
 @dataclass(frozen=True)
@@ -114,8 +108,7 @@ class BarenblattReference:
     E^(sigma-1) I; theta_star = kappa^2 * theta is the second-moment level
     of the source-type solution at t = 1. For parameters with infinite
     second moment (p <= d/(d+2)) the divergent values are +inf and the
-    scale-invariant combinations are nan. c_gn is the sharp interpolation
-    constant when the (d, p) pair admits one, else None.
+    scale-invariant combinations are nan.
     """
 
     params: ModelParams
@@ -127,13 +120,12 @@ class BarenblattReference:
     h_star: float
     j_star: float
     theta_star: float
-    c_gn: float | None
 
     def profile(self, r: np.ndarray | float) -> np.ndarray:
-        return profile_density(r, self.params, c_star=self.c_star)
+        return profile_density(r, self.params)
 
     def self_similar(self, r: np.ndarray | float, t: float | Sequence[float]) -> np.ndarray:
-        return _self_similar(r, t, self.params, self.exponents, self.c_star)
+        return self_similar_density(r, t, self.params)
 
     def match_time(self, theta: float) -> float:
         """Time s = (theta / theta_star)**(mu/2) at which the source-type
@@ -141,11 +133,10 @@ class BarenblattReference:
         return (theta / self.theta_star) ** (0.5 * self.exponents.mu)
 
 
-def reference_functionals(params: ModelParams, c_star: float | None = None) -> dict[str, float]:
+def reference_functionals(params: ModelParams) -> dict[str, float]:
     """Closed-form mass, second moment, entropy, Fisher information of B."""
     d, p = params.d, params.p
-    if c_star is None:
-        c_star = normalization_constant(params)
+    c_star = normalization_constant(params)
     denom = (d + 2.0) * p - d
     if p < 1.0 and denom <= 0.0:
         return {"mass": 1.0, "theta": math.inf, "entropy": math.inf, "fisher": math.inf}
@@ -169,7 +160,7 @@ def _gauss(f, lo: float, hi: float) -> float:
     return (hi - lo) * float(w @ f(lo + (hi - lo) * s))
 
 
-def _quad_moment(params: ModelParams, c_star: float, weight: str) -> float:
+def _quad_moment(params: ModelParams, weight: str) -> float:
     """Gauss-Legendre value of a radial profile integral.
 
     weight: 'mass' -> B, 'theta' -> (r^2/d) B, 'entropy' -> B^p. The integral
@@ -194,6 +185,7 @@ def _quad_moment(params: ModelParams, c_star: float, weight: str) -> float:
     tail carries almost all the mass.
     """
     d, p = params.d, params.p
+    c_star = normalization_constant(params)
     a = d + 1 if weight == "theta" else d - 1
     g = (p if weight == "entropy" else 1.0) / abs(p - 1.0)
     if p > 1.0:
@@ -239,13 +231,13 @@ def build_reference(params: ModelParams) -> BarenblattReference:
     1e-8 (_gate_failure says what a failed cross-check raises)."""
     ex = derive_exponents(params)
     c_star = normalization_constant(params)
-    vals = reference_functionals(params, c_star=c_star)
-    mass_q = _quad_moment(params, c_star, "mass")
+    vals = reference_functionals(params)
+    mass_q = _quad_moment(params, "mass")
     if abs(mass_q - 1.0) > 1e-8:
         raise _gate_failure(params, f"profile mass {mass_q} deviates from 1 beyond tolerance")
     if unmet(params, "finite_moments") is None:
         for key in ("theta", "entropy"):
-            q = _quad_moment(params, c_star, key)
+            q = _quad_moment(params, key)
             if abs(q - vals[key]) > 1e-8 * abs(vals[key]):
                 raise _gate_failure(
                     params, f"closed-form {key} {vals[key]} disagrees with quadrature {q}")
@@ -256,11 +248,6 @@ def build_reference(params: ModelParams) -> BarenblattReference:
         theta_star = ex.kappa**2 * theta
     else:
         h_star = j_star = theta_star = math.nan
-    c_gn = None
-    if unmet(params, "gn_conversion", "remainder_window") is None:
-        assert ex.gn_q is not None
-        gn_theta = gn_exponent(params.d, ex.gn_q)
-        c_gn = sharp_constant_from_j(j_star, gn_theta, params.p)
     return BarenblattReference(
         params=params,
         exponents=ex,
@@ -271,5 +258,4 @@ def build_reference(params: ModelParams) -> BarenblattReference:
         h_star=h_star,
         j_star=j_star,
         theta_star=theta_star,
-        c_gn=c_gn,
     )

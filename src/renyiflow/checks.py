@@ -149,6 +149,8 @@ def _check_theorem1(trajectory, **_) -> tuple[Clauses, dict]:
     times, q >= 1, the remainder's regime sign, concavity of F, F strictly
     increasing, and J nonincreasing (with its gap to the extremal value
     reported). These all hang on the same remainder sign, hence one verdict.
+    The identities and the concavity of F are judged on the windows between
+    two equal record intervals (grid.uniform_interior).
     """
     t = trajectory.times()
     theta = trajectory.series("theta")
@@ -177,11 +179,12 @@ def _check_theorem1(trajectory, **_) -> tuple[Clauses, dict]:
     signed = rem if p < 1.0 else -rem
     clauses["remainder_sign"] = (
         float(np.max(-signed)), _sign_tol(float(np.max(np.abs(rem)))))
-    if len(t) >= 3:
+    if k.size:
         # F is concave in both regimes: -F'' carries sigma * R, whose factors
-        # flip sign together across p = 1.
-        d2f = f[2:] - 2.0 * f[1:-1] + f[:-2]
-        clauses["f_concave"] = (float(np.max(d2f / np.abs(f[1:-1]))), SIGN_TOL_REL)
+        # flip sign together across p = 1. The plain second difference has
+        # the sign of F'' only between equal intervals.
+        d2f = f[k + 1] - 2.0 * f[k] + f[k - 1]
+        clauses["f_concave"] = (float(np.max(d2f / np.abs(f[k]))), SIGN_TOL_REL)
     clauses["f_increasing"] = (
         float(np.max(-np.diff(f))), _sign_tol(float(np.max(np.abs(f)))))
     clauses["j_monotone"] = (

@@ -51,7 +51,7 @@ from .barenblatt import (BarenblattReference, build_reference, normalization_con
                          self_similar_density)
 from .checks import CHECK_NAMES, CheckResult, compatible_checks, incompatibility, run_checks
 from .functionals import FunctionalRecord
-from .gn import DEFAULT_SEED
+from .gn import DEFAULT_SEED, sharp_constant
 from .grid import DensityState, RadialGrid, build_grid, project_initial
 from .params import HYPOTHESES, ModelParams, ParameterDomainError, RegimeError, unmet
 from .solver import InstabilityError, SolverConfig, StiffnessError, Trajectory, evolve
@@ -370,7 +370,7 @@ def _reference_payload(reference: BarenblattReference) -> dict:
         "h_star": reference.h_star,
         "j_star": reference.j_star,
         "theta_star": reference.theta_star,
-        "c_gn": reference.c_gn,
+        "c_gn": sharp_constant(reference),
         "exponents": dataclasses.asdict(reference.exponents),
         "hypotheses": {name: unmet(reference.params, name) is None for name in HYPOTHESES},
     }

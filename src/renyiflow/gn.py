@@ -12,8 +12,9 @@ gradient/entropy ratio j_star:
 
     C**(2/th) = j_star * ((2p-1)/(2p))**2,
 
-which both branches satisfy with their own th; the module computes C that
-way and cross-checks it against the quotient of the sampled extremal.
+which both branches satisfy with their own th; the module computes C from
+the profile reference that way (sharp_constant) and cross-checks it against
+the quotient of the sampled extremal.
 
 This module measures; checks turns its gaps and worst violations into verdicts.
 """
@@ -21,16 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._pow import pow_fn
+from .barenblatt import BarenblattReference
 from .grid import RadialGrid, build_grid, cumulative_trapezoid, uniform_interior
-from .params import EDGE_TOL, RegimeError, require
-
-if TYPE_CHECKING:  # barenblatt imports this module
-    from .barenblatt import BarenblattReference
+from .params import EDGE_TOL, RegimeError, require, unmet
 
 # Resolved second-difference windows whose right side is below this
 # fraction of the largest resolved one are too small to certify to 5%.
@@ -78,9 +76,16 @@ def gn_exponent(d: int, q: float) -> float:
     raise RegimeError(f"index q = {q} is outside both branches (q = 1 is excluded)")
 
 
-def sharp_constant_from_j(j_star: float, theta: float, p: float) -> float:
-    """C = (j_star * ((2p-1)/(2p))**2)**(theta/2)."""
-    return (j_star * ((2.0 * p - 1.0) / (2.0 * p)) ** 2) ** (0.5 * theta)
+def sharp_constant(reference: BarenblattReference) -> float | None:
+    """C = (j_star * ((2p-1)/(2p))**2)**(theta/2) with theta the exponent of
+    the profile's index gn_q, or None outside the gn_conversion and
+    remainder_window hypotheses."""
+    params = reference.params
+    if unmet(params, "gn_conversion", "remainder_window") is not None:
+        return None
+    theta = gn_exponent(params.d, reference.exponents.gn_q)
+    p = params.p
+    return (reference.j_star * ((2.0 * p - 1.0) / (2.0 * p)) ** 2) ** (0.5 * theta)
 
 
 def _norms(tf: TestFunction, q: float) -> tuple[float, float, float]:
@@ -94,10 +99,12 @@ def _norms(tf: TestFunction, q: float) -> tuple[float, float, float]:
     return math.sqrt(grad2), n2q, nq1
 
 
-def gn_quotient(w: TestFunction, q: float, theta: float) -> float:
+def gn_quotient(w: TestFunction, q: float) -> float:
     """Scale- and amplitude-invariant quotient whose minimum is the sharp
     constant: GN1 (q > 1) uses |grad w|^theta |w|_{q+1}^{1-theta} / |w|_{2q},
-    GN2 (q < 1) swaps the roles of the 2q- and (q+1)-norms."""
+    GN2 (q < 1) swaps the roles of the 2q- and (q+1)-norms; theta is
+    gn_exponent(d, q)."""
+    theta = gn_exponent(w.grid.d, q)
     grad, n2q, nq1 = _norms(w, q)
     if grad == 0.0 or n2q == 0.0 or nq1 == 0.0:
         raise ValueError("zero-norm test function")
@@ -131,13 +138,13 @@ def gn_constant_report(reference: BarenblattReference) -> dict:
     the quotient of the extremal actually attains; the bare j_star**(theta/2)
     reading is reported alongside for comparison.
     """
-    # c_gn is None outside these windows
+    # sharp_constant is None outside these windows
     require(reference.params, "the sharp constant", "gn_conversion", "remainder_window")
     q = reference.exponents.gn_q
     theta = gn_exponent(reference.params.d, q)
-    c_formula = reference.c_gn
+    c_formula = sharp_constant(reference)
     tf = extremal_test_function(reference)
-    c_quotient = gn_quotient(tf, q, theta)
+    c_quotient = gn_quotient(tf, q)
     return {
         "q": q,
         "theta": theta,
@@ -186,9 +193,8 @@ def extremality_test(reference: BarenblattReference, seed: int = DEFAULT_SEED) -
     """
     require(reference.params, "interpolation conversion", "gn_conversion")
     q = reference.exponents.gn_q
-    theta = gn_exponent(reference.params.d, q)
     tf = extremal_test_function(reference)
-    q0 = gn_quotient(tf, q, theta)
+    q0 = gn_quotient(tf, q)
     scale = math.sqrt(reference.c_star)
     edge = scale if reference.params.p > 1.0 else None
     w_max = float(tf.w.max())
@@ -205,14 +211,14 @@ def extremality_test(reference: BarenblattReference, seed: int = DEFAULT_SEED) -
     for phi in shapes:
         for eps in (0.05, -0.05, 0.1, -0.1):
             wp = TestFunction(tf.grid, np.maximum(tf.w + eps * phi, 0.0))
-            gaps.append(gn_quotient(wp, q, theta) - q0)
+            gaps.append(gn_quotient(wp, q) - q0)
 
     slope = float("nan")
     eps_small = (0.0125, 0.025, 0.05, 0.1)
     small_gaps = []
     for eps in eps_small:
         wp = TestFunction(tf.grid, np.maximum(tf.w + eps * shapes[0], 0.0))
-        small_gaps.append(gn_quotient(wp, q, theta) - q0)
+        small_gaps.append(gn_quotient(wp, q) - q0)
     if all(g > 0.0 for g in small_gaps):
         # least-squares line through the centred points (no LAPACK)
         x = np.log(np.array(eps_small))

@@ -1,34 +1,28 @@
 """Shared fixtures: the corpus of recorded runs every suite layer reuses.
 
-The five corpus runs cover both regimes and all datum shapes at desk scale;
-they are session-scoped because the two d=3 runs cost ~8 s each. Tests must
-treat the returned trajectories as read-only.
+The five corpus runs are the five shipped configs of configs/, evolved as
+`renyiflow run` evolves them, so the tests read the very runs the sweep
+checks. They cover both regimes and all datum shapes at desk scale and are
+session-scoped, so each runs once. Tests must treat the returned
+trajectories as read-only.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from pathlib import Path
+
 import pytest
 
 import renyiflow as rf
+from renyiflow.cli import build_initial_state, load_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-FD3_GRID = dict(d=3, r_max=896000.0, n=1050, stretch=1.012)
-FD3_RECORD_TIMES = tuple(0.05 + 0.0125 * k for k in range(397))
-
-
-def mixture_profile(reference):
-    """Two same-center self-similar profiles at different scales: fat tails
-    from t = 0 (so gradient integrals are grid-resolved immediately) but far
-    from any single profile, leaving a usable relaxation budget."""
-    c_star = reference.c_star
-
-    def f(r):
-        a = (c_star + (r / 0.7) ** 2) ** (-3.0) / 0.7**3
-        b = (c_star + (r / 2.2) ** 2) ** (-3.0) / 2.2**3
-        return 0.5 * a + 0.5 * b
-
-    return f
+def shipped_run(name: str) -> rf.Trajectory:
+    """The trajectory of configs/<name>.json, without its checks."""
+    cfg = load_config(CONFIGS / f"{name}.json")
+    return rf.evolve(build_initial_state(cfg), cfg.t_end, cfg.params, cfg.solver)
 
 
 @pytest.fixture(scope="session")
@@ -52,52 +46,30 @@ def ref_pm1(params_pm1):
 
 
 @pytest.fixture(scope="session")
-def grid_fd3(params_fd3):
-    return rf.build_grid(FD3_GRID["d"], FD3_GRID["r_max"], FD3_GRID["n"],
-                         stretch=FD3_GRID["stretch"])
+def run_fd3_gaussian():
+    return shipped_run("fd3_gaussian")
 
 
 @pytest.fixture(scope="session")
-def run_fd3_gaussian(params_fd3, grid_fd3):
-    state = rf.project_initial(lambda r: np.exp(-r * r), grid_fd3)
-    config = rf.SolverConfig(record_times=FD3_RECORD_TIMES)
-    return rf.evolve(state, 5.0, params_fd3, config)
+def run_fd3_mixture():
+    return shipped_run("fd3_mixture")
 
 
 @pytest.fixture(scope="session")
-def run_fd3_mixture(params_fd3, ref_fd3, grid_fd3):
-    state = rf.project_initial(mixture_profile(ref_fd3), grid_fd3)
-    config = rf.SolverConfig(record_every=0.0125)
-    return rf.evolve(state, 5.0, params_fd3, config)
-
-
-@pytest.fixture(scope="session")
-def run_pm1_barenblatt(params_pm1):
+def run_pm1_barenblatt():
     # Trajectory time is elapsed time: the state released at t = 0 is the
     # self-similar solution already aged to t0 = 1, so tau should stay at 1.
-    grid = rf.build_grid(1, 5.0, 800)
-    state = rf.project_initial(
-        lambda r: rf.self_similar_density(r, 1.0, params_pm1), grid)
-    config = rf.SolverConfig(record_every=0.05)
-    return rf.evolve(state, 1.0, params_pm1, config)
+    return shipped_run("pm1_barenblatt")
 
 
 @pytest.fixture(scope="session")
-def run_pm1_gaussian(params_pm1):
-    grid = rf.build_grid(1, 6.0, 800)
-    state = rf.project_initial(lambda r: np.exp(-r * r), grid)
-    config = rf.SolverConfig(record_every=0.0125)
-    return rf.evolve(state, 5.0, params_pm1, config)
+def run_pm1_gaussian():
+    return shipped_run("pm1_gaussian")
 
 
 @pytest.fixture(scope="session")
-def run_pm1_indicator(params_pm1):
-    from scipy.special import erfc
-
-    grid = rf.build_grid(1, 6.0, 800)
-    state = rf.project_initial(lambda r: 0.5 * erfc((r - 1.0) / 0.25), grid)
-    config = rf.SolverConfig(record_every=0.0125)
-    return rf.evolve(state, 1.0, params_pm1, config)
+def run_pm1_indicator():
+    return shipped_run("pm1_indicator")
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ import renyiflow as rf
 from renyiflow.checks import run_checks
 from renyiflow.cli import main
 from renyiflow.gn import (deficit_identity_check, extremality_test,
-                          gn_constant_report, gn_exponent)
+                          gn_constant_report, gn_exponent, sharp_constant)
 from renyiflow.matching import envelope_worst, q_envelope
 
 CONFIG_DIR = "configs"
@@ -94,7 +94,7 @@ def test_criterion_01_reference_fields_match_quadrature():
             "theta_star": (ex.kappa**2 * q["theta"], ref.theta_star),
             "c_gn": ((q["entropy"] ** (ex.sigma - 1.0) * q["fisher"]
                       * ((2.0 * p - 1.0) / (2.0 * p)) ** 2)
-                     ** (0.5 * gn_exponent(d, ex.gn_q)), ref.c_gn),
+                     ** (0.5 * gn_exponent(d, ex.gn_q)), sharp_constant(ref)),
         }
         for field, (got, want) in derived.items():
             rel = abs(got - want) / abs(want)

@@ -17,29 +17,30 @@ from scipy import integrate
 import renyiflow as rf
 from renyiflow import barenblatt
 from renyiflow.barenblatt import _quad_moment, normalization_constant, reference_functionals
+from renyiflow.gn import sharp_constant
 from renyiflow.grid import sphere_area
 
 FROZEN = {
     (1, 2.0): dict(c_star=0.8254818122236569, theta=0.1650963624447314,
                    entropy=0.6603854497789255, fisher=2.641541799115702,
                    h_star=0.2683281572999749, j_star=13.888888888888877,
-                   theta_star=0.8653497421844454, c_gn=1.470273503554807),
+                   theta_star=0.8653497421844454),
     (1, 1.5): dict(c_star=0.9745149602290473, theta=0.13921642288986388,
                    entropy=0.8352985373391832, fisher=5.0117912240350995,
                    h_star=0.5102280595341138, j_star=14.755116598079573,
-                   theta_star=1.2149641903211008, c_gn=1.2323983985328129),
+                   theta_star=1.2149641903211008),
     (2, 0.75): dict(c_star=1.015491297563259, theta=0.25387282439081477,
                     entropy=1.5232369463448885, fisher=18.278843356138662,
                     h_star=2.1459194266698822, j_star=42.41150082346217,
-                    theta_star=4.752690796150474, c_gn=1.213822382466043),
+                    theta_star=4.752690796150474),
     (3, 2.0 / 3.0): dict(c_star=1.825968029843779, theta=1.825968029843781,
                          entropy=7.303872119375123, fisher=87.64646543250146,
                          h_star=5.4051353801269855, j_star=87.64646543250146,
-                         theta_star=29.21548847750049, c_gn=2.340492275042014),
+                         theta_star=29.21548847750049),
     (3, 2.0): dict(c_star=0.8134681616584949, theta=0.11620973737978499,
                    entropy=0.46483894951913995, fisher=5.578067394229679,
                    h_star=0.01841476965077809, j_star=43.02065922024854,
-                   theta_star=0.38517183091245316, c_gn=2.450155421884758),
+                   theta_star=0.38517183091245316),
 }
 
 
@@ -116,7 +117,7 @@ def test_infinite_moment_regime():
     ref = rf.build_reference(rf.ModelParams(3, 0.55))
     assert ref.theta == math.inf
     assert math.isnan(ref.h_star) and math.isnan(ref.j_star)
-    assert ref.c_gn is None
+    assert sharp_constant(ref) is None
 
 
 def test_near_critical_tail_still_verifies():
@@ -150,11 +151,10 @@ def test_quadrature_matches_closed_forms(d):
     worst = 0.0
     for p in _sweep_ps(d):
         params = rf.ModelParams(d, p)
-        c_star = normalization_constant(params)
-        vals = reference_functionals(params, c_star=c_star)
+        vals = reference_functionals(params)
         for key in ("mass", "theta", "entropy"):
             if math.isfinite(vals[key]):
-                q = _quad_moment(params, c_star, key)
+                q = _quad_moment(params, key)
                 worst = max(worst, abs(q - vals[key]) / vals[key])
     assert worst <= 1e-10
 
@@ -167,13 +167,14 @@ def test_cross_check_holds_near_thresholds(d, p):
     rf.build_reference(rf.ModelParams(d, p))
 
 
-def _scipy_moment(d, p, c_star, weight):
+def _scipy_moment(d, p, weight):
     """The same integral by adaptive quadrature of the profile formula, the
     power-law tail under r = 1/t."""
     params = rf.ModelParams(d, p)
+    c_star = normalization_constant(params)
 
     def integrand(r):
-        b = float(rf.profile_density(r, params, c_star=c_star))
+        b = float(rf.profile_density(r, params))
         b = b**p if weight == "entropy" else b * r * r / d if weight == "theta" else b
         return sphere_area(d) * r ** (d - 1) * b
 
@@ -191,11 +192,10 @@ def _scipy_moment(d, p, c_star, weight):
                                  (8, 1.5)])
 def test_quadrature_matches_scipy_quad(d, p):
     params = rf.ModelParams(d, p)
-    c_star = normalization_constant(params)
     for key in ("mass", "theta", "entropy"):
-        if math.isfinite(reference_functionals(params, c_star=c_star)[key]):
-            want = _scipy_moment(d, p, c_star, key)
-            assert _quad_moment(params, c_star, key) == pytest.approx(want, rel=1e-10), key
+        if math.isfinite(reference_functionals(params)[key]):
+            want = _scipy_moment(d, p, key)
+            assert _quad_moment(params, key) == pytest.approx(want, rel=1e-10), key
 
 
 @pytest.mark.parametrize("d,p", [(1, 2.0), (3, 2.0 / 3.0)])
@@ -203,8 +203,8 @@ def test_quadrature_matches_scipy_quad(d, p):
 def test_closed_form_off_by_1e_7_is_caught(monkeypatch, d, p, key):
     exact = barenblatt.reference_functionals
 
-    def skewed(params, c_star=None):
-        vals = exact(params, c_star=c_star)
+    def skewed(params):
+        vals = exact(params)
         vals[key] *= 1.0 + 1e-7
         return vals
 

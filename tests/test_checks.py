@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -96,6 +97,32 @@ def test_corpus_checks_pass(corpus):
                 continue
             (res,) = run_checks((check,), traj, expected_tau=expected_tau)
             assert res.passed, (name, check, res.slack, res.details)
+
+
+def test_theorem1_judges_concavity_between_equal_intervals():
+    # F is concave here (divided second differences -6.98, -2.27, -0.49,
+    # -0.33, -0.39), but the plain second difference across the unequal
+    # intervals 0 -> 0.1 -> 0.4 and 0.7 -> 1 reads +0.40 relative; the two
+    # equal-interval windows at 0.5 and 0.6 read -7.7e-4
+    params = rf.ModelParams(1, 2.0)
+    grid = rf.build_grid(1, 6.0, 400)
+    state = rf.project_initial(lambda r: np.exp(-r * r), grid)
+    traj = rf.evolve(state, 1.0, params,
+                     rf.SolverConfig(record_times=(0.1, 0.4, 0.5, 0.6, 0.7)))
+    (res,) = run_checks(("theorem1",), traj)
+    assert res.passed, res.details["clauses"]
+    assert res.details["clauses"]["f_concave"]["measured"] < 0.0
+
+
+def test_theorem1_fails_a_convex_f(run_pm1_gaussian):
+    # F = exp(10 t) is increasing and convex: on the 0.0125 record
+    # intervals its relative second difference is about (10 h)**2 = 0.016
+    records = [replace(r, f_power=math.exp(10.0 * r.t)) for r in run_pm1_gaussian.records]
+    (res,) = run_checks(("theorem1",), replace(run_pm1_gaussian, records=records))
+    clauses = res.details["clauses"]
+    assert res.passed is False
+    assert clauses["f_concave"]["passed"] is False
+    assert clauses["f_increasing"]["passed"] is True
 
 
 def test_tau_flat_clause_present_only_with_expectation(run_pm1_barenblatt):

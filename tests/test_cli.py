@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import conftest
 import renyiflow as rf
 from renyiflow import barenblatt, cli
 from renyiflow.cli import (
@@ -21,7 +20,7 @@ from renyiflow.cli import (
     run_experiment,
 )
 from renyiflow.functionals import FunctionalRecord
-from renyiflow.solver import SolverConfig, Trajectory
+from renyiflow.solver import Trajectory
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -208,12 +207,6 @@ def test_shipped_configs_build_unit_mass(path):
     state = build_initial_state(load_config(path))
     assert state.mass() == pytest.approx(1.0, abs=1e-13)
     assert np.all(state.u >= 0.0)
-
-
-def test_shipped_fd3_schedule_is_the_fixtures():
-    # the fd3 corpus fixtures stand in for configs/fd3_gaussian.json
-    assert load_config(CONFIGS / "fd3_gaussian.json").solver == SolverConfig(
-        record_times=conftest.FD3_RECORD_TIMES)
 
 
 def test_table_datum_interpolates_then_vanishes():
@@ -575,8 +568,8 @@ def test_main_reference_wrong_closed_form_exits_3(capsys, monkeypatch):
     # program: a failed run (exit 3) with its traceback
     exact = barenblatt.reference_functionals
 
-    def skewed(params, c_star=None):
-        vals = exact(params, c_star=c_star)
+    def skewed(params):
+        vals = exact(params)
         vals["theta"] *= 1.0 + 1e-7
         return vals
 

@@ -18,7 +18,7 @@ from renyiflow.gn import (
     _lcg_uniforms,
     extremality_test,
     gn_constant_report,
-    sharp_constant_from_j,
+    sharp_constant,
 )
 from renyiflow.params import RegimeError
 
@@ -26,7 +26,7 @@ from renyiflow.params import RegimeError
 def gaussian_quotient(d, q, lam):
     grid = rf.build_grid(d, 30.0 * lam, 2000)
     w = np.exp(-((grid.centers / lam) ** 2) / 2.0)
-    return rf.gn_quotient(GnTestFunction(grid, w), q, rf.gn_exponent(d, q))
+    return rf.gn_quotient(GnTestFunction(grid, w), q)
 
 
 @settings(max_examples=20, deadline=None)
@@ -42,11 +42,10 @@ def test_exponent_makes_quotient_dilation_invariant(d, q, lam):
 
 
 def test_quotient_amplitude_invariant():
-    theta = rf.gn_exponent(2, 1.5)
     grid = rf.build_grid(2, 30.0, 1000)
     w = np.exp(-(grid.centers**2) / 2.0)
-    a = rf.gn_quotient(GnTestFunction(grid, w), 1.5, theta)
-    b = rf.gn_quotient(GnTestFunction(grid, 3.7 * w), 1.5, theta)
+    a = rf.gn_quotient(GnTestFunction(grid, w), 1.5)
+    b = rf.gn_quotient(GnTestFunction(grid, 3.7 * w), 1.5)
     assert b == pytest.approx(a, rel=1e-13)
 
 
@@ -81,10 +80,9 @@ def test_family_from_diffusion_exponent(ref_pm1, ref_fd3):
     for measure in (gn_constant_report, extremality_test):
         with pytest.raises(RegimeError, match="p > 1/2"):
             measure(ref_low)
-    # q exists below the remainder window, but the reference carries no
-    # sharp constant there
+    # q exists below the remainder window, but there is no sharp constant
     ref = rf.build_reference(rf.ModelParams(3, 0.62))
-    assert ref.c_gn is None
+    assert sharp_constant(ref) is None
     with pytest.raises(RegimeError):
         gn_constant_report(ref)
 
@@ -95,7 +93,7 @@ def test_sharp_constant_dual_path(key, params_pm1, params_fd3, ref_pm1, ref_fd3)
                    else (params_fd3, ref_fd3))
     report = gn_constant_report(ref)
     assert report["rel_discrepancy"] <= 1e-3
-    assert report["c_gn"] == pytest.approx(ref.c_gn, rel=1e-12)
+    assert report["c_gn"] == pytest.approx(sharp_constant(ref), rel=1e-12)
     frozen = {"pm1": 1.470273503554807, "fd3": 2.340492275042014}[key]
     assert report["c_gn"] == pytest.approx(frozen, rel=1e-9)
     # the asymptote-normalized reading differs by the fixed algebraic factor
@@ -103,9 +101,27 @@ def test_sharp_constant_dual_path(key, params_pm1, params_fd3, ref_pm1, ref_fd3)
     assert report["c_gn"] == pytest.approx(report["asymptote_form"] * factor, rel=1e-12)
 
 
-def test_sharp_constant_formula():
-    assert sharp_constant_from_j(16.0, 0.5, 1.0) == pytest.approx(
-        (16.0 * 0.25) ** 0.25, rel=1e-15)
+def test_sharp_constant_formula(ref_pm1):
+    # d = 1, p = 2: q = 1/3, theta = 3/8 and ((2p-1)/(2p))**2 = 9/16
+    assert sharp_constant(ref_pm1) == pytest.approx(
+        (ref_pm1.j_star * 9.0 / 16.0) ** (3.0 / 16.0), rel=1e-15)
+
+
+# Produced by this code path; test_acceptance confirms them by adaptive
+# quadrature of the profile.
+FROZEN_SHARP_CONSTANTS = {
+    (1, 2.0): 1.470273503554807,
+    (1, 1.5): 1.2323983985328129,
+    (2, 0.75): 1.213822382466043,
+    (3, 2.0 / 3.0): 2.340492275042014,
+    (3, 2.0): 2.450155421884758,
+}
+
+
+@pytest.mark.parametrize("d,p", sorted(FROZEN_SHARP_CONSTANTS))
+def test_sharp_constant_frozen_values(d, p):
+    ref = rf.build_reference(rf.ModelParams(d, p))
+    assert sharp_constant(ref) == pytest.approx(FROZEN_SHARP_CONSTANTS[(d, p)], rel=1e-9)
 
 
 def test_extremality_deterministic(ref_pm1):
@@ -141,7 +157,7 @@ def test_test_function_validation():
     with pytest.raises(ValueError):
         GnTestFunction(grid, np.ones(5))
     with pytest.raises(ValueError):
-        rf.gn_quotient(GnTestFunction(grid, np.zeros(grid.n)), 0.5, 0.25)
+        rf.gn_quotient(GnTestFunction(grid, np.zeros(grid.n)), 0.5)
 
 
 def test_deficit_regime_gates(run_pm1_gaussian):
