@@ -88,7 +88,7 @@ _DATUM_KINDS = {
 }
 
 _TOP_KEYS = ("d", "p", "initial_datum", "grid", "solver", "t_end",
-             "record_every", "record_times", "checks", "seed")
+             "record_every", "record_from", "checks", "seed")
 
 
 class ConfigError(ValueError):
@@ -260,23 +260,15 @@ def parse_config(document: dict | str, label: str = "config") -> ExperimentConfi
     solver_raw = document.get("solver", {})
     _check_keys(solver_raw, "solver", ("dt_min",), ())
     solver = SolverConfig(**{k: _as_number(v, f"solver.{k}") for k, v in solver_raw.items()})
-    schedule = {}
-    if "record_times" in document:
-        rt = document["record_times"]
-        if not isinstance(rt, list) or not rt:
-            raise _fail("record_times", "expected a nonempty list of offsets")
-        schedule["record_times"] = tuple(_as_number(x, "record_times") for x in rt)
-    if "record_every" in document:
-        schedule["record_every"] = _as_number(document["record_every"], "record_every")
     # every check SolverConfig makes is on the record schedule: adding one
     # key at a time lets its error name that key
-    for key, value in schedule.items():
-        try:
-            solver = dataclasses.replace(solver, **{key: value})
-        except ValueError as e:
-            raise _fail(key, str(e)) from e
-    if len(schedule) == 2:
-        raise ConfigError("config fields 'record_every' and 'record_times': give one, not both")
+    for key in ("record_every", "record_from"):
+        if key in document:
+            value = _as_number(document[key], key)
+            try:
+                solver = dataclasses.replace(solver, **{key: value})
+            except ValueError as e:
+                raise _fail(key, str(e)) from e
 
     raw_checks = document.get("checks", "all")
     if raw_checks == "all":

@@ -95,6 +95,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from itertools import count, takewhile
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -149,22 +150,17 @@ class InstabilityError(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     dt_min: float = 0.0
+    # A run records at t0, at every t0 + k*record_every (k >= 1) that is at
+    # or after t0 + record_from and before t_end, and at t_end. A record_from
+    # above zero steps round an initial transient without a finer cadence.
     record_every: float = 0.05
-    # Explicit record offsets from the initial time (strictly increasing,
-    # positive). When set they replace the uniform record_every schedule;
-    # a final record at t_end is emitted either way. Useful to resolve fast
-    # initial transients without paying for a uniformly fine cadence.
-    record_times: tuple[float, ...] | None = None
+    record_from: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.record_every > 0.0:  # NaN fails this too
             raise ValueError("record_every must be positive")
-        if self.record_times is not None:
-            rt = np.asarray(self.record_times, dtype=float)
-            if rt.size == 0:
-                raise ValueError("record_times must be nonempty when given")
-            if not np.all(np.isfinite(rt)) or rt[0] <= 0.0 or np.any(np.diff(rt) <= 0.0):
-                raise ValueError("record_times must be finite, positive, strictly increasing")
+        if not (isinstance(self.record_from, Real) and 0.0 <= self.record_from < math.inf):
+            raise ValueError(f"record_from must be finite and >= 0, got {self.record_from!r}")
 
 
 def _rkl2_table(s_max: int) -> tuple[list[float], list[float], list[float]]:
@@ -504,14 +500,11 @@ def record_block(n: int) -> int:
 
 
 def _record_schedule(t0: float, t_end: float, config: SolverConfig) -> list[float]:
-    """Record times after t0, ending with t_end."""
-    if config.record_times is not None:
-        pending = [t0 + off for off in config.record_times if t0 + off < t_end]
-    else:
-        pending = list(takewhile(lambda s: s < t_end, (
-            t0 + k * config.record_every for k in count(1))))
-    pending.append(t_end)
-    return pending
+    """Record times after t0: every t0 + k*record_every (k >= 1) at or after
+    t0 + record_from and before t_end, then t_end."""
+    start = t0 + config.record_from
+    cadence = takewhile(lambda s: s < t_end, (t0 + k * config.record_every for k in count(1)))
+    return [s for s in cadence if s >= start] + [t_end]
 
 
 def evolve(
@@ -521,12 +514,13 @@ def evolve(
     config: SolverConfig,
     observer: Callable[[FunctionalRecord, DensityState], None] | None = None,
 ) -> Trajectory:
-    """Run to t_end, recording diagnostics at t0, at every record_times
-    offset (else every record_every) before t_end, and at t_end. A record's
-    dt is the length of the step or super-step that reached it (the first
-    record's, the first Euler bound). Whether the records' E carries the
-    far-field tail is decided here, once (whole_space_entropy), and the
-    run's reference profile built once (Trajectory.reference).
+    """Run to t_end, recording diagnostics at t0, at every t0 + k*record_every
+    (k >= 1) at or after t0 + record_from and before t_end, and at t_end
+    (_record_schedule). A record's dt is the length of the step or
+    super-step that reached it (the first record's, the first Euler bound).
+    Whether the records' E carries the far-field tail is decided here, once
+    (whole_space_entropy), and the run's reference profile built once
+    (Trajectory.reference).
 
     The snapshots wait in a block of record_block(n) and go through
     diagnostics together whenever the block is full, and once more at

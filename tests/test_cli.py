@@ -58,6 +58,11 @@ def test_parse_minimal_config():
     assert cfg.seed == 20260814
 
 
+def test_record_every_and_record_from_parse_together():
+    cfg = parse_config(tiny_config(record_every=0.0125, record_from="1/20"))
+    assert cfg.solver == rf.SolverConfig(record_every=0.0125, record_from=0.05)
+
+
 def test_fraction_strings_parse_exactly():
     grid = {"r_max": "80/2", "n": 64, "stretch": 1.01}
     cfg = parse_config(tiny_config(d=3, p="2/3", grid=grid, checks=["theorem2"]))
@@ -117,8 +122,8 @@ def test_barenblatt_datum_pins_the_delay(tmp_path, datum, clauses):
     (dict(solver={"verbose": True}), "config field 'solver': unknown keys: verbose"),
     # the CFL number is the solver's constant: cfl is an unknown key
     (dict(solver={"cfl": 2.0}), "cfl"),
-    (dict(record_times=[]), "nonempty"),
-    (dict(record_times=[0.2, 0.1]), "strictly increasing"),
+    (dict(record_from=-0.05), "config field 'record_from': record_from must be finite and >= 0"),
+    (dict(record_from=math.inf), "config field 'record_from': must be finite, got inf"),
     (dict(cadence=0.1), "config: unknown keys: cadence"),
     (dict(seed=1.5), "expected an integer"),
     (dict(output_dir="out/x"), "config: unknown keys: output_dir"),
@@ -133,8 +138,7 @@ def test_barenblatt_datum_pins_the_delay(tmp_path, datum, clauses):
     # the grid is an object only, and the solver has no step cap
     (dict(grid=[6.0, 64, 1.0]), "expected {r_max, n, stretch}"),
     (dict(solver={"dt_max": 1.0}), "config field 'solver': unknown keys: dt_max"),
-    # TINY gives record_every
-    (dict(record_times=[0.01, 0.02]), "'record_every' and 'record_times'"),
+    (dict(record_from=math.nan), "config field 'record_from': must be finite, got nan"),
     # evolve derives the step floor
     (dict(solver={"u_floor": 1e-9}), "config field 'solver': unknown keys: u_floor"),
     # grids whose steps come out NaN: stretch**n overflows to non-finite
@@ -162,7 +166,7 @@ def test_barenblatt_datum_pins_the_delay(tmp_path, datum, clauses):
     (dict(initial_datum={"kind": ["gaussian"]}), "unknown kind ['gaussian']"),
     # the record schedule's errors name their own top-level key
     (dict(record_every=-1), "config field 'record_every': record_every must be positive"),
-    (dict(record_times=[0.2, 0.1]), "config field 'record_times': record_times must be finite"),
+    (dict(record_from=[0.05]), "config field 'record_from': expected a number"),
 ])
 def test_parse_rejections(mutation, fragment):
     with pytest.raises(ConfigError) as err:
@@ -284,6 +288,26 @@ def test_summary_lines(tmp_path, capsys):
 def test_main_run_exit_codes(tmp_path):
     path = write_config(tmp_path / "ok.json", tiny_config())
     assert main(["run", path, "--out", str(tmp_path / "ok")]) == 0
+
+
+@pytest.mark.parametrize("schedule", [
+    {"record_every": 0.1},
+    {"record_every": 0.0125, "record_from": 0.1},
+], ids=["cadence_of_t_end", "record_from_at_t_end"])
+def test_two_record_run_is_judged(tmp_path, schedule):
+    # records at t0 and t_end only: the deficit integral is one trapezoid and
+    # has no window to judge concavity on, so the run is checked, not a crash
+    doc = {"d": 3, "p": "2/3", "initial_datum": {"kind": "barenblatt", "t0": 1.0},
+           "grid": {"r_max": 2000.0, "n": 200, "stretch": 1.03}, "t_end": 0.1,
+           "checks": "all", **schedule}
+    path = write_config(tmp_path / "two.json", doc)
+    assert main(["run", path, "--out", str(tmp_path / "two")]) in (0, 1)
+    report = json.loads((tmp_path / "two" / "report.json").read_text())
+    assert report["run"]["n_records"] == 2
+    deficit = next(c for c in report["checks"] if c["name"] == "deficit")
+    assert set(deficit["clauses"]) == {
+        "partial_nondecreasing", "budget_bound", "concavity_rate_identity"}
+    assert deficit["low_confidence"] is True
 
 
 def test_main_config_error_exit(tmp_path, capsys):

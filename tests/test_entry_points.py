@@ -36,6 +36,15 @@ def test_documented_configs_parse():
         cli.parse_config(block.group(1))
 
 
+def test_config_schema_names_every_top_level_key():
+    # a renamed or removed key must not leave the README's schema stale
+    readme = (ROOT / "README.md").read_text()
+    section = re.search(r"### Config schema\n(.*?)\n### ", readme, re.S).group(1)
+    missing = [key for key in cli._TOP_KEYS
+               if f"`{key}`" not in section and f'"{key}"' not in section]
+    assert not missing, missing
+
+
 def test_benchmark_wrap_points_resolve(monkeypatch):
     # the traced benchmark run patches each (module, attribute) by name
     spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")

@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 import renyiflow as rf
 from renyiflow import solver
+from renyiflow.cli import load_config
 from renyiflow.solver import InstabilityError, StiffnessError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -20,16 +24,17 @@ def pm_setup():
 
 @pytest.mark.parametrize("kwargs", [
     dict(record_every=math.nan),
-    dict(record_times=(0.0, 0.1)),
-    dict(record_times=(0.1, 0.1)),
+    dict(record_from=-0.1),
+    dict(record_from=-math.inf),
     dict(record_every=0.0),
-    dict(record_times=()),
-    dict(record_times=(0.2, 0.1)),
-    dict(record_times=(-0.1, 0.2)),
-    dict(record_times=(0.1, math.nan)),
+    dict(record_from=math.inf),
+    dict(record_from=math.nan),
+    dict(record_from="0.05"),
+    dict(record_from=None),
 ])
 def test_solver_config_rejections(kwargs):
-    with pytest.raises(ValueError):
+    (key,) = kwargs
+    with pytest.raises(ValueError, match=key):
         rf.SolverConfig(**kwargs)
 
 
@@ -94,12 +99,36 @@ def test_record_schedule_uniform(pm_setup):
     assert traj.final_state.t == 1.0
 
 
-def test_record_schedule_explicit(pm_setup):
+def test_record_schedule_from(pm_setup):
     params, _, state = pm_setup
-    cfg = rf.SolverConfig(record_times=(0.1, 0.3))
+    cfg = rf.SolverConfig(record_every=0.1, record_from=0.3)
     traj = rf.evolve(state, 0.5, params, cfg)
     # initial record and a final one at t_end are always present
-    assert np.allclose(traj.times(), [0.0, 0.1, 0.3, 0.5], atol=1e-12)
+    assert np.allclose(traj.times(), [0.0, 0.3, 0.4, 0.5], atol=1e-12)
+    for record_from in (0.5, 0.7):
+        cfg = rf.SolverConfig(record_every=0.1, record_from=record_from)
+        assert rf.evolve(state, 0.5, params, cfg).times().tolist() == [0.0, 0.5]
+
+
+@pytest.mark.parametrize("t0,record_every,t_end", [
+    (0.0, 0.0125, 5.0), (0.0, 0.1, 1.0), (1.0, 0.0005, 2.0), (0.3, 0.07, 2.9)])
+def test_record_schedule_without_record_from_is_the_cadence(t0, record_every, t_end):
+    cadence = [t0 + k * record_every for k in range(1, 10000)]
+    expected = [s for s in cadence if s < t_end] + [t_end]
+    for cfg in (rf.SolverConfig(record_every=record_every),
+                rf.SolverConfig(record_every=record_every, record_from=0.0)):
+        assert solver._record_schedule(t0, t_end, cfg) == expected
+
+
+def test_record_schedule_of_fd3_gaussian():
+    # the 0.0125 cadence from t = 0.05 on: each k*0.0125 lies within one
+    # ulp of 0.05 + j*0.0125
+    cfg = load_config(CONFIGS / "fd3_gaussian.json")
+    times = np.array([0.0] + solver._record_schedule(0.0, cfg.t_end, cfg.solver))
+    offsets = 0.05 + np.arange(396) * 0.0125
+    expected = np.concatenate(([0.0], offsets, [cfg.t_end]))
+    assert times.size == expected.size == 398
+    assert np.all(np.abs(times - expected) <= np.spacing(expected))
 
 
 def test_evolve_rejects_backward_time(pm_setup):
