@@ -83,8 +83,11 @@ def _run(steps: list, s: list) -> list:
 
 @cache  # the diagnostics ask for the same few exponents at every record
 def pow_fn(p: float) -> Callable[..., np.ndarray]:
-    """(u, out=None) -> u**p for an array u (not a scalar), written into out
-    when given (for p > 0); u itself when p = 1."""
+    """(u, out=None, roots=(None, None)) -> u**p for an array u (not a
+    scalar), written into out when given; u itself when p = 1. The
+    intermediate roots go into the two arrays of roots, of u's shape, when
+    given (new arrays otherwise); out and the roots are distinct from u and
+    from each other."""
     steps, result = _steps(p)
-    return lambda u, out=None: _run(steps, [u, None, None, out, p])[result]
+    return lambda u, out=None, roots=(None, None): _run(steps, [u, *roots, out, p])[result]
 

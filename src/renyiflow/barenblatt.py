@@ -62,20 +62,30 @@ def normalization_constant(params: ModelParams) -> float:
         ) from None
 
 
-def profile_density(r: np.ndarray | float, params: ModelParams) -> np.ndarray:
-    """Unit-mass stationary profile evaluated at radii r >= 0."""
+def profile_density(r: np.ndarray | float, params: ModelParams,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Unit-mass stationary profile evaluated at radii r >= 0, written into
+    out when given (which may be r itself); a scalar for a scalar r."""
     c_star = normalization_constant(params)
     r = np.asarray(r, dtype=float)
     p = params.p
+    # in place, the operations of max(c_star - r**2, 0)**(1/(p-1)) for p > 1
+    # and (c_star + r**2)**(1/(p-1)) for p < 1
+    out = np.multiply(r, r, out=np.empty(r.shape) if out is None else out)
     if p > 1.0:
-        return np.maximum(c_star - r * r, 0.0) ** (1.0 / (p - 1.0))
-    return (c_star + r * r) ** (1.0 / (p - 1.0))
+        np.subtract(c_star, out, out=out)
+        np.maximum(out, 0.0, out=out)
+    else:
+        out += c_star
+    out **= 1.0 / (p - 1.0)
+    return out if out.ndim else out[()]
 
 
 def self_similar_density(r: np.ndarray | float, t: float | Sequence[float],
-                         params: ModelParams) -> np.ndarray:
+                         params: ModelParams, out: np.ndarray | None = None) -> np.ndarray:
     """Source-type solution at time t > 0, evaluated at radii r, or at each
-    of a sequence of k times as a (k, r.size) block.
+    of a sequence of k times as a (k, r.size) block, written into out when
+    given.
 
     u(t, x) = t^(-d/mu) * kappa^(-d) * B(x / (kappa t^(1/mu))), which solves
     the flow with unit mass for every t; its second-moment functional grows
@@ -93,8 +103,14 @@ def self_similar_density(r: np.ndarray | float, t: float | Sequence[float],
     r = np.asarray(r, dtype=float)
     if one:
         return amplitude[0] * profile_density(r / scale[0], params)
-    return (np.array(amplitude)[:, None]
-            * profile_density(r / np.array(scale)[:, None], params))
+    # row by row, as a call on a (k, 1) column would buffer the whole block
+    block = np.empty((len(times), r.size)) if out is None else out
+    for row, c in zip(block, scale):
+        np.divide(r, c, out=row)
+    profile_density(block, params, out=block)
+    for row, a in zip(block, amplitude):
+        row *= a
+    return block
 
 
 @dataclass(frozen=True)
@@ -124,8 +140,9 @@ class BarenblattReference:
     def profile(self, r: np.ndarray | float) -> np.ndarray:
         return profile_density(r, self.params)
 
-    def self_similar(self, r: np.ndarray | float, t: float | Sequence[float]) -> np.ndarray:
-        return self_similar_density(r, t, self.params)
+    def self_similar(self, r: np.ndarray | float, t: float | Sequence[float],
+                     out: np.ndarray | None = None) -> np.ndarray:
+        return self_similar_density(r, t, self.params, out)
 
     def match_time(self, theta: float) -> float:
         """Time s = (theta / theta_star)**(mu/2) at which the source-type

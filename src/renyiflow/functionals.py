@@ -11,20 +11,40 @@ continuum limit.
 diagnostics is the one public path to the per-record functionals. It
 takes a block of k states on one grid, and each functional's formula lives
 in one private kernel that takes the (k, n) arrays it reads (u**p, the
-potential v, the live-face mask, ...) as arguments, with per-record
-scalars as (k, 1) columns: one numpy call serves k records, whose fixed
-call cost would otherwise dominate at n ~ 1000. diagnostics builds each of
-those arrays once per block and feeds every kernel, and the grid-only
-arrays come cached from RadialGrid. A row's results do not depend on its
-block: sums run along rows (pairwise, as on a lone array), dot products
-are np.vecdot (one ddot per row), and sums over a masked subset of a row
-are taken row by row. The kernels assume their caller has silenced divide
-and invalid warnings: vacuum cells make v infinite, and the masks then
-discard those faces.
+slopes of the potential v, the live-face mask, ...) as arguments, with
+per-record scalars as (k, 1) columns: one numpy call serves k records,
+whose fixed call cost would otherwise dominate at n ~ 1000. diagnostics
+builds each of those arrays once per block and feeds every kernel, and the
+grid-only arrays come cached from RadialGrid. A row's results do not
+depend on its block: sums run along rows (pairwise, as on a lone array),
+dot products are np.vecdot (one ddot per row), and sums over a masked
+subset of a row are taken row by row. The kernels assume their caller has
+silenced divide and invalid warnings: vacuum cells make v infinite, and the
+masks then discard those faces.
+
+A block allocates no array of its size (numpy's buffer of a call that
+broadcasts a grid array or a (k, 1) column aside, at most 8192 doubles).
+Every array it needs, the stacked states included, lives in one workspace
+per thread (_workspace), built once and reused by every block: 7 float and
+5 boolean arrays of k (n + 1) entries, 769,332 bytes at
+solver.record_block's k = 12 for n = 1050. The kernels write into it with
+out= and where= and work in the first k rows, so a partial block or a lone
+state takes the same path. They carve contiguous (k, m) arrays from it
+(_rows): at (16, 1050) a numpy call runs about twice as fast on contiguous
+operands, as one flat loop, as on strided views. So a face array, the
+n - 1 interior faces of each row, is (k, n) with no face in its last
+column (0, or False in a mask), and a difference across faces is one flat
+call over the cells (_across_faces). Blocks that allocated their
+temporaries lost the gain of more than 4 rows to page faults, not to the
+L1 cache: above glibc's trim threshold the freed top of the heap went back
+to the system after each block and the next block faulted it in again. An
+fd3_exact_dense evolve (4,001 records) took 150,899-176,726 minor faults in
+16-row blocks that allocated, and 740-1,021 with the workspace.
 """
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -102,14 +122,60 @@ class FunctionalRecord:
 # entry point, since entering np.errstate costs about 3 us.
 _quiet = partial(np.errstate, divide="ignore", invalid="ignore")
 
+# The workspace of a diagnostics block: _FLOATS float and _MASKS boolean
+# flat arrays, one workspace per thread (_workspace), from which each kernel
+# carves the contiguous (k, m) arrays it writes (_rows).
+_FLOATS, _MASKS = 7, 5
+_local = threading.local()
 
-def _potential(g: RadialGrid, u: np.ndarray,
-               p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """v = p/(p-1) u**(p-1) (infinite on vacuum cells when p < 1), its
-    differences across the n-1 interior faces, and its face slopes."""
-    v = (p / (p - 1.0)) * pow_fn(p - 1.0)(u)
-    dv = v[:, 1:] - v[:, :-1]
-    return v, dv, dv / g.center_gaps
+
+def _workspace(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's workspace, (_FLOATS, >= size) floats and (_MASKS,
+    >= size) booleans. It is built anew only when a block needs more entries
+    per array than it holds; otherwise each block finds it as the last one
+    left it, so every kernel writes each entry it reads before reading it."""
+    ws = getattr(_local, "workspace", None)
+    if ws is None or ws[0].shape[1] < size:
+        ws = _local.workspace = (np.empty((_FLOATS, size)), np.empty((_MASKS, size), dtype=bool))
+    return ws
+
+
+def _rows(buf: np.ndarray, k: int, m: int) -> np.ndarray:
+    """The first k*m entries of the flat workspace array buf as a
+    contiguous (k, m) array."""
+    return buf[:k * m].reshape(k, m)
+
+
+def _across_faces(ufunc: np.ufunc, x: np.ndarray, out: np.ndarray,
+                  pad: float | bool = 0.0) -> np.ndarray:
+    """ufunc(x[:, 1:], x[:, :-1]) into the face array out, for cells x
+    (both contiguous (k, n)): one flat call, which pairs the last cell of a
+    row with the first of the next in the last column, where no face is;
+    that column is then set to pad."""
+    flat = x.reshape(-1)
+    ufunc(flat[1:], flat[:-1], out=out.reshape(-1)[:-1])
+    out[:, -1] = pad
+    return out
+
+
+def _potential(g: RadialGrid, u: np.ndarray, p: float, dv: np.ndarray,
+               slopes: np.ndarray, scratch: Sequence[np.ndarray]) -> None:
+    """v = p/(p-1) u**(p-1) (infinite on vacuum cells when p < 1), in
+    scratch[0]; its differences across the faces into the face array dv;
+    and into the flat slopes, k n + 1 entries, its one-sided slopes on
+    either side of each cell, so that slopes[:-1] and slopes[1:] as (k, n)
+    arrays hold every cell's inner and outer slope. The outer slope of cell
+    j < n-1 is the face slope dv / center_gaps; the inner one of cell 0
+    comes from the even reflection v(-r) = v(r) (0, or nan where v is
+    infinite). The outer slope of a row's last cell, which has no outer
+    neighbor, is the next row's inner one (0 in the last row): it is read
+    only beside h_p = nan, which makes every stencil there nan."""
+    k, n = u.shape
+    v, *roots = (_rows(a, k, n) for a in scratch[:3])
+    np.multiply(pow_fn(p - 1.0)(u, out=v, roots=roots), p / (p - 1.0), out=v)
+    _across_faces(np.subtract, v, dv)
+    np.divide(dv, g.padded_faces[0], out=slopes[1:].reshape(k, n))
+    slopes[:-1:n] = (v[:, 0] - v[:, 0]) / g.stencil_gaps[0][0]
 
 
 def _second_moment(g: RadialGrid, u: np.ndarray) -> np.ndarray:
@@ -118,8 +184,10 @@ def _second_moment(g: RadialGrid, u: np.ndarray) -> np.ndarray:
     return np.vecdot(u, g.moment_weights) / g.d
 
 
-def _live_faces(u: np.ndarray, u_max: np.ndarray, drc: np.ndarray) -> np.ndarray:
-    """Faces admitted to gradient quadratures.
+def _live_faces(u: np.ndarray, u_max: np.ndarray, drc: np.ndarray, live: np.ndarray,
+                scratch: Sequence[np.ndarray], masks: Sequence[np.ndarray]) -> None:
+    """The faces admitted to gradient quadratures, into the face mask live
+    (drc the padded center gaps).
 
     A face is live when both cells sit above DUST_REL * max(u), or below
     that level but with a log-slope within SMOOTH_SLOPE_REL of a
@@ -129,24 +197,33 @@ def _live_faces(u: np.ndarray, u_max: np.ndarray, drc: np.ndarray) -> np.ndarray
     alternates between flat and cliff faces, so neighbor consistency
     separates signal from noise independently of level.
     """
-    above = u >= DUST_REL * u_max
-    level = above[:, :-1] & above[:, 1:]
-    if u.shape[1] < 3:
-        return level
-    log_u = np.log(u)
-    slopes = log_u[:, 1:] - log_u[:, :-1]
+    k, n = u.shape
+    above = np.greater_equal(u, DUST_REL * u_max, out=_rows(masks[0], k, n))
+    _across_faces(np.logical_and, above, live, False)
+    if n < 3:
+        return
+    log_u = np.log(u, out=_rows(scratch[0], k, n))
+    slopes = _across_faces(np.subtract, log_u, _rows(scratch[1], k, n))
     slopes /= drc
-    jump = np.abs(slopes[:, 1:] - slopes[:, :-1])
-    dev = np.empty_like(slopes)
+    # jump[:, j] = |slopes[:, j+1] - slopes[:, j]| for j < n-2, and each
+    # face's dev the smaller jump beside it (the one jump of an end face)
+    jump = _across_faces(np.subtract, slopes, _rows(scratch[2], k, n))
+    np.abs(jump, out=jump)
+    dev = _rows(scratch[0], k, n)  # log_u is spent
+    np.minimum(jump.reshape(-1)[:-1], jump.reshape(-1)[1:], out=dev.reshape(-1)[1:])
     dev[:, 0] = jump[:, 0]
-    dev[:, -1] = jump[:, -1]
-    np.minimum(jump[:, :-1], jump[:, 1:], out=dev[:, 1:-1])
-    smooth = np.isfinite(slopes) & (dev <= SMOOTH_SLOPE_REL * np.abs(slopes))
-    return level | smooth
+    dev[:, n - 2] = jump[:, n - 3]
+    bound = np.abs(slopes, out=jump)  # jump is spent
+    bound *= SMOOTH_SLOPE_REL
+    smooth = np.isfinite(slopes, out=_rows(masks[0], k, n))
+    smooth &= np.less_equal(dev, bound, out=_rows(masks[1], k, n))
+    live |= smooth
+    live[:, -1] = False
 
 
 def _fisher(g: RadialGrid, u: np.ndarray, u_max: np.ndarray, live: np.ndarray,
-            params: ModelParams) -> tuple[np.ndarray, list[tuple[str, ...]]]:
+            params: ModelParams, scratch: Sequence[np.ndarray],
+            masks: Sequence[np.ndarray]) -> tuple[np.ndarray, list[tuple[str, ...]]]:
     """I = integral u |grad v|^2, v = p/(p-1) u**(p-1).
 
     For p > 1/2 this is written as (2p/(2p-1))^2 integral |grad u**(p-1/2)|^2,
@@ -163,19 +240,36 @@ def _fisher(g: RadialGrid, u: np.ndarray, u_max: np.ndarray, live: np.ndarray,
     cells from _live_faces only moves it to 2.1e63.
     """
     p = params.p
-    drc = g.center_gaps
+    k, n = u.shape
+    drc, weights, _ = g.padded_faces
+    dead = np.logical_not(live, out=_rows(masks[0], k, n))
+    slope = _rows(scratch[0], k, n)
     if unmet(params, "gn_conversion") is None:
-        wt = pow_fn(p - 0.5)(u)
-        slope = np.where(live, (wt[:, 1:] - wt[:, :-1]) / drc, 0.0)
+        wt = pow_fn(p - 0.5)(u, out=_rows(scratch[1], k, n),
+                             roots=[_rows(a, k, n) for a in scratch[2:4]])
+        _across_faces(np.subtract, wt, slope)
+        slope /= drc
+        np.copyto(slope, 0.0, where=dead)
+        np.square(slope, out=slope)
         coef = (2.0 * p / (2.0 * p - 1.0)) ** 2
-        return coef * np.vecdot(slope * slope, g.gap_weights), [()] * u.shape[0]
+        return coef * np.vecdot(slope[:, :-1], g.gap_weights), [()] * k
     floor = 1e-10 * u_max
-    uf = 0.5 * (u[:, :-1] + u[:, 1:])
-    floored = live & (uf < floor)
-    uf_safe = np.maximum(uf, floor)
-    slope = np.where(live, (u[:, 1:] - u[:, :-1]) / drc, 0.0)
-    contrib = (p * p) * uf_safe ** (2.0 * p - 3.0) * slope * slope * g.gap_weights
-    total = contrib.sum(axis=1)
+    # in place, the operations of the face density uf = 0.5 (u_- + u_+) and
+    # of p**2 max(uf, floor)**(2p-3) slope**2 times the gap weights, in order
+    contrib = _across_faces(np.add, u, _rows(scratch[1], k, n))
+    contrib *= 0.5
+    floored = np.less(contrib, floor, out=_rows(masks[1], k, n))
+    floored &= live
+    np.maximum(contrib, floor, out=contrib)
+    _across_faces(np.subtract, u, slope)
+    slope /= drc
+    np.copyto(slope, 0.0, where=dead)
+    contrib **= 2.0 * p - 3.0
+    contrib *= p * p
+    contrib *= slope
+    contrib *= slope
+    contrib *= weights
+    total = contrib[:, :-1].sum(axis=1)
     # the floored share sums the selected faces alone, row by row: a masked
     # row sum would group the pairwise summation differently
     flags = [("fisher_floor",) if t > 0.0 and float(c[f].sum()) > FISHER_FLOOR_SHARE * t
@@ -184,7 +278,8 @@ def _fisher(g: RadialGrid, u: np.ndarray, u_max: np.ndarray, live: np.ndarray,
 
 
 def _q_ratio(g: RadialGrid, u: np.ndarray, w: np.ndarray, dv: np.ndarray,
-             v_slope: np.ndarray, live: np.ndarray) -> tuple[list[float], list[tuple[str, ...]]]:
+             v_slope: np.ndarray, live: np.ndarray, scratch: Sequence[np.ndarray],
+             masks: Sequence[np.ndarray]) -> tuple[list[float], list[tuple[str, ...]]]:
     """q = Theta * I / (d * E^2) discretized so that q >= 1 is exact.
 
     Over live interior faces, using the mean-value face density
@@ -203,32 +298,47 @@ def _q_ratio(g: RadialGrid, u: np.ndarray, w: np.ndarray, dv: np.ndarray,
     scales exactly, so q keeps its value while steep tail faces
     (|g_f| ~ 2e192 in a d = 1, p = 0.4 Gaussian) do not overflow B.
     """
-    dw = w[:, 1:] - w[:, :-1]
-    sloped = live & np.isfinite(dv) & (dv != 0.0)
-    flat = live & ~sloped
-    uf = np.divide(dw, dv, out=np.zeros_like(dv), where=sloped)
-    np.copyto(uf, u[:, :-1], where=flat)
-    gf = np.where(sloped, v_slope, 0.0)
-    gf *= np.array([[2.0 ** -(math.frexp(x)[1] // 2)] for x in np.abs(gf).max(axis=1).tolist()])
+    k, n = dv.shape
+    _, weights, mids = g.padded_faces
+    dw, uf, wu = (_rows(a, k, n) for a in scratch[:3])
+    _across_faces(np.subtract, w, dw)
+    # no face in the last column: dv is 0 there and live False
+    sloped = np.isfinite(dv, out=_rows(masks[0], k, n))
+    sloped &= np.not_equal(dv, 0.0, out=_rows(masks[1], k, n))
+    sloped &= live
+    flat = np.logical_not(sloped, out=_rows(masks[1], k, n))
+    flat &= live
+    uf.fill(0.0)
+    np.divide(dw, dv, out=uf, where=sloped)
+    np.copyto(uf, u, where=flat)  # u[:, j] is the inner cell of face j
+    gf = dw  # dw is spent
+    gf.fill(0.0)
+    np.copyto(gf, v_slope, where=sloped)
+    peak = np.abs(gf, out=wu).max(axis=1).tolist()
+    gf *= np.array([[2.0 ** -(math.frexp(x)[1] // 2)] for x in peak])
 
-    wu = g.gap_weights * uf
+    np.multiply(weights, uf, out=wu)
+    wu, product = wu[:, :-1], uf  # uf is spent
     a = np.vecdot(wu, g.gap_mids_sq).tolist()
-    b = np.vecdot(wu, gf * gf).tolist()
-    s = np.vecdot(wu, g.gap_mids * gf).tolist()
+    b = np.vecdot(wu, np.multiply(gf, gf, out=product)[:, :-1]).tolist()
+    s = np.vecdot(wu, np.multiply(mids, gf, out=product)[:, :-1]).tolist()
     q = [ai * bi / (si * si) if si != 0.0 else math.inf for ai, bi, si in zip(a, b, s)]
     return q, [() if si != 0.0 else ("q_degenerate",) for si in s]
 
 
 def _remainder(g: RadialGrid, u: np.ndarray, u_max: np.ndarray, w: np.ndarray,
-               v: np.ndarray, v_slope: np.ndarray, entropy: np.ndarray,
-               reference: BarenblattReference) -> tuple[np.ndarray, list[tuple[str, ...]]]:
+               slope_m: np.ndarray, slope_p: np.ndarray, entropy: np.ndarray,
+               reference: BarenblattReference, scratch: Sequence[np.ndarray],
+               masks: Sequence[np.ndarray]) -> tuple[np.ndarray, list[tuple[str, ...]]]:
     """R = E [(sigma-1) int u^p (lap v - m)^2 + 2/(1-p) int u^p |D^2v - (lap v/d) Id|^2].
 
-    v = p/(p-1) u**(p-1); m is the u^p-weighted mean of lap v over the
-    stencil mask, which makes the first term a true variance (it vanishes
-    identically on the self-similar profile, whose v is quadratic in r).
-    Radial form of the traceless Hessian norm: (1 - 1/d)(v'' - v'/r)^2; the
-    anisotropy term is identically zero for d = 1.
+    v = p/(p-1) u**(p-1), with slope_m and slope_p its slopes on the inner
+    and outer side of each cell (_potential); m is the u^p-weighted mean of
+    lap v over the stencil mask, which makes the first term a true variance
+    (it vanishes identically on the self-similar profile, whose v is
+    quadratic in r). Radial form of the traceless Hessian norm:
+    (1 - 1/d)(v'' - v'/r)^2; the anisotropy term is identically zero for
+    d = 1.
 
     Nonnegative in the fast-diffusion range (sigma >= 1), nonpositive for
     p > 1. Cells below REMAINDER_MASK_REL * max(u) are excluded; for p > 1
@@ -241,49 +351,49 @@ def _remainder(g: RadialGrid, u: np.ndarray, u_max: np.ndarray, w: np.ndarray,
     if n < 3:
         raise ValueError("remainder needs at least 3 cells")
 
-    mask = u >= REMAINDER_MASK_REL * u_max
+    mask = np.greater_equal(u, REMAINDER_MASK_REL * u_max, out=_rows(masks[0], k, n))
     c = g.centers
     h_m, h_p, h_sum = g.stencil_gaps
-    # one-sided slopes of v on either side of each cell, two views of one
-    # array: the inner one of cell 0 uses the even reflection v(-r) = v(r),
-    # the outer one of the last cell has no neighbor
-    slopes = np.empty((k, n + 1))
-    slopes[:, 1:n] = v_slope
-    slopes[:, 0] = (v[:, 0] - v[:, 0]) / h_m[0]
-    slopes[:, n] = np.nan
-    slope_m, slope_p = slopes[:, :-1], slopes[:, 1:]
 
-    # cells whose stencil (the cell and its neighbors) is unmasked
-    pairs = mask[:, :-1] & mask[:, 1:]
-    valid = np.zeros((k, n), dtype=bool)
+    # cells whose stencil (the cell and its neighbors) is unmasked: the
+    # faces between two unmasked cells, then the cells between two such
+    # faces (cell 0 has its mirror image inside; the last cell of a row
+    # meets the no-face column, so none is valid)
+    pairs = _across_faces(np.logical_and, mask, _rows(masks[1], k, n), False)
+    valid = _rows(masks[2], k, n)
+    np.logical_and(pairs.reshape(-1)[:-1], pairs.reshape(-1)[1:], out=valid.reshape(-1)[1:])
     valid[:, 0] = pairs[:, 0]
-    np.logical_and(pairs[:, :-1], pairs[:, 1:], out=valid[:, 1:-1])
+    invalid = np.logical_not(valid, out=_rows(masks[1], k, n))
 
-    # masked-out cells may overflow; np.where(valid, ...) discards them. The
-    # in-place steps are the operations of v1 = (h_m s_p + h_p s_m) / h_sum,
+    # masked-out cells may overflow; they are zeroed below. The in-place
+    # steps are the operations of v1 = (h_m s_p + h_p s_m) / h_sum,
     # v2 = 2 (s_p - s_m) / h_sum and lap = v2 + (d - 1) v1 / r, in order.
+    v1, v2, lap, spread = (_rows(a, k, n) for a in scratch[:4])
     with np.errstate(over="ignore"):
-        v1 = h_m * slope_p
-        v1 += h_p * slope_m
+        np.multiply(h_m, slope_p, out=v1)
+        v1 += np.multiply(h_p, slope_m, out=v2)
         v1 /= h_sum
-        v2 = slope_p - slope_m
+        np.subtract(slope_p, slope_m, out=v2)
         v2 *= 2.0
         v2 /= h_sum
-        lap = (d - 1) * v1
+        np.multiply(v1, d - 1, out=lap)
         lap /= c
         lap += v2
         aniso_sq = None
         if d > 1:
-            aniso_sq = v1 / c
+            aniso_sq = np.divide(v1, c, out=v1)
             np.subtract(v2, aniso_sq, out=aniso_sq)
-            aniso_sq = np.where(valid, np.square(aniso_sq, out=aniso_sq), 0.0)
+            np.square(aniso_sq, out=aniso_sq)
+            np.copyto(aniso_sq, 0.0, where=invalid)
 
-    wgt = np.where(valid, w * g.volumes, 0.0)
-    lap_v = np.where(valid, lap, 0.0)
+    wgt = np.multiply(w, g.volumes, out=v2)
+    np.copyto(wgt, 0.0, where=invalid)
+    lap_v = lap
+    np.copyto(lap_v, 0.0, where=invalid)
     e_masked = wgt.sum(axis=1)
     # rows with e_masked <= 0 divide by zero here; they read 0 below
     m_hat = np.vecdot(wgt, lap_v) / e_masked
-    spread = lap_v - m_hat[:, None]
+    np.subtract(lap_v, m_hat[:, None], out=spread)
     np.square(spread, out=spread)
     var_term = np.vecdot(wgt, spread)
     aniso_term = 0.0
@@ -295,18 +405,25 @@ def _remainder(g: RadialGrid, u: np.ndarray, u_max: np.ndarray, w: np.ndarray,
 
     flags: list[tuple[str, ...]] = [("remainder_empty",) if e else () for e in empty.tolist()]
     if p > 1.0:
-        contrib = wgt * abs(sigma - 1.0) * spread
+        # in place, the operations of wgt |sigma-1| spread
+        # + wgt |2/(1-p)| (1-1/d) aniso_sq, in order
+        contrib = np.multiply(wgt, abs(sigma - 1.0), out=lap)
+        contrib *= spread
         if aniso_sq is not None:
-            contrib = contrib + wgt * abs(2.0 / (1.0 - p)) * (1.0 - 1.0 / d) * aniso_sq
+            extra = np.multiply(wgt, abs(2.0 / (1.0 - p)), out=spread)
+            extra *= 1.0 - 1.0 / d
+            extra *= aniso_sq
+            contrib += extra
         total = contrib.sum(axis=1).tolist()
         # cells whose 3-wide neighborhood touches a masked-out cell
-        near = np.zeros((k, n), dtype=bool)
-        bad = ~mask
+        near = _rows(masks[3], k, n)
+        near.fill(False)
+        bad = np.logical_not(mask, out=mask)
         for off in range(-3, 4):
             lo = max(0, -off)
             hi = n - max(0, off)
             near[:, lo:hi] |= bad[:, lo + off:hi + off]
-        edge = valid & near
+        edge = np.logical_and(valid, near, out=near)
         for i in np.flatnonzero(~empty).tolist():
             # the edge share sums the selected cells alone, row by row (see
             # _fisher)
@@ -317,10 +434,12 @@ def _remainder(g: RadialGrid, u: np.ndarray, u_max: np.ndarray, w: np.ndarray,
 
 
 def _relative_entropy(g: RadialGrid, u: np.ndarray, up: np.ndarray, s: list[float],
-                      p: float, reference: BarenblattReference) -> np.ndarray:
+                      p: float, reference: BarenblattReference,
+                      scratch: Sequence[np.ndarray]) -> np.ndarray:
     """Per row of u (up = u**p), the Bregman divergence of the entropy
     between u and the self-similar solution at that row's time s:
-    1/(p-1) int [u^p - U^p - p U^(p-1) (u - U)].
+    1/(p-1) int [u^p - U^p - p U^(p-1) (u - U)], computed in five flat
+    scratch arrays.
 
     The integrand is pointwise nonnegative for every p in the admissible
     range, so the value is a genuine divergence (zero iff u = U a.e.).
@@ -328,18 +447,21 @@ def _relative_entropy(g: RadialGrid, u: np.ndarray, up: np.ndarray, s: list[floa
     for si in s:
         if not si > 0.0:
             raise ValueError(f"match time must be positive, got {si}")
-    cap_u = reference.self_similar(g.centers, s)
-    cap_up = pow_fn(p)(cap_u)
+    k, n = u.shape
+    cap_u, cap_up, slope, *roots = (_rows(a, k, n) for a in scratch[:5])
+    reference.self_similar(g.centers, s, out=cap_u)
+    cap_up = pow_fn(p)(cap_u, out=cap_up, roots=roots)
     # in place, the operations of
     # (u**p - U**p - p U**(p-1) (u - U)) / (p - 1) in order
     if p > 1.0:
-        slope = p * pow_fn(p - 1.0)(cap_u)
+        np.multiply(pow_fn(p - 1.0)(cap_u, out=slope, roots=roots), p, out=slope)
     else:
         # U > 0 everywhere in the fast-diffusion range, so U**(p-1) is finite
-        slope = p * cap_up
+        np.multiply(cap_up, p, out=slope)
         slope /= cap_u
-    slope *= u - cap_u
-    integrand = up - cap_up
+    diff = roots[0]  # the roots are spent
+    slope *= np.subtract(u, cap_u, out=diff)
+    integrand = np.subtract(up, cap_up, out=diff)
     integrand -= slope
     integrand /= p - 1.0
     return np.vecdot(integrand, g.volumes)
@@ -372,8 +494,10 @@ def whole_space_entropy(state: DensityState, reference: BarenblattReference,
     return bool(0.1 * g.edges[c] >= FAR_FIELD_BULK_FACTOR * rms)
 
 
-def _whole_space_entropy(g: RadialGrid, u: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
-    """E over the whole space for d/(d+2) < p < 1, p >= 1 - 1/d.
+def _whole_space_entropy(g: RadialGrid, u: np.ndarray, w: np.ndarray, p: float,
+                         scratch: np.ndarray) -> np.ndarray:
+    """E over the whole space for d/(d+2) < p < 1, p >= 1 - 1/d, with the
+    fit window's logarithms in the flat scratch.
 
     Below r_c (RadialGrid.far_field_window) E sums u**p V over the cells.
     Beyond it the universal far field u = A r**(-2/(1-p)) integrates to
@@ -389,7 +513,8 @@ def _whole_space_entropy(g: RadialGrid, u: np.ndarray, w: np.ndarray, p: float) 
     box = np.vecdot(w[:, :c], g.volumes[:c]).tolist()
     window = u[:, lo:c]
     filled = np.count_nonzero(window, axis=1)
-    log_a = np.log(window)  # -inf on empty cells, which sort first
+    # -inf on empty cells, which sort first
+    log_a = np.log(window, out=_rows(scratch, len(box), c - lo))
     log_a += (2.0 / (1.0 - p)) * log_r
     log_a.sort()
     k = 2.0 * p / (1.0 - p) - g.d
@@ -430,12 +555,23 @@ def diagnostics(states: Sequence[DensityState], reference: BarenblattReference,
     if any(state.grid is not g for state in states):
         raise ValueError("diagnostics needs states on one grid")
     ex = reference.exponents
-    p = params.p
-    u = np.array([state.u for state in states])
+    p, n, k = params.p, g.n, len(states)
+    floats, masks = _workspace(k * (n + 1))
+    # u, w, the one-sided slopes of v and the live faces outlive a kernel;
+    # the other arrays are the kernels' scratch. v's face differences dv
+    # sit in the last, which _potential, _live_faces and _q_ratio leave
+    # alone (they take three)
+    u, w = _rows(floats[0], k, n), _rows(floats[1], k, n)
+    slopes = floats[2][:k * n + 1]
+    slope_m, slope_p = slopes[:-1].reshape(k, n), slopes[1:].reshape(k, n)
+    scratch, live = floats[3:], _rows(masks[0], k, n)
+    dv = _rows(scratch[3], k, n)
+    for row, state in zip(u, states):
+        np.copyto(row, state.u)
 
     u_max = u.max(axis=1, keepdims=True)
-    w = pow_fn(p)(u)
-    moment = u * g.moment_weights
+    w = pow_fn(p)(u, out=w, roots=[_rows(a, k, n) for a in scratch[:2]])
+    moment = np.multiply(u, g.moment_weights, out=_rows(scratch[0], k, n))
     moment_total = moment.sum(axis=1).tolist()
     moment_tail = moment[:, g.moment_tail_start:].sum(axis=1).tolist()
     moment_edge = moment[:, g.moment_edge_start:].sum(axis=1).tolist()
@@ -444,20 +580,22 @@ def diagnostics(states: Sequence[DensityState], reference: BarenblattReference,
     theta = _second_moment(g, u).tolist()
     with _quiet():
         if whole_space:
-            entropy = _whole_space_entropy(g, u, w, p)
+            entropy = _whole_space_entropy(g, u, w, p, scratch[0])
         else:
             entropy = np.vecdot(w, g.volumes)
-        v, dv, v_slope = _potential(g, u, p)
-        live = _live_faces(u, u_max, g.center_gaps)
-        fisher, flags_f = _fisher(g, u, u_max, live, params)
-        q_ratio, flags_q = _q_ratio(g, u, w, dv, v_slope, live)
-        remainder, flags_r = _remainder(g, u, u_max, w, v, v_slope, entropy, reference)
+        _potential(g, u, p, dv, slopes, scratch)
+        _live_faces(u, u_max, g.padded_faces[0], live, scratch, masks[1:])
+        q_ratio, flags_q = _q_ratio(g, u, w, dv, slope_p, live, scratch, masks[1:])
+        fisher, flags_f = _fisher(g, u, u_max, live, params, scratch, masks[1:])
+        remainder, flags_r = _remainder(g, u, u_max, w, slope_m, slope_p, entropy,
+                                        reference, scratch, masks[1:])
 
     nan = float("nan")
     matched = unmet(params, "finite_moments") is None and math.isfinite(reference.theta_star)
     if matched:
         s_match = [reference.match_time(x) for x in theta]
-        rel_ent = _relative_entropy(g, u, w, s_match, p, reference).tolist()
+        # the slopes are free once the remainder is taken
+        rel_ent = _relative_entropy(g, u, w, s_match, p, reference, floats[2:]).tolist()
     else:
         s_match = rel_ent = [nan] * len(states)
 

@@ -118,6 +118,15 @@ class RadialGrid:
             sphere_area(self.d) * self.gap_mids ** (self.d - 1) * self.center_gaps)
 
     @cached_property
+    def padded_faces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """center_gaps, gap_weights and gap_mids, each padded to (n,) with
+        1, 0 and 0: the grid side of functionals.diagnostics' (k, n) face
+        arrays, whose last column is no face."""
+        return (_read_only(np.append(self.center_gaps, 1.0)),
+                _read_only(np.append(self.gap_weights, 0.0)),
+                _read_only(np.append(self.gap_mids, 0.0)))
+
+    @cached_property
     def stencil_gaps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(h_minus, h_plus, h_minus + h_plus), each (n,): the center
         spacings on either side of every cell for three-point stencils. The

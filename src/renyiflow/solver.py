@@ -130,13 +130,19 @@ SUPER_STEP_MASS_SHARE = 0.01
 # theorem3bis slacks -31.2 (theorem3 and prop_t4 failed too), 34.8, 38.7 and
 # 38.9.
 IMPLICIT_STEP_MASS_SHARE = SUPER_STEP_MASS_SHARE / 16
-# Doubles (40 KiB) per (k, n) array of a diagnostics block: evolve evaluates
-# its records k = max(1, RECORD_BLOCK_DOUBLES // n) at a time, one numpy call
-# per kernel serving k records (k = 4 at n = 1050). Larger blocks cost more
-# per record on the fd3 grid: at k = 7 and 8 the temporaries outgrow L1 and
-# fault their pages back in on every block (malloc returns the freed heap
-# top once it passes its 128 KiB trim threshold).
-RECORD_BLOCK_DOUBLES = 5120
+# Doubles per (k, n) array of a diagnostics block: evolve evaluates its
+# records k = max(1, RECORD_BLOCK_DOUBLES // n) at a time, one numpy call per
+# kernel serving k records (k = 12 at n = 1050). A block works in the
+# workspace diagnostics reuses (functionals._workspace: 769,332 bytes at
+# k = 12, n = 1050). Blocks larger than 4 used to cost more per record
+# through page faults, not L1 misses: they allocated their temporaries, and
+# glibc returned the freed heap top after each block. With the workspace,
+# warm fd3_exact_dense blocks of 8, 12 and 16 records cost 0.75, 0.68 and
+# 0.65 of the allocating 4-record blocks' time per record (medians of 30
+# alternating rounds in one process, 2-core host), but 16 records raise an
+# fd3_exact_dense run's peak RSS about 0.2 MiB above 12 (3 runs each), which
+# would bring its rise over the parent near 1 MiB.
+RECORD_BLOCK_DOUBLES = 12600
 
 
 class StiffnessError(RuntimeError):
@@ -276,6 +282,9 @@ class _Kernel:
         self.power = pow_fn(params.p)
         self.factor_power = pow_fn(abs(params.p - 1.0))
         self.u, self.w, self.factor, self.scratch, self.gain = (np.empty(n) for _ in range(5))
+        self.root = self.factor  # u**|p-1| of the density load read
+        # u_floor**|p-1| by the rule that takes the roots of the cells
+        self.floor_root = float(self.factor_power(np.full(1, u_floor))[0])
         self.coef_k = np.empty(n - 1)
         self.flux = np.zeros(n + 1)  # the rates of the state, entries 0 and n zero
         # the super-step's two stage stacks, rows (stage rates, P_(j-1),
@@ -298,11 +307,11 @@ class _Kernel:
         return 2.0 / (self.p * g)
 
     def stability_factor(self) -> np.ndarray:
-        """max(u, u_floor)**|p-1| of the density in u: the bits of
-        max(u**|p-1|, u_floor**|p-1|), as the maximum, the roots and rounded
-        products are monotone. It is factor, or scratch when |p-1| = 1."""
-        np.maximum(self.u, self.u_floor, out=self.scratch)
-        return self.factor_power(self.scratch, self.factor)
+        """max(u, u_floor)**|p-1| of the density load read, in scratch, as
+        max(root, u_floor**|p-1|) from load's unfloored root u**|p-1|: the
+        same bits, as the maximum, the roots and rounded products are
+        monotone."""
+        return np.maximum(self.root, self.floor_root, out=self.scratch)
 
     def bound(self, factor: np.ndarray, geometry: np.ndarray) -> float:
         """CFL min_i geometry_i u_i**(1-p), from factor = u**|p-1|: read as
@@ -322,18 +331,19 @@ class _Kernel:
         return CFL / worst if worst != 0.0 else math.inf
 
     def load(self) -> float:
-        """w = u**p and the face rates (into flux) of the density in u, and
-        its Euler bound CFL min_i V_i / (D_i reach_i) from the stability
-        factor and geometry V/(p reach)."""
+        """w = u**p, the face rates (into flux) and the unfloored root
+        u**|p-1| (root: factor, or u itself when |p-1| = 1) of the density in
+        u, and its Euler bound CFL min_i V_i / (D_i reach_i) from the
+        stability factor and geometry V/(p reach)."""
         _face_rates(self.power(self.u, self.w), self.coef, self.flux[1:-1])
+        self.root = self.factor_power(self.u, self.factor)
         return self.bound(self.stability_factor(), self.geometry)
 
     def explicit_bound(self) -> float:
-        """dt_expl, the super-step's bound for the density in u: 2 CFL over
-        the Collatz-Wielandt bound (spectral_geometry) on the spectral radius
-        of the linearised operator."""
-        factor = self.factor_power(self.u, self.factor)  # u**|p-1|, unfloored
-        return self.bound(factor, self.spectral_geometry)
+        """dt_expl, the super-step's bound for the density load read: 2 CFL
+        over the Collatz-Wielandt bound (spectral_geometry) on the spectral
+        radius of the linearised operator, from the unfloored root."""
+        return self.bound(self.root, self.spectral_geometry)
 
     def plan(self, t: float, dt: float, next_rec: float, filled: bool,
              mass: float) -> tuple[float, int, bool]:

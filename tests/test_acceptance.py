@@ -308,10 +308,13 @@ def test_criterion_11_deficit_budget(corpus):
           f"over {res.details['fpp_windows']} windows")
 
 
-@pytest.mark.parametrize("config", ["pm1_barenblatt.json", "pm1_indicator.json"])
+@pytest.mark.parametrize("config", ["pm1_barenblatt.json", "pm1_indicator.json",
+                                    "fd3_gaussian.json"])
 def test_criterion_12_byte_identical_reruns(tmp_path, config):
     """Running the same config twice through the command-line entry point
-    produces byte-identical trajectory.csv files."""
+    produces byte-identical trajectory.csv files: fd3_gaussian.json adds the
+    whole-space E and implicit steps, and its two runs in one process share
+    the diagnostics workspace."""
     path = f"{CONFIG_DIR}/{config}"
     code1 = main(["run", path, "--out", str(tmp_path / "first")])
     code2 = main(["run", path, "--out", str(tmp_path / "second")])

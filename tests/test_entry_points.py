@@ -83,7 +83,7 @@ def test_benchmark_wrap_point_sees_every_record(monkeypatch):
     grid = rf.build_grid(1, 6.0, 400)
     state = rf.project_initial(lambda r: np.exp(-r * r), grid)
     observed = []
-    traj = rf.evolve(state, 0.03, rf.ModelParams(1, 2.0), rf.SolverConfig(record_every=0.001),
+    traj = rf.evolve(state, 0.1, rf.ModelParams(1, 2.0), rf.SolverConfig(record_every=0.001),
                      observer=lambda rec, snap: observed.append(snap.t))
     n_records = len(traj.records)
     block = solver.record_block(grid.n)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,12 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import renyiflow as rf
+from renyiflow import solver
 from renyiflow._pow import pow_fn
 from renyiflow.functionals import (
     DUST_REL,
     _live_faces,
     _potential,
     _relative_entropy,
+    _workspace,
     diagnostics,
     whole_space_entropy,
 )
@@ -87,7 +90,8 @@ def test_gaussian_closed_forms():
 def relative_entropy(state, s, reference):
     # the divergence of one state at an arbitrary match time s
     u, p = state.u[None], reference.params.p
-    return float(_relative_entropy(state.grid, u, pow_fn(p)(u), [s], p, reference)[0])
+    scratch = np.empty((5, state.grid.n))
+    return float(_relative_entropy(state.grid, u, pow_fn(p)(u), [s], p, reference, scratch)[0])
 
 
 def test_relative_entropy_is_a_divergence():
@@ -211,10 +215,15 @@ KERNEL_FLAGS = {"fisher_floor", "q_degenerate", "remainder_empty", "remainder_bo
 def _q_exact(state, p):
     """q = A B / S^2 with the face sums taken in exact rational arithmetic
     over the face densities and slopes the q kernel sums in floating point."""
-    g, u = state.grid, state.u
+    g, u, n = state.grid, state.u, state.grid.n
+    scratch, masks = np.empty((3, n + 1)), np.empty((2, n), dtype=bool)
+    dv, slopes, live = np.empty((1, n)), np.empty(n + 1), np.empty((1, n), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        _, dv, v_slope = (a[0] for a in _potential(g, u[None], p))
-        live = _live_faces(u[None], u.max(keepdims=True)[None], g.center_gaps)[0]
+        _potential(g, u[None], p, dv, slopes, scratch)
+        _live_faces(u[None], u.max(keepdims=True)[None], g.padded_faces[0], live, scratch,
+                    masks)
+        # the kernels' face arrays hold no face in their last column
+        dv, v_slope, live = dv[0, :-1], slopes[1:n], live[0, :-1]
         w = pow_fn(p)(u)
         sloped = live & np.isfinite(dv) & (dv != 0.0)
         uf = np.where(sloped, (w[1:] - w[:-1]) / dv, np.where(live, u[:-1], 0.0))
@@ -301,7 +310,7 @@ def test_diagnostics_equal_standalone_functionals(d, p, grid_args, datum, t_end)
 def test_cached_grid_arrays_are_read_only():
     grid = rf.build_grid(3, 60.0, 64, stretch=1.01)
     arrays = [grid.moment_weights, grid.center_gaps, grid.gap_mids,
-              grid.gap_mids_sq, grid.gap_weights, *grid.stencil_gaps]
+              grid.gap_mids_sq, grid.gap_weights, *grid.stencil_gaps, *grid.padded_faces]
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -309,6 +318,67 @@ def test_cached_grid_arrays_are_read_only():
     # computed once: a second access returns the same object
     assert grid.gap_weights is grid.gap_weights
     np.testing.assert_array_equal(grid.center_gaps, np.diff(grid.centers))
+    for padded, face, pad in zip(grid.padded_faces,
+                                 (grid.center_gaps, grid.gap_weights, grid.gap_mids),
+                                 (1.0, 0.0, 0.0)):
+        np.testing.assert_array_equal(padded, np.append(face, pad))
+
+
+# Contents the workspace is filled with between blocks: a kernel that read
+# an entry an earlier block left would turn a record to nan, or overflow
+# (an error under the test suite's warning filter)
+POISONS = [(math.nan, True), (-1e300, False)]
+
+
+@pytest.mark.parametrize("d,p,grid_args,datum,t_end", ONE_PASS_REGIMES)
+def test_workspace_reuse_leaves_no_trace(d, p, grid_args, datum, t_end):
+    # every block reuses the workspace as the last one left it. Each state
+    # alone, then a block of five rows and a smaller one after it, with the
+    # workspace poisoned before each, must give the records of the run
+    params = rf.ModelParams(d, p)
+    ref = rf.build_reference(params)
+    r_max, n, stretch = grid_args
+    grid = rf.build_grid(d, r_max, n, stretch=stretch)
+    snaps = []
+    traj = rf.evolve(rf.project_initial(datum, grid), t_end, params,
+                     rf.SolverConfig(record_every=t_end / 6),
+                     observer=lambda rec, snap: snaps.append(snap))
+    assert len(snaps) == 7
+    dts = [rec.dt for rec in traj.records]
+
+    def evaluate(lo, hi, poison):
+        floats, masks = _workspace(0)
+        floats.fill(poison[0])
+        masks.fill(poison[1])
+        return diagnostics(snaps[lo:hi], ref, dts=dts[lo:hi],
+                           whole_space=traj.whole_space_entropy)
+
+    for poison in POISONS:
+        lone = [rec for i in range(len(snaps)) for rec in evaluate(i, i + 1, poison)]
+        blocks = evaluate(0, 5, poison) + evaluate(5, len(snaps), poison)
+        # repr keeps every bit of a float and reads nan as nan
+        assert repr(lone) == repr(blocks) == repr(traj.records), poison
+
+
+def test_warm_block_allocates_less_than_one_array():
+    # a block works in the workspace it finds: at n = 1050 the traced peak
+    # of a warm block of record_block(n) states stays below one (k, n)
+    # float64 array. What is left is mostly numpy's buffer (at most 8192
+    # doubles) of a call that broadcasts a grid array or a (k, 1) column.
+    params = rf.ModelParams(3, 2.0 / 3.0)
+    ref = rf.build_reference(params)
+    grid = rf.build_grid(3, 896000.0, 1050, stretch=1.012)
+    k = solver.record_block(grid.n)
+    states = [rf.project_initial(lambda r: ref.self_similar(r, s), grid, t=s)
+              for s in 1.0 + 0.01 * np.arange(k)]
+    diagnostics(states, ref, whole_space=True)
+    tracemalloc.start()
+    try:
+        diagnostics(states, ref, whole_space=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < k * grid.n * np.dtype(float).itemsize, peak
 
 
 def test_whole_space_entropy_of_the_profile_is_linear_in_time():

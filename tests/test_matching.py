@@ -34,11 +34,12 @@ def best_match_scale_numeric(state, reference):
     """
     u, p = state.u[None], reference.params.p
     up = pow_fn(p)(u)
+    scratch = np.empty((5, state.grid.n))
     s0 = rf.diagnostics([state], reference)[0].s_match
     lo, hi = 0.1 * s0, 10.0 * s0
 
     def phi(s):
-        return float(_relative_entropy(state.grid, u, up, [s], p, reference)[0])
+        return float(_relative_entropy(state.grid, u, up, [s], p, reference, scratch)[0])
 
     invphi = 0.5 * (math.sqrt(5.0) - 1.0)
     a, b = lo, hi

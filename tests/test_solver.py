@@ -629,9 +629,9 @@ BLOCK_RUNS = {
     # the fd3 grid, the exact datum and the whole-space E
     "fd3_exact": (3, 2.0 / 3.0, (896000.0, 1050, 1.012), "barenblatt", 0.01, 0.0005),
     # pm1_indicator's datum: p > 1 with remainder_boundary raised
-    "pm1_indicator": (1, 2.0, (6.0, 100, 1.0), _indicator, 0.8, 0.01),
+    "pm1_indicator": (1, 2.0, (6.0, 100, 1.0), _indicator, 0.8, 0.002),
     # p <= 1/2: the floored Fisher sum
-    "fisher_floored": (1, 0.4, (40.0, 160, 1.0), lambda r: np.exp(-r * r), 1e-3, 2.5e-5),
+    "fisher_floored": (1, 0.4, (40.0, 160, 1.0), lambda r: np.exp(-r * r), 1e-3, 4e-6),
 }
 
 
