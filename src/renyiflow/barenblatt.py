@@ -83,9 +83,10 @@ def profile_density(r: np.ndarray | float, params: ModelParams,
 
 def self_similar_density(r: np.ndarray | float, t: float | Sequence[float],
                          params: ModelParams, out: np.ndarray | None = None) -> np.ndarray:
-    """Source-type solution at time t > 0, evaluated at radii r, or at each
-    of a sequence of k times as a (k, r.size) block, written into out when
-    given.
+    """Source-type solution at time t > 0, evaluated at radii r (of r's
+    shape, a scalar for a scalar r), or at each of a sequence of k times as
+    a (k, r.size) block; either is written into out, of (k, r.size) with
+    k = 1 for a single time, when given.
 
     u(t, x) = t^(-d/mu) * kappa^(-d) * B(x / (kappa t^(1/mu))), which solves
     the flow with unit mass for every t; its second-moment functional grows
@@ -101,16 +102,14 @@ def self_similar_density(r: np.ndarray | float, t: float | Sequence[float],
     scale = [ex.kappa * s ** (1.0 / ex.mu) for s in times]
     amplitude = [c ** (-params.d) for c in scale]
     r = np.asarray(r, dtype=float)
-    if one:
-        return amplitude[0] * profile_density(r / scale[0], params)
     # row by row, as a call on a (k, 1) column would buffer the whole block
     block = np.empty((len(times), r.size)) if out is None else out
     for row, c in zip(block, scale):
-        np.divide(r, c, out=row)
+        np.divide(r.reshape(-1), c, out=row)
     profile_density(block, params, out=block)
     for row, a in zip(block, amplitude):
         row *= a
-    return block
+    return block[0].reshape(r.shape)[()] if one else block
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ import argparse
 import dataclasses
 import json
 import math
-import operator
 import sys
 import traceback
 from pathlib import Path
@@ -50,7 +49,7 @@ import numpy as np
 from .barenblatt import (BarenblattReference, build_reference, normalization_constant,
                          self_similar_density)
 from .checks import CHECK_NAMES, CheckResult, compatible_checks, incompatibility, run_checks
-from .functionals import FunctionalRecord
+from .functionals import CSV_COLUMNS, FunctionalRecord
 from .gn import DEFAULT_SEED, sharp_constant
 from .grid import DensityState, RadialGrid, build_grid, project_initial
 from .params import HYPOTHESES, ModelParams, ParameterDomainError, RegimeError, unmet
@@ -66,15 +65,8 @@ __all__ = [
     "main",
 ]
 
-CSV_COLUMNS = ("t", "dt", "mass", "theta", "E", "I", "F", "G", "H", "J",
-               "q", "s", "tau", "rel_entropy", "R")
-
-_CSV_FIELDS = ("t", "dt", "mass", "theta", "entropy", "fisher", "f_power",
-               "g_power", "h_renyi", "j_scale", "q_ratio", "s_match", "tau",
-               "rel_entropy", "remainder")
-# a row: one format over the record's fields, fetched as one tuple
-_CSV_ROW = ",".join(["%.17g"] * len(_CSV_FIELDS)) + "\n"
-_csv_values = operator.attrgetter(*_CSV_FIELDS)
+# a row: one format over the record's leading fields, in column order
+_CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
 
 # kind -> (its fields, all required; its profile u(r) given the parsed
 # datum, the model and the radii)
@@ -259,16 +251,17 @@ def parse_config(document: dict | str, label: str = "config") -> ExperimentConfi
 
     solver_raw = document.get("solver", {})
     _check_keys(solver_raw, "solver", ("dt_min",), ())
-    solver = SolverConfig(**{k: _as_number(v, f"solver.{k}") for k, v in solver_raw.items()})
-    # every check SolverConfig makes is on the record schedule: adding one
-    # key at a time lets its error name that key
-    for key in ("record_every", "record_from"):
-        if key in document:
-            value = _as_number(document[key], key)
-            try:
-                solver = dataclasses.replace(solver, **{key: value})
-            except ValueError as e:
-                raise _fail(key, str(e)) from e
+    # (config field, SolverConfig field, value): every check SolverConfig
+    # makes is on one field, so adding one at a time lets its error name it
+    entries = [(f"solver.{k}", k, v) for k, v in solver_raw.items()]
+    entries += [(k, k, document[k]) for k in ("record_every", "record_from") if k in document]
+    solver = SolverConfig()
+    for name, key, raw in entries:
+        value = _as_number(raw, name)
+        try:
+            solver = dataclasses.replace(solver, **{key: value})
+        except ValueError as e:
+            raise _fail(name, str(e)) from e
 
     raw_checks = document.get("checks", "all")
     if raw_checks == "all":
@@ -307,7 +300,7 @@ def write_trajectory_csv(path: Path, trajectory) -> None:
     held in memory whole."""
     with path.open("w") as f:
         f.write(",".join(CSV_COLUMNS) + "\n")
-        f.writelines(_CSV_ROW % _csv_values(rec) for rec in trajectory.records)
+        f.writelines(_CSV_ROW % rec[:len(CSV_COLUMNS)] for rec in trajectory.records)
 
 
 # Record fields that may be non-finite, each with the flag that explains it:
@@ -319,8 +312,7 @@ _FLAGGED_NON_FINITE = {
     "rel_entropy": "moments_infinite",
     "q_ratio": "q_degenerate",
 }
-_RECORD_NUMBERS = tuple(f.name for f in dataclasses.fields(FunctionalRecord)
-                        if f.name != "flags")
+_RECORD_NUMBERS = FunctionalRecord._fields[:-1]  # every field but flags
 # Trajectory fields that report.json's "run" object carries, beside
 # n_records and t_end: every one but the reference, records and final state.
 _RUN_FIELDS = tuple(f.name for f in dataclasses.fields(Trajectory)
@@ -331,8 +323,7 @@ def _non_finite_field(trajectory) -> str | None:
     """The first record field that is non-finite without a flag that
     explains it, described with its time and value, or None."""
     for rec in trajectory.records:
-        for name in _RECORD_NUMBERS:
-            value = getattr(rec, name)
+        for name, value in zip(_RECORD_NUMBERS, rec):
             if not math.isfinite(value) and _FLAGGED_NON_FINITE.get(name) not in rec.flags:
                 return f"{name}={value!r} at t={rec.t!r}"
     return None

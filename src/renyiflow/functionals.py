@@ -24,8 +24,9 @@ masks then discard those faces.
 
 A block allocates no array of its size (numpy's buffer of a call that
 broadcasts a grid array or a (k, 1) column aside, at most 8192 doubles).
-Every array it needs, the stacked states included, lives in one workspace
-per thread (_workspace), built once and reused by every block: 7 float and
+Every array it needs, the stacked states included, lives in one
+module-level workspace (_workspace), built once and reused by every block,
+so no two threads may evaluate diagnostics at once: 7 float and
 5 boolean arrays of k (n + 1) entries, 769,332 bytes at
 solver.record_block's k = 12 for n = 1050. The kernels write into it with
 out= and where= and work in the first k rows, so a partial block or a lone
@@ -44,10 +45,9 @@ fd3_exact_dense evolve (4,001 records) took 150,899-176,726 minor faults in
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,9 +91,9 @@ REMAINDER_BOUNDARY_SHARE = 0.10
 FAR_FIELD_BULK_FACTOR = 10.0
 
 
-@dataclass(frozen=True)
-class FunctionalRecord:
-    """One diagnostic snapshot along a trajectory.
+class FunctionalRecord(NamedTuple):
+    """One diagnostic snapshot along a trajectory, immutable; its first
+    len(CSV_COLUMNS) fields are a trajectory.csv row, in column order.
 
     Invariants (exact by construction, so they recompose to ~1e-12):
     h_renyi = theta**(-eta/2) * entropy and j_scale = entropy**(sigma-1) * fisher.
@@ -118,26 +118,31 @@ class FunctionalRecord:
     flags: tuple[str, ...] = ()
 
 
+# trajectory.csv's header, a column for each of the record's first 15
+# fields in order (E for entropy, I for fisher, ..., R for remainder)
+CSV_COLUMNS = ("t", "dt", "mass", "theta", "E", "I", "F", "G", "H", "J",
+               "q", "s", "tau", "rel_entropy", "R")
+
 # Divide/invalid warnings the kernels' masked-out cells raise; one block per
 # entry point, since entering np.errstate costs about 3 us.
 _quiet = partial(np.errstate, divide="ignore", invalid="ignore")
 
 # The workspace of a diagnostics block: _FLOATS float and _MASKS boolean
-# flat arrays, one workspace per thread (_workspace), from which each kernel
-# carves the contiguous (k, m) arrays it writes (_rows).
+# flat arrays (_workspace), from which each kernel carves the contiguous
+# (k, m) arrays it writes (_rows).
 _FLOATS, _MASKS = 7, 5
-_local = threading.local()
+_ws = (np.empty((_FLOATS, 0)), np.empty((_MASKS, 0), dtype=bool))
 
 
 def _workspace(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """This thread's workspace, (_FLOATS, >= size) floats and (_MASKS,
-    >= size) booleans. It is built anew only when a block needs more entries
-    per array than it holds; otherwise each block finds it as the last one
-    left it, so every kernel writes each entry it reads before reading it."""
-    ws = getattr(_local, "workspace", None)
-    if ws is None or ws[0].shape[1] < size:
-        ws = _local.workspace = (np.empty((_FLOATS, size)), np.empty((_MASKS, size), dtype=bool))
-    return ws
+    """The workspace, (_FLOATS, >= size) floats and (_MASKS, >= size)
+    booleans. It is built anew only when a block needs more entries per
+    array than it holds; otherwise each block finds it as the last one left
+    it, so every kernel writes each entry it reads before reading it."""
+    global _ws
+    if _ws[0].shape[1] < size:
+        _ws = (np.empty((_FLOATS, size)), np.empty((_MASKS, size), dtype=bool))
+    return _ws
 
 
 def _rows(buf: np.ndarray, k: int, m: int) -> np.ndarray:

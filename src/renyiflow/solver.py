@@ -71,7 +71,8 @@ overhead rather than arithmetic, so both integrators make as few calls as
 they can:
 - the face coefficients c_j, the stability geometry V_i/(p reach_i) and
   its Collatz-Wielandt counterpart 2/(p g_i) are computed once per run;
-- every temporary is preallocated and written with out=;
+- every temporary of a flux evaluation is preallocated and written with
+  out=, the intermediate roots of u**p and u**|p-1| included (roots);
 - the step bound CFL min_i V_i/(D_i reach_i), D_i = p max(u_i, floor)^(p-1),
   is read as CFL min(geometry * factor) for p < 1 and as
   CFL / max(factor / geometry) for p > 1, so neither regime divides by zero;
@@ -93,7 +94,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import count, takewhile
 from numbers import Real
 from typing import Callable
@@ -163,10 +164,13 @@ class SolverConfig:
     record_from: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.record_every > 0.0:  # NaN fails this too
-            raise ValueError("record_every must be positive")
-        if not (isinstance(self.record_from, Real) and 0.0 <= self.record_from < math.inf):
-            raise ValueError(f"record_from must be finite and >= 0, got {self.record_from!r}")
+        # every field a finite real number, record_every above 0 and the
+        # others at or above it (a NaN fails too)
+        for f in fields(self):
+            x, positive = getattr(self, f.name), f.name == "record_every"
+            if not (isinstance(x, Real) and (x > 0.0 if positive else x >= 0.0) and x < math.inf):
+                rule = "positive and finite" if positive else "finite and >= 0"
+                raise ValueError(f"{f.name} must be {rule}, got {x!r}")
 
 
 def _rkl2_table(s_max: int) -> tuple[list[float], list[float], list[float]]:
@@ -282,6 +286,7 @@ class _Kernel:
         self.power = pow_fn(params.p)
         self.factor_power = pow_fn(abs(params.p - 1.0))
         self.u, self.w, self.factor, self.scratch, self.gain = (np.empty(n) for _ in range(5))
+        self.roots = (np.empty(n), np.empty(n))  # the powers' intermediate roots
         self.root = self.factor  # u**|p-1| of the density load read
         # u_floor**|p-1| by the rule that takes the roots of the cells
         self.floor_root = float(self.factor_power(np.full(1, u_floor))[0])
@@ -335,8 +340,8 @@ class _Kernel:
         u**|p-1| (root: factor, or u itself when |p-1| = 1) of the density in
         u, and its Euler bound CFL min_i V_i / (D_i reach_i) from the
         stability factor and geometry V/(p reach)."""
-        _face_rates(self.power(self.u, self.w), self.coef, self.flux[1:-1])
-        self.root = self.factor_power(self.u, self.factor)
+        _face_rates(self.power(self.u, self.w, self.roots), self.coef, self.flux[1:-1])
+        self.root = self.factor_power(self.u, self.factor, self.roots)
         return self.bound(self.stability_factor(), self.geometry)
 
     def explicit_bound(self) -> float:
@@ -462,7 +467,7 @@ class _Kernel:
                 np.subtract(hi, lo, out=u)
                 u += m
                 u *= inv_vol
-                _face_rates(power(u, w), coef_k, rate)
+                _face_rates(power(u, w, self.roots), coef_k, rate)
                 np.dot(_STAGE_WEIGHTS[j], stack, out=p_out)
                 np.copyto(p_out_old, p_in)
         p_s = self.stacks[(s - 1) & 1, 1]

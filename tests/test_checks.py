@@ -119,7 +119,7 @@ def test_theorem1_judges_concavity_between_equal_intervals():
 def test_theorem1_fails_a_convex_f(run_pm1_gaussian):
     # F = exp(10 t) is increasing and convex: on the 0.0125 record
     # intervals its relative second difference is about (10 h)**2 = 0.016
-    records = [replace(r, f_power=math.exp(10.0 * r.t)) for r in run_pm1_gaussian.records]
+    records = [r._replace(f_power=math.exp(10.0 * r.t)) for r in run_pm1_gaussian.records]
     (res,) = run_checks(("theorem1",), replace(run_pm1_gaussian, records=records))
     clauses = res.details["clauses"]
     assert res.passed is False

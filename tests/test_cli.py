@@ -167,6 +167,10 @@ def test_barenblatt_datum_pins_the_delay(tmp_path, datum, clauses):
     # the record schedule's errors name their own top-level key
     (dict(record_every=-1), "config field 'record_every': record_every must be positive"),
     (dict(record_from=[0.05]), "config field 'record_from': expected a number"),
+    (dict(solver={"dt_min": -1e-9}),
+     "config field 'solver.dt_min': dt_min must be finite and >= 0, got -1e-09"),
+    (dict(solver={"dt_min": math.nan}), "config field 'solver.dt_min': must be finite, got nan"),
+    (dict(solver={"dt_min": "inf"}), "config field 'solver.dt_min': must be finite"),
 ])
 def test_parse_rejections(mutation, fragment):
     with pytest.raises(ConfigError) as err:
@@ -504,7 +508,7 @@ def test_non_finite_record_stops_before_checks(tmp_path, capsys, monkeypatch, na
 
     def poisoned(*args, **kwargs):
         trajectory = evolve(*args, **kwargs)
-        trajectory.records[2] = dataclasses.replace(trajectory.records[2], **{name: value})
+        trajectory.records[2] = trajectory.records[2]._replace(**{name: value})
         return trajectory
 
     checked = []
@@ -607,11 +611,19 @@ def test_main_reference_wrong_closed_form_exits_3(capsys, monkeypatch):
 
 def _synthetic_trajectory(values):
     """A trajectory whose records cycle through the given column values."""
-    fields = [f.name for f in dataclasses.fields(FunctionalRecord) if f.name != "flags"]
+    fields = FunctionalRecord._fields[:-1]  # every field but flags
     records = [FunctionalRecord(**{name: values[(k + i) % len(values)]
                                    for i, name in enumerate(fields)})
                for k in range(len(values))]
     return Trajectory(rf.build_reference(rf.ModelParams(1, 2.0)), records=records)
+
+
+# each trajectory.csv column and the record field it prints, written out
+# apart from the writer's rule: a reordered record fails the test below
+CSV_FIELD_OF = {"t": "t", "dt": "dt", "mass": "mass", "theta": "theta", "E": "entropy",
+                "I": "fisher", "F": "f_power", "G": "g_power", "H": "h_renyi",
+                "J": "j_scale", "q": "q_ratio", "s": "s_match", "tau": "tau",
+                "rel_entropy": "rel_entropy", "R": "remainder"}
 
 
 def test_streamed_csv_matches_joined_rendering(tmp_path):
@@ -620,9 +632,10 @@ def test_streamed_csv_matches_joined_rendering(tmp_path):
               np.float64(2.0) / 3.0, 123456789.01234567, 1e-17, 2.0, -7.5e-310]
     trajectory = _synthetic_trajectory(values)
     cli.write_trajectory_csv(tmp_path / "t.csv", trajectory)
+    assert tuple(CSV_FIELD_OF) == CSV_COLUMNS
     lines = [",".join(CSV_COLUMNS)]
     for rec in trajectory.records:
-        lines.append(",".join("%.17g" % getattr(rec, f) for f in cli._CSV_FIELDS))
+        lines.append(",".join("%.17g" % getattr(rec, CSV_FIELD_OF[c]) for c in CSV_COLUMNS))
     assert (tmp_path / "t.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 

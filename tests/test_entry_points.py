@@ -1,16 +1,20 @@
 """Text that names the package's parts but that no package code runs: the
 README's library quick start, the config examples of the README and the
-`cli` docstring, and the benchmark's tracing hooks and workload configs. A
-renamed function, a changed signature or a removed config key would break
-them silently; these tests run them against the package as it is."""
+`cli` docstring, the demos, and the benchmark's tracing hooks and workload
+configs. A renamed function, a changed signature or a removed config key
+would break them silently; these tests run them against the package as it
+is."""
 import importlib
 import importlib.util
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import renyiflow as rf
 from renyiflow import cli, solver
@@ -43,6 +47,18 @@ def test_config_schema_names_every_top_level_key():
     missing = [key for key in cli._TOP_KEYS
                if f"`{key}`" not in section and f'"{key}"' not in section]
     assert not missing, missing
+
+
+@pytest.mark.parametrize("demo", sorted(path.name for path in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo):
+    # as a reader runs it, in its own interpreter; a RuntimeWarning or a
+    # DeprecationWarning fails it, as in the other tests
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+         str(ROOT / "demos" / demo)],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_benchmark_wrap_points_resolve(monkeypatch):

@@ -11,6 +11,7 @@ from renyiflow import solver
 from renyiflow._pow import pow_fn
 from renyiflow.functionals import (
     DUST_REL,
+    FunctionalRecord,
     _live_faces,
     _potential,
     _relative_entropy,
@@ -452,3 +453,10 @@ def test_entropy_tail_is_decided_once_per_run_from_the_box():
     assert not whole_space_entropy(small, ref_pm, 1.0)
     with pytest.raises(rf.RegimeError):
         diagnostics([small], ref_pm, whole_space=True)
+
+
+def test_records_are_immutable():
+    rec = FunctionalRecord(*(0.0,) * 16)
+    with pytest.raises(AttributeError):
+        rec.entropy = 1.0
+    assert rec.entropy == 0.0

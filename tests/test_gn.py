@@ -230,8 +230,8 @@ def test_deficit_windows_skip_uneven_gaps_and_unresolved_windows(ref_fd3):
     t = [0.0, 0.1, 0.2, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9]
     rem = [9.0] * 8 + [18.0]
     template = rf.FunctionalRecord(*(0.0,) * 16)
-    records = [replace(template, t=tk, entropy=1.0, remainder=rk,
-                       f_power=tk - 0.5 * tk * tk, j_scale=1.0)
+    records = [template._replace(t=tk, entropy=1.0, remainder=rk,
+                                 f_power=tk - 0.5 * tk * tk, j_scale=1.0)
                for tk, rk in zip(t, rem)]
     traj = rf.Trajectory(ref_fd3, records=records)
     rep = deficit_identity_check(traj)

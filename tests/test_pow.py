@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -78,3 +79,29 @@ def test_served_exponents_are_frozen():
         assert p not in ROOT_EXPONENTS and _rule(p) is None
         u = np.array([0.5, 2.0, 3.0])
         assert pow_fn(p)(u).tobytes() == np.power(u, p).tobytes()
+
+
+def test_flux_evaluations_allocate_no_array():
+    # every root of u**p and u**|p-1| goes into the kernel's own arrays: a
+    # warm load() and an 8-stage super-step trace a peak below one (n,)
+    # float array at every exponent the rule serves, those whose root chain
+    # leaves a root outside w (p = 3/4: sqrt(u) * sqrt(sqrt(u))) included
+    assert len(PAIR_EXPONENTS) == 22
+    n = 1050
+    for p in PAIR_EXPONENTS:
+        kernel = solver._Kernel(rf.build_grid(1, 10.0, n), rf.ModelParams(1, p), 1e-12)
+        np.copyto(kernel.u, np.linspace(1.0, 0.5, n))
+        m, out = kernel.u * kernel.volumes, np.empty(n)
+        kernel.load()
+        kernel.super_step(m, 1e-6, 8, out)
+        peaks = []
+        tracemalloc.start()
+        try:
+            kernel.load()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            kernel.super_step(m, 1e-6, 8, out)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < 8 * n, (p, peaks)

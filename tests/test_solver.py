@@ -31,6 +31,13 @@ def pm_setup():
     dict(record_from=math.nan),
     dict(record_from="0.05"),
     dict(record_from=None),
+    dict(dt_min=math.nan),
+    dict(dt_min=math.inf),
+    dict(dt_min=-1e-9),
+    dict(dt_min="0.1"),
+    dict(record_every="0.1"),
+    dict(record_every=None),
+    dict(record_every=math.inf),
 ])
 def test_solver_config_rejections(kwargs):
     (key,) = kwargs
@@ -656,7 +663,7 @@ def test_records_do_not_depend_on_their_block(name):
     for rec, snap in observed:
         alone = rf.diagnostics([snap], traj.reference, dts=[rec.dt],
                                whole_space=traj.whole_space_entropy)[0]
-        for field in rf.FunctionalRecord.__dataclass_fields__:
+        for field in rf.FunctionalRecord._fields:
             assert getattr(rec, field) == getattr(alone, field), (field, rec.t)
         flags.update(rec.flags)
     if name == "fd3_exact":
