@@ -49,7 +49,7 @@ import numpy as np
 from .barenblatt import (BarenblattReference, build_reference, normalization_constant,
                          self_similar_density)
 from .checks import CHECK_NAMES, CheckResult, compatible_checks, incompatibility, run_checks
-from .functionals import CSV_COLUMNS, FunctionalRecord
+from .functionals import CSV_COLUMNS, RECORD_NUMBERS
 from .gn import DEFAULT_SEED, sharp_constant
 from .grid import DensityState, RadialGrid, build_grid, project_initial
 from .params import HYPOTHESES, ModelParams, ParameterDomainError, RegimeError, unmet
@@ -296,11 +296,12 @@ def build_initial_state(config: ExperimentConfig) -> DensityState:
 
 
 def write_trajectory_csv(path: Path, trajectory) -> None:
-    """One row per record, written as it is formatted: the file is never
-    held in memory whole."""
+    """One row per record, read from the record table and written as it is
+    formatted: neither the file nor the records are held in memory whole."""
+    columns = trajectory.records.values[:, :len(CSV_COLUMNS)]
     with path.open("w") as f:
         f.write(",".join(CSV_COLUMNS) + "\n")
-        f.writelines(_CSV_ROW % rec[:len(CSV_COLUMNS)] for rec in trajectory.records)
+        f.writelines(_CSV_ROW % tuple(row.tolist()) for row in columns)
 
 
 # Record fields that may be non-finite, each with the flag that explains it:
@@ -312,7 +313,6 @@ _FLAGGED_NON_FINITE = {
     "rel_entropy": "moments_infinite",
     "q_ratio": "q_degenerate",
 }
-_RECORD_NUMBERS = FunctionalRecord._fields[:-1]  # every field but flags
 # Trajectory fields that report.json's "run" object carries, beside
 # n_records and t_end: every one but the reference, records and final state.
 _RUN_FIELDS = tuple(f.name for f in dataclasses.fields(Trajectory)
@@ -321,11 +321,17 @@ _RUN_FIELDS = tuple(f.name for f in dataclasses.fields(Trajectory)
 
 def _non_finite_field(trajectory) -> str | None:
     """The first record field that is non-finite without a flag that
-    explains it, described with its time and value, or None."""
-    for rec in trajectory.records:
-        for name, value in zip(_RECORD_NUMBERS, rec):
-            if not math.isfinite(value) and _FLAGGED_NON_FINITE.get(name) not in rec.flags:
-                return f"{name}={value!r} at t={rec.t!r}"
+    explains it, described with its time and value, or None. One isfinite
+    over the record table; only the flags of rows with a non-finite field
+    are read."""
+    table = trajectory.records
+    bad = ~np.isfinite(table.values)
+    for i in np.flatnonzero(bad.any(axis=1)).tolist():
+        row = table.values[i].tolist()
+        for j in np.flatnonzero(bad[i]).tolist():
+            name = RECORD_NUMBERS[j]
+            if _FLAGGED_NON_FINITE.get(name) not in table.flags[i]:
+                return f"{name}={row[j]!r} at t={row[0]!r}"
     return None
 
 

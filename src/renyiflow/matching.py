@@ -13,6 +13,7 @@ This module measures; checks turns its worst violations into verdicts.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,7 +84,7 @@ def q_envelope(q0: float, theta0: float, theta_t: float) -> float:
     return q0 * theta_t / denom
 
 
-def _records_of(trajectory) -> list[FunctionalRecord]:
+def _records_of(trajectory) -> Sequence[FunctionalRecord]:
     recs = trajectory.records
     if len(recs) < 2:
         raise ValueError("need at least two records")
@@ -121,8 +122,9 @@ def envelope_worst(trajectory) -> tuple[float, float]:
     integral upper bound."""
     require(trajectory.reference.params, "delay envelope", "envelope_window",
             "finite_moments")
-    recs = _records_of(trajectory)
-    qbar = np.array([q_envelope(recs[0].q_ratio, recs[0].theta, r.theta) for r in recs])
+    rec0 = _records_of(trajectory)[0]
+    qbar = np.array([q_envelope(rec0.q_ratio, rec0.theta, theta)
+                     for theta in trajectory.series("theta").tolist()])
     q = trajectory.series("q_ratio")
     tau = trajectory.series("tau")
     return (float((q - qbar).max()),

@@ -94,6 +94,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from itertools import count, takewhile
 from numbers import Real
@@ -105,7 +106,8 @@ from ._pow import pow_fn
 from .params import ModelParams
 from .barenblatt import BarenblattReference, build_reference
 from .grid import DensityState, RadialGrid
-from .functionals import FunctionalRecord, diagnostics, whole_space_entropy
+from .functionals import (RECORD_NUMBERS, FunctionalRecord, RecordTable, diagnostics,
+                          whole_space_entropy)
 
 # The safety factor of both step bounds: the Euler bound CFL min_i V_i /
 # (D_i reach_i) and the super-step's dt_expl = 2 CFL / rho. 0.85 is the value
@@ -479,7 +481,9 @@ class _Kernel:
 @dataclass
 class Trajectory:
     reference: BarenblattReference  # the profile of the run's (d, p)
-    records: list[FunctionalRecord] = field(default_factory=list)
+    # read-only, a RecordTable: a sequence of records given here is packed
+    # into one
+    records: Sequence[FunctionalRecord] = field(default_factory=list)
     final_state: DensityState | None = None
     # evolve fills the fields below, counting into them as it steps, and
     # report.json's "run" object carries each of them. n_steps counts flux
@@ -502,11 +506,15 @@ class Trajectory:
     wall_time: float = 0.0
     diagnostics_time: float = 0.0  # of wall_time, in the diagnostics blocks
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.records, RecordTable):
+            self.records = RecordTable.pack(self.records)
+
     def times(self) -> np.ndarray:
-        return np.array([r.t for r in self.records])
+        return self.records.column("t")
 
     def series(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.records])
+        return self.records.column(name)
 
 
 def record_block(n: int) -> int:
@@ -539,10 +547,12 @@ def evolve(
 
     The snapshots wait in a block of record_block(n) and go through
     diagnostics together whenever the block is full, and once more at
-    t_end. The observer is called once per record, in time order, with the
-    record and its snapshot, when the record's block is evaluated rather
-    than when the step lands; a run that raises has its pending records
-    neither evaluated nor observed."""
+    t_end, each block's rows written into one table allocated at the
+    schedule's length (Trajectory.records, a RecordTable). The observer is
+    called once per record, in time order, with the record and its
+    snapshot, when the record's block is evaluated rather than when the
+    step lands; a run that raises has its pending records neither
+    evaluated nor observed."""
     if t_end < state.t:
         raise ValueError(f"t_end {t_end} precedes state time {state.t}")
     grid = state.grid
@@ -571,13 +581,18 @@ def evolve(
     block = record_block(grid.n)
     pending: list[DensityState] = []
     pending_dts: list[float] = []
+    record_times = _record_schedule(t0, t_end, config)
+    # the rows of the run's RecordTable, one per record at most, and flags
+    table = np.empty((1 + len(record_times), len(RECORD_NUMBERS)))
+    flags: list[tuple[str, ...]] = []
 
     def flush() -> None:
         nonlocal pending, pending_dts
         start = time.perf_counter()
         records = diagnostics(pending, reference, dts=pending_dts, whole_space=whole_space)
         traj.diagnostics_time += time.perf_counter() - start
-        traj.records += records
+        table[len(flags):len(flags) + len(records)] = [rec[:-1] for rec in records]
+        flags.extend(rec.flags for rec in records)
         if observer is not None:
             for rec, snap in zip(records, pending):
                 observer(rec, snap)
@@ -589,7 +604,7 @@ def evolve(
         if len(pending) == block:
             flush()
 
-    schedule = iter(_record_schedule(t0, t_end, config))
+    schedule = iter(record_times)
     dt = kernel.load()  # the Euler bound of the state at t
     emit(t0, dt)
     next_rec = next(schedule)
@@ -601,7 +616,8 @@ def evolve(
         tau, s, landed = kernel.plan(t, dt, next_rec, filled, mass)
         if s:
             traj.n_steps += s
-            low = kernel.super_step(m, tau, s, m_new).min()
+            kernel.super_step(m, tau, s, m_new)
+            low = m_new[m_new.argmin()]
             if low >= 0.0:
                 traj.super_steps += 1
                 traj.max_stages = max(traj.max_stages, s)
@@ -634,6 +650,7 @@ def evolve(
 
     if pending:
         flush()
+    traj.records = RecordTable(table[:len(flags)], flags)
     traj.dt_min, traj.dt_max = min(dt_lo, dt_hi), dt_hi  # 0, 0 when no step was taken
     traj.final_state = DensityState(grid=grid, u=u.copy(), t=t)
     traj.wall_time = time.perf_counter() - start_wall

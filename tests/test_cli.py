@@ -482,8 +482,7 @@ def test_truncated_trajectory_stops_before_checks(tmp_path, capsys, monkeypatch)
 
     def truncated(*args, **kwargs):
         trajectory = evolve(*args, **kwargs)
-        trajectory.records.pop()
-        return trajectory
+        return dataclasses.replace(trajectory, records=trajectory.records[:-1])
 
     checked = []
     monkeypatch.setattr(cli, "evolve", truncated)
@@ -508,8 +507,9 @@ def test_non_finite_record_stops_before_checks(tmp_path, capsys, monkeypatch, na
 
     def poisoned(*args, **kwargs):
         trajectory = evolve(*args, **kwargs)
-        trajectory.records[2] = trajectory.records[2]._replace(**{name: value})
-        return trajectory
+        records = list(trajectory.records)
+        records[2] = records[2]._replace(**{name: value})
+        return dataclasses.replace(trajectory, records=records)
 
     checked = []
     monkeypatch.setattr(cli, "evolve", poisoned)

@@ -358,7 +358,7 @@ def test_workspace_reuse_leaves_no_trace(d, p, grid_args, datum, t_end):
         lone = [rec for i in range(len(snaps)) for rec in evaluate(i, i + 1, poison)]
         blocks = evaluate(0, 5, poison) + evaluate(5, len(snaps), poison)
         # repr keeps every bit of a float and reads nan as nan
-        assert repr(lone) == repr(blocks) == repr(traj.records), poison
+        assert repr(lone) == repr(blocks) == repr(list(traj.records)), poison
 
 
 def test_warm_block_allocates_less_than_one_array():

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -658,7 +660,7 @@ def test_records_do_not_depend_on_their_block(name):
                      observer=lambda rec, snap: observed.append((rec, snap)))
     block = solver.record_block(n)
     assert len(traj.records) > block and len(traj.records) % block != 0
-    assert [rec for rec, _ in observed] == traj.records
+    assert [rec for rec, _ in observed] == list(traj.records)
     flags = set()
     for rec, snap in observed:
         alone = rf.diagnostics([snap], traj.reference, dts=[rec.dt],
@@ -672,3 +674,69 @@ def test_records_do_not_depend_on_their_block(name):
         assert "remainder_boundary" in flags
     else:
         assert rf.params.unmet(params, "gn_conversion") is not None
+
+
+def test_record_table_contract():
+    # Trajectory.records is one float table plus flags, read as a sequence
+    # of FunctionalRecords built on demand, on a run whose last block is
+    # partial and some of whose records carry flags
+    d, p, (r_max, n, stretch), datum, t_end, every = BLOCK_RUNS["pm1_indicator"]
+    params = rf.ModelParams(d, p)
+    grid = rf.build_grid(d, r_max, n, stretch=stretch)
+    snaps = []
+    traj = rf.evolve(rf.project_initial(datum, grid), t_end, params,
+                     rf.SolverConfig(record_every=every),
+                     observer=lambda rec, snap: snaps.append(snap))
+    records = traj.records
+    assert len(records) == len(snaps) == round(t_end / every) + 1
+    assert len(records) % solver.record_block(n) != 0
+    assert records[0].t == 0.0 and records[-1].t == t_end
+    assert records[-1] == records[len(records) - 1]
+    assert records[-len(records)] == records[0]
+    with pytest.raises(IndexError):
+        records[len(records)]
+    every_fifth = records[3::5]
+    assert len(every_fifth) == len(range(3, len(records), 5))
+    assert list(every_fifth) == [records[i] for i in range(3, len(records), 5)]
+    listed = list(records)
+    assert listed == [records[i] for i in range(len(records))]
+    assert any(rec.flags for rec in listed)
+    # each record has the bits of a lone evaluation of its snapshot, as
+    # Python floats
+    for rec, snap in zip(listed, snaps):
+        assert all(type(x) is float for x in rec[:-1])
+        assert rec == rf.diagnostics([snap], traj.reference, dts=[rec.dt],
+                                     whole_space=traj.whole_space_entropy)[0]
+    for name in rf.FunctionalRecord._fields[:-1]:
+        column = traj.series(name)
+        assert column.tobytes() == np.array([getattr(r, name) for r in listed]).tobytes()
+    # read-only: no item assignment, no write to the table
+    with pytest.raises(TypeError):
+        records[0] = listed[0]
+    with pytest.raises(ValueError):
+        records.values[0, 0] = 1.0
+    # a trajectory built from a list of records packs it into the same table
+    packed = dataclasses.replace(traj, records=listed)
+    assert packed.records.values.tobytes() == records.values.tobytes()
+    assert packed.records.flags == records.flags
+
+
+def test_records_take_one_float_row_each():
+    # a record is a row of 16 doubles in the trajectory's table, not an
+    # object of boxed floats (about 550 bytes a record); the allowance
+    # holds the flags (8 bytes a record here), the final state and the
+    # reference
+    grid = rf.build_grid(1, 6.0, 50)
+    state = rf.project_initial(lambda r: np.exp(-r * r), grid)
+    params = rf.ModelParams(1, 2.0)
+    config = rf.SolverConfig(record_every=1e-4)
+    # a first run of at least one full block sizes the diagnostics workspace
+    assert len(rf.evolve(state, 0.03, params, config).records) > solver.record_block(grid.n)
+    tracemalloc.start()
+    try:
+        traj = rf.evolve(state, 0.1, params, config)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.records) >= 1000
+    assert held <= 16 * 8 * len(traj.records) + 64 * 1024
