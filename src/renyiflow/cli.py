@@ -21,9 +21,14 @@ t, dt, mass, theta, E, I, F, G, H, J, q, s, tau, rel_entropy, R (one row
 per record, 17 significant digits, so identical configs give byte-identical
 files; dt is the length of the step or super-step that reached the record,
 and E the whole-space entropy where functionals.diagnostics fits its
-far-field tail); report.json with every check clause's measured value,
-tolerance, and margin, and the run's step counts per integrator;
-summary.txt with those counts and one verdict line per check.
+far-field tail), written by np.savetxt; report.json, whose objects are
+their types' fields (_fields): "reference" is the BarenblattReference's
+but params and exponents, plus d, p, regime, c_gn, exponents and
+hypotheses; "run" the Trajectory's but reference, records and
+final_state, plus n_records and t_end; each of "checks" a CheckResult's
+but details, merged with its details (every clause's measured value,
+tolerance and margin); summary.txt with the run's step counts per
+integrator and one verdict line per check.
 
 Commands: `run CONFIG [--check NAME]` (NAME replaces the config's checks),
 `sweep DIR|CONFIG` and `reference --d D --p P`.
@@ -53,7 +58,7 @@ from .functionals import CSV_COLUMNS, RECORD_NUMBERS
 from .gn import DEFAULT_SEED, sharp_constant
 from .grid import DensityState, RadialGrid, build_grid, project_initial
 from .params import HYPOTHESES, ModelParams, ParameterDomainError, RegimeError, unmet
-from .solver import InstabilityError, SolverConfig, StiffnessError, Trajectory, evolve
+from .solver import InstabilityError, SolverConfig, StiffnessError, evolve
 
 __all__ = [
     "ConfigError",
@@ -64,9 +69,6 @@ __all__ = [
     "write_trajectory_csv",
     "main",
 ]
-
-# a row: one format over the record's leading fields, in column order
-_CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
 
 # kind -> (its fields, all required; its profile u(r) given the parsed
 # datum, the model and the radii)
@@ -92,8 +94,10 @@ def _dump_json(payload: dict) -> str:
 
 
 def _fail(field: str | None, message: str) -> ConfigError:
-    """A config error about one field; field None is the whole document."""
-    where = "config" if field is None else f"config field {field!r}"
+    """A config error about one field; field None is the whole document,
+    and a CLI flag such as --p is named as it is."""
+    where = ("config" if field is None else field if field.startswith("--")
+             else f"config field {field!r}")
     return ConfigError(f"{where}: {message}")
 
 
@@ -298,10 +302,8 @@ def build_initial_state(config: ExperimentConfig) -> DensityState:
 def write_trajectory_csv(path: Path, trajectory) -> None:
     """One row per record, read from the record table and written as it is
     formatted: neither the file nor the records are held in memory whole."""
-    columns = trajectory.records.values[:, :len(CSV_COLUMNS)]
-    with path.open("w") as f:
-        f.write(",".join(CSV_COLUMNS) + "\n")
-        f.writelines(_CSV_ROW % tuple(row.tolist()) for row in columns)
+    np.savetxt(path, trajectory.records.values[:, :len(CSV_COLUMNS)], fmt="%.17g",
+               delimiter=",", header=",".join(CSV_COLUMNS), comments="")
 
 
 # Record fields that may be non-finite, each with the flag that explains it:
@@ -313,10 +315,6 @@ _FLAGGED_NON_FINITE = {
     "rel_entropy": "moments_infinite",
     "q_ratio": "q_degenerate",
 }
-# Trajectory fields that report.json's "run" object carries, beside
-# n_records and t_end: every one but the reference, records and final state.
-_RUN_FIELDS = tuple(f.name for f in dataclasses.fields(Trajectory)
-                    if f.name not in ("reference", "records", "final_state"))
 
 
 def _non_finite_field(trajectory) -> str | None:
@@ -335,33 +333,21 @@ def _non_finite_field(trajectory) -> str | None:
     return None
 
 
-def _check_payload(result: CheckResult) -> dict:
-    body = {
-        "name": result.name,
-        "applicable": result.applicable,
-        "passed": result.passed,
-        "slack": result.slack,
-        "tolerance": result.tolerance,
-    }
-    body.update(result.details)
-    return body
+def _fields(obj, *omit: str) -> dict:
+    """A dataclass's fields as a JSON object, but those named in omit."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.name not in omit}
 
 
 def _reference_payload(reference: BarenblattReference) -> dict:
+    params = reference.params
     return {
-        "d": reference.params.d,
-        "p": reference.params.p,
-        "regime": reference.params.regime,
-        "c_star": reference.c_star,
-        "theta": reference.theta,
-        "entropy": reference.entropy,
-        "fisher": reference.fisher,
-        "h_star": reference.h_star,
-        "j_star": reference.j_star,
-        "theta_star": reference.theta_star,
+        **_fields(reference, "params", "exponents"),
+        "d": params.d,
+        "p": params.p,
+        "regime": params.regime,
         "c_gn": sharp_constant(reference),
-        "exponents": dataclasses.asdict(reference.exponents),
-        "hypotheses": {name: unmet(reference.params, name) is None for name in HYPOTHESES},
+        "exponents": _fields(reference.exponents),
+        "hypotheses": {name: unmet(params, name) is None for name in HYPOTHESES},
     }
 
 
@@ -429,8 +415,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
         "tol_scale": tol_scale,
         "reference": _reference_payload(trajectory.reference),
         "run": {"n_records": len(trajectory.records), "t_end": config.t_end,
-                **{name: getattr(trajectory, name) for name in _RUN_FIELDS}},
-        "checks": [_check_payload(r) for r in results],
+                **_fields(trajectory, "reference", "records", "final_state")},
+        "checks": [{**_fields(r, "details"), **r.details} for r in results],
         "all_passed": all_passed,
     }
     (out / "report.json").write_text(_dump_json(report))

@@ -5,11 +5,11 @@ Phi_j = A_j (w_j - w_{j-1})/(r_j - r_{j-1}), w = u**p, and zero flux at both
 boundaries, so total mass telescopes exactly (conservation to summation
 round-off, independent of step count).
 
-evolve() keeps the record schedule (_record_schedule), the guards, the counts
-and the records; _Kernel holds the rate kernel (_face_rates, the face rates of
-a state from its w = u**p), both integrators and the rule that picks between
-them. At every step it takes whichever integrator advances further per flux
-evaluation (_Kernel.plan):
+evolve() walks the record schedule (_record_schedule, a generator) and keeps
+the guards, the counts and the records; _Kernel holds the rate kernel
+(_face_rates, the face rates of a state from its w = u**p), both integrators
+and the rule that picks between them. At every step it takes whichever
+integrator advances further per flux evaluation (_Kernel.plan):
 
 - Euler (_Kernel.euler_step). The forward step m + dt diff(Phi), unless
   that would overdraw a cell, which happens in fast-diffusion tails, where
@@ -94,7 +94,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields
 from itertools import count, takewhile
 from numbers import Real
@@ -522,12 +522,13 @@ def record_block(n: int) -> int:
     return max(1, RECORD_BLOCK_DOUBLES // n)
 
 
-def _record_schedule(t0: float, t_end: float, config: SolverConfig) -> list[float]:
-    """Record times after t0: every t0 + k*record_every (k >= 1) at or after
-    t0 + record_from and before t_end, then t_end."""
+def _record_schedule(t0: float, t_end: float, config: SolverConfig) -> Iterator[float]:
+    """Record times after t0, generated in order: every t0 + k*record_every
+    (k >= 1) at or after t0 + record_from and before t_end, then t_end."""
     start = t0 + config.record_from
     cadence = takewhile(lambda s: s < t_end, (t0 + k * config.record_every for k in count(1)))
-    return [s for s in cadence if s >= start] + [t_end]
+    yield from (s for s in cadence if s >= start)
+    yield t_end
 
 
 def evolve(
@@ -581,9 +582,9 @@ def evolve(
     block = record_block(grid.n)
     pending: list[DensityState] = []
     pending_dts: list[float] = []
-    record_times = _record_schedule(t0, t_end, config)
     # the rows of the run's RecordTable, one per record at most, and flags
-    table = np.empty((1 + len(record_times), len(RECORD_NUMBERS)))
+    n_records = 1 + sum(1 for _ in _record_schedule(t0, t_end, config))
+    table = np.empty((n_records, len(RECORD_NUMBERS)))
     flags: list[tuple[str, ...]] = []
 
     def flush() -> None:
@@ -604,7 +605,7 @@ def evolve(
         if len(pending) == block:
             flush()
 
-    schedule = iter(record_times)
+    schedule = _record_schedule(t0, t_end, config)
     dt = kernel.load()  # the Euler bound of the state at t
     emit(t0, dt)
     next_rec = next(schedule)

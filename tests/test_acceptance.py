@@ -6,7 +6,9 @@ per criterion with the margins available in the captured output. The corpus
 fixtures in conftest.py supply the five recorded runs; everything else
 (quadrature oracles, refinement runs, CLI round trips) happens inline.
 """
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from scipy import integrate
 
 import renyiflow as rf
 from renyiflow.checks import run_checks
-from renyiflow.cli import main
+from renyiflow.cli import build_initial_state, main, parse_config
 from renyiflow.gn import (deficit_identity_check, extremality_test,
                           gn_constant_report, gn_exponent, sharp_constant)
 from renyiflow.matching import envelope_worst, q_envelope
@@ -323,3 +325,26 @@ def test_criterion_12_byte_identical_reruns(tmp_path, config):
     b = (tmp_path / "second" / "trajectory.csv").read_bytes()
     assert a == b
     print(f"\ncriterion 12 [{config}]: {len(a)} bytes, identical reruns")
+
+
+@pytest.mark.parametrize("name", ["fd3_gaussian", "fd3_mixture", "pm1_barenblatt",
+                                  "pm1_gaussian", "pm1_indicator"])
+def test_criterion_13_refinement_keeps_every_verdict(corpus, name):
+    """Each shipped config run again at 2n cells with stretch s**(1/2) and
+    the same r_max (every other edge of that grid is an edge of the shipped
+    one) gives every check the verdict of the shipped run, at the same
+    tolerances."""
+    doc = json.loads(Path(CONFIG_DIR, f"{name}.json").read_text())
+    grid = doc["grid"]
+    doc["grid"] = {"r_max": grid["r_max"], "n": 2 * grid["n"],
+                   "stretch": grid.get("stretch", 1.0) ** 0.5}
+    cfg = parse_config(doc, label=f"{name}_2n")
+    fine = rf.evolve(build_initial_state(cfg), cfg.t_end, cfg.params, cfg.solver)
+    traj, expected_tau = corpus[name]
+    shipped, refined = (run_checks(cfg.checks, t, expected_tau=expected_tau, gn_seed=cfg.seed)
+                        for t in (traj, fine))
+    assert [(r.name, r.applicable, r.passed) for r in refined] == [
+        (r.name, r.applicable, r.passed) for r in shipped]
+    print(f"\ncriterion 13 [{name}]: n {grid['n']} -> {2 * grid['n']}, slacks " + ", ".join(
+        f"{a.name} {a.slack:+.3f}/{b.slack:+.3f}" for a, b in zip(shipped, refined)
+        if a.applicable and a.slack is not None))

@@ -10,6 +10,7 @@ import pytest
 
 import renyiflow as rf
 from renyiflow import barenblatt, cli
+from renyiflow.checks import CheckResult
 from renyiflow.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -20,6 +21,7 @@ from renyiflow.cli import (
     run_experiment,
 )
 from renyiflow.functionals import FunctionalRecord
+from renyiflow.params import ExponentSet
 from renyiflow.solver import Trajectory
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -361,6 +363,15 @@ def test_main_reference(capsys):
 
     assert main(["reference", "--d", "3", "--p", "0.2"]) == 2
     assert "invalid parameters" in capsys.readouterr().err
+
+
+def test_main_reference_names_the_flag(capsys):
+    # --p is a CLI flag, not a config field
+    assert main(["reference", "--d", "3", "--p", "abc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("invalid parameters: --p: expected a number or 'a/b' "
+                            "fraction string, got 'abc'\n")
 
 
 def test_main_run_one_check(tmp_path, capsys):
@@ -723,3 +734,35 @@ def test_report_run_object_is_the_trajectory(tmp_path, monkeypatch):
                 **{name: getattr(trajectory, name) for name in names}}
     assert report["run"] == expected
     assert json.loads((tmp_path / "report.json").read_text())["run"] == expected
+
+
+def test_report_reference_and_checks_are_their_types(tmp_path, monkeypatch, capsys):
+    # the reference object: the BarenblattReference's fields but params and
+    # exponents, plus d, p, regime, c_gn, exponents and hypotheses, and the
+    # same object `renyiflow reference` prints; each check object: the
+    # CheckResult's fields but details, merged with the details
+    captured = []
+    run_checks = cli.run_checks
+
+    def kept(*args, **kwargs):
+        captured.append(run_checks(*args, **kwargs))
+        return captured[-1]
+
+    monkeypatch.setattr(cli, "run_checks", kept)
+    report = run_experiment(parse_config(tiny_config()), tmp_path, echo=None)
+    assert json.loads((tmp_path / "report.json").read_text()) == report
+    reference_keys = {f.name for f in dataclasses.fields(barenblatt.BarenblattReference)}
+    assert set(report["reference"]) == reference_keys - {"params"} | {
+        "d", "p", "regime", "c_gn", "hypotheses"}
+    assert set(report["reference"]["exponents"]) == {
+        f.name for f in dataclasses.fields(ExponentSet)}
+    assert main(["reference", "--d", "1", "--p", "2"]) == 0
+    assert json.loads(capsys.readouterr().out) == report["reference"]
+
+    (results,) = captured
+    result_keys = {f.name for f in dataclasses.fields(CheckResult)} - {"details"}
+    assert [c["name"] for c in report["checks"]] == ["theorem1", "theorem2"]
+    for check, result in zip(report["checks"], results, strict=True):
+        assert "clauses" in result.details
+        assert set(check) == result_keys | set(result.details)
+        assert all(check[key] == getattr(result, key) for key in result_keys)

@@ -126,14 +126,14 @@ def test_record_schedule_without_record_from_is_the_cadence(t0, record_every, t_
     expected = [s for s in cadence if s < t_end] + [t_end]
     for cfg in (rf.SolverConfig(record_every=record_every),
                 rf.SolverConfig(record_every=record_every, record_from=0.0)):
-        assert solver._record_schedule(t0, t_end, cfg) == expected
+        assert list(solver._record_schedule(t0, t_end, cfg)) == expected
 
 
 def test_record_schedule_of_fd3_gaussian():
     # the 0.0125 cadence from t = 0.05 on: each k*0.0125 lies within one
     # ulp of 0.05 + j*0.0125
     cfg = load_config(CONFIGS / "fd3_gaussian.json")
-    times = np.array([0.0] + solver._record_schedule(0.0, cfg.t_end, cfg.solver))
+    times = np.array([0.0] + list(solver._record_schedule(0.0, cfg.t_end, cfg.solver)))
     offsets = 0.05 + np.arange(396) * 0.0125
     expected = np.concatenate(([0.0], offsets, [cfg.t_end]))
     assert times.size == expected.size == 398
