@@ -33,7 +33,7 @@ traj = rf.evolve(state, 1.5, params, rf.SolverConfig(record_every=0.0125))
 rep = deficit_identity_check(traj)
 (deficit,) = rf.run_checks(("deficit",), traj)
 budget_bound = deficit.details["clauses"]["budget_bound"]
-t = traj.times()
+t = traj.series("t")
 j = traj.series("j_scale")
 p_series = rep["p_series"]
 budget = rep["budget"]

@@ -33,7 +33,7 @@ for rec in traj.records:
           f"{rec.tau:10.6f} {abs(rec.h_renyi / ref.h_star - 1.0):10.2e} "
           f"{rec.q_ratio - 1.0:10.2e}")
 
-exact = ref.self_similar(grid.centers, t0 + 1.0)
+exact = rf.self_similar_density(grid.centers, t0 + 1.0, params)
 l1 = grid.integrate(np.abs(traj.final_state.u - exact))
 tau = traj.series("tau")
 print(f"\nL1 distance to the exact aged solution : {l1:.3e}")

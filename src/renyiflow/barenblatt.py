@@ -97,7 +97,7 @@ def self_similar_density(r: np.ndarray | float, t: float | Sequence[float],
     one = np.ndim(t) == 0
     times = [t] if one else list(t)
     for s in times:
-        if s <= 0.0:
+        if not s > 0.0:  # a NaN fails it too
             raise ValueError(f"self-similar density requires t > 0, got {s}")
     scale = [ex.kappa * s ** (1.0 / ex.mu) for s in times]
     amplitude = [c ** (-params.d) for c in scale]
@@ -135,13 +135,6 @@ class BarenblattReference:
     h_star: float
     j_star: float
     theta_star: float
-
-    def profile(self, r: np.ndarray | float) -> np.ndarray:
-        return profile_density(r, self.params)
-
-    def self_similar(self, r: np.ndarray | float, t: float | Sequence[float],
-                     out: np.ndarray | None = None) -> np.ndarray:
-        return self_similar_density(r, t, self.params, out)
 
     def match_time(self, theta: float) -> float:
         """Time s = (theta / theta_star)**(mu/2) at which the source-type

@@ -5,9 +5,8 @@ returning measured slacks next to the tolerances they are judged against.
 CHECKS is the one table of checks: per name, the hypotheses of the
 params.HYPOTHESES table that every function its verdict calls requires, and
 the function that measures it. Its names form the config vocabulary
-(CHECK_NAMES) and its hypotheses CHECK_HYPOTHESES; `incompatibility` reads
-them, and both the config parser (reject at parse time) and the runner
-(mark inapplicable) share it.
+(CHECK_NAMES); `incompatibility` reads its hypotheses, and both the config
+parser (reject at parse time) and the runner (mark inapplicable) share it.
 
 This module is the only verdict layer: matching and gn return measurements,
 and every tolerance (the named constants below) and pass/fail decision
@@ -36,7 +35,6 @@ from .params import ModelParams, unmet
 __all__ = [
     "CHECKS",
     "CHECK_NAMES",
-    "CHECK_HYPOTHESES",
     "CheckResult",
     "incompatibility",
     "compatible_checks",
@@ -97,7 +95,7 @@ def incompatibility(name: str, params: ModelParams) -> str | None:
     """The violated hypothesis keeping `name` from running at (d, p), or None."""
     if name not in CHECK_NAMES:
         raise ValueError(f"unknown check {name!r}; valid names: {', '.join(CHECK_NAMES)}")
-    reason = unmet(params, *CHECK_HYPOTHESES[name])
+    reason = unmet(params, *CHECKS[name][0])
     return None if reason is None else f"{name} needs {reason}"
 
 
@@ -152,7 +150,7 @@ def _check_theorem1(trajectory, **_) -> tuple[Clauses, dict]:
     The identities and the concavity of F are judged on the windows between
     two equal record intervals (grid.uniform_interior).
     """
-    t = trajectory.times()
+    t = trajectory.series("t")
     theta = trajectory.series("theta")
     entropy = trajectory.series("entropy")
     fisher = trajectory.series("fisher")
@@ -300,7 +298,6 @@ CHECKS: dict[str, tuple[tuple[str, ...], Callable[..., tuple[Clauses, dict]]]] =
     "deficit": (("fast_diffusion", "remainder_window", "finite_moments"), _check_deficit),
 }
 CHECK_NAMES = tuple(CHECKS)
-CHECK_HYPOTHESES = {name: hypotheses for name, (hypotheses, _) in CHECKS.items()}
 
 
 def run_checks(names, trajectory, tol_scale: float = 1.0,

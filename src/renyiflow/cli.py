@@ -28,7 +28,8 @@ hypotheses; "run" the Trajectory's but reference, records and
 final_state, plus n_records and t_end; each of "checks" a CheckResult's
 but details, merged with its details (every clause's measured value,
 tolerance and margin); summary.txt with the run's step counts per
-integrator and one verdict line per check.
+integrator and one verdict line per check. Every JSON output is strict
+JSON (RFC 8259): a non-finite number is written as null.
 
 Commands: `run CONFIG [--check NAME]` (NAME replaces the config's checks),
 `sweep DIR|CONFIG` and `reference --d D --p P`.
@@ -89,8 +90,20 @@ class ConfigError(ValueError):
     """Config rejected at parse time; the message names the field at fault."""
 
 
+def _strict(value):
+    """value with every non-finite float in it, at any depth, as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
 def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Strict JSON (RFC 8259): a non-finite float is written as null."""
+    return json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _fail(field: str | None, message: str) -> ConfigError:
@@ -231,7 +244,7 @@ def parse_config(document: dict | str, label: str = "config") -> ExperimentConfi
     try:
         params = ModelParams(d, p)
     except (ParameterDomainError, RegimeError, ValueError) as e:
-        raise ConfigError(f"config field 'd'/'p': {e}") from e
+        raise _fail("d/p", str(e)) from e
     try:
         normalization_constant(params)
     except ParameterDomainError as e:
@@ -448,7 +461,7 @@ def _run_path(path: str, out: str | Path | None, echo=print,
     except ConfigError as e:
         return label, None, f"config error: {e}"
     except ParameterDomainError as e:  # evolve's build_reference: p near a threshold
-        return label, None, f"config error: config field 'p': {e}"
+        return label, None, f"config error: {_fail('p', str(e))}"
     except (StiffnessError, InstabilityError) as e:
         return label, None, f"solver abort: {e}"
     except Exception as e:
@@ -479,19 +492,13 @@ def _matrix_table(rows: list[tuple[str, dict | None, str | None]]) -> str:
         if report is None:
             out.append(f"{label:<{width}}  ERROR: {error}")
             continue
+        # a sweep runs parsed configs, whose every check is applicable
         by_name = {c["name"]: c for c in report["checks"]}
-        cells = []
-        for name in CHECK_NAMES:
-            c = by_name.get(name)
-            if c is None:
-                cells.append(f"{'-':>11}")
-            elif not c["applicable"]:
-                cells.append(f"{'skip':>11}")
-            else:
-                cells.append(f"{'PASS' if c['passed'] else 'FAIL':>11}")
+        cells = [f"{'-' if c is None else 'PASS' if c['passed'] else 'FAIL':>11}"
+                 for c in map(by_name.get, CHECK_NAMES)]
         out.append(f"{label:<{width}}  {report['d']:>2} {report['p']:>8.4g}  " + " ".join(cells))
         out += [f"{'':<{width}}  {c['name']}: {c['reason']}"
-                for c in report["checks"] if c["applicable"] and "reason" in c]
+                for c in report["checks"] if "reason" in c]
     return "\n".join(out)
 
 

@@ -52,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._pow import pow_fn
-from .barenblatt import BarenblattReference
+from .barenblatt import BarenblattReference, self_similar_density
 from .grid import DensityState, RadialGrid, sphere_area
 from .params import ModelParams, require, unmet
 
@@ -250,8 +250,6 @@ def _live_faces(u: np.ndarray, u_max: np.ndarray, drc: np.ndarray, live: np.ndar
     k, n = u.shape
     above = np.greater_equal(u, DUST_REL * u_max, out=_rows(masks[0], k, n))
     _across_faces(np.logical_and, above, live, False)
-    if n < 3:
-        return
     log_u = np.log(u, out=_rows(scratch[0], k, n))
     slopes = _across_faces(np.subtract, log_u, _rows(scratch[1], k, n))
     slopes /= drc
@@ -398,8 +396,6 @@ def _remainder(g: RadialGrid, u: np.ndarray, u_max: np.ndarray, w: np.ndarray,
     p, d = reference.params.p, reference.params.d
     sigma = reference.exponents.sigma
     k, n = u.shape
-    if n < 3:
-        raise ValueError("remainder needs at least 3 cells")
 
     mask = np.greater_equal(u, REMAINDER_MASK_REL * u_max, out=_rows(masks[0], k, n))
     c = g.centers
@@ -494,12 +490,9 @@ def _relative_entropy(g: RadialGrid, u: np.ndarray, up: np.ndarray, s: list[floa
     The integrand is pointwise nonnegative for every p in the admissible
     range, so the value is a genuine divergence (zero iff u = U a.e.).
     """
-    for si in s:
-        if not si > 0.0:
-            raise ValueError(f"match time must be positive, got {si}")
     k, n = u.shape
     cap_u, cap_up, slope, *roots = (_rows(a, k, n) for a in scratch[:5])
-    reference.self_similar(g.centers, s, out=cap_u)
+    self_similar_density(g.centers, s, reference.params, out=cap_u)
     cap_up = pow_fn(p)(cap_u, out=cap_up, roots=roots)
     # in place, the operations of
     # (u**p - U**p - p U**(p-1) (u - U)) / (p - 1) in order
@@ -604,6 +597,8 @@ def diagnostics(states: Sequence[DensityState], reference: BarenblattReference,
     g = states[0].grid
     if any(state.grid is not g for state in states):
         raise ValueError("diagnostics needs states on one grid")
+    if g.n < 3:
+        raise ValueError(f"diagnostics needs at least 3 cells, got {g.n}")
     ex = reference.exponents
     p, n, k = params.p, g.n, len(states)
     floats, masks = _workspace(k * (n + 1))

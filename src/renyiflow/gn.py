@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._pow import pow_fn
-from .barenblatt import BarenblattReference
+from .barenblatt import BarenblattReference, profile_density
 from .grid import RadialGrid, build_grid, cumulative_trapezoid, uniform_interior
 from .params import EDGE_TOL, RegimeError, require, unmet
 
@@ -127,7 +127,7 @@ def extremal_test_function(reference: BarenblattReference) -> TestFunction:
         grid = build_grid(params.d, 1.05 * root_c, EXTREMAL_CELLS, stretch=1.0)
     else:
         grid = build_grid(params.d, 1e5 * root_c, EXTREMAL_CELLS, stretch=1.005)
-    w = pow_fn(params.p - 0.5)(reference.profile(grid.centers))
+    w = pow_fn(params.p - 0.5)(profile_density(grid.centers, params))
     return TestFunction(grid=grid, w=w)
 
 
@@ -268,7 +268,7 @@ def deficit_identity_check(trajectory) -> dict:
     ex = reference.exponents
     if len(trajectory.records) < 2:
         raise ValueError("need at least two records")
-    t = trajectory.times()
+    t = trajectory.series("t")
     e = trajectory.series("entropy")
     rem = trajectory.series("remainder")
     f = trajectory.series("f_power")

@@ -213,9 +213,6 @@ class DensityState:
     u: np.ndarray
     t: float
 
-    def mass(self) -> float:
-        return self.grid.integrate(self.u)
-
 
 def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""

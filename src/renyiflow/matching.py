@@ -64,24 +64,28 @@ def delay_lower_bound(record0: FunctionalRecord, reference: BarenblattReference,
     return t_star * abs(gap) / (2.0 * h_star)
 
 
-def q_envelope(q0: float, theta0: float, theta_t: float) -> float:
-    """Envelope q_bar(t) = q0 theta(t) / (q0 theta(t) - (q0 - 1) theta0).
+def q_envelope(q0: float, theta0: float, theta_t: float | np.ndarray) -> float | np.ndarray:
+    """Envelope q_bar(t) = q0 theta(t) / (q0 theta(t) - (q0 - 1) theta0),
+    at each second moment theta_t (a float for a float).
 
     Decreases from q0 toward 1 as the second moment grows; dominates the
     trajectory's moment/entropy/information ratio in the fast-diffusion
-    window.
+    window. The elementwise operations give each entry the bits of its own
+    scalar call.
     """
     if q0 < 1.0 - 1e-9:
         raise ValueError(f"envelope needs q0 >= 1, got {q0}")
-    if theta0 <= 0.0 or theta_t <= 0.0:
+    theta_t = np.asarray(theta_t, dtype=float)
+    if theta0 <= 0.0 or (theta_t <= 0.0).any():
         raise ValueError("second moments must be positive")
     denom = q0 * theta_t - (q0 - 1.0) * theta0
-    if denom <= 0.0:
+    if (denom <= 0.0).any():
         raise MatchingError(
             "envelope denominator nonpositive: second moment decreased "
             "below the admissible range (numerical violation)"
         )
-    return q0 * theta_t / denom
+    qbar = q0 * theta_t / denom
+    return qbar if qbar.ndim else float(qbar)
 
 
 def _records_of(trajectory) -> Sequence[FunctionalRecord]:
@@ -104,7 +108,7 @@ def _upper_series(trajectory, qbar: np.ndarray) -> np.ndarray:
     """
     ex = trajectory.reference.exponents
     rec0 = trajectory.records[0]
-    t = trajectory.times() - rec0.t
+    t = trajectory.series("t") - rec0.t
     inner = cumulative_trapezoid(qbar - 1.0, t)
     denom = t + rec0.theta / (ex.mu * rec0.entropy) - (ex.eta / ex.mu) * inner
     if (denom <= 0.0).any():
@@ -123,8 +127,7 @@ def envelope_worst(trajectory) -> tuple[float, float]:
     require(trajectory.reference.params, "delay envelope", "envelope_window",
             "finite_moments")
     rec0 = _records_of(trajectory)[0]
-    qbar = np.array([q_envelope(rec0.q_ratio, rec0.theta, theta)
-                     for theta in trajectory.series("theta").tolist()])
+    qbar = q_envelope(rec0.q_ratio, rec0.theta, trajectory.series("theta"))
     q = trajectory.series("q_ratio")
     tau = trajectory.series("tau")
     return (float((q - qbar).max()),

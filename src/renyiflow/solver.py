@@ -510,9 +510,6 @@ class Trajectory:
         if not isinstance(self.records, RecordTable):
             self.records = RecordTable.pack(self.records)
 
-    def times(self) -> np.ndarray:
-        return self.records.column("t")
-
     def series(self, name: str) -> np.ndarray:
         return self.records.column(name)
 

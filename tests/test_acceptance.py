@@ -118,7 +118,7 @@ def test_criterion_02_source_solution_convergence(params_pm1, ref_pm1):
             lambda r: rf.self_similar_density(r, 1.0, params_pm1), grid)
         traj = rf.evolve(state, 1.0, params_pm1,
                          rf.SolverConfig(record_every=0.5))
-        exact = ref_pm1.self_similar(grid.centers, 2.0)
+        exact = rf.self_similar_density(grid.centers, 2.0, params_pm1)
         errs[n] = grid.integrate(np.abs(traj.final_state.u - exact))
     ratio = errs[400] / errs[800]
     print(f"\ncriterion 2: L1(N=800) = {errs[800]:.3e} (tolerance 1e-2), "
@@ -145,7 +145,7 @@ def test_criterion_03_production_identities(corpus, run_name):
     (the very first one) are not second-order and are skipped."""
     traj, _ = corpus[run_name]
     ref = traj.reference
-    t = traj.times()
+    t = traj.series("t")
     k = _uniform_windows(t)
     assert k.size >= 100
     theta_err = _worst_rate(t, traj.series("theta"), 2.0 * traj.series("entropy"), k)

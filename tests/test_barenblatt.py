@@ -79,12 +79,12 @@ def test_profile_support():
     ref = rf.build_reference(params)
     edge = math.sqrt(ref.c_star)
     r = np.array([0.0, 0.5 * edge, edge + 1e-9, 2.0 * edge])
-    b = ref.profile(r)
+    b = rf.profile_density(r, params)
     assert b[0] > b[1] > 0.0
     assert b[2] == 0.0 and b[3] == 0.0
 
     fast = rf.build_reference(rf.ModelParams(3, 2.0 / 3.0))
-    b = fast.profile(np.array([0.0, 10.0, 1e4]))
+    b = rf.profile_density(np.array([0.0, 10.0, 1e4]), fast.params)
     assert np.all(b > 0.0)
     # tail decays like r**(2/(p-1)) = r**-6
     assert b[2] / b[1] == pytest.approx((10.0 / 1e4) ** 6, rel=1e-3)
@@ -96,10 +96,11 @@ def test_self_similar_mass_and_moment_scaling():
     ex = ref.exponents
     for t in (0.5, 1.0, 2.0):
         edge = ex.kappa * t ** (1.0 / ex.mu) * math.sqrt(ref.c_star)
-        mass, _ = integrate.quad(lambda r: 2.0 * ref.self_similar(r, t), 0.0, edge)
+        mass, _ = integrate.quad(
+            lambda r: 2.0 * rf.self_similar_density(r, t, params), 0.0, edge)
         assert mass == pytest.approx(1.0, abs=1e-10)
         theta, _ = integrate.quad(
-            lambda r: 2.0 * r * r * ref.self_similar(r, t), 0.0, edge)
+            lambda r: 2.0 * r * r * rf.self_similar_density(r, t, params), 0.0, edge)
         assert theta == pytest.approx(
             ref.theta_star * t ** (2.0 / ex.mu), rel=1e-10)
 

@@ -110,7 +110,7 @@ def test_theorem1_judges_concavity_between_equal_intervals():
     uniform = rf.evolve(state, 1.0, params, rf.SolverConfig(record_every=0.1))
     # the records at t = 0, 0.1, 0.4, 0.5, 0.6, 0.7 and 1
     traj = replace(uniform, records=[uniform.records[k] for k in (0, 1, 4, 5, 6, 7, 10)])
-    assert np.allclose(traj.times(), [0.0, 0.1, 0.4, 0.5, 0.6, 0.7, 1.0], atol=1e-12)
+    assert np.allclose(traj.series("t"), [0.0, 0.1, 0.4, 0.5, 0.6, 0.7, 1.0], atol=1e-12)
     (res,) = run_checks(("theorem1",), traj)
     assert res.passed, res.details["clauses"]
     assert res.details["clauses"]["f_concave"]["measured"] < 0.0

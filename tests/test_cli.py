@@ -208,14 +208,14 @@ def test_non_object_rejected():
 def test_initial_states_are_normalized(datum):
     cfg = parse_config(tiny_config(initial_datum=datum))
     state = build_initial_state(cfg)
-    assert state.mass() == pytest.approx(1.0, abs=1e-13)
+    assert state.grid.integrate(state.u) == pytest.approx(1.0, abs=1e-13)
     assert np.all(state.u >= 0.0)
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
 def test_shipped_configs_build_unit_mass(path):
     state = build_initial_state(load_config(path))
-    assert state.mass() == pytest.approx(1.0, abs=1e-13)
+    assert state.grid.integrate(state.u) == pytest.approx(1.0, abs=1e-13)
     assert np.all(state.u >= 0.0)
 
 
@@ -766,3 +766,66 @@ def test_report_reference_and_checks_are_their_types(tmp_path, monkeypatch, caps
         assert "clauses" in result.details
         assert set(check) == result_keys | set(result.details)
         assert all(check[key] == getattr(result, key) for key in result_keys)
+
+
+def _strict_json(text: str):
+    """text parsed as RFC 8259 JSON: NaN and Infinity are not numbers."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_report_and_reference_are_strict_json(tmp_path, capsys):
+    # d = 1, p = 0.3 has an infinite profile second moment: theta and its
+    # kin are +inf, h_star and the gn gap nan, each written as null (the
+    # verdicts are not what this test reads)
+    doc = tiny_config(p=0.3, grid={"r_max": 40.0, "n": 160}, checks="all")
+    path = write_config(tmp_path / "heavy.json", doc)
+    main(["sweep", path, "--out", str(tmp_path / "sweep")])
+    capsys.readouterr()
+    report = _strict_json((tmp_path / "sweep" / "heavy" / "report.json").read_text())
+    assert report["reference"]["theta"] is None and report["reference"]["h_star"] is None
+    assert _strict_json((tmp_path / "sweep" / "sweep_report.json").read_text())["runs"] == [
+        report]
+    assert main(["reference", "--d", "1", "--p", "0.3"]) == 0
+    reference = _strict_json(capsys.readouterr().out)
+    assert reference["theta"] is None and reference["hypotheses"]["finite_moments"] is False
+    assert reference == report["reference"]
+
+
+def test_dump_json_refuses_an_unmapped_non_finite_value():
+    assert cli._dump_json({"a": [math.inf, (1.5, -math.inf)], "b": {"c": math.nan}}) == (
+        '{\n  "a": [\n    null,\n    [\n      1.5,\n      null\n    ]\n  ],\n'
+        '  "b": {\n    "c": null\n  }\n}\n')
+    # a float key is not a value the mapping reaches: allow_nan=False refuses it
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._dump_json({"a": {math.inf: 1}})
+
+
+def test_sweep_of_one_config_file(tmp_path, capsys):
+    path = write_config(tmp_path / "one.json", tiny_config())
+    assert main(["sweep", path, "--out", str(tmp_path / "sweep")]) == 0
+    merged = json.loads((tmp_path / "sweep" / "sweep_report.json").read_text())
+    assert [run["label"] for run in merged["runs"]] == ["one"]
+    table = capsys.readouterr().out.splitlines()
+    assert len(table) == 3 and table[2].startswith("one ")
+
+
+def test_sweep_of_a_non_config_is_an_error(tmp_path, capsys):
+    target = tmp_path / "README.md"
+    target.write_text("# not a config\n")
+    assert main(["sweep", str(target), "--out", str(tmp_path / "sweep")]) == 2
+    assert capsys.readouterr().err == (
+        f"sweep error: sweep target {str(target)!r} is neither a directory nor a .json config\n")
+
+
+def test_run_of_a_missing_file_is_a_config_error(tmp_path, capsys):
+    assert main(["run", str(tmp_path / "absent.json"), "--out", str(tmp_path / "out")]) == 2
+    assert "absent: config error: cannot read config" in capsys.readouterr().err
+
+
+def test_boolean_dimension_is_rejected():
+    with pytest.raises(ConfigError) as err:
+        parse_config(tiny_config(d=True))
+    assert str(err.value) == "config field 'd': expected a number, got True"

@@ -105,5 +105,5 @@ def test_benchmark_wrap_point_sees_every_record(monkeypatch):
     block = solver.record_block(grid.n)
     assert n_records > 2 * block
     assert len(calls) == math.ceil(n_records / block)
-    assert [t for call in calls for t in call] == traj.times().tolist()
-    assert observed == traj.times().tolist()
+    assert [t for call in calls for t in call] == traj.series("t").tolist()
+    assert observed == traj.series("t").tolist()

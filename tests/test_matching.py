@@ -84,6 +84,18 @@ def test_envelope_algebra():
         q_envelope(2.0, 1.0, 0.4)  # moment decreased below admissible range
 
 
+def test_envelope_of_an_array_is_the_scalar_envelope_bit_for_bit():
+    theta = np.array([1.0, 1.0 + 1e-12, 2.0 / 3.0 + 1.0, 7.25, 1e6, 1e200])
+    for q0, theta0 in ((1.0, 1.0), (1.5, 1.0), (1.0 + 1e-9, 0.7), (1e66, 0.5)):
+        qbar = q_envelope(q0, theta0, theta)
+        assert qbar.tobytes() == np.array(
+            [q_envelope(q0, theta0, float(th)) for th in theta]).tobytes()
+    with pytest.raises(ValueError, match="second moments"):
+        q_envelope(1.5, 1.0, np.array([1.0, 0.0]))
+    with pytest.raises(MatchingError):
+        q_envelope(2.0, 1.0, np.array([1.0, 0.4]))
+
+
 def test_envelope_window_gate(run_pm1_gaussian):
     # p = 2 > 1 is outside the fast-diffusion window: no envelope
     with pytest.raises(RegimeError):

@@ -124,7 +124,9 @@ def test_reference_without_scipy():
     # near-critical fast diffusion: the quadrature's hardest tail
     proc = _fresh(BLOCKED_RUN, "reference", "--d", "2", "--p", "0.01")
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["theta"] == float("inf")
+    reference = json.loads(proc.stdout)
+    assert reference["theta"] is None  # infinite, written as JSON null
+    assert reference["hypotheses"]["finite_moments"] is False
 
 
 @pytest.mark.parametrize("call", ["np.polynomial.legendre.leggauss(4)",

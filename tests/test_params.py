@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from renyiflow import ModelParams, ParameterDomainError, RegimeError
-from renyiflow.checks import CHECK_HYPOTHESES
+from renyiflow.checks import CHECKS
 from renyiflow.params import derive_exponents, unmet
 
 
@@ -68,7 +68,7 @@ def test_validity_flags(d, p, t1, t2, mom):
     # finite profile second moment, each read off the HYPOTHESES table
     params = ModelParams(d, p)
     assert (unmet(params, "remainder_window") is None) is t1
-    assert (unmet(params, *CHECK_HYPOTHESES["theorem2"]) is None) is t2
+    assert (unmet(params, *CHECKS["theorem2"][0]) is None) is t2
     assert (unmet(params, "finite_moments") is None) is mom
 
 

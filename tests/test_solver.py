@@ -104,7 +104,7 @@ def test_mass_conservation_and_positivity(pm_setup):
 def test_record_schedule_uniform(pm_setup):
     params, _, state = pm_setup
     traj = rf.evolve(state, 1.0, params, rf.SolverConfig(record_every=0.25))
-    assert np.allclose(traj.times(), [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-12)
+    assert np.allclose(traj.series("t"), [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-12)
     assert traj.final_state.t == 1.0
 
 
@@ -113,10 +113,10 @@ def test_record_schedule_from(pm_setup):
     cfg = rf.SolverConfig(record_every=0.1, record_from=0.3)
     traj = rf.evolve(state, 0.5, params, cfg)
     # initial record and a final one at t_end are always present
-    assert np.allclose(traj.times(), [0.0, 0.3, 0.4, 0.5], atol=1e-12)
+    assert np.allclose(traj.series("t"), [0.0, 0.3, 0.4, 0.5], atol=1e-12)
     for record_from in (0.5, 0.7):
         cfg = rf.SolverConfig(record_every=0.1, record_from=record_from)
-        assert rf.evolve(state, 0.5, params, cfg).times().tolist() == [0.0, 0.5]
+        assert rf.evolve(state, 0.5, params, cfg).series("t").tolist() == [0.0, 0.5]
 
 
 @pytest.mark.parametrize("t0,record_every,t_end", [
@@ -168,7 +168,7 @@ def test_evolution_is_deterministic(pm_setup):
 def test_self_similar_moment_growth(run_pm1_barenblatt, ref_pm1):
     # released at age t0 = 1, Theta(t) = theta_star (1 + t)^(2/mu)
     traj = run_pm1_barenblatt
-    t = traj.times()
+    t = traj.series("t")
     theta = traj.series("theta")
     expected = ref_pm1.theta_star * (1.0 + t) ** (2.0 / ref_pm1.exponents.mu)
     assert np.max(np.abs(theta / expected - 1.0)) < 1e-4
@@ -264,7 +264,7 @@ def test_overdrawing_steps_are_taken_implicitly():
     assert traj.limited_steps > 0 and traj.clipped_mass == 0.0
     assert all(np.all(u >= 0.0) for u in snapshots + [traj.final_state.u])
     for rec in traj.records:
-        assert abs(rec.mass - state.mass()) <= 1e-13
+        assert abs(rec.mass - state.grid.integrate(state.u)) <= 1e-13
     # every record after the first was reached by a step of the run
     assert 0.0 < traj.dt_min <= min(r.dt for r in traj.records[1:])
     assert max(r.dt for r in traj.records[1:]) <= traj.dt_max <= 0.005
@@ -622,7 +622,8 @@ def test_negative_super_step_is_redone_by_euler(monkeypatch, pm_setup):
     assert traj.n_steps == traj.euler_steps + sum(stages)
     assert traj.clipped_mass == 0.0
     assert np.all(traj.final_state.u >= 0.0)
-    assert traj.final_state.mass() == pytest.approx(state.mass(), abs=1e-13)
+    final = traj.final_state
+    assert final.grid.integrate(final.u) == pytest.approx(state.grid.integrate(state.u), abs=1e-13)
 
 
 def _indicator(r):
