@@ -81,6 +81,19 @@ def profile_density(r: np.ndarray | float, params: ModelParams,
     return out if out.ndim else out[()]
 
 
+def self_similar_scales(times: Sequence[float],
+                        params: ModelParams) -> tuple[list[float], list[float]]:
+    """The scale c = kappa t^(1/mu) and amplitude a = c^(-d) of the
+    source-type solution u(t, x) = a B(x / c) at each time t > 0, as Python
+    floats."""
+    ex = derive_exponents(params)
+    for s in times:
+        if not s > 0.0:  # a NaN fails it too
+            raise ValueError(f"self-similar density requires t > 0, got {s}")
+    scale = [ex.kappa * s ** (1.0 / ex.mu) for s in times]
+    return scale, [c ** (-params.d) for c in scale]
+
+
 def self_similar_density(r: np.ndarray | float, t: float | Sequence[float],
                          params: ModelParams, out: np.ndarray | None = None) -> np.ndarray:
     """Source-type solution at time t > 0, evaluated at radii r (of r's
@@ -91,16 +104,11 @@ def self_similar_density(r: np.ndarray | float, t: float | Sequence[float],
     u(t, x) = t^(-d/mu) * kappa^(-d) * B(x / (kappa t^(1/mu))), which solves
     the flow with unit mass for every t; its second-moment functional grows
     exactly like t^(2/mu). The scale and amplitude of each time are Python
-    floats, so a row has the bits of its own call.
+    floats (self_similar_scales), so a row has the bits of its own call.
     """
-    ex = derive_exponents(params)
     one = np.ndim(t) == 0
     times = [t] if one else list(t)
-    for s in times:
-        if not s > 0.0:  # a NaN fails it too
-            raise ValueError(f"self-similar density requires t > 0, got {s}")
-    scale = [ex.kappa * s ** (1.0 / ex.mu) for s in times]
-    amplitude = [c ** (-params.d) for c in scale]
+    scale, amplitude = self_similar_scales(times, params)
     r = np.asarray(r, dtype=float)
     # row by row, as a call on a (k, 1) column would buffer the whole block
     block = np.empty((len(times), r.size)) if out is None else out

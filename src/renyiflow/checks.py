@@ -283,12 +283,14 @@ def _check_deficit(trajectory, **_) -> tuple[Clauses, dict]:
 # name -> (hypotheses, measurement), in the order reports list checks. The
 # hypotheses are those of every function the verdict calls, most specific
 # first so that a request like gn at p = 0.4 names the p > 1/2 conversion
-# rather than a downstream window. theorem2 judges H against the profile's
-# h_star, which is finite only with the profile's second moment; theorem3
-# reads only the drift of tau, so it runs wherever the best match exists,
-# also below 1 - 1/d.
+# rather than a downstream window. theorem1 judges E of the source-type
+# solution, which is finite only for p > d/(d+2): its u**p decays like
+# r**(-2p/(1-p)). theorem2 judges H against the profile's h_star, which is
+# finite only with the profile's second moment; theorem3 reads only the
+# drift of tau, so it runs wherever the best match exists, also below
+# 1 - 1/d.
 CHECKS: dict[str, tuple[tuple[str, ...], Callable[..., tuple[Clauses, dict]]]] = {
-    "theorem1": (("remainder_window",), _check_theorem1),
+    "theorem1": (("remainder_window", "finite_moments"), _check_theorem1),
     "theorem2": (("finite_moments",), _check_theorem2),
     "theorem3": (("finite_moments",), partial(_delay_check, name="theorem3")),
     "theorem3bis": (("remainder_window", "finite_moments"),

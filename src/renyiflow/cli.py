@@ -384,6 +384,9 @@ def _summary_lines(label: str, trajectory, results: list[CheckResult]) -> list[s
             f"  {r.name:12s} {verdict}  slack {r.slack:+.4f}  "
             f"binding {binding[0]}: measured {binding[1]['measured']:.6g} "
             f"vs tolerance {binding[1]['tolerance']:.6g}")
+        if r.name == "gn":
+            # _check_gn reads trajectory.reference alone
+            lines[-1] += "  (a verdict on (d, p, seed), not on the trajectory)"
     failed = [r.name for r in results if r.applicable and not r.passed]
     if failed:
         lines.append(f"FAILED: {', '.join(failed)}")

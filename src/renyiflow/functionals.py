@@ -9,13 +9,16 @@ every nonnegative state by construction (up to round-off), not just in the
 continuum limit.
 
 diagnostics is the one public path to the per-record functionals. It
-takes a block of k states on one grid, and each functional's formula lives
-in one private kernel that takes the (k, n) arrays it reads (u**p, the
-slopes of the potential v, the live-face mask, ...) as arguments, with
-per-record scalars as (k, 1) columns: one numpy call serves k records,
-whose fixed call cost would otherwise dominate at n ~ 1000. diagnostics
-builds each of those arrays once per block and feeds every kernel, and the
-grid-only arrays come cached from RadialGrid. A row's results do not
+takes a block of k states on one grid and returns their records as one
+RecordTable. Each functional's formula lives in one private kernel that
+takes the (k, n) arrays it reads (u**p, the slopes of the potential v, the
+live-face mask, ...) as arguments, with per-record scalars as (k, 1)
+columns: one numpy call serves k records, whose fixed call cost would
+otherwise dominate at n ~ 1000. diagnostics builds each of those arrays
+once per block and feeds every kernel, and the grid-only arrays come
+cached from RadialGrid. The relative entropy needs no profile built cell
+by cell: it is written through the pressure of the matched profile, affine
+in r**2 (_relative_entropy). A row's results do not
 depend on its block: sums run along rows (pairwise, as on a lone array),
 dot products are np.vecdot (one ddot per row), and sums over a masked
 subset of a row are taken row by row. The kernels assume their caller has
@@ -30,9 +33,10 @@ so no two threads may evaluate diagnostics at once: 7 float and
 5 boolean arrays of k (n + 1) entries, 769,332 bytes at
 solver.record_block's k = 12 for n = 1050. The kernels write into it with
 out= and where= and work in the first k rows, so a partial block or a lone
-state takes the same path. They carve contiguous (k, m) arrays from it
-(_rows): at (16, 1050) a numpy call runs about twice as fast on contiguous
-operands, as one flat loop, as on strided views. So a face array, the
+state takes the same path. The workspace is cut into contiguous (k, n)
+arrays once per block shape (_carve): at (16, 1050) a numpy call runs
+about twice as fast on contiguous operands, as one flat loop, as on
+strided views. So a face array, the
 n - 1 interior faces of each row, is (k, n) with no face in its last
 column (0, or False in a mask), and a difference across faces is one flat
 call over the cells (_across_faces). Blocks that allocated their
@@ -40,19 +44,22 @@ temporaries lost the gain of more than 4 rows to page faults, not to the
 L1 cache: above glibc's trim threshold the freed top of the heap went back
 to the system after each block and the next block faulted it in again. An
 fd3_exact_dense evolve (4,001 records) took 150,899-176,726 minor faults in
-16-row blocks that allocated, and 740-1,021 with the workspace.
+16-row blocks that allocated, and 740-1,021 with the workspace. On the
+fd3 grid (2-core host, medians of 30 interleaved rounds in one process),
+warm blocks of 1, 12 and 48 records cost 220, 64 and 60 us a record: a
+block's fixed cost is about 170 us.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from ._pow import pow_fn
-from .barenblatt import BarenblattReference, self_similar_density
+from .barenblatt import BarenblattReference, self_similar_scales
 from .grid import DensityState, RadialGrid, sphere_area
 from .params import ModelParams, require, unmet
 
@@ -163,6 +170,11 @@ class RecordTable(Sequence[FunctionalRecord]):
             return RecordTable(self.values[i], self.flags[i])
         return FunctionalRecord(*self.values[i].tolist(), self.flags[i])
 
+    def __iter__(self) -> Iterator[FunctionalRecord]:
+        # one tolist of the whole table, not one per row
+        for row, flags in zip(self.values.tolist(), self.flags):
+            yield FunctionalRecord(*row, flags)
+
     def column(self, name: str) -> np.ndarray:
         """The field name of every record, as a new array."""
         return self.values[:, _COLUMN[name]].copy()
@@ -173,20 +185,40 @@ class RecordTable(Sequence[FunctionalRecord]):
 _quiet = partial(np.errstate, divide="ignore", invalid="ignore")
 
 # The workspace of a diagnostics block: _FLOATS float and _MASKS boolean
-# flat arrays (_workspace), from which each kernel carves the contiguous
-# (k, m) arrays it writes (_rows).
+# flat arrays (_workspace), carved once per block shape into the contiguous
+# (k, n) arrays the kernels write (_carve).
 _FLOATS, _MASKS = 7, 5
 _ws = (np.empty((_FLOATS, 0)), np.empty((_MASKS, 0), dtype=bool))
+
+
+class _Carved(NamedTuple):
+    """The workspace of a (k, n) block as the arrays diagnostics hands its
+    kernels: u and w = u**p, v's one-sided slopes (flat, k n + 1 entries,
+    and as every cell's inner and outer slope), and 4 float and 5 boolean
+    (k, n) arrays of scratch."""
+
+    u: np.ndarray
+    w: np.ndarray
+    slopes: np.ndarray
+    slope_m: np.ndarray
+    slope_p: np.ndarray
+    scratch: tuple[np.ndarray, ...]
+    masks: tuple[np.ndarray, ...]
+
+
+_carved: dict[tuple[int, int], _Carved] = {}
 
 
 def _workspace(size: int) -> tuple[np.ndarray, np.ndarray]:
     """The workspace, (_FLOATS, >= size) floats and (_MASKS, >= size)
     booleans. It is built anew only when a block needs more entries per
-    array than it holds; otherwise each block finds it as the last one left
-    it, so every kernel writes each entry it reads before reading it."""
+    array than it holds, which drops the views carved from the old one;
+    otherwise each block finds it as the last one left it, so every kernel
+    writes each entry it reads before reading it."""
     global _ws
     if _ws[0].shape[1] < size:
         _ws = (np.empty((_FLOATS, size)), np.empty((_MASKS, size), dtype=bool))
+        _carved.clear()
     return _ws
 
 
@@ -194,6 +226,22 @@ def _rows(buf: np.ndarray, k: int, m: int) -> np.ndarray:
     """The first k*m entries of the flat workspace array buf as a
     contiguous (k, m) array."""
     return buf[:k * m].reshape(k, m)
+
+
+def _carve(k: int, n: int) -> _Carved:
+    """The workspace carved for a block of k states of n cells, once per
+    shape while the workspace lasts: the same memory every time, so a
+    block's bits do not depend on whether its views are new."""
+    floats, masks = _workspace(k * (n + 1))
+    carved = _carved.get((k, n))
+    if carved is None:
+        slopes = floats[2][:k * n + 1]
+        carved = _carved[k, n] = _Carved(
+            _rows(floats[0], k, n), _rows(floats[1], k, n), slopes,
+            slopes[:-1].reshape(k, n), slopes[1:].reshape(k, n),
+            tuple(_rows(a, k, n) for a in floats[3:]),
+            tuple(_rows(a, k, n) for a in masks))
+    return carved
 
 
 def _across_faces(ufunc: np.ufunc, x: np.ndarray, out: np.ndarray,
@@ -211,17 +259,18 @@ def _across_faces(ufunc: np.ufunc, x: np.ndarray, out: np.ndarray,
 def _potential(g: RadialGrid, u: np.ndarray, p: float, dv: np.ndarray,
                slopes: np.ndarray, scratch: Sequence[np.ndarray]) -> None:
     """v = p/(p-1) u**(p-1) (infinite on vacuum cells when p < 1), in
-    scratch[0]; its differences across the faces into the face array dv;
-    and into the flat slopes, k n + 1 entries, its one-sided slopes on
-    either side of each cell, so that slopes[:-1] and slopes[1:] as (k, n)
-    arrays hold every cell's inner and outer slope. The outer slope of cell
+    scratch[0] of the three (k, n) scratch arrays; its differences across
+    the faces into the face array dv; and into the flat slopes, k n + 1
+    entries, its one-sided slopes on either side of each cell, so that
+    slopes[:-1] and slopes[1:] as (k, n) arrays hold every cell's inner and
+    outer slope. The outer slope of cell
     j < n-1 is the face slope dv / center_gaps; the inner one of cell 0
     comes from the even reflection v(-r) = v(r) (0, or nan where v is
     infinite). The outer slope of a row's last cell, which has no outer
     neighbor, is the next row's inner one (0 in the last row): it is read
     only beside h_p = nan, which makes every stencil there nan."""
     k, n = u.shape
-    v, *roots = (_rows(a, k, n) for a in scratch[:3])
+    v, *roots = scratch[:3]
     np.multiply(pow_fn(p - 1.0)(u, out=v, roots=roots), p / (p - 1.0), out=v)
     _across_faces(np.subtract, v, dv)
     np.divide(dv, g.padded_faces[0], out=slopes[1:].reshape(k, n))
@@ -247,24 +296,24 @@ def _live_faces(u: np.ndarray, u_max: np.ndarray, drc: np.ndarray, live: np.ndar
     alternates between flat and cliff faces, so neighbor consistency
     separates signal from noise independently of level.
     """
-    k, n = u.shape
-    above = np.greater_equal(u, DUST_REL * u_max, out=_rows(masks[0], k, n))
+    n = u.shape[1]
+    above = np.greater_equal(u, DUST_REL * u_max, out=masks[0])
     _across_faces(np.logical_and, above, live, False)
-    log_u = np.log(u, out=_rows(scratch[0], k, n))
-    slopes = _across_faces(np.subtract, log_u, _rows(scratch[1], k, n))
+    log_u = np.log(u, out=scratch[0])
+    slopes = _across_faces(np.subtract, log_u, scratch[1])
     slopes /= drc
     # jump[:, j] = |slopes[:, j+1] - slopes[:, j]| for j < n-2, and each
     # face's dev the smaller jump beside it (the one jump of an end face)
-    jump = _across_faces(np.subtract, slopes, _rows(scratch[2], k, n))
+    jump = _across_faces(np.subtract, slopes, scratch[2])
     np.abs(jump, out=jump)
-    dev = _rows(scratch[0], k, n)  # log_u is spent
+    dev = scratch[0]  # log_u is spent
     np.minimum(jump.reshape(-1)[:-1], jump.reshape(-1)[1:], out=dev.reshape(-1)[1:])
     dev[:, 0] = jump[:, 0]
     dev[:, n - 2] = jump[:, n - 3]
     bound = np.abs(slopes, out=jump)  # jump is spent
     bound *= SMOOTH_SLOPE_REL
-    smooth = np.isfinite(slopes, out=_rows(masks[0], k, n))
-    smooth &= np.less_equal(dev, bound, out=_rows(masks[1], k, n))
+    smooth = np.isfinite(slopes, out=masks[0])
+    smooth &= np.less_equal(dev, bound, out=masks[1])
     live |= smooth
     live[:, -1] = False
 
@@ -288,25 +337,23 @@ def _fisher(g: RadialGrid, u: np.ndarray, u_max: np.ndarray, live: np.ndarray,
     cells from _live_faces only moves it to 2.1e63.
     """
     p = params.p
-    k, n = u.shape
     drc, weights, _ = g.padded_faces
-    dead = np.logical_not(live, out=_rows(masks[0], k, n))
-    slope = _rows(scratch[0], k, n)
+    dead = np.logical_not(live, out=masks[0])
+    slope = scratch[0]
     if unmet(params, "gn_conversion") is None:
-        wt = pow_fn(p - 0.5)(u, out=_rows(scratch[1], k, n),
-                             roots=[_rows(a, k, n) for a in scratch[2:4]])
+        wt = pow_fn(p - 0.5)(u, out=scratch[1], roots=scratch[2:4])
         _across_faces(np.subtract, wt, slope)
         slope /= drc
         np.copyto(slope, 0.0, where=dead)
         np.square(slope, out=slope)
         coef = (2.0 * p / (2.0 * p - 1.0)) ** 2
-        return coef * np.vecdot(slope[:, :-1], g.gap_weights), [()] * k
+        return coef * np.vecdot(slope[:, :-1], g.gap_weights), [()] * len(u)
     floor = 1e-10 * u_max
     # in place, the operations of the face density uf = 0.5 (u_- + u_+) and
     # of p**2 max(uf, floor)**(2p-3) slope**2 times the gap weights, in order
-    contrib = _across_faces(np.add, u, _rows(scratch[1], k, n))
+    contrib = _across_faces(np.add, u, scratch[1])
     contrib *= 0.5
-    floored = np.less(contrib, floor, out=_rows(masks[1], k, n))
+    floored = np.less(contrib, floor, out=masks[1])
     floored &= live
     np.maximum(contrib, floor, out=contrib)
     _across_faces(np.subtract, u, slope)
@@ -346,15 +393,14 @@ def _q_ratio(g: RadialGrid, u: np.ndarray, w: np.ndarray, dv: np.ndarray,
     scales exactly, so q keeps its value while steep tail faces
     (|g_f| ~ 2e192 in a d = 1, p = 0.4 Gaussian) do not overflow B.
     """
-    k, n = dv.shape
     _, weights, mids = g.padded_faces
-    dw, uf, wu = (_rows(a, k, n) for a in scratch[:3])
+    dw, uf, wu = scratch[:3]
     _across_faces(np.subtract, w, dw)
     # no face in the last column: dv is 0 there and live False
-    sloped = np.isfinite(dv, out=_rows(masks[0], k, n))
-    sloped &= np.not_equal(dv, 0.0, out=_rows(masks[1], k, n))
+    sloped = np.isfinite(dv, out=masks[0])
+    sloped &= np.not_equal(dv, 0.0, out=masks[1])
     sloped &= live
-    flat = np.logical_not(sloped, out=_rows(masks[1], k, n))
+    flat = np.logical_not(sloped, out=masks[1])
     flat &= live
     uf.fill(0.0)
     np.divide(dw, dv, out=uf, where=sloped)
@@ -395,39 +441,41 @@ def _remainder(g: RadialGrid, u: np.ndarray, u_max: np.ndarray, w: np.ndarray,
     """
     p, d = reference.params.p, reference.params.d
     sigma = reference.exponents.sigma
-    k, n = u.shape
+    n = u.shape[1]
 
-    mask = np.greater_equal(u, REMAINDER_MASK_REL * u_max, out=_rows(masks[0], k, n))
-    c = g.centers
-    h_m, h_p, h_sum = g.stencil_gaps
+    mask = np.greater_equal(u, REMAINDER_MASK_REL * u_max, out=masks[0])
 
     # cells whose stencil (the cell and its neighbors) is unmasked: the
     # faces between two unmasked cells, then the cells between two such
     # faces (cell 0 has its mirror image inside; the last cell of a row
     # meets the no-face column, so none is valid)
-    pairs = _across_faces(np.logical_and, mask, _rows(masks[1], k, n), False)
-    valid = _rows(masks[2], k, n)
+    pairs = _across_faces(np.logical_and, mask, masks[1], False)
+    valid = masks[2]
     np.logical_and(pairs.reshape(-1)[:-1], pairs.reshape(-1)[1:], out=valid.reshape(-1)[1:])
     valid[:, 0] = pairs[:, 0]
-    invalid = np.logical_not(valid, out=_rows(masks[1], k, n))
+    invalid = np.logical_not(valid, out=masks[1])
 
     # masked-out cells may overflow; they are zeroed below. The in-place
     # steps are the operations of v1 = (h_m s_p + h_p s_m) / h_sum,
-    # v2 = 2 (s_p - s_m) / h_sum and lap = v2 + (d - 1) v1 / r, in order.
-    v1, v2, lap, spread = (_rows(a, k, n) for a in scratch[:4])
+    # v2 = (2/h_sum) (s_p - s_m) and lap = v2 + ((d - 1)/r) v1, in order,
+    # with the grid's cached factors (RadialGrid.stencil_factors). v1 keeps
+    # its division: on the exact profile R is a cancellation about 1e-9 of
+    # E I, and the weights h_m/h_sum, h_p/h_sum moved it by up to 1.4e-12
+    # relative where this form stays within 8e-13
+    h_m, h_p, h_sum = g.stencil_gaps
+    curve, radial, inv_r = g.stencil_factors
+    v1, v2, lap, spread = scratch[:4]
     with np.errstate(over="ignore"):
         np.multiply(h_m, slope_p, out=v1)
         v1 += np.multiply(h_p, slope_m, out=v2)
         v1 /= h_sum
         np.subtract(slope_p, slope_m, out=v2)
-        v2 *= 2.0
-        v2 /= h_sum
-        np.multiply(v1, d - 1, out=lap)
-        lap /= c
+        v2 *= curve
+        np.multiply(v1, radial, out=lap)
         lap += v2
         aniso_sq = None
         if d > 1:
-            aniso_sq = np.divide(v1, c, out=v1)
+            aniso_sq = np.multiply(v1, inv_r, out=v1)
             np.subtract(v2, aniso_sq, out=aniso_sq)
             np.square(aniso_sq, out=aniso_sq)
             np.copyto(aniso_sq, 0.0, where=invalid)
@@ -462,7 +510,7 @@ def _remainder(g: RadialGrid, u: np.ndarray, u_max: np.ndarray, w: np.ndarray,
             contrib += extra
         total = contrib.sum(axis=1).tolist()
         # cells whose 3-wide neighborhood touches a masked-out cell
-        near = _rows(masks[3], k, n)
+        near = masks[3]
         near.fill(False)
         bad = np.logical_not(mask, out=mask)
         for off in range(-3, 4):
@@ -480,34 +528,42 @@ def _remainder(g: RadialGrid, u: np.ndarray, u_max: np.ndarray, w: np.ndarray,
 
 
 def _relative_entropy(g: RadialGrid, u: np.ndarray, up: np.ndarray, s: list[float],
-                      p: float, reference: BarenblattReference,
-                      scratch: Sequence[np.ndarray]) -> np.ndarray:
+                      reference: BarenblattReference,
+                      scratch: Sequence[np.ndarray]) -> list[float]:
     """Per row of u (up = u**p), the Bregman divergence of the entropy
-    between u and the self-similar solution at that row's time s:
-    1/(p-1) int [u^p - U^p - p U^(p-1) (u - U)], computed in five flat
-    scratch arrays.
+    between u and the self-similar solution U at that row's time s:
+    1/(p-1) int [u^p - U^p - p U^(p-1) (u - U)], in four (k, n) scratch
+    arrays.
 
-    The integrand is pointwise nonnegative for every p in the admissible
-    range, so the value is a genuine divergence (zero iff u = U a.e.).
+    U = a B(r/c) (scale c and amplitude a from self_similar_scales) has the
+    pressure U^(p-1) = a^(p-1) z, affine in r^2 through the base
+    z = c_star -+ (r/c)^2 of the profile B = z^(1/(p-1)) (clipped at 0 for
+    p > 1), and U^p = a^p z^(p/(p-1)) (Carrillo & Toscani, Indiana Univ.
+    Math. J. 49, 2000). So the divergence is
+    [int u^p - p a^(p-1) int z u] / (p-1) + a^p int z^(p/(p-1)), with no
+    U built cell by cell. Its integrand is pointwise nonnegative for every
+    p in the admissible range, so the value is a genuine divergence (zero
+    iff u = U a.e.).
     """
-    k, n = u.shape
-    cap_u, cap_up, slope, *roots = (_rows(a, k, n) for a in scratch[:5])
-    self_similar_density(g.centers, s, reference.params, out=cap_u)
-    cap_up = pow_fn(p)(cap_u, out=cap_up, roots=roots)
-    # in place, the operations of
-    # (u**p - U**p - p U**(p-1) (u - U)) / (p - 1) in order
+    p, c_star = reference.params.p, reference.c_star
+    scale, amplitude = self_similar_scales(s, reference.params)
+    z, zq, *roots = scratch[:4]
+    # in place, the operations of profile_density's base on r / c; the
+    # centers go in first, as a call that broadcast both a grid array and
+    # a (k, 1) column would buffer the whole block
+    np.copyto(z, g.centers)
+    z /= np.array(scale)[:, None]
+    np.square(z, out=z)
     if p > 1.0:
-        np.multiply(pow_fn(p - 1.0)(cap_u, out=slope, roots=roots), p, out=slope)
+        np.subtract(c_star, z, out=z)
+        np.maximum(z, 0.0, out=z)
     else:
-        # U > 0 everywhere in the fast-diffusion range, so U**(p-1) is finite
-        np.multiply(cap_up, p, out=slope)
-        slope /= cap_u
-    diff = roots[0]  # the roots are spent
-    slope *= np.subtract(u, cap_u, out=diff)
-    integrand = np.subtract(up, cap_up, out=diff)
-    integrand -= slope
-    integrand /= p - 1.0
-    return np.vecdot(integrand, g.volumes)
+        z += c_star
+    power = np.vecdot(pow_fn(p / (p - 1.0))(z, out=zq, roots=roots), g.volumes).tolist()
+    linear = np.vecdot(np.multiply(z, u, out=z), g.volumes).tolist()
+    box = np.vecdot(up, g.volumes).tolist()
+    return [(e - p * a ** (p - 1.0) * zu) / (p - 1.0) + a ** p * zp
+            for e, zu, zp, a in zip(box, linear, power, amplitude)]
 
 
 def whole_space_entropy(state: DensityState, reference: BarenblattReference,
@@ -540,7 +596,7 @@ def whole_space_entropy(state: DensityState, reference: BarenblattReference,
 def _whole_space_entropy(g: RadialGrid, u: np.ndarray, w: np.ndarray, p: float,
                          scratch: np.ndarray) -> np.ndarray:
     """E over the whole space for d/(d+2) < p < 1, p >= 1 - 1/d, with the
-    fit window's logarithms in the flat scratch.
+    fit window's logarithms in the memory of the (k, n) scratch.
 
     Below r_c (RadialGrid.far_field_window) E sums u**p V over the cells.
     Beyond it the universal far field u = A r**(-2/(1-p)) integrates to
@@ -556,39 +612,43 @@ def _whole_space_entropy(g: RadialGrid, u: np.ndarray, w: np.ndarray, p: float,
     box = np.vecdot(w[:, :c], g.volumes[:c]).tolist()
     window = u[:, lo:c]
     filled = np.count_nonzero(window, axis=1)
-    # -inf on empty cells, which sort first
-    log_a = np.log(window, out=_rows(scratch, len(box), c - lo))
+    # -inf on empty cells, which sort first. The rows of a smooth state
+    # arrive nearly sorted: on fd3 records a sort of the block took 4 us
+    # and a partition at the ranks the rows need 7
+    log_a = np.log(window, out=_rows(scratch.reshape(-1), len(box), c - lo))
     log_a += (2.0 / (1.0 - p)) * log_r
     log_a.sort()
     k = 2.0 * p / (1.0 - p) - g.d
     log_rc = math.log(g.edges[c])
+    area = sphere_area(g.d)
     out = []
     for b, row, f in zip(box, log_a, filled.tolist()):
         if f:
             a = float(row[row.size - f + (f - 1) // 2])
-            b += sphere_area(g.d) * math.exp(p * a - k * log_rc) / k
+            b += area * math.exp(p * a - k * log_rc) / k
         out.append(b)
     return np.array(out)
 
 
 def diagnostics(states: Sequence[DensityState], reference: BarenblattReference,
                 dts: Sequence[float] | None = None,
-                whole_space: bool = False) -> list[FunctionalRecord]:
+                whole_space: bool = False) -> RecordTable:
     """The record of every tracked functional of each state, for states on
-    one grid, with dts their record dt (nan when not given).
+    one grid, with dts their record dt (nan when not given), as a
+    RecordTable in the order of the states.
 
     The states go through every kernel together, as one (k, n) block, and
     the arrays several functionals read are built once and shared by their
     kernels. Each record has the same bits whatever block it is evaluated
     in: the kernels' numpy calls act on each row as on a lone array, and
-    per-record scalars are Python floats. A single state is
+    per-record scalars are Python floats. A single state's record is
     diagnostics([state], reference)[0].
 
     With whole_space (fast diffusion in the remainder window with finite
     moments only; see whole_space_entropy) the entropy is the whole-space
     E, box cells plus the fitted far-field tail (_whole_space_entropy);
-    otherwise, and for theta, the remainder's integrals and the match time
-    always, the integrals run over the box.
+    otherwise, and for theta, the remainder's integrals, the relative
+    entropy and the match time always, the integrals run over the box.
     """
     params = reference.params
     if whole_space:
@@ -600,23 +660,19 @@ def diagnostics(states: Sequence[DensityState], reference: BarenblattReference,
     if g.n < 3:
         raise ValueError(f"diagnostics needs at least 3 cells, got {g.n}")
     ex = reference.exponents
-    p, n, k = params.p, g.n, len(states)
-    floats, masks = _workspace(k * (n + 1))
+    p = params.p
     # u, w, the one-sided slopes of v and the live faces outlive a kernel;
     # the other arrays are the kernels' scratch. v's face differences dv
     # sit in the last, which _potential, _live_faces and _q_ratio leave
     # alone (they take three)
-    u, w = _rows(floats[0], k, n), _rows(floats[1], k, n)
-    slopes = floats[2][:k * n + 1]
-    slope_m, slope_p = slopes[:-1].reshape(k, n), slopes[1:].reshape(k, n)
-    scratch, live = floats[3:], _rows(masks[0], k, n)
-    dv = _rows(scratch[3], k, n)
-    for row, state in zip(u, states):
-        np.copyto(row, state.u)
+    block = _carve(len(states), g.n)
+    u, slopes, scratch, masks = block.u, block.slopes, block.scratch, block.masks
+    live, dv = masks[0], scratch[3]
+    np.concatenate([state.u for state in states], out=u.reshape(-1))
 
     u_max = u.max(axis=1, keepdims=True)
-    w = pow_fn(p)(u, out=w, roots=[_rows(a, k, n) for a in scratch[:2]])
-    moment = np.multiply(u, g.moment_weights, out=_rows(scratch[0], k, n))
+    w = pow_fn(p)(u, out=block.w, roots=scratch[:2])
+    moment = np.multiply(u, g.moment_weights, out=scratch[0])
     moment_total = moment.sum(axis=1).tolist()
     moment_tail = moment[:, g.moment_tail_start:].sum(axis=1).tolist()
     moment_edge = moment[:, g.moment_edge_start:].sum(axis=1).tolist()
@@ -630,37 +686,35 @@ def diagnostics(states: Sequence[DensityState], reference: BarenblattReference,
             entropy = np.vecdot(w, g.volumes)
         _potential(g, u, p, dv, slopes, scratch)
         _live_faces(u, u_max, g.padded_faces[0], live, scratch, masks[1:])
-        q_ratio, flags_q = _q_ratio(g, u, w, dv, slope_p, live, scratch, masks[1:])
+        q_ratio, flags_q = _q_ratio(g, u, w, dv, block.slope_p, live, scratch, masks[1:])
         fisher, flags_f = _fisher(g, u, u_max, live, params, scratch, masks[1:])
-        remainder, flags_r = _remainder(g, u, u_max, w, slope_m, slope_p, entropy,
-                                        reference, scratch, masks[1:])
+        remainder, flags_r = _remainder(g, u, u_max, w, block.slope_m, block.slope_p,
+                                        entropy, reference, scratch, masks[1:])
 
-    nan = float("nan")
+    nan = math.nan
     matched = unmet(params, "finite_moments") is None and math.isfinite(reference.theta_star)
     if matched:
         s_match = [reference.match_time(x) for x in theta]
-        # the slopes are free once the remainder is taken
-        rel_ent = _relative_entropy(g, u, w, s_match, p, reference, floats[2:]).tolist()
+        # the scratch is free once the remainder is taken
+        rel_ent = _relative_entropy(g, u, w, s_match, reference, scratch)
     else:
         s_match = rel_ent = [nan] * len(states)
 
     entropy, fisher, remainder = entropy.tolist(), fisher.tolist(), remainder.tolist()
-    records = []
+    rows, flags = [], []
     for i, state in enumerate(states):
         e, th, s, total = entropy[i], theta[i], s_match[i], moment_total[i]
-        flags = [*flags_f[i], *flags_q[i], *flags_r[i]]
-        if not matched:
-            flags.append("moments_infinite")
-        if total > 0.0 and moment_edge[i] > 0.10 * total:
-            flags.append("low_confidence_moments")
-        records.append(FunctionalRecord(
-            t=state.t, dt=nan if dts is None else dts[i], mass=mass[i], theta=th,
-            entropy=e, fisher=fisher[i], f_power=e**ex.sigma,
-            g_power=th ** (0.5 * ex.mu), h_renyi=th ** (-0.5 * ex.eta) * e,
-            j_scale=e ** (ex.sigma - 1.0) * fisher[i], q_ratio=q_ratio[i],
-            s_match=s, tau=s - state.t, rel_entropy=rel_ent[i], remainder=remainder[i],
+        rows.append((
+            state.t, nan if dts is None else dts[i], mass[i], th, e, fisher[i],
+            e**ex.sigma, th ** (0.5 * ex.mu), th ** (-0.5 * ex.eta) * e,
+            e ** (ex.sigma - 1.0) * fisher[i], q_ratio[i], s, s - state.t, rel_ent[i],
+            remainder[i],
             # the share of the second moment beyond r_max / 2
-            tail_frac=moment_tail[i] / total if total > 0.0 else 0.0,
-            flags=tuple(sorted(set(flags))),
-        ))
-    return records
+            moment_tail[i] / total if total > 0.0 else 0.0))
+        record_flags = {*flags_f[i], *flags_q[i], *flags_r[i]}
+        if not matched:
+            record_flags.add("moments_infinite")
+        if total > 0.0 and moment_edge[i] > 0.10 * total:
+            record_flags.add("low_confidence_moments")
+        flags.append(tuple(sorted(record_flags)))
+    return RecordTable(np.array(rows), flags)

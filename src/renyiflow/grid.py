@@ -142,6 +142,16 @@ class RadialGrid:
         return _read_only(h_m), _read_only(h_p), _read_only(h_m + h_p)
 
     @cached_property
+    def stencil_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(2/h_sum, (d-1)/r, 1/r), each (n,), of stencil_gaps and the
+        centers r: the factors of the three-point curvature
+        v'' = 2 (s_+ - s_-)/h_sum (nan in the last cell), s_-/s_+ the
+        one-sided slopes, and of the radial terms (d-1) v'/r and v'/r."""
+        h_sum, r = self.stencil_gaps[2], self.centers
+        return (_read_only(2.0 / h_sum), _read_only((self.d - 1) / r),
+                _read_only(1.0 / r))
+
+    @cached_property
     def far_field_window(self) -> tuple[int, int, np.ndarray]:
         """(c, lo, log_r): edges[c] = r_c is the edge nearest
         FAR_FIELD_RADIUS_REL * r_max, cells lo..c-1 are those with centers

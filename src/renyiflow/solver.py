@@ -137,14 +137,13 @@ IMPLICIT_STEP_MASS_SHARE = SUPER_STEP_MASS_SHARE / 16
 # records k = max(1, RECORD_BLOCK_DOUBLES // n) at a time, one numpy call per
 # kernel serving k records (k = 12 at n = 1050). A block works in the
 # workspace diagnostics reuses (functionals._workspace: 769,332 bytes at
-# k = 12, n = 1050). Blocks larger than 4 used to cost more per record
-# through page faults, not L1 misses: they allocated their temporaries, and
-# glibc returned the freed heap top after each block. With the workspace,
-# warm fd3_exact_dense blocks of 8, 12 and 16 records cost 0.75, 0.68 and
-# 0.65 of the allocating 4-record blocks' time per record (medians of 30
-# alternating rounds in one process, 2-core host), but 16 records raise an
-# fd3_exact_dense run's peak RSS about 0.2 MiB above 12 (3 runs each), which
-# would bring its rise over the parent near 1 MiB.
+# k = 12, n = 1050), cut into its arrays once per block shape. Blocks larger
+# than 4 used to cost more per record through page faults, not L1 misses:
+# they allocated their temporaries, and glibc returned the freed heap top
+# after each block. Warm fd3_exact_dense blocks of 1, 12 and 48 records
+# cost 220, 64 and 60 us a record (medians of 30 interleaved rounds in one
+# process, 2-core host), so 12 is within 7% of 48; 16 records raised an
+# fd3_exact_dense run's peak RSS about 0.2 MiB above 12 (3 runs each).
 RECORD_BLOCK_DOUBLES = 12600
 
 
@@ -545,7 +544,7 @@ def evolve(
 
     The snapshots wait in a block of record_block(n) and go through
     diagnostics together whenever the block is full, and once more at
-    t_end, each block's rows written into one table allocated at the
+    t_end, each block's table copied into one table allocated at the
     schedule's length (Trajectory.records, a RecordTable). The observer is
     called once per record, in time order, with the record and its
     snapshot, when the record's block is evaluated rather than when the
@@ -589,8 +588,8 @@ def evolve(
         start = time.perf_counter()
         records = diagnostics(pending, reference, dts=pending_dts, whole_space=whole_space)
         traj.diagnostics_time += time.perf_counter() - start
-        table[len(flags):len(flags) + len(records)] = [rec[:-1] for rec in records]
-        flags.extend(rec.flags for rec in records)
+        table[len(flags):len(flags) + len(records)] = records.values
+        flags.extend(records.flags)
         if observer is not None:
             for rec, snap in zip(records, pending):
                 observer(rec, snap)

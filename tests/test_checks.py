@@ -32,6 +32,10 @@ def test_check_vocabulary():
     # sign, so only the H-comparison and the drift of tau remain
     (3, 0.63, ("theorem2", "theorem3")),
     (5, 0.75, ("theorem2", "theorem3")),
+    # at or below d/(d+2) E of the source-type solution is infinite, so not
+    # even theorem1 applies where the remainder has its sign
+    (1, 0.3, ()),
+    (2, 0.5, ()),
 ])
 def test_compatible_subsets(d, p, expected):
     assert compatible_checks(rf.ModelParams(d, p)) == expected

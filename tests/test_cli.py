@@ -282,6 +282,15 @@ def test_gn_seed_flows_from_config(tmp_path):
     assert gn["name"] == "gn" and gn["seed"] == 4242
 
 
+def test_gn_summary_line_says_what_its_verdict_reads(tmp_path):
+    # gn judges the reference alone, and its summary line says so
+    run_experiment(parse_config(tiny_config(checks=["theorem2", "gn"])), tmp_path, echo=None)
+    lines = (tmp_path / "summary.txt").read_text().splitlines()
+    (gn,) = [line for line in lines if line.startswith("  gn ")]
+    assert gn.endswith("(a verdict on (d, p, seed), not on the trajectory)")
+    assert not any("not on the trajectory" in line for line in lines if line != gn)
+
+
 def test_summary_lines(tmp_path, capsys):
     cfg = parse_config(tiny_config())
     run_experiment(cfg, tmp_path)
@@ -443,6 +452,21 @@ def test_run_all_checks_below_moment_threshold(tmp_path):
     summary = (tmp_path / "low" / "summary.txt").read_text()
     assert "all requested checks passed" not in summary
     assert summary.splitlines()[-1] == "no checks ran"
+
+
+def test_theorem1_needs_finite_moments(tmp_path, capsys):
+    # d = 1, p = 0.3 is in the remainder window but at or below d/(d+2),
+    # where E of the source-type solution is infinite: "all" admits no
+    # check, and theorem1 by name is a config error naming the threshold
+    doc = tiny_config(p=0.3, grid={"r_max": 40.0, "n": 160}, checks="all")
+    path = write_config(tmp_path / "all.json", doc)
+    assert main(["run", path, "--out", str(tmp_path / "all")]) == 0
+    summary = (tmp_path / "all" / "summary.txt").read_text()
+    assert summary.splitlines()[-1] == "no checks ran"
+    capsys.readouterr()
+    path = write_config(tmp_path / "named.json", {**doc, "checks": ["theorem1"]})
+    assert main(["run", path, "--out", str(tmp_path / "named")]) == 2
+    assert "d/(d+2)" in capsys.readouterr().err
 
 
 def _checks_failing_at(p_bad):

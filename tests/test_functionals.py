@@ -11,6 +11,7 @@ from renyiflow import solver
 from renyiflow._pow import pow_fn
 from renyiflow.functionals import (
     DUST_REL,
+    REMAINDER_MASK_REL,
     FunctionalRecord,
     _live_faces,
     _potential,
@@ -91,8 +92,8 @@ def test_gaussian_closed_forms():
 def relative_entropy(state, s, reference):
     # the divergence of one state at an arbitrary match time s
     u, p = state.u[None], reference.params.p
-    scratch = np.empty((5, state.grid.n))
-    return float(_relative_entropy(state.grid, u, pow_fn(p)(u), [s], p, reference, scratch)[0])
+    scratch = np.empty((4, 1, state.grid.n))
+    return _relative_entropy(state.grid, u, pow_fn(p)(u), [s], reference, scratch)[0]
 
 
 def test_relative_entropy_is_a_divergence():
@@ -217,7 +218,7 @@ def _q_exact(state, p):
     """q = A B / S^2 with the face sums taken in exact rational arithmetic
     over the face densities and slopes the q kernel sums in floating point."""
     g, u, n = state.grid, state.u, state.grid.n
-    scratch, masks = np.empty((3, n + 1)), np.empty((2, n), dtype=bool)
+    scratch, masks = np.empty((3, 1, n)), np.empty((2, 1, n), dtype=bool)
     dv, slopes, live = np.empty((1, n)), np.empty(n + 1), np.empty((1, n), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         _potential(g, u[None], p, dv, slopes, scratch)
@@ -236,6 +237,51 @@ def _q_exact(state, p):
         b += wu * slope * slope
         s += wu * Fraction(float(r)) * slope
     return float(a * b / (s * s))
+
+
+def _bregman(state, s, reference):
+    """The relative entropy of state to the self-similar solution U at time
+    s, as the Bregman form 1/(p-1) int [u^p - U^p - p U^(p-1) (u - U)] with
+    U built cell by cell: the kernel's oracle, which writes U through its
+    pressure."""
+    p, u = reference.params.p, state.u
+    cap_u = rf.self_similar_density(state.grid.centers, s, reference.params)
+    # U = 0 beyond the support of a p > 1 profile, where U^(p-1) is 0 too
+    integrand = (u**p - cap_u**p - p * cap_u ** (p - 1.0) * (u - cap_u)) / (p - 1.0)
+    return float(integrand @ state.grid.volumes)
+
+
+def _remainder_straight(state, reference, entropy):
+    """R of one state by the straight three-point formulas
+    v1 = (h_m s_p + h_p s_m) / h_sum, v2 = 2 (s_p - s_m) / h_sum and
+    lap = v2 + (d - 1) v1 / r on the slopes s_m, s_p of v on either side of
+    each cell, over the cells whose stencil is above the mask level: the
+    oracle of the kernel, which takes them from the grid's cached factors."""
+    g, u = state.grid, state.u
+    d, p = reference.params.d, reference.params.p
+    sigma = reference.exponents.sigma
+    r = g.centers
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v = p / (p - 1.0) * pow_fn(p - 1.0)(u)
+        face = np.diff(v) / np.diff(r)
+        # the inner slope of cell 0 from the mirror image v(-r) = v(r)
+        s_m = np.concatenate(([(v[0] - v[0]) / (2.0 * r[0])], face))
+        s_p = np.concatenate((face, [math.nan]))
+        h_m = np.concatenate(([2.0 * r[0]], np.diff(r)))
+        h_p = np.concatenate((np.diff(r), [math.nan]))
+        v1 = (h_m * s_p + h_p * s_m) / (h_m + h_p)
+        v2 = 2.0 * (s_p - s_m) / (h_m + h_p)
+        lap = v2 + (d - 1) * v1 / r
+        aniso = (v2 - v1 / r) ** 2
+    keep = u >= REMAINDER_MASK_REL * u.max()
+    # the cell and both neighbors kept (cell 0 is its own mirror image;
+    # the last cell has no outer neighbor)
+    valid = keep & np.concatenate(([True], keep[:-1])) & np.concatenate((keep[1:], [False]))
+    wgt = np.where(valid, pow_fn(p)(u) * g.volumes, 0.0)
+    lap, aniso = np.where(valid, lap, 0.0), np.where(valid, aniso, 0.0)
+    mean = (wgt @ lap) / wgt.sum()
+    var = wgt @ (lap - mean) ** 2
+    return entropy * ((sigma - 1.0) * var + 2.0 / (1.0 - p) * (1.0 - 1.0 / d) * (wgt @ aniso))
 
 
 # (d, p, grid, datum, t_end): short runs whose final state still carries
@@ -262,8 +308,8 @@ DATUM_DUST = {(1, 0.4)}
 def test_diagnostics_equal_standalone_functionals(d, p, grid_args, datum, t_end):
     # diagnostics shares its per-record arrays between the functionals; its
     # combinations must recompose bit for bit, q must match its exact face
-    # sums, and the match time and relative entropy must equal the
-    # standalone closed-form match and divergence
+    # sums, the match time must equal the standalone closed-form match, and
+    # the relative entropy and R their straight formulas
     params = rf.ModelParams(d, p)
     ref = rf.build_reference(params)
     r_max, n, stretch = grid_args
@@ -296,11 +342,16 @@ def test_diagnostics_equal_standalone_functionals(d, p, grid_args, datum, t_end)
         if unmet(params, "finite_moments") is None:
             assert rec.s_match == ref.match_time(rec.theta)
             assert rec.tau == rec.s_match - state.t
-            assert rec.rel_entropy == relative_entropy(state, rec.s_match, ref)
+            assert abs(rec.rel_entropy - _bregman(state, rec.s_match, ref)) <= 1e-13 * rec.entropy
         else:
             assert math.isnan(rec.s_match) and math.isnan(rec.tau)
             assert math.isnan(rec.rel_entropy)
             flags.add("moments_infinite")
+        if "remainder_empty" in rec.flags:
+            assert rec.remainder == 0.0
+        else:
+            assert rec.remainder == pytest.approx(
+                _remainder_straight(state, ref, rec.entropy), rel=1e-12)
         moment = state.u * grid.moment_weights
         if moment[grid.centers > 0.9 * grid.r_max].sum() > 0.10 * moment.sum():
             flags.add("low_confidence_moments")
@@ -311,7 +362,8 @@ def test_diagnostics_equal_standalone_functionals(d, p, grid_args, datum, t_end)
 def test_cached_grid_arrays_are_read_only():
     grid = rf.build_grid(3, 60.0, 64, stretch=1.01)
     arrays = [grid.moment_weights, grid.center_gaps, grid.gap_mids,
-              grid.gap_mids_sq, grid.gap_weights, *grid.stencil_gaps, *grid.padded_faces]
+              grid.gap_mids_sq, grid.gap_weights, *grid.stencil_gaps, *grid.stencil_factors,
+              *grid.padded_faces]
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -356,7 +408,7 @@ def test_workspace_reuse_leaves_no_trace(d, p, grid_args, datum, t_end):
 
     for poison in POISONS:
         lone = [rec for i in range(len(snaps)) for rec in evaluate(i, i + 1, poison)]
-        blocks = evaluate(0, 5, poison) + evaluate(5, len(snaps), poison)
+        blocks = [*evaluate(0, 5, poison), *evaluate(5, len(snaps), poison)]
         # repr keeps every bit of a float and reads nan as nan
         assert repr(lone) == repr(blocks) == repr(list(traj.records)), poison
 
